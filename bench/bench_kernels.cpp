@@ -1,15 +1,25 @@
-// Serial-vs-parallel wall time for the ML math kernels and a full training
-// epoch, at every thread count worth comparing on this machine.
+// Serial-vs-parallel wall time for the ML math kernels at the shapes GCN
+// training on ee_zonal really runs, plus a full training epoch.
 //
 //   bench_kernels [--jobs N]
 //
+// The operands are ee_zonal-sized: N = the design's node count (4 882) and
+// its real normalized adjacency. For each GCN layer in -> out (5->16,
+// 16->32, 32->64, then 64->2 for the classifier and 64->1 for the
+// regressor) it times one call of each kernel the layer runs: forward X W
+// (`matmul`) and Â Z (`spmm`), backward Âᵀ G (`spmm_t`), Xᵀ G
+// (`matmul_tn`) and G Wᵀ (`matmul_nt`). These are the calls perfbench's
+// `ml.kernel.<kernel>_*` metrics count; a training epoch makes two forward
+// calls (training and evaluation) and one backward call per layer.
+// Hidden-layer inputs are half exact zeros, roughly the post-ReLU density
+// the zero-skipping kernels see in training.
+//
 // Without --jobs the sweep is {1, 2, 4, hardware} (deduplicated, capped at
-// the hardware lane count); with --jobs it is {1, N}. Each phase lands in
-// BENCH_kernels.json as "<kernel>@<threads>t", so the speedup trajectory
-// of matmul / SpMM / epoch time is tracked across commits alongside the
-// accuracy benches. Correctness is NOT re-checked here — that is
-// tests/kernel_determinism_test.cpp's job (results are bitwise-identical
-// by construction, so the times below compare equal work).
+// the hardware lane count); with --jobs it is {1, N}. Each timing lands in
+// BENCH_kernels.json as "<kernel> <in>-><out>@<threads>t". Correctness is
+// NOT re-checked here — that is tests/kernel_determinism_test.cpp's job
+// (results are bitwise-identical by construction, so the times below
+// compare equal work).
 #include <algorithm>
 #include <cstring>
 #include <functional>
@@ -17,6 +27,8 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "src/designs/designs.hpp"
+#include "src/graphir/graph.hpp"
 #include "src/ml/matrix.hpp"
 #include "src/ml/sparse.hpp"
 #include "src/ml/trainer.hpp"
@@ -27,20 +39,14 @@ namespace {
 
 using namespace fcrit;
 
-ml::Matrix random_matrix(int rows, int cols, util::Rng& rng) {
-  return ml::Matrix::randn(rows, cols, rng, 1.0f);
-}
-
-ml::SparseMatrix random_adjacency(int n, int degree, util::Rng& rng) {
-  std::vector<ml::Coo> entries;
-  for (int r = 0; r < n; ++r) {
-    entries.push_back({r, r, 0.5f});
-    for (int d = 0; d < degree; ++d) {
-      const int c = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(n)));
-      entries.push_back({r, c, 0.1f});
-    }
-  }
-  return ml::SparseMatrix::from_coo(n, n, std::move(entries));
+/// Gaussian entries, a `zero_fraction` share of them exact zeros.
+ml::Matrix random_matrix(int rows, int cols, util::Rng& rng,
+                         float zero_fraction = 0.0f) {
+  ml::Matrix m = ml::Matrix::randn(rows, cols, rng, 1.0f);
+  for (int i = 0; i < rows; ++i)
+    for (float& v : m.row(i))
+      if (rng.next_float() < zero_fraction) v = 0.0f;
+  return m;
 }
 
 double time_repeated(int repeats, const std::function<void()>& fn) {
@@ -49,6 +55,13 @@ double time_repeated(int repeats, const std::function<void()>& fn) {
   for (int i = 0; i < repeats; ++i) fn();
   return timer.millis() / repeats;
 }
+
+struct LayerShape {
+  int in, out;
+};
+// The conv layers of GcnConfig::classifier() over the 5 base features; the
+// regressor shares them up to its 64 -> 1 output.
+const LayerShape kLayers[] = {{5, 16}, {16, 32}, {32, 64}, {64, 2}, {64, 1}};
 
 }  // namespace
 
@@ -67,27 +80,16 @@ int main(int argc, char** argv) {
   std::sort(sweep.begin(), sweep.end());
   sweep.erase(std::unique(sweep.begin(), sweep.end()), sweep.end());
 
-  bench::print_header("kernel scaling: matmul / SpMM / training epoch");
+  bench::print_header("kernel scaling at ee_zonal GCN shapes");
   bench::Recorder recorder("kernels");
 
-  util::Rng rng(42);
-  const ml::Matrix a = random_matrix(2048, 256, rng);
-  const ml::Matrix b = random_matrix(256, 256, rng);
-  const ml::SparseMatrix adj = random_adjacency(4096, 8, rng);
-  const ml::Matrix x = random_matrix(4096, 128, rng);
+  const designs::Design design = designs::build_ee_zonal();
+  const ml::SparseMatrix adj =
+      graphir::build_graph(design.netlist).normalized_adjacency;
+  const int n = adj.rows();
+  std::printf("N = %d nodes, nnz = %zu\n", n, adj.nnz());
 
-  // Small end-to-end training problem for the epoch timing.
-  const int n = 2048;
-  const ml::SparseMatrix train_adj = random_adjacency(n, 4, rng);
-  const ml::Matrix feats = random_matrix(n, 16, rng);
-  std::vector<int> labels(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i)
-    labels[static_cast<std::size_t>(i)] = (rng.next() & 1) != 0;
-  std::vector<int> train_idx, val_idx;
-  for (int i = 0; i < n; ++i)
-    ((i % 5 == 0) ? val_idx : train_idx).push_back(i);
-
-  std::printf("%-18s", "kernel");
+  std::printf("%-20s", "kernel");
   for (const int t : sweep) std::printf("  %7dt", t);
   std::printf("\n");
 
@@ -108,11 +110,41 @@ int main(int argc, char** argv) {
     rows.push_back(std::move(row));
   };
 
-  bench_kernel("matmul 2048x256", 10, [&] { (void)ml::matmul(a, b); });
-  bench_kernel("matmul_tn", 10, [&] { (void)ml::matmul_tn(a, a); });
-  bench_kernel("matmul_nt", 10, [&] { (void)ml::matmul_nt(a, a); });
-  bench_kernel("spmm 4096x4096", 10, [&] { (void)adj.spmm(x); });
-  bench_kernel("spmm_t", 10, [&] { (void)adj.spmm_t(x); });
+  util::Rng rng(42);
+  for (const LayerShape& l : kLayers) {
+    const std::string shape =
+        std::to_string(l.in) + "->" + std::to_string(l.out);
+    // Layer 1 (in == 5) reads the dense standardized features; deeper
+    // layers read ReLU outputs.
+    const ml::Matrix x = random_matrix(n, l.in, rng, l.in == 5 ? 0.0f : 0.5f);
+    const ml::Matrix w = ml::Matrix::xavier(l.in, l.out, rng);
+    const ml::Matrix z = random_matrix(n, l.out, rng);
+    const ml::Matrix g = random_matrix(n, l.out, rng);
+    bench_kernel("matmul " + shape, 20, [&] { (void)ml::matmul(x, w); });
+    bench_kernel("spmm " + shape, 20, [&] { (void)adj.spmm(z); });
+    bench_kernel("spmm_t " + shape, 20, [&] { (void)adj.spmm_t(g); });
+    bench_kernel("matmul_tn " + shape, 20, [&] { (void)ml::matmul_tn(x, g); });
+    bench_kernel("matmul_nt " + shape, 20, [&] { (void)ml::matmul_nt(g, w); });
+  }
+
+  // Small end-to-end training problem for the epoch timing.
+  const int train_n = 2048;
+  std::vector<ml::Coo> entries;
+  for (int r = 0; r < train_n; ++r) {
+    entries.push_back({r, r, 0.5f});
+    for (int d = 0; d < 4; ++d)
+      entries.push_back(
+          {r, static_cast<int>(rng.next_below(train_n)), 0.1f});
+  }
+  const ml::SparseMatrix train_adj =
+      ml::SparseMatrix::from_coo(train_n, train_n, std::move(entries));
+  const ml::Matrix feats = random_matrix(train_n, 16, rng);
+  std::vector<int> labels(static_cast<std::size_t>(train_n));
+  for (int i = 0; i < train_n; ++i)
+    labels[static_cast<std::size_t>(i)] = (rng.next() & 1) != 0;
+  std::vector<int> train_idx, val_idx;
+  for (int i = 0; i < train_n; ++i)
+    ((i % 5 == 0) ? val_idx : train_idx).push_back(i);
   bench_kernel("epoch (train)", 1, [&] {
     ml::GcnConfig mc = ml::GcnConfig::classifier();
     mc.hidden = {16, 32};
@@ -126,8 +158,8 @@ int main(int argc, char** argv) {
   util::set_num_threads(0);
 
   for (const auto& row : rows) {
-    std::printf("%-18s", row.label.c_str());
-    for (const double ms : row.ms) std::printf("  %6.2fms", ms);
+    std::printf("%-20s", row.label.c_str());
+    for (const double ms : row.ms) std::printf("  %6.3fms", ms);
     if (row.ms.size() >= 2 && row.ms.back() > 0.0)
       std::printf("  (x%.2f)", row.ms.front() / row.ms.back());
     std::printf("\n");

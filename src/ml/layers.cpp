@@ -1,6 +1,8 @@
 #include "src/ml/layers.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 #include "src/ml/kernel_stats.hpp"
@@ -99,17 +101,23 @@ Matrix Relu::forward(const Matrix& x, bool /*training*/) {
   mask_ = Matrix(x.rows(), x.cols());
   Matrix y = x;
   // Elementwise per row — row sharding is trivially order-preserving.
+  // Branch-free: `y > 0` (false for -0, NaN and negatives) becomes an
+  // all-ones/all-zeros bit mask that selects both outputs, so the half of
+  // the post-ReLU entries that are zero cost no mispredicted branch. The
+  // outputs are x itself or +0, and 1 or +0, bit for bit the reference
+  // loop in tests/kernel_determinism_test.cpp.
+  const std::uint32_t one = std::bit_cast<std::uint32_t>(1.0f);
   util::parallel_for(0, x.rows(), detail::row_grain(x.cols()),
                      [&](std::int64_t r0, std::int64_t r1) {
     for (int i = static_cast<int>(r0); i < static_cast<int>(r1); ++i) {
       auto yrow = y.row(i);
       auto mrow = mask_.row(i);
       for (int j = 0; j < x.cols(); ++j) {
-        if (yrow[j] > 0.0f) {
-          mrow[j] = 1.0f;
-        } else {
-          yrow[j] = 0.0f;
-        }
+        const std::uint32_t keep =
+            0u - static_cast<std::uint32_t>(yrow[j] > 0.0f);
+        mrow[j] = std::bit_cast<float>(one & keep);
+        yrow[j] = std::bit_cast<float>(std::bit_cast<std::uint32_t>(yrow[j]) &
+                                       keep);
       }
     }
   });

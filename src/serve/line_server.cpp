@@ -205,12 +205,15 @@ void LineServer::connection_loop(int fd) {
 void LineServer::stop() {
   if (!running_.load() && listen_fd_ < 0) return;
   stopping_.store(true);
+  // shutdown() wakes the acceptor's accept(); the fd is closed only after
+  // the join, so the acceptor never reads listen_fd_ while it is reset or
+  // calls accept() on a closed (possibly reused) descriptor.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (acceptor_.joinable()) acceptor_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (acceptor_.joinable()) acceptor_.join();
   {
     // Wake connections parked in recv(); their writes still complete, so
     // in-flight requests are answered before the threads exit.

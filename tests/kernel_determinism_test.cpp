@@ -1,26 +1,34 @@
 // Bitwise-determinism property suite for the parallel ML math kernels.
 //
 // The contract under test: for ANY thread count, every kernel in
-// src/ml/matrix.cpp and src/ml/sparse.cpp produces output bit-for-bit
-// identical to a naive serial reference, because the static output-row
-// sharding never changes any row's floating-point accumulation order.
-// The references below are verbatim copies of the pre-parallel serial
-// loops (including the `== 0.0f` skip, which matters: skipping a zero
-// term is NOT an FP no-op for signed zeros / NaN propagation).
+// src/ml/matrix.cpp and src/ml/sparse.cpp, and the ReLU activation,
+// produces output bit-for-bit identical to a naive serial reference. The
+// references below are verbatim copies of the original serial loops,
+// including the `== 0.0f` skip, which matters: the skipped term may be
+// 0 * Inf or 0 * NaN. The production kernels are free to restructure those
+// loops, but every output element must see the same terms in the same
+// order.
 //
-// The end-to-end case trains the full pipeline with 4 threads and with 1
-// and requires byte-identical serialized weights — the strongest check
-// that no thread-count-dependent arithmetic hides anywhere in training.
+// The end-to-end cases train the full pipeline with 4 threads and with 1
+// and require byte-identical serialized weights — the strongest check that
+// no thread-count-dependent arithmetic hides anywhere in training — and pin
+// the hash of those weights, so a change that alters bits identically at
+// every thread count is caught too.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "src/core/pipeline.hpp"
+#include "src/ml/layers.hpp"
 #include "src/ml/matrix.hpp"
 #include "src/ml/serialize.hpp"
 #include "src/ml/sparse.hpp"
+#include "src/serve/bundle.hpp"
 #include "src/util/parallel.hpp"
 #include "src/util/rng.hpp"
 
@@ -30,7 +38,7 @@ namespace {
 using ml::Matrix;
 using ml::SparseMatrix;
 
-// ---- serial references (pre-parallel kernels, copied verbatim) ------------
+// ---- serial references (original kernel loops, copied verbatim) -----------
 
 Matrix ref_matmul(const Matrix& a, const Matrix& b) {
   Matrix c(a.rows(), b.cols());
@@ -118,6 +126,24 @@ std::vector<float> ref_edge_grad(const SparseMatrix& s, const Matrix& g_out,
   return out;
 }
 
+/// Relu::forward's original branchy loop: returns {output, mask}.
+std::pair<Matrix, Matrix> ref_relu(const Matrix& x) {
+  Matrix mask(x.rows(), x.cols());
+  Matrix y = x;
+  for (int i = 0; i < x.rows(); ++i) {
+    auto yrow = y.row(i);
+    auto mrow = mask.row(i);
+    for (int j = 0; j < x.cols(); ++j) {
+      if (yrow[j] > 0.0f) {
+        mrow[j] = 1.0f;
+      } else {
+        yrow[j] = 0.0f;
+      }
+    }
+  }
+  return {y, mask};
+}
+
 // ---- bitwise comparison helpers --------------------------------------------
 
 ::testing::AssertionResult bitwise_equal(const Matrix& a, const Matrix& b) {
@@ -149,14 +175,38 @@ std::vector<float> ref_edge_grad(const SparseMatrix& s, const Matrix& g_out,
   return ::testing::AssertionSuccess();
 }
 
-Matrix random_matrix(int rows, int cols, util::Rng& rng) {
+/// Bitwise equality, except that any NaN matches any NaN. The payload and
+/// sign of a NaN are not part of the kernel contract: when two NaNs meet in
+/// an addition x86 keeps the first operand's, and the compiler may commute
+/// an addition. Where and whether a NaN appears is part of it.
+::testing::AssertionResult same_bits_or_both_nan(const Matrix& a,
+                                                 const Matrix& b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols())
+    return ::testing::AssertionFailure()
+           << "shape " << a.shape_string() << " vs " << b.shape_string();
+  for (int i = 0; i < a.rows(); ++i)
+    for (int j = 0; j < a.cols(); ++j) {
+      const float av = a(i, j), bv = b(i, j);
+      if (std::isnan(av) && std::isnan(bv)) continue;
+      if (std::memcmp(&av, &bv, sizeof(float)) != 0)
+        return ::testing::AssertionFailure()
+               << "first mismatch at (" << i << ", " << j << "): " << av
+               << " vs " << bv;
+    }
+  return ::testing::AssertionSuccess();
+}
+
+/// Gaussian entries with a `zero_fraction` share of exact zeros, so the
+/// `== 0.0f` skip path is exercised. 0.5 is roughly the zero share of the
+/// GCN's post-ReLU hidden activations.
+Matrix random_matrix(int rows, int cols, util::Rng& rng,
+                     float zero_fraction = 0.15f) {
   Matrix m(rows, cols);
   for (int i = 0; i < rows; ++i)
     for (int j = 0; j < cols; ++j) {
-      // Mix in exact zeros so the `== 0.0f` skip path is exercised.
       const float u = rng.next_float();
-      m(i, j) = u < 0.15f ? 0.0f
-                          : static_cast<float>(rng.next_gaussian());
+      m(i, j) = u < zero_fraction ? 0.0f
+                                  : static_cast<float>(rng.next_gaussian());
     }
   return m;
 }
@@ -261,21 +311,151 @@ TEST_F(KernelDeterminismTest, EdgeGradMatchesSerialBitwise) {
 
 TEST_F(KernelDeterminismTest, ThreadCountSweepIsBitwiseStable) {
   // The SAME kernel result must come out for 1, 2, 3 and 5 lanes, not just
-  // match a reference at one setting — thread-count independence.
+  // match a reference at one setting — thread-count independence. The
+  // shapes are large enough that every kernel's row grain fans out.
   util::Rng rng(7890);
-  const Matrix a = random_matrix(37, 19, rng);
-  const Matrix b = random_matrix(19, 23, rng);
-  const SparseMatrix adj = random_sparse(37, 37, rng);
+  const int n = 301;
+  const Matrix x = random_matrix(n, 64, rng, 0.5f);  // layer input
+  const Matrix w = random_matrix(64, 32, rng);       // weight
+  const Matrix g = random_matrix(n, 32, rng, 0.5f);  // output gradient
+  const SparseMatrix adj = random_sparse(n, n, rng);
+
+  struct Results {
+    Matrix mm, tn, nt, sp, spt;
+    std::vector<float> edge;
+  };
+  const auto run_all = [&] {
+    Results r{ml::matmul(x, w),   ml::matmul_tn(x, g), ml::matmul_nt(g, w),
+              adj.spmm(g),        adj.spmm_t(g),       {}};
+    adj.accumulate_edge_grad(g, g, r.edge);
+    return r;
+  };
 
   util::set_num_threads(1);
-  const Matrix c_serial = ml::matmul(a, b);
-  const Matrix y_serial = adj.spmm(random_matrix(37, 11, rng));
-  util::Rng rng2(7890);  // replay the same x for every thread count
+  const Results serial = run_all();
   for (const int threads : {2, 3, 5}) {
     util::set_num_threads(threads);
-    EXPECT_TRUE(bitwise_equal(ml::matmul(a, b), c_serial)) << threads;
+    const Results r = run_all();
+    EXPECT_TRUE(bitwise_equal(r.mm, serial.mm)) << "matmul @" << threads;
+    EXPECT_TRUE(bitwise_equal(r.tn, serial.tn)) << "matmul_tn @" << threads;
+    EXPECT_TRUE(bitwise_equal(r.nt, serial.nt)) << "matmul_nt @" << threads;
+    EXPECT_TRUE(bitwise_equal(r.sp, serial.sp)) << "spmm @" << threads;
+    EXPECT_TRUE(bitwise_equal(r.spt, serial.spt)) << "spmm_t @" << threads;
+    EXPECT_TRUE(bitwise_equal(r.edge, serial.edge)) << "edge @" << threads;
   }
-  (void)y_serial;
+}
+
+// The GCN's real widths: 5 input features, hidden 16/32/64, and 2 (classes)
+// or 1 (regression) outputs — plus widths either side of 16, 32 and 64, so
+// any column blocking in the kernels gets a ragged tail. Inputs are half
+// exact zeros, like post-ReLU activations.
+const int kGcnWidths[] = {1, 2, 5, 15, 16, 17, 32, 33, 64, 65};
+
+TEST_F(KernelDeterminismTest, GcnLayerShapesMatchSerialBitwise) {
+  util::Rng rng(8901);
+  const int n = 131;  // node count: odd, and many rows per lane
+  for (const int in : kGcnWidths) {
+    for (const int out : kGcnWidths) {
+      // Forward X W, backward dW = Xᵀ G and dX = G Wᵀ.
+      const Matrix x = random_matrix(n, in, rng, 0.5f);
+      const Matrix w = random_matrix(in, out, rng, 0.5f);
+      const Matrix g = random_matrix(n, out, rng, 0.5f);
+      EXPECT_TRUE(bitwise_equal(ml::matmul(x, w), ref_matmul(x, w)))
+          << "matmul " << in << " -> " << out;
+      EXPECT_TRUE(bitwise_equal(ml::matmul_tn(x, g), ref_matmul_tn(x, g)))
+          << "matmul_tn " << in << " -> " << out;
+      EXPECT_TRUE(bitwise_equal(ml::matmul_nt(g, w), ref_matmul_nt(g, w)))
+          << "matmul_nt " << in << " -> " << out;
+    }
+  }
+}
+
+TEST_F(KernelDeterminismTest, NonFiniteTermsFollowTheReferenceSkipRule) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+
+  // A zero A term facing an Inf/NaN in B: matmul and matmul_tn skip it
+  // (no 0 * Inf = NaN), matmul_nt multiplies it in.
+  Matrix a(1, 2), b(2, 3), bt(3, 2), at(2, 1);
+  a(0, 1) = 2.0f;
+  at(1, 0) = 2.0f;
+  const float planted[] = {inf, -inf, nan};
+  for (int j = 0; j < 3; ++j) {
+    b(0, j) = bt(j, 0) = planted[j];
+    b(1, j) = bt(j, 1) = 1.0f;
+  }
+  const Matrix mm = ml::matmul(a, b), tn = ml::matmul_tn(at, b),
+               nt = ml::matmul_nt(a, bt);
+  for (int j = 0; j < 3; ++j) {
+    EXPECT_EQ(mm(0, j), 2.0f) << j;
+    EXPECT_EQ(tn(0, j), 2.0f) << j;
+    EXPECT_TRUE(std::isnan(nt(0, j))) << j;
+  }
+
+  // The same rule at GCN widths, with Inf/NaN scattered through B.
+  util::Rng rng(9012);
+  const auto plant = [&](Matrix& m) {
+    for (int i = 0; i < m.rows(); ++i)
+      for (int j = 0; j < m.cols(); ++j) {
+        const float u = rng.next_float();
+        if (u < 0.02f) {
+          m(i, j) = inf;
+        } else if (u < 0.04f) {
+          m(i, j) = -inf;
+        } else if (u < 0.06f) {
+          m(i, j) = nan;
+        }
+      }
+  };
+  for (const int in : {5, 17, 64}) {
+    for (const int out : {2, 16, 33}) {
+      const Matrix x = random_matrix(67, in, rng, 0.5f);
+      Matrix w = random_matrix(in, out, rng, 0.5f);
+      Matrix g = random_matrix(67, out, rng, 0.5f);
+      Matrix wt = random_matrix(out, in, rng, 0.5f);
+      plant(w);
+      plant(g);
+      plant(wt);
+      EXPECT_TRUE(same_bits_or_both_nan(ml::matmul(x, w), ref_matmul(x, w)))
+          << "matmul " << in << " -> " << out;
+      EXPECT_TRUE(
+          same_bits_or_both_nan(ml::matmul_tn(x, g), ref_matmul_tn(x, g)))
+          << "matmul_tn " << in << " -> " << out;
+      EXPECT_TRUE(
+          same_bits_or_both_nan(ml::matmul_nt(x, wt), ref_matmul_nt(x, wt)))
+          << "matmul_nt " << in << " -> " << out;
+    }
+  }
+}
+
+TEST_F(KernelDeterminismTest, ReluMatchesBranchyLoopBitwise) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const float tiny = std::numeric_limits<float>::min();  // smallest normal
+  const float edge[] = {-0.0f,  0.0f,    nan,    -nan,    inf,  -inf,
+                        denorm, -denorm, 1e-40f, -1e-40f, tiny, -tiny,
+                        1.0f,   -1.0f};
+  util::Rng rng(123);
+  // One row of edge values, then enough rows for the row sharding to fan
+  // out, with the edge values sprinkled through them.
+  Matrix x = random_matrix(257, 64, rng, 0.5f);
+  const int n_edge = static_cast<int>(std::size(edge));
+  for (int j = 0; j < n_edge; ++j) x(0, j) = edge[j];
+  for (int i = 1; i < x.rows(); ++i)
+    x(i, static_cast<int>(rng.next_below(64))) =
+        edge[rng.next_below(static_cast<std::uint64_t>(n_edge))];
+
+  const auto [ref_y, ref_mask] = ref_relu(x);
+  for (const int threads : {1, 4}) {
+    util::set_num_threads(threads);
+    ml::Relu relu;
+    const Matrix y = relu.forward(x, true);
+    // backward(1) = 1 ⊙ mask: the mask itself, bit for bit.
+    const Matrix mask = relu.backward(Matrix::full(x.rows(), x.cols(), 1.0f));
+    EXPECT_TRUE(bitwise_equal(y, ref_y)) << threads;
+    EXPECT_TRUE(bitwise_equal(mask, ref_mask)) << threads;
+  }
 }
 
 TEST_F(KernelDeterminismTest, RaggedCsrWithEmptyAndDenseRows) {
@@ -321,6 +501,23 @@ TEST(KernelDeterminismEndToEnd, PipelineWeightsAreByteIdenticalAcrossJobs) {
   ASSERT_FALSE(serial.empty());
   EXPECT_EQ(parallel4, serial)
       << "training with 4 threads diverged from the serial path";
+}
+
+// fnv1a64 of serialized_models(1), recorded on x86-64 with the original
+// kernel loops (the references above). The jobs comparison cannot see a
+// kernel change that alters bits the same way at every thread count; this
+// pin does.
+constexpr std::uint64_t kPinnedModelsHash = 0xf4c0afd2bdcc9ad6ULL;
+
+TEST(KernelDeterminismEndToEnd, PipelineWeightsMatchPinnedHash) {
+#if !defined(__x86_64__)
+  GTEST_SKIP() << "hash recorded on x86-64; other targets' libm may round "
+                  "exp/log differently";
+#endif
+  const std::string serial = serialized_models(1);
+  util::set_num_threads(0);  // restore default
+  EXPECT_EQ(serve::fnv1a64(serial), kPinnedModelsHash)
+      << std::hex << "got 0x" << serve::fnv1a64(serial);
 }
 
 }  // namespace
