@@ -15,7 +15,6 @@
 //   fcrit pack    <design|file> -o bundle.fcm
 //   fcrit score   <bundle.fcm> <design|file|@list> [--top N] [--strict]
 //   fcrit serve   <bundle-dir> [--port P] [--threads T] [--cache N]
-//   fcrit fleet   <bundle-dir> [--shards N] [--port P] [--threads T]
 //   fcrit check   [--trials N] [--seed S] [--self-test] [...]
 //
 // A "design" argument is a registered name (sdram_ctrl, or1200_if,
@@ -41,8 +40,6 @@
 #include "src/check/harness.hpp"
 #include "src/core/pipeline.hpp"
 #include "src/core/report.hpp"
-#include "src/fleet/fleet.hpp"
-#include "src/fleet/fleet_server.hpp"
 #include "src/serve/bundle.hpp"
 #include "src/serve/engine.hpp"
 #include "src/serve/server.hpp"
@@ -110,15 +107,8 @@ constexpr const char* kUsageText =
     "  serve <bundle-dir> [--port P] [--threads T] [--cache N]\n"
     "        [--access-log F] [--slow-ms MS] [--telemetry-interval S]\n"
     "        [--telemetry-out F] [--trace-ring N] [--no-trace]\n"
-    "                                    scoring daemon on 127.0.0.1\n"
-    "  fleet <bundle-dir> [--shards N] [--port P] [--threads T]\n"
-    "        [--cache N] [--batch N] [--high-water N] [--access-log F]\n"
-    "        [--slow-ms MS] [--telemetry-interval S] [--telemetry-out F]\n"
-    "        [--trace-ring N] [--no-trace]\n"
-    "                                    sharded scoring tier: consistent-\n"
-    "                                    hash router, cross-connection\n"
-    "                                    batching, BUSY backpressure;\n"
-    "                                    SIGHUP or RELOAD hot-swaps bundles\n"
+    "                                    scoring daemon on 127.0.0.1;\n"
+    "                                    replace bundles by rename\n"
     "  check [--trials N] [--seed S] [--cycles N] [--gates N] [--flops N]\n"
     "        [--inputs N] [--outputs N] [--faults N] [--serve-every K]\n"
     "        [--campaign-every K] [--prune-every K]\n"
@@ -681,30 +671,6 @@ int cmd_score(const std::string& bundle_path, const std::string& target,
   return 0;
 }
 
-// Observability wiring shared by the serve and fleet daemons: the JSONL
-// wide-event access log, slow-request mirroring and the continuous
-// telemetry exporter, all opt-in via flags (docs/OBSERVABILITY.md).
-void wire_observability(const std::map<std::string, std::string>& flags,
-                        obs::RequestTraceCollector& traces,
-                        obs::TelemetryExporter& exporter,
-                        serve::LineServer& server) {
-  if (flags.contains("--access-log") &&
-      !traces.open_access_log(flags.at("--access-log")))
-    throw std::runtime_error("cannot open access log " +
-                             flags.at("--access-log"));
-  if (flags.contains("--slow-ms"))
-    traces.set_slow_ms(std::stod(flags.at("--slow-ms")));
-  if (flags.contains("--telemetry-interval")) {
-    const double interval = std::stod(flags.at("--telemetry-interval"));
-    const std::string out = flags.contains("--telemetry-out")
-                                ? flags.at("--telemetry-out")
-                                : std::string("telemetry.jsonl");
-    if (!exporter.start(out, interval))
-      throw std::runtime_error("cannot open telemetry output " + out);
-    server.set_exporter(&exporter);
-  }
-}
-
 // SIGINT/SIGTERM -> one byte down a self-pipe; the serve loop blocks on
 // the read end and runs the orderly shutdown outside signal context.
 int g_signal_pipe[2] = {-1, -1};
@@ -736,10 +702,26 @@ int cmd_serve(const std::string& bundle_dir,
   sc.bundle_dir = bundle_dir;
   if (flags.contains("--port"))
     sc.port = static_cast<std::uint16_t>(std::stoi(flags.at("--port")));
-  serve::Server server(engine, sc);
+  // Declared before the server, which reads it while serving METRICS.
   obs::TelemetryExporter exporter;
   exporter.add_registry("engine", engine.metrics_registry());
-  wire_observability(flags, traces, exporter, server);
+  serve::Server server(engine, sc);
+  // Opt-in observability (docs/OBSERVABILITY.md): the JSONL wide-event
+  // access log, slow-request mirroring and the telemetry exporter.
+  if (flags.contains("--access-log") &&
+      !traces.open_access_log(flags.at("--access-log")))
+    throw std::runtime_error("cannot open access log " +
+                             flags.at("--access-log"));
+  if (flags.contains("--slow-ms"))
+    traces.set_slow_ms(std::stod(flags.at("--slow-ms")));
+  if (flags.contains("--telemetry-interval")) {
+    const std::string out = flags.contains("--telemetry-out")
+                                ? flags.at("--telemetry-out")
+                                : std::string("telemetry.jsonl");
+    if (!exporter.start(out, std::stod(flags.at("--telemetry-interval"))))
+      throw std::runtime_error("cannot open telemetry output " + out);
+    server.set_exporter(&exporter);
+  }
   server.start();
   std::printf("fcrit serve: 127.0.0.1:%d, %d worker threads, bundles from "
               "%s\n",
@@ -771,83 +753,6 @@ int cmd_serve(const std::string& bundle_dir,
   // The counters would otherwise die with the process: one last
   // machine-readable snapshot, same payload as the METRICS command.
   std::printf("final metrics: %s\n", engine.metrics_json().c_str());
-  return 0;
-}
-
-// SIGHUP -> a distinct byte, so the fleet loop can tell "hot reload"
-// from "shut down" without leaving signal-safe territory.
-extern "C" void fleet_sighup_handler(int) {
-  const char byte = 2;
-  [[maybe_unused]] const auto n = write(g_signal_pipe[1], &byte, 1);
-}
-
-int cmd_fleet(const std::string& bundle_dir,
-              const std::map<std::string, std::string>& flags) {
-  fleet::FleetConfig fc;
-  fc.bundle_dir = bundle_dir;
-  if (flags.contains("--shards"))
-    fc.shards = std::stoi(flags.at("--shards"));
-  if (flags.contains("--threads"))
-    fc.threads_per_shard = std::stoi(flags.at("--threads"));
-  if (flags.contains("--cache"))
-    fc.cache_capacity =
-        static_cast<std::size_t>(std::stoi(flags.at("--cache")));
-  if (flags.contains("--batch"))
-    fc.batch_max = static_cast<std::size_t>(std::stoi(flags.at("--batch")));
-  if (flags.contains("--high-water"))
-    fc.queue_high_water =
-        static_cast<std::size_t>(std::stoi(flags.at("--high-water")));
-  if (flags.contains("--trace-ring"))
-    fc.trace_ring =
-        static_cast<std::size_t>(std::stoi(flags.at("--trace-ring")));
-  if (flags.contains("--no-trace")) fc.tracing = false;
-  fleet::Fleet fleet(fc);
-
-  fleet::FleetServerConfig sc;
-  if (flags.contains("--port"))
-    sc.port = static_cast<std::uint16_t>(std::stoi(flags.at("--port")));
-  fleet::FleetServer server(fleet, sc);
-  obs::TelemetryExporter exporter;
-  for (const auto& [name, registry] : fleet.registries())
-    exporter.add_registry(name, *registry);
-  wire_observability(flags, fleet.traces(), exporter, server);
-  server.start();
-  std::printf("fcrit fleet: 127.0.0.1:%d, %d shards x %d threads, bundles "
-              "from %s (high-water %zu, batch %zu)\n",
-              server.port(), fleet.config().shards,
-              fleet.config().threads_per_shard, bundle_dir.c_str(),
-              fleet.config().queue_high_water, fleet.config().batch_max);
-  std::printf("protocol: SCORE [<bundle>] <netlist> [<top>] [id=<n>] | "
-              "STATS | METRICS [PROM] | TRACE <id>|LAST <n> | SHARDS | "
-              "RELOAD | QUIT; SIGHUP reloads, Ctrl-C drains and exits\n");
-
-  if (pipe(g_signal_pipe) != 0)
-    throw std::runtime_error("cannot create signal pipe");
-  std::signal(SIGINT, serve_signal_handler);
-  std::signal(SIGTERM, serve_signal_handler);
-  std::signal(SIGHUP, fleet_sighup_handler);
-  for (;;) {
-    char byte = 0;
-    const auto n = read(g_signal_pipe[0], &byte, 1);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    if (byte == 2) {
-      const auto s = fleet.reload();
-      std::printf("fcrit fleet: reload -> generation %llu (%zu bundles: "
-                  "+%zu -%zu ~%zu)\n",
-                  static_cast<unsigned long long>(s.generation), s.total,
-                  s.added, s.removed, s.changed);
-      continue;
-    }
-    break;
-  }
-
-  std::printf("\nfcrit fleet: shutting down (draining in-flight "
-              "requests)\n");
-  server.stop();
-  fleet.shutdown();
-  std::printf("final shards: %s\n", fleet.shards_json().c_str());
-  std::printf("final metrics: %s\n", fleet.metrics_json().c_str());
   return 0;
 }
 
@@ -971,7 +876,6 @@ int main(int argc, char** argv) {
     if (command == "harden") return cmd_harden(target, flags);
     if (command == "pack") return cmd_pack(target, flags);
     if (command == "serve") return cmd_serve(target, flags);
-    if (command == "fleet") return cmd_fleet(target, flags);
     return usage();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "fcrit: %s\n", e.what());

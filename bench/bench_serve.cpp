@@ -1,27 +1,30 @@
-// Closed-loop load generator for the serving tier: C clients per bundle
-// hammer the four built-in designs and every request's latency is
-// recorded. Five configurations run back to back:
+// Closed-loop load generator for `fcrit serve`: C clients per bundle over
+// the four built-in designs, each sending its next SCORE line only after
+// the previous reply, straight into serve::Server::handle_line (the
+// daemon's request path minus the socket). Legs:
 //
-//   daemon-nobatch  single ScoringEngine, batch_max=1 (the pre-fleet
-//                   daemon baseline)
-//   fleet@1 / fleet@2 / fleet@4
-//                   the sharded router with cross-connection batching
-//   fleet@4-nobatch the same 4-shard fleet with batching disabled, to
-//                   separate what sharding buys from what batching buys
-//   fleet@2-trace / fleet@2-notrace
-//                   identical 2-shard load with the request-trace
-//                   collector enabled vs disabled — the tracing-overhead
-//                   A/B the observability contract is judged by
-//                   (<= 2% p99 delta, docs/OBSERVABILITY.md)
+//   distinct@2t    every request names a different target file (a unique
+//                  path and unique bytes over the same four netlists), on
+//                  a 2-worker engine
+//   distinct@8t    the same load on 8 workers
+//   same@2t        every client of a bundle sends that bundle's one file,
+//                  2 workers: the load a duplicate-collapsing server would
+//                  shortcut. Without collapse it should match distinct@2t.
+//   distinct@2t-trace / distinct@2t-notrace
+//                  distinct@2t with the request-trace collector enabled vs
+//                  disabled: the tracing-overhead A/B (<= 2% p99,
+//                  docs/OBSERVABILITY.md)
 //
 //   bench_serve [--clients C] [--requests R]
 //
-// Each configuration lands in BENCH_serve.json as four phases —
-// "<config>.req_per_s", "<config>.p50_ms", "<config>.p90_ms",
-// "<config>.p99_ms" (the Recorder schema's wall_ms field carries the
-// stat named by the suffix) — so the throughput trajectory is tracked
-// across commits like every other bench. The acceptance comparison is
-// fleet@4.req_per_s vs daemon-nobatch.req_per_s.
+// After one untimed warm-up run, every leg runs kRuns (5) times; odd
+// runs take the legs in reverse order, so host drift lands on every leg
+// alike. Each leg lands in
+// BENCH_serve.json as phases whose suffix names the stat carried in the
+// Recorder schema's wall_ms field: "<leg>.req_per_s" (median over runs),
+// "<leg>.req_per_s_q1" / "_q3" (its quartiles), and "<leg>.p50_ms",
+// "<leg>.p90_ms", "<leg>.p99_ms" (pooled over every request of every run).
+// Any ERR or BUSY reply fails the bench.
 #include <algorithm>
 #include <cmath>
 #include <cstring>
@@ -35,35 +38,43 @@
 
 #include "bench_common.hpp"
 #include "src/designs/designs.hpp"
-#include "src/fleet/fleet.hpp"
 #include "src/graphir/features.hpp"
 #include "src/ml/gcn.hpp"
 #include "src/netlist/verilog_writer.hpp"
+#include "src/obs/request_trace.hpp"
 #include "src/serve/bundle.hpp"
 #include "src/serve/engine.hpp"
+#include "src/serve/server.hpp"
 
 namespace {
 
 using namespace fcrit;
 
+constexpr int kRuns = 5;  // timed runs per leg
+
 struct Workload {
   std::string dir;
-  std::vector<std::string> bundles;   // one .fcm per built-in design
-  std::vector<std::string> netlists;  // matching .v target files
+  std::vector<std::string> designs;  // bundle tokens: <dir>/<design>.fcm
+  std::vector<std::string> same;     // one target file per design
+  /// Per design, one file per (client, request): the distinct legs never
+  /// send one file twice within a run.
+  std::vector<std::vector<std::string>> distinct;
 };
 
 // Random-weight bundles over the real built-in designs: the full serving
-// path runs (parse, stats sim, features, forward) without paying for
-// training. Wider hidden layers than the tests use, so the forward pass
-// batching amortizes is a real fraction of the request.
-Workload build_workload() {
+// path runs (parse, lint, hash, stats sim, features, forward) without
+// paying for training.
+Workload build_workload(int clients, int requests) {
   Workload w;
   w.dir = (std::filesystem::temp_directory_path() / "fcrit_bench_serve")
               .string();
   std::filesystem::remove_all(w.dir);
   std::filesystem::create_directories(w.dir);
   std::uint64_t seed = 1;
-  for (const auto& name : designs::all_design_names()) {
+  // The four small built-in designs; ee_zonal is far larger and would
+  // dominate every leg.
+  for (const std::string name :
+       {"sdram_ctrl", "or1200_if", "or1200_icfsm", "or1200_genpc"}) {
     const designs::Design d = designs::build_design(name);
     serve::ModelBundle b;
     b.manifest.design_name = d.name;
@@ -80,104 +91,100 @@ Workload build_workload() {
     cc.seed = seed++;
     b.classifier =
         std::make_unique<ml::GcnModel>(graphir::kNumBaseFeatures, cc);
-    const std::string bundle_path = w.dir + "/" + name + ".fcm";
-    serve::save_bundle_file(b, bundle_path);
-    w.bundles.push_back(bundle_path);
-    const std::string netlist_path = w.dir + "/" + name + ".v";
-    std::ofstream(netlist_path) << netlist::to_verilog(d.netlist);
-    w.netlists.push_back(netlist_path);
+    serve::save_bundle_file(b, w.dir + "/" + name + ".fcm");
+    w.designs.push_back(name);
+
+    const std::string verilog = netlist::to_verilog(d.netlist);
+    w.same.push_back(w.dir + "/" + name + ".v");
+    std::ofstream(w.same.back()) << verilog;
+    // Same netlist, distinct path and bytes: per-request work equals the
+    // same leg's, so the two legs differ only in what a server could share
+    // between identical requests.
+    std::vector<std::string> files;
+    for (int i = 0; i < clients * requests; ++i) {
+      files.push_back(w.dir + "/" + name + ".t" + std::to_string(i) + ".v");
+      std::ofstream(files.back()) << verilog << "// request " << i << "\n";
+    }
+    w.distinct.push_back(std::move(files));
   }
   return w;
 }
 
-struct LoadStats {
-  double wall_ms = 0.0;
-  double req_per_s = 0.0;
-  double p50_ms = 0.0;
-  double p90_ms = 0.0;
-  double p99_ms = 0.0;
-  std::size_t errors = 0;
+struct Leg {
+  std::string name;
+  int threads = 2;
+  bool distinct = true;
+  enum class Tracing { kNone, kOn, kOff } tracing = Tracing::kNone;
 };
 
-double percentile(const std::vector<double>& sorted_ms, double p) {
-  if (sorted_ms.empty()) return 0.0;
-  const auto idx = static_cast<std::size_t>(
-      std::ceil(p * static_cast<double>(sorted_ms.size())));
-  return sorted_ms[std::min(idx == 0 ? 0 : idx - 1, sorted_ms.size() - 1)];
-}
-
-/// Closed loop: `clients` threads per bundle, each issuing `requests`
-/// back-to-back scores (next request only after the previous response) —
-/// so concurrency is fixed and queue depth stays bounded by client count.
-LoadStats run_load(const Workload& w, int clients, int requests,
-                   const std::function<serve::ScoreResult(
-                       const std::string&, const std::string&)>& score) {
-  std::mutex mu;
+struct RunStats {
+  double req_per_s = 0.0;
   std::vector<double> latencies_ms;
-  std::size_t errors = 0;
+  std::size_t failures = 0;  // ERR or BUSY replies
+};
+
+/// One closed-loop run of `leg` against a fresh engine whose bundle cache
+/// is warm: `clients` threads per design, `requests` SCOREs each.
+RunStats run_leg(const Workload& w, const Leg& leg, int clients,
+                 int requests) {
+  obs::RequestTraceCollector traces(512);
+  traces.set_enabled(leg.tracing == Leg::Tracing::kOn);
+  serve::EngineConfig ec;
+  ec.threads = leg.threads;
+  if (leg.tracing != Leg::Tracing::kNone) ec.traces = &traces;
+  serve::ScoringEngine engine(ec);
+  for (const auto& design : w.designs)
+    engine.prewarm(w.dir + "/" + design + ".fcm");
+  serve::Server server(engine, {.bundle_dir = w.dir, .port = 0});
+
+  std::mutex mu;
+  RunStats stats;
   std::vector<std::thread> threads;
   util::Timer wall;
-  for (std::size_t b = 0; b < w.bundles.size(); ++b) {
+  for (std::size_t b = 0; b < w.designs.size(); ++b) {
     for (int c = 0; c < clients; ++c) {
-      threads.emplace_back([&, b] {
+      threads.emplace_back([&, b, c] {
         std::vector<double> mine;
-        std::size_t my_errors = 0;
+        std::size_t failures = 0;
         for (int r = 0; r < requests; ++r) {
+          const std::string& target =
+              leg.distinct
+                  ? w.distinct[b][static_cast<std::size_t>(c * requests + r)]
+                  : w.same[b];
           util::Timer t;
-          try {
-            score(w.bundles[b], w.netlists[b]);
+          const std::string reply =
+              server.handle_line("SCORE " + w.designs[b] + " " + target);
+          if (reply.rfind("OK", 0) == 0)
             mine.push_back(t.millis());
-          } catch (const std::exception&) {
-            ++my_errors;
-          }
+          else
+            ++failures;
         }
         std::lock_guard<std::mutex> lock(mu);
-        latencies_ms.insert(latencies_ms.end(), mine.begin(), mine.end());
-        errors += my_errors;
+        stats.latencies_ms.insert(stats.latencies_ms.end(), mine.begin(),
+                                  mine.end());
+        stats.failures += failures;
       });
     }
   }
   for (auto& t : threads) t.join();
-  LoadStats s;
-  s.wall_ms = wall.millis();
-  s.errors = errors;
-  std::sort(latencies_ms.begin(), latencies_ms.end());
-  s.req_per_s =
-      static_cast<double>(latencies_ms.size()) / (s.wall_ms / 1000.0);
-  s.p50_ms = percentile(latencies_ms, 0.50);
-  s.p90_ms = percentile(latencies_ms, 0.90);
-  s.p99_ms = percentile(latencies_ms, 0.99);
-  return s;
+  stats.req_per_s = static_cast<double>(stats.latencies_ms.size()) /
+                    (wall.millis() / 1000.0);
+  return stats;
 }
 
-void report(bench::Recorder& rec, const std::string& config,
-            const LoadStats& s) {
-  std::printf("%-16s %8.1f req/s   p50 %7.2f ms   p90 %7.2f ms   p99 %7.2f ms   (%zu errors)\n",
-              config.c_str(), s.req_per_s, s.p50_ms, s.p90_ms, s.p99_ms,
-              s.errors);
-  rec.phase(config + ".req_per_s", s.req_per_s);
-  rec.phase(config + ".p50_ms", s.p50_ms);
-  rec.phase(config + ".p90_ms", s.p90_ms);
-  rec.phase(config + ".p99_ms", s.p99_ms);
-}
-
-fleet::FleetConfig fleet_config(const Workload& w, int shards,
-                                std::size_t batch_max) {
-  fleet::FleetConfig fc;
-  fc.bundle_dir = w.dir;
-  fc.shards = shards;
-  fc.threads_per_shard = 2;
-  fc.queue_capacity = 256;
-  fc.queue_high_water = 256;  // closed loop never sheds: measure, don't reject
-  fc.batch_max = batch_max;
-  return fc;
+/// Nearest-rank percentile of an ascending vector.
+double percentile(const std::vector<double>& sorted, double p) {
+  if (sorted.empty()) return 0.0;
+  const auto idx = static_cast<std::size_t>(
+      std::ceil(p * static_cast<double>(sorted.size())));
+  return sorted[std::min(idx == 0 ? 0 : idx - 1, sorted.size() - 1)];
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   int clients = 4;    // per bundle: 4 bundles x 4 = 16 concurrent clients
-  int requests = 12;  // per client
+  int requests = 36;  // per client and run
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::strcmp(argv[i], "--clients") == 0) clients = std::atoi(argv[i + 1]);
     if (std::strcmp(argv[i], "--requests") == 0) requests = std::atoi(argv[i + 1]);
@@ -185,65 +192,61 @@ int main(int argc, char** argv) {
   clients = std::max(1, clients);
   requests = std::max(1, requests);
 
-  bench::print_header("Serving tier: closed-loop load (" +
+  bench::print_header("fcrit serve: closed-loop load (" +
                       std::to_string(clients) + " clients/bundle x " +
-                      std::to_string(requests) + " requests)");
-  const Workload w = build_workload();
+                      std::to_string(requests) + " requests, " +
+                      std::to_string(kRuns) + " runs per leg)");
   bench::Recorder rec("serve");
+  const Workload w = build_workload(clients, requests);
+  const std::vector<Leg> legs = {
+      {"distinct@2t", 2, true, Leg::Tracing::kNone},
+      {"distinct@8t", 8, true, Leg::Tracing::kNone},
+      {"same@2t", 2, false, Leg::Tracing::kNone},
+      {"distinct@2t-trace", 2, true, Leg::Tracing::kOn},
+      {"distinct@2t-notrace", 2, true, Leg::Tracing::kOff},
+  };
 
-  {
-    // The pre-fleet baseline: one daemon engine, no coalescing. Thread
-    // count matches a single fleet shard so the comparison isolates the
-    // serving-tier changes, not raw worker parallelism.
-    serve::ScoringEngine engine(
-        {.threads = 2, .queue_capacity = 256, .batch_max = 1});
-    report(rec, "daemon-nobatch",
-           run_load(w, clients, requests,
-                    [&](const std::string& bundle, const std::string& target) {
-                      return engine.submit(bundle, target).get();
-                    }));
+  std::vector<std::vector<double>> rates(legs.size());
+  std::vector<std::vector<double>> latencies(legs.size());
+  // One untimed run first: the process's first requests pay one-time
+  // costs (allocator arenas, page faults, file cache) no later run sees.
+  std::size_t failures = run_leg(w, legs.front(), clients, requests).failures;
+  for (int run = 0; run < kRuns; ++run) {
+    for (std::size_t k = 0; k < legs.size(); ++k) {
+      const std::size_t i = run % 2 == 0 ? k : legs.size() - 1 - k;
+      RunStats s = run_leg(w, legs[i], clients, requests);
+      rates[i].push_back(s.req_per_s);
+      latencies[i].insert(latencies[i].end(), s.latencies_ms.begin(),
+                          s.latencies_ms.end());
+      failures += s.failures;
+    }
   }
 
-  for (int shards : {1, 2, 4}) {
-    fleet::Fleet fleet(fleet_config(w, shards, 8));
-    report(rec, "fleet@" + std::to_string(shards),
-           run_load(w, clients, requests,
-                    [&](const std::string& bundle, const std::string& target) {
-                      return fleet.score(bundle, target);
-                    }));
+  for (std::size_t i = 0; i < legs.size(); ++i) {
+    std::sort(rates[i].begin(), rates[i].end());
+    std::sort(latencies[i].begin(), latencies[i].end());
+    const double median = percentile(rates[i], 0.50);
+    const double q1 = percentile(rates[i], 0.25);
+    const double q3 = percentile(rates[i], 0.75);
+    const double p50 = percentile(latencies[i], 0.50);
+    const double p90 = percentile(latencies[i], 0.90);
+    const double p99 = percentile(latencies[i], 0.99);
+    std::printf("%-20s %7.1f req/s [%6.1f, %6.1f]   p50 %7.2f ms   p90 %7.2f "
+                "ms   p99 %7.2f ms   (%zu requests)\n",
+                legs[i].name.c_str(), median, q1, q3, p50, p90, p99,
+                latencies[i].size());
+    rec.phase(legs[i].name + ".req_per_s", median);
+    rec.phase(legs[i].name + ".req_per_s_q1", q1);
+    rec.phase(legs[i].name + ".req_per_s_q3", q3);
+    rec.phase(legs[i].name + ".p50_ms", p50);
+    rec.phase(legs[i].name + ".p90_ms", p90);
+    rec.phase(legs[i].name + ".p99_ms", p99);
   }
-
-  {
-    // 4 shards, batching off: the sharding-only control that separates
-    // router parallelism from coalesced forwards.
-    fleet::Fleet fleet(fleet_config(w, 4, 1));
-    report(rec, "fleet@4-nobatch",
-           run_load(w, clients, requests,
-                    [&](const std::string& bundle, const std::string& target) {
-                      return fleet.score(bundle, target);
-                    }));
-  }
-
-  // Tracing overhead A/B: the same 2-shard batched load with the request-
-  // trace collector on vs off. Every traced request pays begin/spans/
-  // finish; disabled tracing must cost one relaxed atomic load. The
-  // acceptance bar is a <= 2% p99 delta between these two legs.
-  for (const bool tracing : {true, false}) {
-    fleet::FleetConfig fc = fleet_config(w, 2, 8);
-    fc.tracing = tracing;
-    fc.trace_ring = 512;
-    fleet::Fleet fleet(fc);
-    report(rec, tracing ? "fleet@2-trace" : "fleet@2-notrace",
-           run_load(w, clients, requests,
-                    [&](const std::string& bundle, const std::string& target) {
-                      // Route through the collector exactly as the daemon
-                      // does: begin here, Fleet::score owns completion.
-                      serve::ScoreOptions opts;
-                      opts.trace_id = fleet.traces().begin(bundle, target);
-                      return fleet.score(bundle, target, opts);
-                    }));
-  }
-
   rec.write();
+  std::filesystem::remove_all(w.dir);
+  if (failures > 0) {
+    std::fprintf(stderr, "bench_serve: %zu requests failed\n", failures);
+    return 1;
+  }
   return 0;
 }

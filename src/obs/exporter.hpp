@@ -36,8 +36,8 @@ class Registry;
 class TelemetryExporter {
  public:
   /// A telemetry source: name under "registries" -> producer of one JSON
-  /// object. std::function (not Registry*) so composite sources — the
-  /// fleet's nested shard view — can plug in too.
+  /// object. std::function (not Registry*) so a source that is not a
+  /// single registry can plug in too.
   using Source = std::pair<std::string, std::function<std::string()>>;
 
   struct Status {

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 #include <map>
+#include <string>
+#include <vector>
 
 namespace fcrit::obs {
 
@@ -11,17 +13,6 @@ std::string fmt_double(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.10g", v);
   return std::string(buf);
-}
-
-std::string sample_labels(const std::string& constant,
-                          const std::string& extra = "") {
-  if (constant.empty() && extra.empty()) return "";
-  std::string out = "{";
-  out += constant;
-  if (!constant.empty() && !extra.empty()) out += ",";
-  out += extra;
-  out += "}";
-  return out;
 }
 
 struct Family {
@@ -43,55 +34,45 @@ std::string prom_sanitize(const std::string& name) {
   return out;
 }
 
-std::string to_prometheus(const std::vector<PromSource>& sources,
-                          const std::string& prefix) {
+std::string to_prometheus(const Registry& registry, const std::string& prefix) {
   // Group samples by exposed family name first: the exposition format
-  // demands exactly one # TYPE line per family even when several sources
-  // (shards) contribute samples to it.
+  // demands exactly one # TYPE line per family even when two instrument
+  // names sanitize to the same family.
   std::map<std::string, Family> families;
-  for (const PromSource& src : sources) {
-    if (!src.registry) continue;
-    const RegistrySnapshot snap = src.registry->snapshot();
+  const RegistrySnapshot snap = registry.snapshot();
 
-    for (const auto& [name, value] : snap.counters) {
-      const std::string fam = prefix + prom_sanitize(name) + "_total";
-      Family& f = families[fam];
-      f.type = "counter";
-      f.samples.push_back(fam + sample_labels(src.labels) + " " +
-                          std::to_string(value));
-    }
+  for (const auto& [name, value] : snap.counters) {
+    const std::string fam = prefix + prom_sanitize(name) + "_total";
+    Family& f = families[fam];
+    f.type = "counter";
+    f.samples.push_back(fam + " " + std::to_string(value));
+  }
 
-    for (const auto& [name, g] : snap.gauges) {
-      const std::string base = prefix + prom_sanitize(name);
-      Family& f = families[base];
-      f.type = "gauge";
-      f.samples.push_back(base + sample_labels(src.labels) + " " +
-                          std::to_string(g.value));
-      const std::string hw = base + "_high_water";
-      Family& fh = families[hw];
-      fh.type = "gauge";
-      fh.samples.push_back(hw + sample_labels(src.labels) + " " +
-                           std::to_string(g.high_water));
-    }
+  for (const auto& [name, g] : snap.gauges) {
+    const std::string base = prefix + prom_sanitize(name);
+    Family& f = families[base];
+    f.type = "gauge";
+    f.samples.push_back(base + " " + std::to_string(g.value));
+    const std::string hw = base + "_high_water";
+    Family& fh = families[hw];
+    fh.type = "gauge";
+    fh.samples.push_back(hw + " " + std::to_string(g.high_water));
+  }
 
-    for (const auto& [name, h] : snap.histograms) {
-      const std::string base = prefix + prom_sanitize(name);
-      Family& f = families[base];
-      f.type = "histogram";
-      std::uint64_t cum = 0;
-      for (std::size_t i = 0; i < h.counts.size(); ++i) {
-        cum += h.counts[i];
-        const std::string le =
-            i < h.bounds.size() ? fmt_double(h.bounds[i]) : "+Inf";
-        f.samples.push_back(base + "_bucket" +
-                            sample_labels(src.labels, "le=\"" + le + "\"") +
-                            " " + std::to_string(cum));
-      }
-      f.samples.push_back(base + "_sum" + sample_labels(src.labels) + " " +
-                          fmt_double(h.sum));
-      f.samples.push_back(base + "_count" + sample_labels(src.labels) + " " +
-                          std::to_string(h.count));
+  for (const auto& [name, h] : snap.histograms) {
+    const std::string base = prefix + prom_sanitize(name);
+    Family& f = families[base];
+    f.type = "histogram";
+    std::uint64_t cum = 0;
+    for (std::size_t i = 0; i < h.counts.size(); ++i) {
+      cum += h.counts[i];
+      const std::string le =
+          i < h.bounds.size() ? fmt_double(h.bounds[i]) : "+Inf";
+      f.samples.push_back(base + "_bucket{le=\"" + le + "\"} " +
+                          std::to_string(cum));
     }
+    f.samples.push_back(base + "_sum " + fmt_double(h.sum));
+    f.samples.push_back(base + "_count " + std::to_string(h.count));
   }
 
   std::string out;
@@ -103,10 +84,6 @@ std::string to_prometheus(const std::vector<PromSource>& sources,
     }
   }
   return out;
-}
-
-std::string to_prometheus(const Registry& registry, const std::string& prefix) {
-  return to_prometheus({PromSource{"", &registry}}, prefix);
 }
 
 }  // namespace fcrit::obs

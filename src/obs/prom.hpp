@@ -7,33 +7,19 @@
 //                 1-2-5 ladder, a `+Inf` bucket equal to _count, plus
 //                 `_sum` and `_count`
 // Instrument names are sanitized ('.', '-' and anything else outside
-// [a-zA-Z0-9_] become '_'). Multiple sources render under per-source
-// constant labels (e.g. shard="shard-0"); families shared across sources
-// still emit exactly one # TYPE line, as the format requires.
+// [a-zA-Z0-9_] become '_'). Every family emits exactly one # TYPE line,
+// as the format requires.
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "src/obs/metrics.hpp"
 
 namespace fcrit::obs {
 
-struct PromSource {
-  /// Constant labels applied to every sample from this registry, already
-  /// in exposition syntax without braces: `shard="shard-0"`. Empty for
-  /// none.
-  std::string labels;
-  const Registry* registry = nullptr;
-};
-
 /// `metric_name{label="v"}`-safe version of an instrument name.
 std::string prom_sanitize(const std::string& name);
 
-std::string to_prometheus(const std::vector<PromSource>& sources,
-                          const std::string& prefix = "fcrit_");
-
-/// Single-registry convenience.
 std::string to_prometheus(const Registry& registry,
                           const std::string& prefix = "fcrit_");
 

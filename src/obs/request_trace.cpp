@@ -33,18 +33,11 @@ std::string request_trace_json(const RequestTrace& t) {
   std::string out = "{\"id\":" + json_string(std::to_string(t.id));
   out += ",\"bundle\":" + json_string(t.bundle);
   out += ",\"target\":" + json_string(t.target);
-  out += ",\"shard\":" + json_string(t.shard);
   out += ",\"verdict\":" + json_string(t.verdict);
   out += ",\"error\":" + json_string(t.error);
-  out += ",\"retries\":" + std::to_string(t.retries);
   out += ",\"start_unix_ms\":" + std::to_string(t.start_unix_ms);
   out += ",\"total_ms\":" + json_number(t.total_ms);
-  out += ",\"batched_with\":[";
-  for (std::size_t i = 0; i < t.peers.size(); ++i) {
-    if (i != 0) out += ",";
-    out += json_string(std::to_string(t.peers[i]));
-  }
-  out += "],\"spans\":[";
+  out += ",\"spans\":[";
   for (std::size_t i = 0; i < t.spans.size(); ++i) {
     const TraceSpan& s = t.spans[i];
     if (i != 0) out += ",";
@@ -114,41 +107,6 @@ void RequestTraceCollector::span(std::uint64_t id, const std::string& name,
   s.dur_ms = ms_between(start, end);
   s.detail = detail;
   it->second.spans.push_back(std::move(s));
-}
-
-void RequestTraceCollector::event(std::uint64_t id, const std::string& name,
-                                  const std::string& detail) {
-  const auto now = TraceClock::now();
-  span(id, name, now, now, detail);
-}
-
-void RequestTraceCollector::set_shard(std::uint64_t id,
-                                      const std::string& shard) {
-  if (!enabled() || id == 0) return;
-  util::MutexLock lock(mutex_);
-  auto it = active_.find(id);
-  if (it != active_.end()) it->second.shard = shard;
-}
-
-void RequestTraceCollector::add_retry(std::uint64_t id) {
-  if (!enabled() || id == 0) return;
-  util::MutexLock lock(mutex_);
-  auto it = active_.find(id);
-  if (it != active_.end()) ++it->second.retries;
-}
-
-void RequestTraceCollector::add_peers(std::uint64_t id,
-                                      const std::vector<std::uint64_t>& batch) {
-  if (!enabled() || id == 0) return;
-  util::MutexLock lock(mutex_);
-  auto it = active_.find(id);
-  if (it == active_.end()) return;
-  for (std::uint64_t peer : batch) {
-    if (peer == 0 || peer == id) continue;
-    auto& peers = it->second.peers;
-    if (std::find(peers.begin(), peers.end(), peer) == peers.end())
-      peers.push_back(peer);
-  }
 }
 
 void RequestTraceCollector::finish(std::uint64_t id, const std::string& verdict,
@@ -233,11 +191,9 @@ void RequestTraceCollector::write_wide_event(const RequestTrace& t) {
   }
   if (mirror) {
     logf(LogLevel::kWarn,
-         "request id=%" PRIu64
-         " verdict=%s bundle=%s shard=%s total_ms=%.3f retries=%u%s%s",
-         t.id, t.verdict.c_str(), t.bundle.c_str(), t.shard.c_str(),
-         t.total_ms, t.retries, t.error.empty() ? "" : " error=",
-         t.error.c_str());
+         "request id=%" PRIu64 " verdict=%s bundle=%s total_ms=%.3f%s%s",
+         t.id, t.verdict.c_str(), t.bundle.c_str(), t.total_ms,
+         t.error.empty() ? "" : " error=", t.error.c_str());
   }
 }
 

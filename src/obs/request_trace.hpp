@@ -1,17 +1,16 @@
-// Request-scoped tracing for the serving tier: one RequestTrace per SCORE
-// request, carrying named spans (queue_wait, batch_assembly, bundle_load,
-// golden_sim, forward), point events (reroute, busy_shed) and the trace
-// ids this request was coalesced with into a block-diagonal forward.
+// Request-scoped tracing for the scoring daemon: one RequestTrace per
+// SCORE request, carrying named spans (queue_wait, parse, bundle_load,
+// golden_sim, forward).
 //
-// The collector is the single rendezvous between the router, the shard
-// engines and the daemon front end: the router (or the server, for a
-// client-supplied id= token) calls begin(), every layer that touches the
-// request records spans against the 64-bit id, and whoever owns the
-// request's outcome calls finish(). Finished traces move into a bounded
-// in-memory ring served by the TRACE <id> / TRACE LAST <n> daemon verbs,
-// and optionally append one JSONL wide event per request to an access log
-// (open_access_log), with slow/shed/errored requests mirrored to the
-// leveled logger once a --slow-ms threshold is set.
+// The collector is the single rendezvous between the daemon front end and
+// the engine's workers: the server calls begin() (honoring a client's id=
+// token), every layer that touches the request records spans against the
+// 64-bit id, and the server calls finish() with the request's outcome.
+// Finished traces move into a bounded in-memory ring served by the
+// TRACE <id> / TRACE LAST <n> daemon verbs, and optionally append one
+// JSONL wide event per request to an access log (open_access_log), with
+// slow/shed/errored requests mirrored to the leveled logger once a
+// --slow-ms threshold is set.
 //
 // Contract (same as the phase Tracer): when tracing is disabled, every
 // call on the hot path costs exactly one relaxed atomic load. When
@@ -46,18 +45,15 @@ struct TraceSpan {
   std::string name;
   double start_ms = 0.0;
   double dur_ms = 0.0;
-  std::string detail;  // "cache-hit", "jobs=3 unique=2", shard names, ...
+  std::string detail;  // "cache-hit", "parse", ...
 };
 
 struct RequestTrace {
   std::uint64_t id = 0;
   std::string bundle;
   std::string target;
-  std::string shard;    // owning shard at completion ("", for the daemon)
-  std::string verdict;  // "ok" | "error" | "shed" | "no-shard"
+  std::string verdict;  // "ok" | "error" | "shed"
   std::string error;    // message when verdict != ok
-  std::uint32_t retries = 0;
-  std::vector<std::uint64_t> peers;  // trace ids coalesced into one forward
   std::vector<TraceSpan> spans;
   double total_ms = 0.0;
   std::uint64_t start_unix_ms = 0;  // wall clock at begin(), for humans
@@ -90,14 +86,6 @@ class RequestTraceCollector {
   void span(std::uint64_t id, const std::string& name,
             TraceClock::time_point start, TraceClock::time_point end,
             const std::string& detail = "");
-  /// A point-in-time event (reroute, busy_shed): zero-duration span at now.
-  void event(std::uint64_t id, const std::string& name,
-             const std::string& detail = "");
-  void set_shard(std::uint64_t id, const std::string& shard);
-  void add_retry(std::uint64_t id);
-  /// Record the other trace ids coalesced into the same forward. `self` is
-  /// filtered out, so callers pass the whole batch's id list to each peer.
-  void add_peers(std::uint64_t id, const std::vector<std::uint64_t>& batch);
 
   /// Complete the trace: stamps total_ms, moves it from the active table
   /// into the ring, appends the wide event to the access log (if open) and

@@ -68,20 +68,12 @@ struct ThreadClones {
 
 thread_local ThreadClones t_clones;
 
-/// The batch-size ladder: small-step buckets where coalescing actually
-/// operates (the default latency ladder starts at 1 µs — useless for
-/// counting requests per forward).
-std::vector<double> batch_size_buckets() {
-  return {1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64};
-}
-
 }  // namespace
 
 std::string_view to_string(EngineErrorCode code) {
   switch (code) {
     case EngineErrorCode::kShutdown: return "shutdown";
     case EngineErrorCode::kQueueTimeout: return "queue-timeout";
-    case EngineErrorCode::kAborted: return "aborted";
   }
   return "unknown";
 }
@@ -165,79 +157,21 @@ ScoringEngine::ScoringEngine(EngineConfig config)
       errors_(&registry_.counter("serve.errors")),
       clone_hits_(&registry_.counter("serve.model_clone_hits")),
       clone_misses_(&registry_.counter("serve.model_clone_misses")),
-      batches_(&registry_.counter("serve.batches")),
-      batched_requests_(&registry_.counter("serve.batched_requests")),
-      collapsed_requests_(&registry_.counter("serve.collapsed_requests")),
       submit_timeouts_(&registry_.counter("serve.submit_timeouts")),
-      aborted_jobs_(&registry_.counter("serve.aborted_jobs")),
       queue_depth_(&registry_.gauge("serve.queue_depth")),
       request_ms_(&registry_.histogram("serve.request_ms")),
       load_ms_(&registry_.histogram("serve.load_ms")),
       stats_ms_(&registry_.histogram("serve.stats_ms")),
-      forward_ms_(&registry_.histogram("serve.forward_ms")),
-      batch_size_(&registry_.histogram("serve.batch_size",
-                                       batch_size_buckets())) {
+      forward_ms_(&registry_.histogram("serve.forward_ms")) {
   config_.threads = std::max(1, config_.threads);
   config_.queue_capacity = std::max<std::size_t>(1, config_.queue_capacity);
   config_.cache_capacity = std::max<std::size_t>(1, config_.cache_capacity);
-  config_.batch_max = std::max<std::size_t>(1, config_.batch_max);
   workers_.reserve(static_cast<std::size_t>(config_.threads));
   for (int i = 0; i < config_.threads; ++i)
     workers_.emplace_back([this] { worker_loop(); });
 }
 
 ScoringEngine::~ScoringEngine() { shutdown(); }
-
-ScoringEngine::PreparedTarget ScoringEngine::prepare_target(
-    const ModelBundle& bundle, const designs::Design& target,
-    const ScoreOptions& opts) {
-  const BundleManifest& m = bundle.manifest;
-  const netlist::Netlist& nl = target.netlist;
-  nl.validate();
-
-  // Lint preflight: a user-supplied netlist with structural errors
-  // (combinational loops, undriven pins, duplicate names) is rejected
-  // with the full report instead of being scored garbage-in/garbage-out.
-  {
-    lint::LintReport preflight = lint::lint_netlist(nl);
-    preflight.target_name = target.name;
-    registry_.counter("lint.findings_total")
-        .add(preflight.diagnostics.size());
-    registry_.counter("lint.errors_total").add(preflight.errors());
-    if (preflight.errors() > 0)
-      throw lint::LintError(std::move(preflight));
-  }
-
-  PreparedTarget prep;
-  ScoreResult& r = prep.result;
-  r.target_name = target.name;
-  r.bundle_design = m.design_name;
-  r.netlist_matched = netlist_content_hash(nl) == m.netlist_hash;
-  if (!r.netlist_matched && opts.strict_hash)
-    throw BundleError(BundleErrorCode::kNetlistHashMismatch,
-                      "'" + target.name + "' is not the netlist '" +
-                          m.design_name + "' was trained on");
-
-  util::Timer stats_timer;
-  const auto stats = sim::estimate_by_simulation(
-      nl, bundle.stimulus, m.probability_seed, m.probability_cycles);
-  const ml::Matrix raw = graphir::extract_features(nl, stats);
-  if (raw.cols() != m.feature_width)
-    throw BundleError(BundleErrorCode::kFeatureWidthMismatch,
-                      "extracted " + std::to_string(raw.cols()) +
-                          " features, bundle expects " +
-                          std::to_string(m.feature_width));
-  prep.features = bundle.standardizer.transform(raw);
-  prep.graph = graphir::build_graph(nl);
-  r.stats_seconds = stats_timer.seconds();
-  stats_ms_->observe(r.stats_seconds * 1e3);
-
-  r.sites = fault::fault_sites(nl);
-  r.node_names.reserve(nl.num_nodes());
-  for (netlist::NodeId id = 0; id < nl.num_nodes(); ++id)
-    r.node_names.push_back(nl.node(id).name);
-  return prep;
-}
 
 ScoreResult ScoringEngine::score(const std::string& bundle_path,
                                  const designs::Design& target,
@@ -259,10 +193,52 @@ ScoreResult ScoringEngine::score(const std::string& bundle_path,
                cache_hit ? "cache-hit" : "parse");
 
     const auto t_prep = obs::TraceClock::now();
-    PreparedTarget prep = prepare_target(*bundle, target, opts);
+    const BundleManifest& m = bundle->manifest;
+    const netlist::Netlist& nl = target.netlist;
+    nl.validate();
+
+    // Lint preflight: a user-supplied netlist with structural errors
+    // (combinational loops, undriven pins, duplicate names) is rejected
+    // with the full report instead of being scored garbage-in/garbage-out.
+    {
+      lint::LintReport preflight = lint::lint_netlist(nl);
+      preflight.target_name = target.name;
+      registry_.counter("lint.findings_total")
+          .add(preflight.diagnostics.size());
+      registry_.counter("lint.errors_total").add(preflight.errors());
+      if (preflight.errors() > 0)
+        throw lint::LintError(std::move(preflight));
+    }
+
+    ScoreResult r;
+    r.target_name = target.name;
+    r.bundle_design = m.design_name;
+    r.netlist_matched = netlist_content_hash(nl) == m.netlist_hash;
+    if (!r.netlist_matched && opts.strict_hash)
+      throw BundleError(BundleErrorCode::kNetlistHashMismatch,
+                        "'" + target.name + "' is not the netlist '" +
+                            m.design_name + "' was trained on");
+
+    util::Timer stats_timer;
+    const auto stats = sim::estimate_by_simulation(
+        nl, bundle->stimulus, m.probability_seed, m.probability_cycles);
+    const ml::Matrix raw = graphir::extract_features(nl, stats);
+    if (raw.cols() != m.feature_width)
+      throw BundleError(BundleErrorCode::kFeatureWidthMismatch,
+                        "extracted " + std::to_string(raw.cols()) +
+                            " features, bundle expects " +
+                            std::to_string(m.feature_width));
+    const ml::Matrix features = bundle->standardizer.transform(raw);
+    const graphir::CircuitGraph graph = graphir::build_graph(nl);
+    r.stats_seconds = stats_timer.seconds();
+    stats_ms_->observe(r.stats_seconds * 1e3);
+
+    r.sites = fault::fault_sites(nl);
+    r.node_names.reserve(nl.num_nodes());
+    for (netlist::NodeId id = 0; id < nl.num_nodes(); ++id)
+      r.node_names.push_back(nl.node(id).name);
     if (tc)
       tc->span(opts.trace_id, "golden_sim", t_prep, obs::TraceClock::now());
-    ScoreResult& r = prep.result;
     r.trace_id = opts.trace_id;
 
     const auto t_fwd = obs::TraceClock::now();
@@ -271,16 +247,16 @@ ScoreResult ScoringEngine::score(const std::string& bundle_path,
     // can touch them, so the forward pass is race-free by construction.
     ThreadClones::Entry& models =
         t_clones.get(bundle, *clone_hits_, *clone_misses_);
-    models.classifier->set_adjacency(&prep.graph.normalized_adjacency);
+    models.classifier->set_adjacency(&graph.normalized_adjacency);
     const ml::Matrix out =
-        models.classifier->forward(prep.features, /*training=*/false);
+        models.classifier->forward(features, /*training=*/false);
     r.proba = ml::class1_probability(out);
     r.predicted = ml::predict_labels(out);
     if (models.regressor) {
       r.has_regressor = true;
-      models.regressor->set_adjacency(&prep.graph.normalized_adjacency);
+      models.regressor->set_adjacency(&graph.normalized_adjacency);
       const ml::Matrix pred =
-          models.regressor->forward(prep.features, /*training=*/false);
+          models.regressor->forward(features, /*training=*/false);
       r.score.resize(static_cast<std::size_t>(pred.rows()));
       for (int i = 0; i < pred.rows(); ++i)
         r.score[static_cast<std::size_t>(i)] =
@@ -300,145 +276,6 @@ ScoreResult ScoringEngine::score(const std::string& bundle_path,
     errors_->add();
     throw;
   }
-}
-
-std::vector<BatchOutcome> ScoringEngine::score_batch(
-    const std::string& bundle_path,
-    const std::vector<designs::Design>& targets, ScoreOptions opts,
-    const std::vector<std::vector<std::uint64_t>>* trace_ids) {
-  std::vector<BatchOutcome> outcomes(targets.size());
-  if (targets.empty()) return outcomes;
-  requests_->add(targets.size());
-  util::Timer request_timer;
-
-  // Shared-stage spans fan out to every trace id riding on the batch: a
-  // coalesced request's trace shows the one bundle_load/forward it shared.
-  obs::RequestTraceCollector* tc = trace_ids ? config_.traces : nullptr;
-  const auto span_for = [&](const std::vector<std::size_t>& indices,
-                            const char* name, obs::TraceClock::time_point a,
-                            obs::TraceClock::time_point b,
-                            const std::string& detail) {
-    if (!tc) return;
-    for (const std::size_t i : indices)
-      for (const std::uint64_t id : (*trace_ids)[i])
-        tc->span(id, name, a, b, detail);
-  };
-  std::vector<std::size_t> all_indices(targets.size());
-  for (std::size_t i = 0; i < targets.size(); ++i) all_indices[i] = i;
-
-  std::shared_ptr<const ModelBundle> bundle;
-  try {
-    bool cache_hit = false;
-    const auto t_load = obs::TraceClock::now();
-    util::Timer load_timer;
-    bundle = cache_.get(bundle_path, &cache_hit);
-    load_ms_->observe(load_timer.millis());
-    span_for(all_indices, "bundle_load", t_load, obs::TraceClock::now(),
-             cache_hit ? "cache-hit" : "parse");
-  } catch (...) {
-    errors_->add(targets.size());
-    for (auto& o : outcomes) o.error = std::current_exception();
-    return outcomes;
-  }
-
-  // Per-target preflight + feature extraction; failures stay positional.
-  std::vector<std::optional<PreparedTarget>> prepared(targets.size());
-  std::vector<std::size_t> live;
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    try {
-      const auto t_prep = obs::TraceClock::now();
-      prepared[i] = prepare_target(*bundle, targets[i], opts);
-      span_for({i}, "golden_sim", t_prep, obs::TraceClock::now(), "");
-      live.push_back(i);
-    } catch (...) {
-      errors_->add();
-      outcomes[i].error = std::current_exception();
-    }
-  }
-  if (live.empty()) return outcomes;
-
-  // Stack the survivors: block-diagonal adjacency + row-concatenated
-  // features. Each target owns a contiguous row range, and because
-  // from_coo keeps per-row entries in column order, every row's
-  // accumulation order in the batched SpMM equals its solo order —
-  // batched results are bitwise-identical to unbatched ones.
-  int total_rows = 0;
-  std::size_t total_nnz = 0;
-  for (const std::size_t i : live) {
-    total_rows += prepared[i]->features.rows();
-    total_nnz += prepared[i]->graph.normalized_adjacency.nnz();
-  }
-  const int width = prepared[live.front()]->features.cols();
-  ml::Matrix x(total_rows, width);
-  std::vector<ml::Coo> entries;
-  entries.reserve(total_nnz);
-  int base = 0;
-  for (const std::size_t i : live) {
-    const ml::Matrix& f = prepared[i]->features;
-    for (int r = 0; r < f.rows(); ++r)
-      std::copy(f.row(r).begin(), f.row(r).end(), x.row(base + r).begin());
-    const ml::SparseMatrix& adj = prepared[i]->graph.normalized_adjacency;
-    const auto& row_ptr = adj.row_ptr();
-    const auto& col = adj.col_index();
-    const auto& val = adj.values();
-    for (int r = 0; r < adj.rows(); ++r)
-      for (int k = row_ptr[static_cast<std::size_t>(r)];
-           k < row_ptr[static_cast<std::size_t>(r) + 1]; ++k)
-        entries.push_back({base + r, base + col[static_cast<std::size_t>(k)],
-                           val[static_cast<std::size_t>(k)]});
-    base += f.rows();
-  }
-  const ml::SparseMatrix block =
-      ml::SparseMatrix::from_coo(total_rows, total_rows, std::move(entries));
-
-  const auto t_fwd = obs::TraceClock::now();
-  util::Timer forward_timer;
-  ThreadClones::Entry& models =
-      t_clones.get(bundle, *clone_hits_, *clone_misses_);
-  models.classifier->set_adjacency(&block);
-  const ml::Matrix out = models.classifier->forward(x, /*training=*/false);
-  const std::vector<double> proba_all = ml::class1_probability(out);
-  const std::vector<int> predicted_all = ml::predict_labels(out);
-  ml::Matrix reg_out;
-  if (models.regressor) {
-    models.regressor->set_adjacency(&block);
-    reg_out = models.regressor->forward(x, /*training=*/false);
-  }
-  const double forward_seconds = forward_timer.seconds();
-  forward_ms_->observe(forward_seconds * 1e3);
-  span_for(live, "forward", t_fwd, obs::TraceClock::now(),
-           "rows=" + std::to_string(total_rows) +
-               " targets=" + std::to_string(live.size()));
-  batches_->add();
-  batched_requests_->add(live.size());
-  batch_size_->observe(static_cast<double>(live.size()));
-
-  // Split the stacked outputs back into per-target results.
-  base = 0;
-  for (const std::size_t i : live) {
-    ScoreResult r = std::move(prepared[i]->result);
-    if (trace_ids && !(*trace_ids)[i].empty())
-      r.trace_id = (*trace_ids)[i].front();
-    const int rows = prepared[i]->features.rows();
-    r.proba.assign(proba_all.begin() + base, proba_all.begin() + base + rows);
-    r.predicted.assign(predicted_all.begin() + base,
-                       predicted_all.begin() + base + rows);
-    if (models.regressor) {
-      r.has_regressor = true;
-      r.score.resize(static_cast<std::size_t>(rows));
-      for (int k = 0; k < rows; ++k)
-        r.score[static_cast<std::size_t>(k)] =
-            static_cast<double>(reg_out(base + k, 0));
-    } else {
-      r.score = r.proba;
-    }
-    r.forward_seconds = forward_seconds;
-    base += rows;
-    completed_->add();
-    request_ms_->observe(request_timer.millis());
-    outcomes[i].result = std::move(r);
-  }
-  return outcomes;
 }
 
 ScoreResult ScoringEngine::score_path(const std::string& bundle_path,
@@ -465,10 +302,9 @@ std::future<ScoreResult> ScoringEngine::submit(
           continue;
         if (!stopping_ && queue_.size() >= config_.queue_capacity) {
           submit_timeouts_->add();
-          throw EngineError(
-              EngineErrorCode::kQueueTimeout,
-              "queue full (depth " + std::to_string(queue_.size()) +
-                  ") for " + std::to_string(queue_timeout->count()) + " ms");
+          throw EngineError(EngineErrorCode::kQueueTimeout,
+                            "queue full (" + std::to_string(queue_.size()) +
+                                " jobs queued)");
         }
         break;
       }
@@ -488,157 +324,36 @@ std::future<ScoreResult> ScoringEngine::submit(
 
 void ScoringEngine::worker_loop() {
   for (;;) {
-    // The dequeued job plus — when coalescing is on — every other queued
-    // job against the same bundle with the same options, scored as one
-    // batch below.
-    std::vector<Job> batch;
+    Job job;
     {
       util::MutexLock lock(queue_mutex_);
       while (!stopping_ && queue_.empty()) queue_not_empty_.wait(lock.native());
       if (queue_.empty()) return;  // stopping_ and fully drained
-      batch.push_back(std::move(queue_.front()));
+      job = std::move(queue_.front());
       queue_.pop_front();
-      if (config_.batch_max > 1) {
-        for (auto it = queue_.begin();
-             it != queue_.end() && batch.size() < config_.batch_max;) {
-          if (it->bundle_path == batch.front().bundle_path &&
-              it->opts.strict_hash == batch.front().opts.strict_hash) {
-            batch.push_back(std::move(*it));
-            it = queue_.erase(it);
-          } else {
-            ++it;
-          }
-        }
-      }
       queue_depth_->set(static_cast<std::int64_t>(queue_.size()));
     }
-    if (batch.size() > 1)
-      queue_not_full_.notify_all();
-    else
-      queue_not_full_.notify_one();
+    queue_not_full_.notify_one();
     if (config_.before_score_hook)
-      config_.before_score_hook(batch.front().target_path);
-    run_job_batch(std::move(batch));
+      config_.before_score_hook(job.target_path);
+    run_job(std::move(job));
   }
 }
 
-void ScoringEngine::run_job_batch(std::vector<Job> batch) {
+void ScoringEngine::run_job(Job job) {
   // Traced jobs get their queue_wait span the moment a worker claims the
-  // batch; untraced ones (trace_id 0) cost a single integer compare here.
-  obs::RequestTraceCollector* tc = config_.traces;
+  // job; untraced ones (trace_id 0) cost a single integer compare here.
+  obs::RequestTraceCollector* tc =
+      job.opts.trace_id != 0 ? config_.traces : nullptr;
   const auto dequeued = obs::TraceClock::now();
-  bool any_traced = false;
-  for (const Job& job : batch) {
-    if (job.opts.trace_id == 0) continue;
-    any_traced = true;
-    if (tc) tc->span(job.opts.trace_id, "queue_wait", job.enqueued, dequeued);
-  }
-
-  if (batch.size() == 1) {
-    Job& job = batch.front();
-    try {
-      designs::Design target = load_score_target(job.target_path);
-      if (tc && job.opts.trace_id != 0)
-        tc->span(job.opts.trace_id, "batch_assembly", dequeued,
-                 obs::TraceClock::now(), "jobs=1 unique=1");
-      job.promise.set_value(score(job.bundle_path, target, job.opts));
-    } catch (...) {
-      job.promise.set_exception(std::current_exception());
-    }
-    return;
-  }
-
-  // Collapse duplicates first: concurrent clients racing on the same
-  // target (the coalescing key already fixed the bundle and options)
-  // share ONE scored target, and its result fans out to every promise.
-  // This is where batching pays even on a saturated machine — k identical
-  // requests cost one parse + one stats sim + one forward.
-  std::vector<std::string> unique_paths;           // first-seen order
-  std::vector<std::vector<std::size_t>> fanout;    // batch indices per path
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    std::size_t u = 0;
-    while (u < unique_paths.size() && unique_paths[u] != batch[i].target_path)
-      ++u;
-    if (u == unique_paths.size()) {
-      unique_paths.push_back(batch[i].target_path);
-      fanout.emplace_back();
-    }
-    fanout[u].push_back(i);
-  }
-
-  // Resolve each target so one bad path only fails its own promises.
-  std::vector<designs::Design> targets;
-  std::vector<std::size_t> loaded;  // unique-path indices that resolved
-  targets.reserve(unique_paths.size());
-  for (std::size_t u = 0; u < unique_paths.size(); ++u) {
-    try {
-      targets.push_back(load_score_target(unique_paths[u]));
-      loaded.push_back(u);
-    } catch (...) {
-      const std::exception_ptr error = std::current_exception();
-      for (const std::size_t i : fanout[u]) {
-        requests_->add();  // count the failed attempt like score() would
-        errors_->add();
-        batch[i].promise.set_exception(error);
-      }
-    }
-  }
-  if (loaded.empty()) return;
-
-  // Every coalesced request's trace records the whole group as peers and
-  // a batch_assembly span covering dedupe + target resolution; the ids
-  // ride into score_batch so shared-stage spans land on each of them.
-  std::vector<std::vector<std::uint64_t>> batch_trace_ids(loaded.size());
-  if (any_traced && tc) {
-    std::vector<std::uint64_t> all_ids;
-    for (const Job& job : batch)
-      if (job.opts.trace_id != 0) all_ids.push_back(job.opts.trace_id);
-    const auto assembled = obs::TraceClock::now();
-    const std::string detail = "jobs=" + std::to_string(batch.size()) +
-                               " unique=" + std::to_string(loaded.size());
-    for (const Job& job : batch) {
-      if (job.opts.trace_id == 0) continue;
-      tc->span(job.opts.trace_id, "batch_assembly", dequeued, assembled,
-               detail);
-      tc->add_peers(job.opts.trace_id, all_ids);
-    }
-    for (std::size_t k = 0; k < loaded.size(); ++k)
-      for (const std::size_t i : fanout[loaded[k]])
-        if (batch[i].opts.trace_id != 0)
-          batch_trace_ids[k].push_back(batch[i].opts.trace_id);
-  }
-
-  std::vector<BatchOutcome> outcomes =
-      score_batch(batch.front().bundle_path, targets, batch.front().opts,
-                  any_traced && tc ? &batch_trace_ids : nullptr);
-  for (std::size_t k = 0; k < loaded.size(); ++k) {
-    const std::vector<std::size_t>& group = fanout[loaded[k]];
-    // score_batch counted this target once; the collapsed duplicates are
-    // real client requests and still count as such.
-    if (group.size() > 1) {
-      const std::uint64_t dupes = group.size() - 1;
-      collapsed_requests_->add(dupes);
-      batched_requests_->add(dupes);  // served through the batch, uncounted
-                                      // by score_batch (it saw one target)
-      requests_->add(dupes);
-      if (outcomes[k].result)
-        completed_->add(dupes);
-      else
-        errors_->add(dupes);
-    }
-    for (std::size_t j = 0; j < group.size(); ++j) {
-      Job& job = batch[group[j]];
-      if (!outcomes[k].result) {
-        job.promise.set_exception(outcomes[k].error);
-      } else if (j + 1 == group.size()) {
-        outcomes[k].result->trace_id = job.opts.trace_id;
-        job.promise.set_value(std::move(*outcomes[k].result));
-      } else {
-        ScoreResult copy = *outcomes[k].result;
-        copy.trace_id = job.opts.trace_id;  // each collapsed duplicate
-        job.promise.set_value(std::move(copy));  // reports its own trace
-      }
-    }
+  if (tc) tc->span(job.opts.trace_id, "queue_wait", job.enqueued, dequeued);
+  try {
+    const designs::Design target = load_score_target(job.target_path);
+    if (tc)
+      tc->span(job.opts.trace_id, "parse", dequeued, obs::TraceClock::now());
+    job.promise.set_value(score(job.bundle_path, target, job.opts));
+  } catch (...) {
+    job.promise.set_exception(std::current_exception());
   }
 }
 
@@ -655,30 +370,8 @@ void ScoringEngine::shutdown() {
   workers_.clear();
 }
 
-void ScoringEngine::abort() {
-  std::deque<Job> discarded;
-  {
-    util::MutexLock lock(queue_mutex_);
-    stopping_ = true;
-    discarded.swap(queue_);
-    queue_depth_->set(0);
-  }
-  queue_not_empty_.notify_all();
-  queue_not_full_.notify_all();
-  aborted_jobs_->add(discarded.size());
-  for (auto& job : discarded)
-    job.promise.set_exception(std::make_exception_ptr(EngineError(
-        EngineErrorCode::kAborted,
-        "shard aborted with '" + job.target_path + "' still queued")));
-}
-
 void ScoringEngine::prewarm(const std::string& bundle_path) {
   (void)cache_.get(bundle_path);
-}
-
-std::size_t ScoringEngine::queue_depth() const {
-  util::MutexLock lock(queue_mutex_);
-  return queue_.size();
 }
 
 MetricsSnapshot ScoringEngine::metrics() const {
@@ -688,9 +381,6 @@ MetricsSnapshot ScoringEngine::metrics() const {
   s.errors = errors_->value();
   s.cache_hits = cache_.hits();
   s.cache_misses = cache_.misses();
-  s.batches = batches_->value();
-  s.batched_requests = batched_requests_->value();
-  s.collapsed_requests = collapsed_requests_->value();
   s.submit_timeouts = submit_timeouts_->value();
   s.queue_depth = static_cast<std::size_t>(
       std::max<std::int64_t>(0, queue_depth_->value()));
@@ -722,18 +412,12 @@ std::string ScoringEngine::metrics_json() const {
   out += ",\"cache_misses\":" + std::to_string(s.cache_misses);
   out += ",\"model_clone_hits\":" + std::to_string(clone_hits_->value());
   out += ",\"model_clone_misses\":" + std::to_string(clone_misses_->value());
-  out += ",\"batch_max\":" + std::to_string(config_.batch_max);
-  out += ",\"batches\":" + std::to_string(s.batches);
-  out += ",\"batched_requests\":" + std::to_string(s.batched_requests);
-  out += ",\"collapsed_requests\":" + std::to_string(s.collapsed_requests);
   out += ",\"submit_timeouts\":" + std::to_string(s.submit_timeouts);
-  out += ",\"aborted_jobs\":" + std::to_string(aborted_jobs_->value());
   out += ",\"cache_hit_ratio\":" + obs::json_number(s.cache_hit_ratio());
   out += ",\"request_ms\":" + obs::histogram_json(s.request_ms);
   out += ",\"load_ms\":" + obs::histogram_json(load_ms_->snapshot());
   out += ",\"stats_ms\":" + obs::histogram_json(stats_ms_->snapshot());
   out += ",\"forward_ms\":" + obs::histogram_json(forward_ms_->snapshot());
-  out += ",\"batch_size\":" + obs::histogram_json(batch_size_->snapshot());
   out += "}";
   return out;
 }

@@ -9,30 +9,20 @@
 // parse. A fixed worker pool with a bounded queue serves concurrent
 // requests (submit() blocks while the queue is full — backpressure, not
 // unbounded memory — or times out with EngineError(kQueueTimeout) when
-// the caller passes a deadline, the admission path the fleet router's
-// BUSY responses are built on). Every engine owns a private obs::Registry
-// whose instruments (request/stage latency histograms with p50/p90/p99,
-// cache hit/miss counters, a queue-depth gauge with high-water mark) back
-// both metrics() and the metrics_json() snapshot the daemon's METRICS
-// command returns; a per-engine registry keeps concurrent engines from
-// mixing counts.
+// the caller passes a deadline; the daemon answers BUSY on a zero
+// deadline). Every engine owns a private obs::Registry whose instruments
+// (request/stage latency histograms with p50/p90/p99, cache hit/miss
+// counters, a queue-depth gauge with high-water mark) back both metrics()
+// and the metrics_json() snapshot the daemon's METRICS command returns; a
+// per-engine registry keeps concurrent engines from mixing counts.
 // Every forward pass runs on a per-WORKER clone of the bundle's models:
 // GcnModel caches activations internally, so instances must not be shared
 // across threads. Each thread keeps a small thread_local cache of clones
 // keyed by bundle identity (pinned by shared_ptr so a cache entry can
 // never alias a recycled address), making the steady-state forward path
 // clone-free; serve.model_clone_hits/misses count its effectiveness.
-//
-// Cross-request batching (EngineConfig::batch_max > 1): a worker that
-// dequeues a job also claims every other queued job for the same bundle
-// (up to batch_max) and scores the group through score_batch() — the
-// per-target graphs are stacked into one block-diagonal adjacency and a
-// row-concatenated feature matrix, so a single model forward serves the
-// whole batch. Per-target rows only ever see their own block, which keeps
-// batched results bitwise-identical to scoring each target alone.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -48,7 +38,6 @@
 #include <vector>
 
 #include "src/designs/designs.hpp"
-#include "src/graphir/graph.hpp"
 #include "src/netlist/netlist.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/request_trace.hpp"
@@ -60,9 +49,8 @@ namespace fcrit::serve {
 /// Typed failures of the engine's queueing layer (the scoring path itself
 /// reports BundleError / lint::LintError / std::runtime_error).
 enum class EngineErrorCode {
-  kShutdown,      // submit() after shutdown()/abort()
+  kShutdown,      // submit() after shutdown()
   kQueueTimeout,  // the submit deadline expired while the queue stayed full
-  kAborted,       // queued job discarded by abort() before a worker took it
 };
 
 std::string_view to_string(EngineErrorCode code);
@@ -80,20 +68,16 @@ struct EngineConfig {
   int threads = 4;
   std::size_t queue_capacity = 64;
   std::size_t cache_capacity = 8;
-  /// Cross-request coalescing: a worker that dequeues a job also claims up
-  /// to batch_max - 1 more queued jobs for the SAME bundle (and strictness)
-  /// and scores them as one batch — one bundle fetch, one clone lookup,
-  /// one model forward. 1 disables coalescing.
-  std::size_t batch_max = 1;
   /// Test-only instrumentation: when set, a worker invokes this right
-  /// after dequeuing (the job already left the queue, coalescing already
-  /// happened) and before scoring. Lets tests park a worker
-  /// deterministically while they fill the queue behind it.
-  std::function<void(const std::string& target_path)> before_score_hook;
-  /// Request-trace sink (not owned; the fleet shares one across shards).
-  /// Requests whose ScoreOptions carry a nonzero trace_id record
-  /// queue_wait / batch_assembly / bundle_load / golden_sim / forward
-  /// spans against it. Null or disabled: zero work on the scoring path.
+  /// after dequeuing (the job already left the queue) and before scoring.
+  /// Lets tests park a worker deterministically while they fill the queue
+  /// behind it.
+  std::function<void(const std::string& target_path)> before_score_hook =
+      nullptr;
+  /// Request-trace sink (not owned). Requests whose ScoreOptions carry a
+  /// nonzero trace_id record queue_wait / parse / bundle_load /
+  /// golden_sim / forward spans against it. Null or disabled: zero work
+  /// on the scoring path.
   obs::RequestTraceCollector* traces = nullptr;
 };
 
@@ -104,7 +88,7 @@ struct ScoreOptions {
   /// case; the flag guards bit-identical reproduction claims.
   bool strict_hash = false;
   /// Request trace id from RequestTraceCollector::begin(); 0 = untraced.
-  /// Does not affect scoring or batching eligibility, only observability.
+  /// Does not affect scoring, only observability.
   std::uint64_t trace_id = 0;
 };
 
@@ -122,8 +106,7 @@ struct ScoreResult {
   std::vector<double> score;            // regressor (proba when absent)
 
   double stats_seconds = 0.0;    // golden simulation + feature extraction
-  double forward_seconds = 0.0;  // model clone + forward passes (for a
-                                 // batched request: the shared batch pass)
+  double forward_seconds = 0.0;  // model clone + forward passes
   std::uint64_t trace_id = 0;    // echo of ScoreOptions::trace_id
 };
 
@@ -131,23 +114,13 @@ struct ScoreResult {
 /// (n <= 0 keeps all).
 std::vector<netlist::NodeId> top_sites(const ScoreResult& result, int n);
 
-/// Exactly one of `result` / `error` is set: score_batch() reports
-/// per-target outcomes so one bad netlist cannot poison its batch mates.
-struct BatchOutcome {
-  std::optional<ScoreResult> result;
-  std::exception_ptr error;
-};
-
 struct MetricsSnapshot {
   std::uint64_t requests = 0;   // score attempts started
   std::uint64_t completed = 0;  // finished without throwing
   std::uint64_t errors = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  std::uint64_t batches = 0;           // multi-request forward passes
-  std::uint64_t batched_requests = 0;  // requests served through a batch
-  std::uint64_t collapsed_requests = 0;  // duplicate batch jobs scored once
-  std::uint64_t submit_timeouts = 0;   // submit deadlines that expired
+  std::uint64_t submit_timeouts = 0;  // submit deadlines that expired
   std::size_t queue_depth = 0;  // jobs waiting right now
   std::size_t queue_high_water = 0;
   double uptime_seconds = 0.0;  // since engine construction
@@ -226,28 +199,11 @@ class ScoringEngine {
                          const std::string& target_path,
                          ScoreOptions opts = {});
 
-  /// Score a whole group of targets against one bundle with a SINGLE
-  /// model forward: the per-target graphs become one block-diagonal
-  /// adjacency, the features one row-stacked matrix. Because every
-  /// target's rows only see their own block, each outcome is
-  /// bitwise-identical to a lone score() of that target. Outcomes are
-  /// positional; a target failing preflight gets its error without
-  /// affecting the rest, an unreadable bundle fails every outcome.
-  /// `trace_ids` (optional, targets.size() entries) carries the trace ids
-  /// riding on each target — several when duplicate requests were
-  /// collapsed onto it — so every coalesced request's trace records the
-  /// shared bundle_load/golden_sim/forward spans. Ignores
-  /// ScoreOptions::trace_id (per-target ids replace it).
-  std::vector<BatchOutcome> score_batch(
-      const std::string& bundle_path,
-      const std::vector<designs::Design>& targets, ScoreOptions opts = {},
-      const std::vector<std::vector<std::uint64_t>>* trace_ids = nullptr);
-
   /// Enqueue onto the worker pool; blocks while the queue is at capacity,
   /// or — when `queue_timeout` is set — gives up after that long with
-  /// EngineError(kQueueTimeout) so callers (the fleet admission path) can
+  /// EngineError(kQueueTimeout) so callers (the daemon's BUSY answer) can
   /// shed load instead of hanging. Throws EngineError(kShutdown) after
-  /// shutdown()/abort().
+  /// shutdown().
   std::future<ScoreResult> submit(
       std::string bundle_path, std::string target_path,
       ScoreOptions opts = {},
@@ -257,19 +213,9 @@ class ScoringEngine {
   /// Idempotent; the destructor calls it.
   void shutdown();
 
-  /// Abrupt stop (a killed fleet shard): queued jobs fail immediately
-  /// with EngineError(kAborted) so their clients can retry elsewhere;
-  /// jobs already on a worker still finish. Does NOT join the workers —
-  /// call shutdown() (or destroy the engine) to reap them.
-  void abort();
-
-  /// Pre-populate the bundle cache (the fleet hot-reload path warms the
-  /// new bundle version on its owner shard). Throws BundleError on an
-  /// unreadable or invalid bundle.
+  /// Pre-populate the bundle cache so the first request does not pay the
+  /// parse. Throws BundleError on an unreadable or invalid bundle.
   void prewarm(const std::string& bundle_path);
-
-  /// Jobs waiting in the queue right now (the admission-control input).
-  std::size_t queue_depth() const;
 
   MetricsSnapshot metrics() const;
 
@@ -296,22 +242,8 @@ class ScoringEngine {
     obs::TraceClock::time_point enqueued;
   };
 
-  /// Everything score() derives from a target before the model forward:
-  /// the partially-filled result (names, sites, stats timing), the
-  /// standardized feature matrix and the graph whose adjacency the
-  /// forward needs. Shared by the single and batched paths.
-  struct PreparedTarget {
-    ScoreResult result;
-    ml::Matrix features;
-    graphir::CircuitGraph graph;
-  };
-
-  PreparedTarget prepare_target(const ModelBundle& bundle,
-                                const designs::Design& target,
-                                const ScoreOptions& opts);
-
   void worker_loop();
-  void run_job_batch(std::vector<Job> batch);
+  void run_job(Job job);
 
   EngineConfig config_;
   // Declared before cache_/instrument pointers: they borrow from it.
@@ -331,17 +263,12 @@ class ScoringEngine {
   obs::Counter* errors_;
   obs::Counter* clone_hits_;
   obs::Counter* clone_misses_;
-  obs::Counter* batches_;
-  obs::Counter* batched_requests_;
-  obs::Counter* collapsed_requests_;
   obs::Counter* submit_timeouts_;
-  obs::Counter* aborted_jobs_;
   obs::Gauge* queue_depth_;
   obs::Histogram* request_ms_;
   obs::Histogram* load_ms_;
   obs::Histogram* stats_ms_;
   obs::Histogram* forward_ms_;
-  obs::Histogram* batch_size_;
 };
 
 /// Resolve a score target: registered design name, or a .v/.bench file

@@ -3,15 +3,19 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
+#include <charconv>
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 
 #include "src/obs/exporter.hpp"
 #include "src/obs/json.hpp"
+#include "src/obs/log.hpp"
+#include "src/obs/prom.hpp"
 #include "src/obs/request_trace.hpp"
 #include "src/util/text.hpp"
 
@@ -29,10 +33,36 @@ void send_all(int fd, const std::string& text) {
   }
 }
 
+// Reads and drops what the peer still sends, until its EOF or a quiet
+// second, for two seconds at most. close() on a socket with unread input
+// answers with an RST, which can destroy a reply still in flight; an
+// emptied buffer closes with a FIN. stop()'s SHUT_RD ends the wait at once.
+void discard_input(int fd) {
+  timeval timeout{};
+  timeout.tv_sec = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  char chunk[4096];
+  while (std::chrono::steady_clock::now() < deadline &&
+         ::recv(fd, chunk, sizeof(chunk), 0) > 0) {
+  }
+}
+
 }  // namespace
 
 std::string error_response(const std::string& message) {
   return "ERR " + message + "\n.\n";
+}
+
+std::optional<std::uint64_t> parse_decimal_id(const std::string& text) {
+  // from_chars on an unsigned type takes digits only (no sign, no
+  // whitespace) and reports overflow instead of clamping like strtoull.
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || stop != end || value == 0) return std::nullopt;
+  return value;
 }
 
 std::string LineServer::metrics_response(const std::string& payload) const {
@@ -65,8 +95,6 @@ std::string LineServer::metrics_response(const std::string& payload) const {
     server += ",\"exporter\":null";
   }
   server += "}";
-  // Splice into the subclass payload so both daemons expose the common
-  // fields at the same place without each re-assembling them.
   if (payload.size() < 2 || payload.front() != '{' || payload.back() != '}')
     return error_response("internal: METRICS payload is not a JSON object");
   std::string out = "{\"server\":" + server;
@@ -75,9 +103,8 @@ std::string LineServer::metrics_response(const std::string& payload) const {
   return out;
 }
 
-std::string LineServer::prom_response(
-    const std::vector<obs::PromSource>& sources) const {
-  return obs::to_prometheus(sources) + ".\n";
+std::string LineServer::prom_response(const obs::Registry& registry) const {
+  return obs::to_prometheus(registry) + ".\n";
 }
 
 std::string LineServer::trace_response(
@@ -87,11 +114,11 @@ std::string LineServer::trace_response(
   if (args[0] == "LAST" || args[0] == "last") {
     std::size_t n = 10;
     if (args.size() > 1) {
-      char* end = nullptr;
-      const unsigned long long v = std::strtoull(args[1].c_str(), &end, 10);
-      if (end == nullptr || *end != '\0' || v == 0)
-        return error_response("TRACE LAST: bad count '" + args[1] + "'");
-      n = static_cast<std::size_t>(v);
+      const auto v = parse_decimal_id(args[1]);
+      if (!v)
+        return error_response("TRACE LAST: bad count '" + args[1] +
+                              "' (want a nonzero decimal)");
+      n = static_cast<std::size_t>(*v);
     }
     const std::vector<obs::RequestTrace> traces = traces_->last(n);
     std::string out = "{\"count\":" + std::to_string(traces.size());
@@ -103,11 +130,11 @@ std::string LineServer::trace_response(
     out += "]}\n.\n";
     return out;
   }
-  char* end = nullptr;
-  const unsigned long long id = std::strtoull(args[0].c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || id == 0)
-    return error_response("TRACE: bad trace id '" + args[0] + "'");
-  const auto trace = traces_->find(static_cast<std::uint64_t>(id));
+  const auto id = parse_decimal_id(args[0]);
+  if (!id)
+    return error_response("TRACE: bad trace id '" + args[0] +
+                          "' (want a nonzero decimal)");
+  const auto trace = traces_->find(*id);
   if (!trace) {
     return error_response(
         traces_->enabled()
@@ -170,20 +197,56 @@ void LineServer::accept_loop() {
       ::close(fd);
       break;
     }
-    conn_fds_.insert(fd);
-    conn_threads_.emplace_back([this, fd] { connection_loop(fd); });
+    // The new thread looks its entry up under conn_mutex_, which is held
+    // until the entry owns the thread.
+    try {
+      conns_[fd] = std::thread([this, fd] { connection_loop(fd); });
+    } catch (const std::exception& e) {  // std::system_error: no thread
+      conns_.erase(fd);
+      ::close(fd);
+      obs::logf(obs::LogLevel::kWarn,
+                "dropping a connection: cannot start its thread (%s)",
+                e.what());
+    }
   }
 }
 
 void LineServer::connection_loop(int fd) {
+  serve_connection(fd);
+  std::thread previous;
+  {
+    util::MutexLock lock(conn_mutex_);
+    // Leave the table before closing the fd: stop() shuts down only fds
+    // still in it, so it never touches a closed (possibly reused) one.
+    const auto it = conns_.find(fd);
+    previous = std::exchange(finished_, std::move(it->second));
+    conns_.erase(it);
+  }
+  conn_closed_.notify_all();
+  ::close(fd);
+  // `previous` is past its request loop (it only closes its fd and joins
+  // its own predecessor), so this join is brief. Whoever joins this
+  // thread, the next finisher or stop(), thereby waits for every earlier
+  // connection thread as well.
+  if (previous.joinable()) previous.join();
+}
+
+void LineServer::serve_connection(int fd) {
   std::string buffer;
   char chunk[4096];
-  bool open = true;
-  while (open) {
+  for (;;) {
     const std::size_t newline = buffer.find('\n');
+    if ((newline == std::string::npos ? buffer.size() : newline) >
+        kMaxLineBytes) {
+      send_all(fd, error_response("request line exceeds " +
+                                  std::to_string(kMaxLineBytes) + " bytes"));
+      ::shutdown(fd, SHUT_WR);  // the reply, then EOF
+      discard_input(fd);
+      return;
+    }
     if (newline == std::string::npos) {
       const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-      if (n <= 0) break;  // peer closed, or stop() shut our read side down
+      if (n <= 0) return;  // peer closed, or stop() shut our read side down
       buffer.append(chunk, static_cast<std::size_t>(n));
       continue;
     }
@@ -193,13 +256,8 @@ void LineServer::connection_loop(int fd) {
     if (util::trim(line).empty()) continue;
     const std::string verb = util::split_ws(line)[0];
     send_all(fd, handle_line(line));
-    if (should_close(verb) || stopping_.load()) open = false;
+    if (should_close(verb) || stopping_.load()) return;
   }
-  {
-    util::MutexLock lock(conn_mutex_);
-    conn_fds_.erase(fd);
-  }
-  ::close(fd);
 }
 
 void LineServer::stop() {
@@ -214,19 +272,16 @@ void LineServer::stop() {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
+  std::thread last;
   {
     // Wake connections parked in recv(); their writes still complete, so
     // in-flight requests are answered before the threads exit.
     util::MutexLock lock(conn_mutex_);
-    for (const int fd : conn_fds_) ::shutdown(fd, SHUT_RD);
+    for (const auto& [fd, thread] : conns_) ::shutdown(fd, SHUT_RD);
+    while (!conns_.empty()) conn_closed_.wait(lock.native());
+    last = std::move(finished_);
   }
-  std::vector<std::thread> threads;
-  {
-    util::MutexLock lock(conn_mutex_);
-    threads.swap(conn_threads_);
-  }
-  for (auto& t : threads)
-    if (t.joinable()) t.join();
+  if (last.joinable()) last.join();
   running_.store(false);
 }
 

@@ -1,13 +1,17 @@
-// Reusable line-protocol TCP front end: bind/listen/accept plumbing,
+// Line-protocol TCP front end: bind/listen/accept plumbing,
 // thread-per-connection framing and graceful drain, with the actual
-// protocol supplied by a subclass's handle_line().
+// protocol supplied by a subclass's handle_line() (serve::Server).
 //
-// Both daemons in the tree sit on this base: serve::Server (one engine,
-// PR 4) and fleet::FleetServer (router over N shards, PR 6). The framing
-// contract they share: one request per '\n'-terminated line (a trailing
-// '\r' is stripped), blank lines are ignored, every response already
-// carries its own ".\n" terminator, and a handle_line() returning
-// after "QUIT" closes that connection (should_close()).
+// Framing contract: one request per '\n'-terminated line (a trailing
+// '\r' is stripped), at most kMaxLineBytes long; blank lines are ignored,
+// every response already carries its own ".\n" terminator, and a
+// handle_line() returning after "QUIT" closes that connection
+// (should_close()). A longer line is answered with ERR and the connection
+// is closed: nothing a client sends can grow the buffer without bound.
+//
+// Each connection runs on its own thread, and a finished connection's
+// thread is joined by the next one to finish (or by stop()), so the
+// threads held at any time are the live connections plus one.
 //
 // stop() is a graceful shutdown: the listening socket closes first, then
 // every connection's read side is shut down — requests already in flight
@@ -16,24 +20,36 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <thread>
-#include <unordered_set>
+#include <unordered_map>
 #include <vector>
 
-#include "src/obs/prom.hpp"
 #include "src/util/thread_annotations.hpp"
 
 namespace fcrit::obs {
+class Registry;
 class RequestTraceCollector;
 class TelemetryExporter;
 }  // namespace fcrit::obs
 
 namespace fcrit::serve {
 
+/// Longest request line accepted, '\n' excluded. A SCORE line is two
+/// paths and two integers; anything near this size is not a request.
+inline constexpr std::size_t kMaxLineBytes = 64 * 1024;
+
 /// "ERR <message>" plus the protocol terminator.
 std::string error_response(const std::string& message);
+
+/// A protocol id or count: a nonempty string of decimal digits whose
+/// value is nonzero and fits in 64 bits. No sign, space or suffix.
+/// Shared by SCORE's id= token and the TRACE <id> / TRACE LAST <n> verbs.
+std::optional<std::uint64_t> parse_decimal_id(const std::string& text);
 
 class LineServer {
  public:
@@ -79,16 +95,15 @@ class LineServer {
     return verb == "QUIT";
   }
 
-  /// The shared METRICS serializer both daemons answer through: splices a
-  /// common "server" object (uptime, trace-ring occupancy, exporter lag)
-  /// into the front of the subclass's JSON payload object, then frames it.
-  /// `payload` must be a JSON object ("{...}").
+  /// The METRICS serializer: splices a "server" object (uptime,
+  /// trace-ring occupancy, exporter lag) into the front of the subclass's
+  /// JSON payload object, then frames it. `payload` must be a JSON object
+  /// ("{...}").
   std::string metrics_response(const std::string& payload) const;
 
-  /// METRICS PROM: the registries rendered in Prometheus text exposition
-  /// format, framed. Subclasses supply their registry set (the fleet adds
-  /// per-shard labels).
-  std::string prom_response(const std::vector<obs::PromSource>& sources) const;
+  /// METRICS PROM: the registry rendered in Prometheus text exposition
+  /// format, framed.
+  std::string prom_response(const obs::Registry& registry) const;
 
   /// TRACE <id> / TRACE LAST <n> against the attached collector.
   /// `args` are the tokens after the verb.
@@ -97,6 +112,9 @@ class LineServer {
  private:
   void accept_loop();
   void connection_loop(int fd);
+  /// Frame and answer requests on `fd` until the peer leaves, QUIT, an
+  /// oversized line, or stop().
+  void serve_connection(int fd);
 
   std::chrono::steady_clock::time_point started_ =
       std::chrono::steady_clock::now();
@@ -107,10 +125,14 @@ class LineServer {
   int port_ = 0;
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};
-  std::thread acceptor_;
   util::Mutex conn_mutex_;
-  std::vector<std::thread> conn_threads_ GUARDED_BY(conn_mutex_);
-  std::unordered_set<int> conn_fds_ GUARDED_BY(conn_mutex_);
+  /// Live connections by socket fd (unique while the entry exists: a
+  /// connection leaves the table before it closes its fd).
+  std::unordered_map<int, std::thread> conns_ GUARDED_BY(conn_mutex_);
+  /// The most recently finished connection's thread, not yet joined.
+  std::thread finished_ GUARDED_BY(conn_mutex_);
+  std::condition_variable conn_closed_;  // signalled as conns_ shrinks
+  std::thread acceptor_;  // declared last: it uses every member above
 };
 
 }  // namespace fcrit::serve

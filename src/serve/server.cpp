@@ -1,7 +1,8 @@
 #include "src/serve/server.hpp"
 
-#include <cstdlib>
+#include <chrono>
 #include <filesystem>
+#include <future>
 #include <sstream>
 #include <stdexcept>
 
@@ -20,12 +21,11 @@ ScoreRequest parse_score_request(const std::vector<std::string>& args,
   req.top = default_top;
   for (const std::string& arg : args) {
     if (arg.rfind("id=", 0) == 0) {
-      char* end = nullptr;
-      const unsigned long long v = std::strtoull(arg.c_str() + 3, &end, 10);
-      if (end == nullptr || *end != '\0' || v == 0)
+      const auto id = parse_decimal_id(arg.substr(3));
+      if (!id)
         throw std::runtime_error("bad trace id '" + arg +
                                  "' (want id=<nonzero decimal>)");
-      req.trace_id = static_cast<std::uint64_t>(v);
+      req.trace_id = *id;
       continue;
     }
     rest.push_back(arg);
@@ -118,7 +118,7 @@ std::string Server::handle_line(const std::string& line) {
 
   if (verb == "METRICS") {
     if (tokens.size() > 1 && tokens[1] == "PROM")
-      return prom_response({obs::PromSource{"", &engine_.metrics_registry()}});
+      return prom_response(engine_.metrics_registry());
     return metrics_response(engine_.metrics_json());
   }
 
@@ -139,19 +139,37 @@ std::string Server::handle_line(const std::string& line) {
   if (verb == "SCORE") {
     obs::RequestTraceCollector* tc = trace_collector();
     std::uint64_t trace_id = 0;
+    // Held until the reply is built. A failed job's exception is freed by
+    // whichever of this thread and the worker lets go of the job's state
+    // last; future::get() would let go before the catch below reads the
+    // message, leaving that ordering to reference counts inside libstdc++,
+    // which ThreadSanitizer cannot see.
+    std::shared_future<ScoreResult> pending;
     try {
       const ScoreRequest req = parse_score_request(
           {tokens.begin() + 1, tokens.end()}, config_.default_top);
+      // Resolved per request, and the bundle cache is keyed by content:
+      // a bundle added or renamed into the directory is served next time.
       const std::string bundle_path =
           resolve_bundle_token(config_.bundle_dir, req.bundle_token);
       ScoreOptions opts;
       if (tc)
         trace_id = opts.trace_id =
             tc->begin(bundle_path, req.target, req.trace_id);
-      const ScoreResult r =
-          engine_.submit(bundle_path, req.target, opts).get();
+      // Zero queue deadline: a full queue sheds (BUSY) instead of parking
+      // this connection behind the backlog.
+      pending = engine_
+                    .submit(bundle_path, req.target, opts,
+                            std::chrono::milliseconds(0))
+                    .share();
+      const ScoreResult& r = pending.get();
       if (tc) tc->finish(trace_id, "ok");
       return format_score_response(r, req.top);
+    } catch (const EngineError& e) {
+      const bool busy = e.code() == EngineErrorCode::kQueueTimeout;
+      if (tc) tc->finish(trace_id, busy ? "shed" : "error", e.what());
+      return busy ? "BUSY " + std::string(e.what()) + "\n.\n"
+                  : error_response(e.what());
     } catch (const std::exception& e) {
       if (tc) tc->finish(trace_id, "error", e.what());
       return error_response(e.what());

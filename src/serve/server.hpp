@@ -1,21 +1,24 @@
 // The `fcrit serve` daemon: a line-protocol front end (src/serve/
-// line_server.hpp) over ONE ScoringEngine and a directory of model
-// bundles. The multi-shard variant lives in src/fleet/fleet_server.hpp.
+// line_server.hpp) over one ScoringEngine and a directory of model
+// bundles.
 //
 // Wire protocol (one request per line; every response ends with a line
 // holding a single "."):
 //   SCORE [<bundle>] <netlist-path> [<top-n>] [id=<n>]
 //       <bundle> is a file name inside the bundle directory (".fcm"
 //       appended when missing) or an absolute/relative path; it may be
-//       omitted when the directory holds exactly one bundle. id=<n>
-//       supplies the client's own trace id (decimal). Replies
-//       "OK design=... bundle=... nodes=N matched=0|1 top=K [trace=<id>]"
-//       followed by K lines "<node> <proba> <class> <score>".
+//       omitted when the directory holds exactly one bundle. The bundle
+//       is resolved and its bytes hashed on every request, so a bundle
+//       renamed into the directory is served from the next request on.
+//       id=<n> supplies the client's own trace id (nonzero decimal).
+//       Replies "OK design=... bundle=... nodes=N matched=0|1 top=K
+//       [trace=<id>]" followed by K lines "<node> <proba> <class>
+//       <score>", or "BUSY <detail>" when the engine's queue is full.
 //   STATS
 //       One "OK requests=... completed=... errors=... cache_hits=...
 //       cache_misses=... queue_high_water=... threads=..." line.
 //   METRICS
-//       One line holding a JSON snapshot: the shared "server" object
+//       One line holding a JSON snapshot: the "server" object
 //       (uptime, trace-ring occupancy, exporter lag — serve::LineServer)
 //       merged with the engine's registry snapshot (request counters,
 //       cache hit ratio, queue depth, latency histograms with p50/p90/p99;
@@ -26,7 +29,8 @@
 //       One completed request trace as JSON / the n most recent ones.
 //   QUIT
 //       Replies "BYE" and closes the connection.
-// Any failure replies "ERR <message>".
+// Any failure replies "ERR <message>"; a line longer than kMaxLineBytes
+// also closes the connection.
 #pragma once
 
 #include <cstdint>
@@ -38,11 +42,10 @@
 
 namespace fcrit::serve {
 
-/// A parsed SCORE request line. The shared grammar of serve::Server and
-/// fleet::FleetServer: SCORE [<bundle>] <netlist-path> [<top-n>] [id=<n>],
-/// where a trailing integer is the top-n, a lone path-like argument means
-/// "the directory's only bundle" (empty bundle_token), and an id= token
-/// anywhere supplies the client's own decimal trace id.
+/// A parsed SCORE request line: SCORE [<bundle>] <netlist-path> [<top-n>]
+/// [id=<n>], where a trailing integer is the top-n, a lone path-like
+/// argument means "the directory's only bundle" (empty bundle_token), and
+/// an id= token anywhere supplies the client's own decimal trace id.
 struct ScoreRequest {
   std::string bundle_token;  // empty = sole bundle in the directory
   std::string target;

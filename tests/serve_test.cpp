@@ -1,18 +1,26 @@
 // The serve subsystem: bundle round-trips (bit-identical to the training
 // pipeline), strict-validation failures, the LRU bundle cache, engine
-// concurrency/determinism, and the wire protocol of the daemon.
+// concurrency/determinism, and the daemon: wire protocol, BUSY admission,
+// hot reload by rename, request traces and connection hygiene.
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <pthread.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cerrno>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <limits>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -437,104 +445,7 @@ TEST(ScoringEngineTest, ShutdownDrainsQueuedJobs) {
   EXPECT_GT(m.queue_high_water, 0u);
 }
 
-// ---- batching, admission deadlines, abort ---------------------------------
-
-TEST(ScoringEngineTest, ScoreBatchIsBitwiseIdenticalToSolo) {
-  const std::string dir = ::testing::TempDir();
-  const auto owner = tiny_design(81);
-  const std::string path = dir + "fcrit_batch.fcm";
-  save_bundle_file(synthetic_bundle(owner, 13), path);
-  // Three different netlists against ONE bundle — the cross-connection
-  // coalescing case (non-strict scoring of foreign netlists is allowed).
-  const std::vector<designs::Design> targets = {owner, tiny_design(82),
-                                                tiny_design(83)};
-
-  ScoringEngine engine({.threads = 1});
-  std::vector<ScoreResult> solo;
-  for (const auto& t : targets) solo.push_back(engine.score(path, t));
-
-  const auto outcomes = engine.score_batch(path, targets);
-  ASSERT_EQ(outcomes.size(), targets.size());
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    ASSERT_TRUE(outcomes[i].result.has_value()) << "target " << i;
-    const ScoreResult& b = *outcomes[i].result;
-    // Bitwise: the block-diagonal forward must not perturb a single bit
-    // of any target's numbers.
-    EXPECT_EQ(b.proba, solo[i].proba) << "target " << i;
-    EXPECT_EQ(b.predicted, solo[i].predicted) << "target " << i;
-    EXPECT_EQ(b.score, solo[i].score) << "target " << i;
-    EXPECT_EQ(b.sites, solo[i].sites) << "target " << i;
-    EXPECT_EQ(b.netlist_matched, solo[i].netlist_matched) << "target " << i;
-  }
-  const MetricsSnapshot m = engine.metrics();
-  EXPECT_EQ(m.batches, 1u);
-  EXPECT_EQ(m.batched_requests, targets.size());
-}
-
-TEST(ScoringEngineTest, ScoreBatchIsolatesPerTargetFailures) {
-  const std::string dir = ::testing::TempDir();
-  const auto owner = tiny_design(84);
-  const std::string path = dir + "fcrit_batch_err.fcm";
-  save_bundle_file(synthetic_bundle(owner, 14), path);
-
-  ScoringEngine engine({.threads = 1});
-  // Strict hashing: the foreign middle target must fail alone while its
-  // batch mates score normally.
-  const std::vector<designs::Design> targets = {owner, tiny_design(85),
-                                                owner};
-  const auto outcomes =
-      engine.score_batch(path, targets, {.strict_hash = true});
-  ASSERT_EQ(outcomes.size(), 3u);
-  EXPECT_TRUE(outcomes[0].result.has_value());
-  EXPECT_TRUE(outcomes[2].result.has_value());
-  ASSERT_TRUE(outcomes[1].error != nullptr);
-  try {
-    std::rethrow_exception(outcomes[1].error);
-    FAIL() << "expected BundleError";
-  } catch (const BundleError& e) {
-    EXPECT_EQ(e.code(), BundleErrorCode::kNetlistHashMismatch);
-  }
-  EXPECT_EQ(outcomes[0].result->proba, outcomes[2].result->proba);
-}
-
-TEST(ScoringEngineTest, WorkerCoalescesQueuedSameBundleJobs) {
-  const std::string dir = ::testing::TempDir();
-  const auto d = tiny_design(86);
-  const std::string path = dir + "fcrit_coalesce.fcm";
-  save_bundle_file(synthetic_bundle(d, 15), path);
-  const std::string netlist_path = dir + "fcrit_coalesce.v";
-  write_file(netlist_path, netlist::to_verilog(d.netlist));
-
-  // One worker, parked by the hook on its FIRST job: everything submitted
-  // while it is parked piles up and must leave the queue as one batch.
-  std::promise<void> release;
-  std::shared_future<void> released = release.get_future().share();
-  std::atomic<int> hook_calls{0};
-  EngineConfig cfg;
-  cfg.threads = 1;
-  cfg.queue_capacity = 16;
-  cfg.batch_max = 8;
-  cfg.before_score_hook = [&](const std::string&) {
-    if (hook_calls.fetch_add(1) == 0) released.wait();
-  };
-  ScoringEngine engine(cfg);
-
-  std::vector<std::future<ScoreResult>> futures;
-  futures.push_back(engine.submit(path, netlist_path));  // parks the worker
-  while (hook_calls.load() == 0) std::this_thread::yield();
-  for (int i = 0; i < 4; ++i)
-    futures.push_back(engine.submit(path, netlist_path));
-  release.set_value();
-  for (auto& f : futures) EXPECT_NO_THROW(f.get());
-
-  const MetricsSnapshot m = engine.metrics();
-  EXPECT_EQ(m.completed, 5u);
-  EXPECT_EQ(m.batches, 1u);           // the 4 queued jobs, as one forward
-  EXPECT_EQ(m.batched_requests, 4u);  // job 1 ran solo before the pile-up
-  // All four queued jobs named the SAME target: one is scored, the other
-  // three collapse onto its result.
-  EXPECT_EQ(m.collapsed_requests, 3u);
-}
+// ---- admission deadlines -------------------------------------------------
 
 TEST(ScoringEngineTest, SubmitDeadlineTimesOutWithTypedError) {
   // Regression (PR 6): submit() used to block forever on a full queue;
@@ -572,51 +483,6 @@ TEST(ScoringEngineTest, SubmitDeadlineTimesOutWithTypedError) {
   release.set_value();
   EXPECT_NO_THROW(f1.get());
   EXPECT_NO_THROW(f2.get());
-}
-
-TEST(ScoringEngineTest, AbortFailsQueuedJobsAndKeepsInFlightOnes) {
-  const std::string dir = ::testing::TempDir();
-  const auto d = tiny_design(88);
-  const std::string path = dir + "fcrit_abort.fcm";
-  save_bundle_file(synthetic_bundle(d, 17), path);
-  const std::string netlist_path = dir + "fcrit_abort.v";
-  write_file(netlist_path, netlist::to_verilog(d.netlist));
-
-  std::promise<void> release;
-  std::shared_future<void> released = release.get_future().share();
-  std::atomic<int> hook_calls{0};
-  EngineConfig cfg;
-  cfg.threads = 1;
-  cfg.before_score_hook = [&](const std::string&) {
-    if (hook_calls.fetch_add(1) == 0) released.wait();
-  };
-  ScoringEngine engine(cfg);
-
-  auto in_flight = engine.submit(path, netlist_path);  // parked in hook
-  while (hook_calls.load() == 0) std::this_thread::yield();
-  auto queued_a = engine.submit(path, netlist_path);
-  auto queued_b = engine.submit(path, netlist_path);
-
-  engine.abort();  // the fleet's shard-kill path
-  for (auto* f : {&queued_a, &queued_b}) {
-    try {
-      f->get();
-      FAIL() << "expected EngineError(kAborted)";
-    } catch (const EngineError& e) {
-      EXPECT_EQ(e.code(), EngineErrorCode::kAborted);
-    }
-  }
-  // The job already on the worker still finishes once released.
-  release.set_value();
-  EXPECT_NO_THROW(in_flight.get());
-  // And the engine refuses new work with the typed shutdown error.
-  try {
-    engine.submit(path, netlist_path);
-    FAIL() << "expected EngineError(kShutdown)";
-  } catch (const EngineError& e) {
-    EXPECT_EQ(e.code(), EngineErrorCode::kShutdown);
-  }
-  engine.shutdown();
 }
 
 // ---- daemon wire protocol -------------------------------------------------
@@ -753,7 +619,7 @@ TEST(ServerTest, TraceVerbReturnsSpansForScoredRequests) {
     EXPECT_NE(body.find("\"verdict\":\"ok\""), std::string::npos);
     // The per-stage story every trace must tell (docs/OBSERVABILITY.md).
     for (const char* span :
-         {"\"queue_wait\"", "\"batch_assembly\"", "\"bundle_load\"",
+         {"\"queue_wait\"", "\"parse\"", "\"bundle_load\"",
           "\"golden_sim\"", "\"forward\""})
       EXPECT_NE(body.find(span), std::string::npos) << span << " in " << body;
   }
@@ -878,13 +744,417 @@ TEST(ServerTest, UntracedEngineStillServesAndTraceVerbExplains) {
 TEST(ServerTest, HandleLineReportsUsageErrors) {
   const std::string dir = ::testing::TempDir() + "fcrit_srv_empty";
   std::filesystem::create_directories(dir);
-  ScoringEngine engine({.threads = 1});
+  obs::RequestTraceCollector traces(4);
+  traces.set_enabled(true);
+  ScoringEngine engine({.threads = 1, .traces = &traces});
   Server server(engine, {.bundle_dir = dir, .port = 0});
   EXPECT_EQ(server.handle_line("SCORE").substr(0, 3), "ERR");
   EXPECT_EQ(server.handle_line("SCORE missing.fcm x.v").substr(0, 3), "ERR");
   EXPECT_EQ(server.handle_line("SCORE only.v").substr(0, 3), "ERR")
       << "empty bundle dir cannot resolve an implicit bundle";
   EXPECT_EQ(server.handle_line("STATS").substr(0, 2), "OK");
+
+  // Ids and counts are nonzero decimal digit strings that fit in 64 bits:
+  // no sign, no wrap-around to 2^64-1, no hex, no empty value.
+  for (const char* bad :
+       {"id=-1", "id=+5", "id=0", "id=", "id=0x10", "id=7x",
+        "id=99999999999999999999", "id=18446744073709551616"}) {
+    EXPECT_THROW(parse_score_request({"x.v", bad}, 10), std::runtime_error)
+        << bad;
+    const std::string reply = server.handle_line(std::string("SCORE x.v ") +
+                                                 bad);
+    EXPECT_EQ(reply.rfind("ERR bad trace id", 0), 0u) << bad << ": " << reply;
+  }
+  EXPECT_EQ(parse_score_request({"x.v", "id=18446744073709551615"}, 10)
+                .trace_id,
+            std::numeric_limits<std::uint64_t>::max());
+  for (const char* bad :
+       {"-1", "+1", "0", "1e3", "99999999999999999999"}) {
+    const std::string reply = server.handle_line(std::string("TRACE ") + bad);
+    EXPECT_EQ(reply.rfind("ERR TRACE: bad trace id", 0), 0u)
+        << bad << ": " << reply;
+    const std::string last =
+        server.handle_line(std::string("TRACE LAST ") + bad);
+    EXPECT_EQ(last.rfind("ERR TRACE LAST: bad count", 0), 0u)
+        << bad << ": " << last;
+  }
+  EXPECT_EQ(server.handle_line("TRACE LAST 18446744073709551615").substr(0, 9),
+            "{\"count\":");
+}
+
+// ---- BUSY admission, hot reload, traces -----------------------------------
+
+/// A fresh, empty temp directory (TempDir is shared across the suite and
+/// across runs, so stale bundles must not leak into a test).
+std::string make_bundle_dir(const std::string& tag) {
+  const std::string dir = ::testing::TempDir() + "fcrit_srv_" + tag;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+/// Copy `from` beside `to` and rename it over `to`: the atomic replacement
+/// docs/SERVING.md prescribes, so a reader sees the old or the new bytes.
+void replace_by_rename(const std::string& from, const std::string& to) {
+  const std::string staging = to + ".staging";
+  std::filesystem::copy_file(from, staging,
+                             std::filesystem::copy_options::overwrite_existing);
+  std::filesystem::rename(staging, to);
+}
+
+std::string trace_id_of(const std::string& ok_response) {
+  const std::size_t at = ok_response.find(" trace=");
+  EXPECT_NE(at, std::string::npos) << ok_response;
+  if (at == std::string::npos) return "";
+  const std::size_t end = ok_response.find('\n', at);
+  return ok_response.substr(at + 7, end - at - 7);
+}
+
+TEST(ServerTest, FullQueueAnswersBusyAndQueuedRequestsComplete) {
+  const std::string dir = make_bundle_dir("busy");
+  const auto d = tiny_design(131);
+  save_bundle_file(synthetic_bundle(d, 11), dir + "/b.fcm");
+  const std::string netlist_path = dir + "/b.v";
+  write_file(netlist_path, netlist::to_verilog(d.netlist));
+
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::atomic<int> hook_calls{0};
+  obs::RequestTraceCollector traces(16);
+  traces.set_enabled(true);
+  EngineConfig cfg;
+  cfg.threads = 1;
+  cfg.queue_capacity = 2;
+  cfg.before_score_hook = [&](const std::string&) {
+    if (hook_calls.fetch_add(1) == 0) released.wait();
+  };
+  cfg.traces = &traces;
+  ScoringEngine engine(cfg);
+  Server server(engine, {.bundle_dir = dir, .port = 0});
+
+  // Park the only worker on the first request, then fill the queue.
+  std::vector<std::string> replies(3);
+  std::vector<std::thread> clients;
+  clients.emplace_back(
+      [&] { replies[0] = server.handle_line("SCORE " + netlist_path); });
+  while (hook_calls.load() == 0) std::this_thread::yield();
+  for (std::size_t i = 1; i < replies.size(); ++i)
+    clients.emplace_back([&, i] {
+      replies[i] = server.handle_line("SCORE " + netlist_path);
+    });
+  while (engine.metrics().queue_depth < cfg.queue_capacity)
+    std::this_thread::yield();
+
+  // A full queue sheds at once instead of parking the connection.
+  const std::string busy = server.handle_line("SCORE " + netlist_path +
+                                              " id=77");
+  EXPECT_EQ(busy.rfind("BUSY ", 0), 0u) << busy;
+  EXPECT_EQ(busy.substr(busy.size() - 3), "\n.\n") << busy;
+  EXPECT_EQ(engine.metrics().submit_timeouts, 1u);
+  const std::string shed = server.handle_line("TRACE 77");
+  EXPECT_NE(shed.find("\"verdict\":\"shed\""), std::string::npos) << shed;
+
+  release.set_value();
+  for (auto& t : clients) t.join();
+  for (const std::string& r : replies) EXPECT_EQ(r.substr(0, 2), "OK") << r;
+  const MetricsSnapshot m = engine.metrics();
+  EXPECT_EQ(m.completed, 3u);
+  EXPECT_EQ(m.errors, 0u);
+  EXPECT_LE(m.queue_high_water, cfg.queue_capacity);
+}
+
+TEST(ServerTest, BundleReplacedByRenameIsServedOnTheNextScore) {
+  const std::string dir = make_bundle_dir("reload");
+  const std::string versions = make_bundle_dir("reload_versions");
+  const auto d = tiny_design(141);
+  const std::string v1 = versions + "/v1.fcm";
+  const std::string v2 = versions + "/v2.fcm";
+  save_bundle_file(synthetic_bundle(d, 21), v1);
+  save_bundle_file(synthetic_bundle(d, 22), v2);
+  const std::string netlist_path = dir + "/model.v";
+  write_file(netlist_path, netlist::to_verilog(d.netlist));
+  const std::string live = dir + "/model.fcm";
+  replace_by_rename(v1, live);
+
+  ScoringEngine ref({.threads = 1});
+  const std::string expect_v1 =
+      format_score_response(ref.score_path(v1, netlist_path), 5);
+  const std::string expect_v2 =
+      format_score_response(ref.score_path(v2, netlist_path), 5);
+  ASSERT_NE(expect_v1, expect_v2) << "the two versions must score apart";
+
+  ScoringEngine engine({.threads = 2});
+  Server server(engine, {.bundle_dir = dir, .port = 0});
+  EXPECT_EQ(server.handle_line("SCORE model " + netlist_path + " 5"),
+            expect_v1);
+  EXPECT_EQ(server.handle_line("SCORE model " + netlist_path + " 5"),
+            expect_v1);
+  EXPECT_EQ(engine.metrics().cache_misses, 1u);
+
+  // New weights under the same name: the next request re-reads the file,
+  // misses the content-keyed cache once, and serves the new version.
+  replace_by_rename(v2, live);
+  EXPECT_EQ(server.handle_line("SCORE model " + netlist_path + " 5"),
+            expect_v2);
+  EXPECT_EQ(server.handle_line("SCORE model.fcm " + netlist_path + " 5"),
+            expect_v2);
+  EXPECT_EQ(engine.metrics().cache_misses, 2u);
+
+  // A bundle added while the server runs resolves and serves.
+  const auto d2 = tiny_design(142);
+  const std::string v3 = versions + "/second.fcm";
+  save_bundle_file(synthetic_bundle(d2, 23), v3);
+  replace_by_rename(v3, dir + "/second.fcm");
+  const std::string netlist2 = dir + "/second.v";
+  write_file(netlist2, netlist::to_verilog(d2.netlist));
+  const std::string second =
+      server.handle_line("SCORE second " + netlist2 + " 5");
+  EXPECT_EQ(second, format_score_response(ref.score_path(v3, netlist2), 5));
+  EXPECT_NE(second.find(" nodes=" + std::to_string(d2.netlist.num_nodes())),
+            std::string::npos)
+      << second;
+}
+
+TEST(ServerTest, RenameSwapUnderLoadServesOneVersionPerRequest) {
+  // Four clients keep scoring while another thread swaps two versions of
+  // one bundle by rename: no request may fail, and every body must be one
+  // version's solo result, never a mix or a half-read file.
+  const std::string dir = make_bundle_dir("swap");
+  const std::string versions = make_bundle_dir("swap_versions");
+  const auto d = tiny_design(145);
+  const std::string va = versions + "/a.fcm";
+  const std::string vb = versions + "/b.fcm";
+  save_bundle_file(synthetic_bundle(d, 31), va);
+  save_bundle_file(synthetic_bundle(d, 32), vb);
+  const std::string netlist_path = dir + "/hot.v";
+  write_file(netlist_path, netlist::to_verilog(d.netlist));
+  const std::string live = dir + "/hot.fcm";
+  replace_by_rename(va, live);
+
+  ScoringEngine ref({.threads = 1});
+  const std::set<std::string> expected = {
+      format_score_response(ref.score_path(va, netlist_path), 3),
+      format_score_response(ref.score_path(vb, netlist_path), 3)};
+  ASSERT_EQ(expected.size(), 2u);
+
+  ScoringEngine engine({.threads = 4});
+  Server server(engine, {.bundle_dir = dir, .port = 0});
+  server.start();
+
+  constexpr int kClients = 4;
+  constexpr int kPerClient = 12;
+  std::atomic<int> clients_done{0};
+  std::atomic<int> errors{0};
+  std::atomic<int> foreign{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c)
+    clients.emplace_back([&] {
+      const int fd = connect_to(server.port());
+      for (int k = 0; k < kPerClient; ++k) {
+        const std::string reply =
+            request(fd, "SCORE hot " + netlist_path + " 3");
+        if (reply.rfind("ERR", 0) == 0) errors.fetch_add(1);
+        if (expected.count(reply) == 0) foreign.fetch_add(1);
+      }
+      request(fd, "QUIT");
+      ::close(fd);
+      clients_done.fetch_add(1);
+    });
+  int swaps = 0;
+  while (clients_done.load() < kClients) {
+    replace_by_rename(swaps % 2 == 0 ? vb : va, live);
+    ++swaps;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  for (auto& t : clients) t.join();
+  server.stop();
+
+  EXPECT_EQ(errors.load(), 0);
+  EXPECT_EQ(foreign.load(), 0);
+  EXPECT_GT(swaps, 1);
+  const MetricsSnapshot m = engine.metrics();
+  EXPECT_EQ(m.completed, static_cast<std::uint64_t>(kClients * kPerClient));
+  EXPECT_EQ(m.errors, 0u);
+}
+
+TEST(ServerTest, ResolveBundleTokenForms) {
+  const std::string dir = make_bundle_dir("resolve");
+  const auto d = tiny_design(111);
+  save_bundle_file(synthetic_bundle(d, 7), dir + "/only.fcm");
+
+  EXPECT_EQ(resolve_bundle_token(dir, ""), dir + "/only.fcm");
+  EXPECT_EQ(resolve_bundle_token(dir, "only"), dir + "/only.fcm");
+  EXPECT_EQ(resolve_bundle_token(dir, "only.fcm"), dir + "/only.fcm");
+  // A token with '/' is a path, taken as is (it need not be in the dir).
+  const std::string elsewhere = make_bundle_dir("resolve_elsewhere");
+  save_bundle_file(synthetic_bundle(d, 8), elsewhere + "/other.fcm");
+  EXPECT_EQ(resolve_bundle_token(dir, elsewhere + "/other.fcm"),
+            elsewhere + "/other.fcm");
+  EXPECT_THROW(resolve_bundle_token(dir, "absent"), std::runtime_error);
+  EXPECT_THROW(resolve_bundle_token(dir, elsewhere + "/absent.fcm"),
+               std::runtime_error);
+  // An implicit bundle needs exactly one in the directory.
+  save_bundle_file(synthetic_bundle(d, 9), dir + "/second.fcm");
+  EXPECT_THROW(resolve_bundle_token(dir, ""), std::runtime_error);
+}
+
+TEST(ServerTest, ConcurrentScoresEachHaveARetrievableTrace) {
+  const std::string dir = make_bundle_dir("trace5");
+  const auto d = tiny_design(161);
+  save_bundle_file(synthetic_bundle(d, 41), dir + "/hot.fcm");
+  const std::string netlist_path = dir + "/hot.v";
+  write_file(netlist_path, netlist::to_verilog(d.netlist));
+
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::atomic<int> hook_calls{0};
+  obs::RequestTraceCollector traces(16);
+  traces.set_enabled(true);
+  EngineConfig cfg;
+  cfg.threads = 1;
+  cfg.before_score_hook = [&](const std::string&) {
+    if (hook_calls.fetch_add(1) == 0) released.wait();
+  };
+  cfg.traces = &traces;
+  ScoringEngine engine(cfg);
+  Server server(engine, {.bundle_dir = dir, .port = 0});
+
+  // Park the worker on the first request so the other four queue behind
+  // it: every trace then has a real queue_wait.
+  constexpr std::size_t kRequests = 5;
+  std::vector<std::string> replies(kRequests);
+  std::vector<std::thread> clients;
+  clients.emplace_back(
+      [&] { replies[0] = server.handle_line("SCORE " + netlist_path); });
+  while (hook_calls.load() == 0) std::this_thread::yield();
+  for (std::size_t i = 1; i < kRequests; ++i)
+    clients.emplace_back([&, i] {
+      replies[i] = server.handle_line("SCORE " + netlist_path);
+    });
+  while (engine.metrics().queue_depth < kRequests - 1)
+    std::this_thread::yield();
+  release.set_value();
+  for (auto& t : clients) t.join();
+
+  std::set<std::string> ids;
+  for (const std::string& r : replies) {
+    ASSERT_EQ(r.substr(0, 2), "OK") << r;
+    const std::string id = trace_id_of(r);
+    ASSERT_FALSE(id.empty());
+    ids.insert(id);
+    const std::string reply = server.handle_line("TRACE " + id);
+    ASSERT_NE(reply.substr(0, 3), "ERR") << reply;
+    const std::string body = reply.substr(0, reply.size() - 3);
+    ASSERT_TRUE(obs::json_valid(body)) << body;
+    EXPECT_NE(body.find("\"id\":\"" + id + "\""), std::string::npos);
+    EXPECT_NE(body.find("\"verdict\":\"ok\""), std::string::npos) << body;
+    for (const char* span : {"\"queue_wait\"", "\"parse\"", "\"bundle_load\"",
+                             "\"golden_sim\"", "\"forward\""})
+      EXPECT_NE(body.find(span), std::string::npos) << span << " in " << body;
+  }
+  EXPECT_EQ(ids.size(), kRequests) << "trace ids must be distinct";
+
+  const std::string last = server.handle_line("TRACE LAST 3");
+  const std::string last_body = last.substr(0, last.size() - 3);
+  EXPECT_TRUE(obs::json_valid(last_body)) << last_body;
+  EXPECT_NE(last_body.find("\"count\":3"), std::string::npos);
+}
+
+// ---- connection hygiene ---------------------------------------------------
+
+/// The process's virtual size in KiB from /proc/self/status, or -1.
+long vm_size_kib() {
+  std::ifstream is("/proc/self/status");
+  std::string line;
+  while (std::getline(is, line))
+    if (line.rfind("VmSize:", 0) == 0) return std::stol(line.substr(7));
+  return -1;
+}
+
+TEST(ServerTest, SequentialConnectionsDoNotAccumulateThreads) {
+  // Every connection runs on its own thread. A finished one must be
+  // joined before long: an exited but unjoined thread keeps its whole
+  // stack mapped (8 MiB by default), so 256 sequential clients would
+  // otherwise grow the address space by 256 stacks.
+  if (vm_size_kib() < 0) GTEST_SKIP() << "no /proc/self/status";
+  std::size_t stack_bytes = 0;
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  pthread_attr_getstacksize(&attr, &stack_bytes);
+  pthread_attr_destroy(&attr);
+  // A few stacks of slack (the live connection, one not yet joined,
+  // allocator arenas), far below the 256 an unreaped server keeps.
+  const long bound_kib =
+      std::max(64L * 1024, 16 * static_cast<long>(stack_bytes / 1024));
+  const std::string dir = make_bundle_dir("conns");
+  ScoringEngine engine({.threads = 1});
+  Server server(engine, {.bundle_dir = dir, .port = 0});
+  server.start();
+  auto quit_once = [&] {
+    const int fd = connect_to(server.port());
+    EXPECT_EQ(request(fd, "QUIT"), "BYE\n.\n");
+    char ch = 0;
+    EXPECT_EQ(::recv(fd, &ch, 1, 0), 0) << "QUIT must close the connection";
+    ::close(fd);
+  };
+  for (int i = 0; i < 8; ++i) quit_once();  // warm up allocator arenas
+  const long before = vm_size_kib();
+  for (int i = 0; i < 256; ++i) quit_once();
+  const long grown_kib = vm_size_kib() - before;
+  server.stop();
+  RecordProperty("vm_size_growth_kib", std::to_string(grown_kib));
+  EXPECT_LT(grown_kib, bound_kib) << "VmSize grew " << grown_kib << " KiB";
+}
+
+TEST(ServerTest, OverlongRequestLineGetsErrThenEof) {
+  const std::string dir = make_bundle_dir("longline");
+  ScoringEngine engine({.threads = 1});
+  Server server(engine, {.bundle_dir = dir, .port = 0});
+  server.start();
+  const int fd = connect_to(server.port());
+  // Bounded waits: a server that keeps buffering must fail the test, not
+  // hang it.
+  timeval timeout{};
+  timeout.tv_sec = 10;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
+
+  // A long line under the cap is an ordinary (bad) request.
+  const std::string near_cap =
+      request(fd, "NONSENSE " + std::string(60 * 1024, 'x'));
+  EXPECT_EQ(near_cap.rfind("ERR unknown command", 0), 0u);
+  EXPECT_EQ(request(fd, "STATS").substr(0, 2), "OK");
+
+  // 1 MiB without a newline: ERR once the cap is passed, then EOF. The
+  // server reads what is still arriving before it closes: a close with
+  // unread input would reset the connection, which can drop the ERR.
+  std::thread sender([fd] {
+    const std::string blob(1 << 20, 'A');
+    std::size_t sent = 0;
+    while (sent < blob.size()) {
+      const ssize_t n = ::send(fd, blob.data() + sent, blob.size() - sent,
+                               MSG_NOSIGNAL);
+      if (n <= 0) break;
+      sent += static_cast<std::size_t>(n);
+    }
+    ::shutdown(fd, SHUT_WR);
+  });
+  std::string reply;
+  char buf[256];
+  ssize_t n = 0;
+  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0)
+    reply.append(buf, static_cast<std::size_t>(n));
+  sender.join();
+  EXPECT_EQ(reply, "ERR request line exceeds 65536 bytes\n.\n");
+  EXPECT_EQ(n, 0) << "expected EOF after the ERR, got errno " << errno;
+  // stop() returns once the server has closed its end, so a reset would
+  // have arrived by now.
+  server.stop();
+  int pending_error = 0;
+  socklen_t len = sizeof(pending_error);
+  ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &pending_error, &len);
+  EXPECT_EQ(pending_error, 0) << "the server reset the connection";
+  ::close(fd);
 }
 
 }  // namespace
