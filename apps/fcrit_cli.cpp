@@ -85,8 +85,7 @@ constexpr const char* kUsageText =
     "  sweep <file> [-o FILE]            remove dead logic\n"
     "  campaign <design|file> [--cycles N] [--seed S]\n"
     "           [--fraction F] [--threads T] [--report FILE]\n"
-    "           [--engine levelized|frontier] [--no-batch] [--no-collapse]\n"
-    "           [--max-batch K] [--no-static-prune]\n"
+    "           [--engine levelized|frontier] [--no-static-prune]\n"
     "  analyze <design|file> [--top N] [--no-baselines]\n"
     "           [--explain K] [--save-model FILE] [--csv FILE]\n"
     "           [--cycles N] [--epochs N] [--trace-out FILE]\n"
@@ -328,11 +327,7 @@ int cmd_campaign(const std::string& target,
     else if (engine == "frontier") cfg.engine = fault::FiEngine::kFrontier;
     else throw std::runtime_error("--engine takes levelized|frontier");
   }
-  if (flags.contains("--no-batch")) cfg.batch_faults = false;
-  if (flags.contains("--no-collapse")) cfg.collapse_equivalent = false;
   if (flags.contains("--no-static-prune")) cfg.static_prune = false;
-  if (flags.contains("--max-batch"))
-    cfg.max_batch = std::stoi(flags.at("--max-batch"));
 
   fault::FaultCampaign campaign(d.netlist, d.stimulus, cfg);
   const auto result = campaign.run_all();
@@ -340,10 +335,10 @@ int cmd_campaign(const std::string& target,
   std::printf("%s\n", ds.summary().c_str());
   std::printf("golden %.3fs, %zu faults in %.3fs\n", result.golden_seconds,
               result.faults.size(), result.fault_seconds);
-  if (result.num_batches > 0)
-    std::printf("frontier: %u simulated faults in %u batches, %llu node "
-                "evals, %llu quiesced fault-cycles\n",
-                result.simulated_faults, result.num_batches,
+  if (result.simulated_faults > 0)
+    std::printf("frontier: %u simulated faults, %llu node evals, %llu "
+                "quiesced fault-cycles\n",
+                result.simulated_faults,
                 static_cast<unsigned long long>(result.frontier_evals),
                 static_cast<unsigned long long>(result.early_exit_cycles));
   if (cfg.static_prune)
@@ -781,7 +776,7 @@ int cmd_check(const std::map<std::string, std::string>& flags) {
 
   // Self-test: three phases, each planting one deliberate defect that the
   // run must CATCH — a wrong-XOR scalar reference (packed-vs-scalar
-  // oracle), a corrupted batched-campaign verdict (campaign oracle), and
+  // oracle), a corrupted frontier-campaign verdict (campaign oracle), and
   // a fabricated static-prune proof (static-prune oracle).
   if (flags.contains("--self-test")) {
     check::CheckConfig scalar_cfg = cfg;

@@ -6,10 +6,10 @@
 //   cone         levelized sweep restricted to the fault's static cone
 //                (the pre-frontier production method, baseline)
 //   frontier     event-driven divergence-frontier resim, one fault per pass
-//   frontier+batch  cone-disjoint fault batching + collapse-equivalence
-//                sharing on top of the frontier engine, at 1/2/4 threads
+//   frontier@Nt  the production default: the frontier engine with
+//                collapse-equivalence sharing, at 1/2/4 threads
 // plus a static-prune A/B on the production engine: the same
-// frontier+batch campaign with the src/sla triage disabled vs enabled,
+// frontier campaign with the src/sla triage disabled vs enabled,
 // recording the prune rate and both end-to-end wall times (the prune-on
 // time includes the triage itself). See docs/STATIC_ANALYSIS.md.
 // Every leg is verified to produce bit-identical verdicts before its
@@ -85,8 +85,8 @@ int main(int argc, char** argv) {
   }
 
   core::TextTable table({"Design", "Nodes", "Faults", "naive (s)", "cone (s)",
-                         "frontier (s)", "f+batch@1t (s)", "f+batch@4t (s)",
-                         "f+b@4t vs cone", "batches", "early-exit %"});
+                         "frontier (s)", "frontier@1t (s)", "frontier@4t (s)",
+                         "f@4t vs cone", "simulated", "early-exit %"});
   core::TextTable prune_table({"Design", "Faults", "Pruned", "Prune %",
                                "triage (ms)", "prune-off (s)", "prune-on (s)",
                                "off vs on"});
@@ -107,14 +107,13 @@ int main(int argc, char** argv) {
       cone.config.engine = fault::FiEngine::kLevelized;
       Leg frontier{"frontier", base};
       frontier.config.engine = fault::FiEngine::kFrontier;
-      frontier.config.batch_faults = false;
       frontier.config.collapse_equivalent = false;
       legs = {naive, cone, frontier};
       for (const int threads : {1, 2, 4}) {
-        Leg batched{"frontier+batch@" + std::to_string(threads) + "t", base};
-        batched.config.engine = fault::FiEngine::kFrontier;
-        batched.config.num_threads = threads;
-        legs.push_back(batched);
+        Leg shared{"frontier@" + std::to_string(threads) + "t", base};
+        shared.config.engine = fault::FiEngine::kFrontier;
+        shared.config.num_threads = threads;
+        legs.push_back(shared);
       }
     }
 
@@ -143,30 +142,30 @@ int main(int argc, char** argv) {
     }
 
     const double cone_s = seconds[1];
-    const double batch4_s = seconds.back();
-    const auto& batch4 = results.back();
+    const double f4_s = seconds.back();
+    const auto& f4 = results.back();
     const double total_cycles =
-        static_cast<double>(batch4.simulated_faults) * cycles;
+        static_cast<double>(f4.simulated_faults) * cycles;
     table.add_row(
         {design.name, std::to_string(design.netlist.num_nodes()),
-         std::to_string(batch4.faults.size()),
+         std::to_string(f4.faults.size()),
          util::format_double(seconds[0], 3), util::format_double(cone_s, 3),
          util::format_double(seconds[2], 3), util::format_double(seconds[3], 3),
-         util::format_double(batch4_s, 3),
-         util::format_double(batch4_s > 0 ? cone_s / batch4_s : 0.0, 1) + "x",
-         std::to_string(batch4.num_batches),
+         util::format_double(f4_s, 3),
+         util::format_double(f4_s > 0 ? cone_s / f4_s : 0.0, 1) + "x",
+         std::to_string(f4.simulated_faults),
          util::format_double(total_cycles > 0
                                  ? 100.0 * static_cast<double>(
-                                               batch4.early_exit_cycles) /
+                                               f4.early_exit_cycles) /
                                        total_cycles
                                  : 0.0,
                              1)});
-    // The acceptance ratio, machine-readable: cone wall / frontier+batch@4t
-    // wall (a pure number recorded alongside the timing phases).
-    rec.phase(design.name + "/speedup_fb4t_vs_cone",
-              batch4_s > 0 ? cone_s / batch4_s : 0.0);
+    // The acceptance ratio, machine-readable: cone wall / frontier@4t wall
+    // (a pure number recorded alongside the timing phases).
+    rec.phase(design.name + "/speedup_f4t_vs_cone",
+              f4_s > 0 ? cone_s / f4_s : 0.0);
 
-    // Static-prune A/B on the production engine (frontier+batch@1t): the
+    // Static-prune A/B on the production engine (frontier@1t): the
     // identical campaign with the sla triage off vs on. The prune-on wall
     // includes the triage itself, so "off vs on" is an honest end-to-end
     // comparison; verdicts must stay bit-identical either way.
@@ -210,7 +209,7 @@ int main(int argc, char** argv) {
   std::printf("\ncampaign engine trajectory (fault_seconds, golden excluded)\n%s\n",
               table.to_string().c_str());
   std::printf(
-      "\nstatic-prune A/B, frontier+batch@1t (prune-on wall includes triage)\n"
+      "\nstatic-prune A/B, frontier@1t (prune-on wall includes triage)\n"
       "%s\n",
       prune_table.to_string().c_str());
   std::printf("verdict equality across all legs: %s\n",

@@ -218,17 +218,13 @@ std::string diff_campaign_equivalence(const designs::Design& design,
   {
     fault::CampaignConfig fc = config;
     fc.engine = fault::FiEngine::kFrontier;
-    fc.batch_faults = false;
     fc.collapse_equivalent = false;
     fc.num_threads = 1;
     legs.push_back({"frontier", fc});
     for (const int threads : {1, 2, 4}) {
-      fault::CampaignConfig bc = config;
-      bc.engine = fault::FiEngine::kFrontier;
-      bc.batch_faults = true;
-      bc.collapse_equivalent = true;
-      bc.num_threads = threads;
-      legs.push_back({"f+batch@" + std::to_string(threads) + "t", bc});
+      fc.collapse_equivalent = true;
+      fc.num_threads = threads;
+      legs.push_back({"frontier@" + std::to_string(threads) + "t", fc});
     }
   }
 
@@ -236,9 +232,9 @@ std::string diff_campaign_equivalence(const designs::Design& design,
     fault::FaultCampaign campaign(nl, design.stimulus, leg.cfg);
     fault::CampaignResult r = campaign.run_all();
 
-    // Planted defects corrupt exactly one leg (the batched 2-thread one)
-    // so the self-test proves the comparison below has teeth.
-    if (leg.name == "f+batch@2t" && bug != CampaignBug::kNone &&
+    // Planted defects corrupt exactly one leg (frontier@2t) so the
+    // self-test proves the comparison below has teeth.
+    if (leg.name == "frontier@2t" && bug != CampaignBug::kNone &&
         !r.faults.empty()) {
       if (bug == CampaignBug::kMismatchOffByOne) {
         r.faults.front().mismatch_cycles += 1;

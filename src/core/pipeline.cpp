@@ -81,7 +81,6 @@ PipelineResult FaultCriticalityAnalyzer::analyze(
                                       ? config_.dangerous_cycle_fraction
                                       : r.design.dangerous_cycle_fraction;
     cc.engine = config_.campaign_engine;
-    cc.batch_faults = config_.campaign_batch_faults;
     cc.collapse_equivalent = config_.campaign_collapse_equivalent;
     cc.static_prune = config_.campaign_static_prune;
     cc.num_threads = config_.campaign_threads;

@@ -42,11 +42,12 @@ struct PipelineConfig {
   /// Overrides the design's dangerous_cycle_fraction when >= 0.
   double dangerous_cycle_fraction = -1.0;
   /// Campaign engine knobs, passed straight through to CampaignConfig:
-  /// event-driven frontier resim with cone-disjoint fault batching and
-  /// collapse-equivalence sharing by default (bit-identical to the
-  /// levelized sweep at any thread count — the `fcrit check` campaign
-  /// oracle holds that line).
+  /// event-driven frontier resim with collapse-equivalence sharing by
+  /// default (bit-identical to the levelized sweep at any thread count —
+  /// the `fcrit check` campaign oracle holds that line).
   fault::FiEngine campaign_engine = fault::FiEngine::kFrontier;
+  /// No effect, like CampaignConfig::batch_faults; kept so existing
+  /// callers that assign it still compile.
   bool campaign_batch_faults = true;
   bool campaign_collapse_equivalent = true;
   /// Static dataflow triage (src/sla): skip faults proved Benign before

@@ -17,7 +17,7 @@
 //   * gateway: a free-running round-robin grant counter; each zone owns a
 //     dedicated egress register and backbone port (zonal gateways dedicate
 //     per-zone ports, which also keeps fault cones of different zones
-//     structurally disjoint — the property the campaign batcher exploits)
+//     structurally disjoint)
 //
 // Unlike the OR1200 fetch unit — whose dense global feedback keeps every
 // fault cone active on every cycle — the diagnosis block here is

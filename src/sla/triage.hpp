@@ -85,8 +85,8 @@ struct TriageResult {
 
 /// Triage `faults` against the analysis. Cost: one reachability pass plus
 /// one early-exiting divergence closure per unique observable site
-/// (memoized across the SA0/SA1 pair) — comparable to the campaign
-/// batcher's cone BFS.
+/// (memoized across the SA0/SA1 pair) — comparable to the campaign's
+/// per-site cone BFS.
 TriageResult triage_faults(const netlist::Netlist& nl,
                            const DataflowAnalysis& analysis,
                            std::span<const fault::Fault> faults);

@@ -1,9 +1,9 @@
-// Property tests for the event-driven frontier engine and fault batching:
-// every way of grouping the stuck-at universe into batches — singletons,
-// one big group, random partitions, the planner's own cone-disjoint
-// packing, with or without collapse-equivalence sharing, at any thread
-// count — must produce FaultResults byte-identical to the original
-// levelized one-at-a-time simulation.
+// Property tests for the event-driven frontier engine: every way of
+// cutting the stuck-at universe into campaign runs — singletons, one run
+// over the whole universe, random partitions — with or without
+// collapse-equivalence sharing, at any thread count, must produce
+// FaultResults byte-identical to the original levelized one-at-a-time
+// simulation.
 #include <algorithm>
 #include <random>
 #include <vector>
@@ -44,8 +44,7 @@ struct CounterCircuit {
 };
 
 /// Two independent XOR/AND islands fed by constants and inputs: disjoint
-/// cones (the planner should actually batch them) plus gates whose fanins
-/// are constant nodes.
+/// cones plus gates whose fanins are constant nodes.
 struct ConstIslandsCircuit {
   Netlist nl;
   ConstIslandsCircuit() {
@@ -111,6 +110,7 @@ class BatchPartitionTest : public ::testing::Test {
     const std::vector<FaultResult> ref = levelized_reference(nl, cfg, faults);
 
     cfg.engine = FiEngine::kFrontier;
+    cfg.static_prune = false;  // every fault must reach a frontier pass
     FaultCampaign camp(nl, default_spec(), cfg);
     camp.run_golden();
 
@@ -118,8 +118,8 @@ class BatchPartitionTest : public ::testing::Test {
     for (std::size_t i = 0; i < faults.size(); ++i)
       expect_same_result(camp.simulate_fault(faults[i]), ref[i], "single");
 
-    // One batch covering the whole (heavily overlapping) universe.
-    const auto whole = camp.simulate_batch(faults);
+    // One run over the whole (heavily overlapping) universe.
+    const auto whole = camp.run(faults).faults;
     ASSERT_EQ(whole.size(), faults.size());
     for (std::size_t i = 0; i < faults.size(); ++i)
       expect_same_result(whole[i], ref[i], "whole-universe");
@@ -140,7 +140,7 @@ class BatchPartitionTest : public ::testing::Test {
           part.push_back(faults[order[j]]);
           part_idx.push_back(order[j]);
         }
-        const auto got = camp.simulate_batch(part);
+        const auto got = camp.run(part).faults;
         for (std::size_t j = 0; j < part.size(); ++j)
           expect_same_result(got[j], ref[part_idx[j]], "random-partition");
         pos += take;
@@ -157,15 +157,6 @@ TEST_F(BatchPartitionTest, OverlappingConesOnCounter) {
 TEST_F(BatchPartitionTest, ConstantNodesAndDisjointIslands) {
   ConstIslandsCircuit c;
   check_circuit(c.nl, small_config());
-  // The two islands really are cone-disjoint: the planner must pack at
-  // least one batch with more than one fault.
-  CampaignConfig cfg = small_config();
-  FaultCampaign camp(c.nl, default_spec(), cfg);
-  const std::vector<Fault> faults = full_fault_list(c.nl);
-  const BatchPlan plan = camp.plan_batches(faults);
-  std::size_t biggest = 0;
-  for (const auto& b : plan.batches) biggest = std::max(biggest, b.size());
-  EXPECT_GT(biggest, 1u);
 }
 
 TEST_F(BatchPartitionTest, RandomCircuits) {
@@ -201,9 +192,9 @@ TEST(FaultBatch, DffOutputFaultsMatchReference) {
 
   CampaignConfig fcfg = cfg;
   fcfg.engine = FiEngine::kFrontier;
+  fcfg.static_prune = false;
   FaultCampaign camp(c.nl, default_spec(), fcfg);
-  camp.run_golden();
-  const auto got = camp.simulate_batch(dff_faults);
+  const auto got = camp.run(dff_faults).faults;
   for (std::size_t i = 0; i < dff_faults.size(); ++i)
     expect_same_result(got[i], ref[i], "dff-output");
   // A stuck counter bit must actually corrupt the observed count.
@@ -212,40 +203,25 @@ TEST(FaultBatch, DffOutputFaultsMatchReference) {
   EXPECT_TRUE(any_detected);
 }
 
-TEST(FaultBatch, PlanCoversEveryFaultExactlyOnce) {
+TEST(FaultBatch, RunAllSimulatesOneFaultPerCollapseClass) {
   designs::RandomCircuitConfig rc;
   rc.num_gates = 120;
   rc.num_flops = 12;
-  rc.seed = 5;
+  rc.seed = 17;  // its INV chains collapse 264 faults into 260 classes
   const designs::Design d = designs::build_random_circuit(rc);
-  FaultCampaign camp(d.netlist, default_spec(), small_config());
-  const std::vector<Fault> faults = full_fault_list(d.netlist);
-  const BatchPlan plan = camp.plan_batches(faults);
+  CampaignConfig cfg = small_config();
+  cfg.static_prune = false;
+  FaultCampaign camp(d.netlist, default_spec(), cfg);
+  const CampaignResult r = camp.run_all();
 
-  ASSERT_EQ(plan.sim_as.size(), faults.size());
-  ASSERT_EQ(plan.cone_size.size(), faults.size());
-  // Batches contain exactly the self-simulated faults, each once.
-  std::vector<int> seen(faults.size(), 0);
-  for (const auto& b : plan.batches) {
-    EXPECT_FALSE(b.empty());
-    for (const std::uint32_t i : b) {
-      ASSERT_LT(i, faults.size());
-      EXPECT_EQ(plan.sim_as[i], i);
-      ++seen[i];
-    }
-  }
-  for (std::size_t i = 0; i < faults.size(); ++i) {
-    EXPECT_EQ(seen[i], plan.sim_as[i] == i ? 1 : 0) << "fault " << i;
-    // Sharing only maps onto a simulated representative.
-    EXPECT_EQ(plan.sim_as[plan.sim_as[i]], plan.sim_as[i]);
-    EXPECT_GT(plan.cone_size[i], 0u);
-  }
-  // Collapse-equivalence must actually merge some of this generator's
-  // BUF/INV chains (the CollapsedFaults ratio says so).
+  ASSERT_EQ(r.faults.size(), full_fault_list(d.netlist).size());
+  for (const FaultResult& f : r.faults) EXPECT_GT(f.cone_size, 0u);
+  // The campaign simulates exactly one fault per collapse-equivalence
+  // class, one pass each.
   const CollapsedFaults collapsed = collapse_faults(d.netlist);
-  std::size_t simulated = 0;
-  for (const auto& b : plan.batches) simulated += b.size();
-  EXPECT_EQ(simulated, collapsed.representatives.size());
+  EXPECT_LT(collapsed.representatives.size(), r.faults.size());
+  EXPECT_EQ(r.simulated_faults, collapsed.representatives.size());
+  EXPECT_EQ(r.num_batches, r.simulated_faults);
 }
 
 TEST(FaultBatch, ThreadCountSweepIsBitIdentical) {
@@ -270,7 +246,6 @@ TEST(FaultBatch, ThreadCountSweepIsBitIdentical) {
       // determinism contract.
       expect_same_result(rn.faults[i], r1.faults[i], "thread-sweep");
     }
-    EXPECT_EQ(rn.num_batches, r1.num_batches);
     EXPECT_EQ(rn.simulated_faults, r1.simulated_faults);
     EXPECT_EQ(rn.frontier_evals, r1.frontier_evals);
     EXPECT_EQ(rn.early_exit_cycles, r1.early_exit_cycles);
@@ -296,27 +271,11 @@ TEST(FaultBatch, FrontierRunMatchesLevelizedRun) {
   ASSERT_EQ(lr.faults.size(), rr.faults.size());
   for (std::size_t i = 0; i < lr.faults.size(); ++i)
     expect_same_result(rr.faults[i], lr.faults[i], "engine-equivalence");
-  // The frontier run reports its batching statistics.
-  EXPECT_GT(rr.num_batches, 0u);
+  // The frontier run reports its pass statistics.
+  EXPECT_EQ(rr.num_batches, rr.simulated_faults);
   EXPECT_GT(rr.simulated_faults, 0u);
   EXPECT_LE(rr.simulated_faults, rr.faults.size());
   EXPECT_EQ(lr.num_batches, 0u);
-}
-
-TEST(FaultBatch, MaxBatchOneDegeneratesToUnbatched) {
-  CounterCircuit c;
-  CampaignConfig cfg = small_config();
-  cfg.max_batch = 1;
-  FaultCampaign camp(c.nl, default_spec(), cfg);
-  const CampaignResult r = camp.run_all();
-  EXPECT_EQ(r.num_batches, r.simulated_faults);
-
-  CampaignConfig ref_cfg = small_config();
-  FaultCampaign ref_camp(c.nl, default_spec(), ref_cfg);
-  const CampaignResult ref = ref_camp.run_all();
-  ASSERT_EQ(r.faults.size(), ref.faults.size());
-  for (std::size_t i = 0; i < r.faults.size(); ++i)
-    expect_same_result(r.faults[i], ref.faults[i], "max-batch-1");
 }
 
 }  // namespace

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <sstream>
+#include <utility>
+
 #include "src/designs/designs.hpp"
 #include "src/rtl/builder.hpp"
+#include "src/serve/bundle.hpp"
 
 namespace fcrit::fault {
 namespace {
@@ -164,6 +170,26 @@ TEST(FaultCampaign, MinMismatchCyclesRoundsFractionalProductsUp) {
   EXPECT_EQ(cfg.min_mismatch_cycles(), 1);
 }
 
+TEST(FaultCampaign, OutOfRangeDangerousFractionIsRejected) {
+  // ceil(fraction * cycles) is cast to int: NaN or a product past INT_MAX
+  // is undefined behaviour (x86 yields INT_MIN, clamped to 1 = "any
+  // mismatch"), so the campaign refuses such fractions up front.
+  TestCircuit c;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {std::nan(""), kInf, -kInf, 1e10, -0.5, 1.0000001}) {
+    CampaignConfig cfg;
+    cfg.dangerous_cycle_fraction = bad;
+    EXPECT_THROW({ FaultCampaign camp(c.nl, default_spec(), cfg); },
+                 std::runtime_error)
+        << bad;
+  }
+  for (const double ok : {0.0, 1.0}) {
+    CampaignConfig cfg;
+    cfg.dangerous_cycle_fraction = ok;
+    EXPECT_NO_THROW({ FaultCampaign camp(c.nl, default_spec(), cfg); }) << ok;
+  }
+}
+
 TEST(FaultCampaign, HigherThresholdNeverIncreasesDanger) {
   TestCircuit c;
   CampaignConfig lo;
@@ -237,6 +263,39 @@ TEST_P(ConeEquivalenceTest, ConeMatchesNaiveOnRealDesign) {
 
 INSTANTIATE_TEST_SUITE_P(Designs, ConeEquivalenceTest,
                          ::testing::Values("sdram_ctrl", "or1200_icfsm"));
+
+/// fnv1a64 over every FaultResult field of a campaign, in result order.
+std::uint64_t campaign_digest(const CampaignResult& r) {
+  std::ostringstream os;
+  for (const FaultResult& f : r.faults)
+    os << f.fault.node << ' ' << f.fault.stuck_value << ' '
+       << f.dangerous_lanes << ' ' << f.detected_lanes << ' '
+       << f.mismatch_cycles << ' ' << f.cone_size << ' '
+       << f.first_detect_cycle << '\n';
+  return serve::fnv1a64(std::move(os).str());
+}
+
+// Recorded with the default CampaignConfig at 64 cycles. The engine
+// equivalence tests cannot see a change that alters every engine's
+// verdicts or cone sizes alike, at every thread count; these pins can.
+TEST(FaultCampaign, RunAllMatchesPinnedDigest) {
+  const std::pair<const char*, std::uint64_t> pins[] = {
+      {"sdram_ctrl", 0xba59ccf0b14e1c58ULL},
+      {"ee_zonal", 0xb3c212d1eca09685ULL},
+  };
+  for (const auto& [name, pinned] : pins) {
+    const designs::Design d = designs::build_design(name);
+    for (const int threads : {1, 4}) {
+      CampaignConfig cfg;
+      cfg.cycles = 64;
+      cfg.num_threads = threads;
+      FaultCampaign camp(d.netlist, d.stimulus, cfg);
+      const std::uint64_t got = campaign_digest(camp.run_all());
+      EXPECT_EQ(got, pinned)
+          << name << " @" << threads << "t: got 0x" << std::hex << got;
+    }
+  }
+}
 
 TEST(FaultCampaign, LongCampaignVerdictDoesNotOverflow) {
   // Regression: lane_mismatch_cycles was uint16_t, so a >=65536-cycle

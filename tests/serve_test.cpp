@@ -3,8 +3,10 @@
 // concurrency/determinism, and the daemon: wire protocol, BUSY admission,
 // hot reload by rename, request traces and connection hygiene.
 #include <arpa/inet.h>
+#include <linux/sockios.h>
 #include <netinet/in.h>
 #include <pthread.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -14,6 +16,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -1147,6 +1150,17 @@ TEST(ServerTest, OverlongRequestLineGetsErrThenEof) {
   sender.join();
   EXPECT_EQ(reply, "ERR request line exceeds 65536 bytes\n.\n");
   EXPECT_EQ(n, 0) << "expected EOF after the ERR, got errno " << errno;
+  // stop() ends the server's drain by design, and a close while the blob
+  // is still arriving would reset the connection. So first wait until the
+  // server has acknowledged every byte and the FIN: the client's send
+  // queue (SIOCOUTQ) counts both until they are acked.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  int unacked = -1;
+  while ((::ioctl(fd, SIOCOUTQ, &unacked) != 0 || unacked != 0) &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::yield();
+  EXPECT_EQ(unacked, 0) << "the server never acknowledged the blob";
   // stop() returns once the server has closed its end, so a reset would
   // have arrived by now.
   server.stop();
