@@ -3,7 +3,8 @@
 // This is the "obviously correct" simulator the bit-parallel PackedSimulator
 // is checked against: one bool per node, one workload at a time, gate
 // semantics written out as an independent switch (not derived from
-// eval_packed), and a private DFS topological order (not netlist::levelize).
+// netlist::eval_cell), and a private DFS topological order (not
+// netlist::levelize).
 // It shares nothing with the production simulator beyond the Netlist data
 // model, so a bug in the packed evaluation, the levelization, or the word
 // packing shows up as a divergence instead of cancelling out.

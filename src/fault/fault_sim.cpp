@@ -32,40 +32,6 @@ std::uint64_t fault_key(const Fault& f) {
   return (static_cast<std::uint64_t>(f.node) << 1) | (f.stuck_value ? 1 : 0);
 }
 
-/// Inlined twin of netlist::eval_packed for the frontier hot loop (the
-/// library version is an out-of-line call, which costs more than the
-/// evaluation itself at frontier eval rates). Semantics must match
-/// src/netlist/cell_library.cpp exactly; the differential tests compare
-/// the engines node-for-node, so any drift trips them immediately.
-inline std::uint64_t eval_cell(CellKind kind, const std::uint64_t* ins) {
-  switch (kind) {
-    case CellKind::kBuf: return ins[0];
-    case CellKind::kInv: return ~ins[0];
-    case CellKind::kAnd2: return ins[0] & ins[1];
-    case CellKind::kAnd3: return ins[0] & ins[1] & ins[2];
-    case CellKind::kAnd4: return ins[0] & ins[1] & ins[2] & ins[3];
-    case CellKind::kNand2: return ~(ins[0] & ins[1]);
-    case CellKind::kNand3: return ~(ins[0] & ins[1] & ins[2]);
-    case CellKind::kNand4: return ~(ins[0] & ins[1] & ins[2] & ins[3]);
-    case CellKind::kOr2: return ins[0] | ins[1];
-    case CellKind::kOr3: return ins[0] | ins[1] | ins[2];
-    case CellKind::kOr4: return ins[0] | ins[1] | ins[2] | ins[3];
-    case CellKind::kNor2: return ~(ins[0] | ins[1]);
-    case CellKind::kNor3: return ~(ins[0] | ins[1] | ins[2]);
-    case CellKind::kNor4: return ~(ins[0] | ins[1] | ins[2] | ins[3]);
-    case CellKind::kXor2: return ins[0] ^ ins[1];
-    case CellKind::kXnor2: return ~(ins[0] ^ ins[1]);
-    case CellKind::kAoi21: return ~((ins[0] & ins[1]) | ins[2]);
-    case CellKind::kAoi22: return ~((ins[0] & ins[1]) | (ins[2] & ins[3]));
-    case CellKind::kOai21: return ~((ins[0] | ins[1]) & ins[2]);
-    case CellKind::kOai22: return ~((ins[0] | ins[1]) & (ins[2] | ins[3]));
-    case CellKind::kMux2: return (ins[0] & ~ins[2]) | (ins[1] & ins[2]);
-    default:
-      // Sources and DFFs never enter the combinational worklist.
-      throw std::logic_error("frontier eval: non-evaluable cell kind");
-  }
-}
-
 /// Shard [0, items) over the lane count CampaignConfig::num_threads
 /// resolves to: -1 = the process pool (--jobs / FCRIT_THREADS), otherwise
 /// a private pool of exactly that many lanes (0 = hardware concurrency)
@@ -453,7 +419,7 @@ FaultResult FaultCampaign::run_frontier_pass(const Fault& fault,
           ins[j] = (div[f].val & m) | (golden_row[f] & ~m);
         }
         const std::uint64_t v =
-            eval_cell(static_cast<CellKind>(kind[n]), ins.data());
+            netlist::eval_packed(static_cast<CellKind>(kind[n]), ins.data());
         if (v != golden_row[n]) mark_divergent(n, v);
       }
       bucket.clear();

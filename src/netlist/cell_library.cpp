@@ -8,44 +8,6 @@
 
 namespace fcrit::netlist {
 
-namespace {
-
-constexpr std::array<CellSpec, kNumCellKinds> kSpecs = {{
-    {"INPUT", 0, false, false},  // kInput
-    {"TIE0", 0, false, false},   // kConst0
-    {"TIE1", 0, false, false},   // kConst1
-    {"BUF", 1, false, false},    // kBuf
-    {"IV", 1, true, false},      // kInv
-    {"AN2", 2, false, false},    // kAnd2
-    {"AN3", 3, false, false},    // kAnd3
-    {"AN4", 4, false, false},    // kAnd4
-    {"ND2", 2, true, false},     // kNand2
-    {"ND3", 3, true, false},     // kNand3
-    {"ND4", 4, true, false},     // kNand4
-    {"OR2", 2, false, false},    // kOr2
-    {"OR3", 3, false, false},    // kOr3
-    {"OR4", 4, false, false},    // kOr4
-    {"NR2", 2, true, false},     // kNor2
-    {"NR3", 3, true, false},     // kNor3
-    {"NR4", 4, true, false},     // kNor4
-    {"EO2", 2, false, false},    // kXor2
-    {"EN2", 2, true, false},     // kXnor2
-    {"AO3", 3, true, false},     // kAoi21
-    {"AO2", 4, true, false},     // kAoi22
-    {"OA3", 3, true, false},     // kOai21
-    {"OA2", 4, true, false},     // kOai22
-    {"MX2", 3, false, false},    // kMux2
-    {"FD1", 1, false, true},     // kDff
-}};
-
-}  // namespace
-
-const CellSpec& spec(CellKind kind) {
-  const auto idx = static_cast<std::size_t>(kind);
-  assert(idx < kSpecs.size());
-  return kSpecs[idx];
-}
-
 CellKind kind_from_name(std::string_view name) {
   const std::string upper = [&] {
     std::string s(name);
@@ -53,70 +15,10 @@ CellKind kind_from_name(std::string_view name) {
     return s;
   }();
   for (int i = 0; i < kNumCellKinds; ++i) {
-    if (kSpecs[static_cast<std::size_t>(i)].name == upper)
+    if (kCellSpecs[static_cast<std::size_t>(i)].name == upper)
       return static_cast<CellKind>(i);
   }
   return CellKind::kCount;
-}
-
-std::uint64_t eval_packed(CellKind kind, std::span<const std::uint64_t> ins) {
-  assert(static_cast<int>(ins.size()) == spec(kind).arity);
-  switch (kind) {
-    case CellKind::kConst0:
-      return 0;
-    case CellKind::kConst1:
-      return ~0ULL;
-    case CellKind::kBuf:
-      return ins[0];
-    case CellKind::kInv:
-      return ~ins[0];
-    case CellKind::kAnd2:
-      return ins[0] & ins[1];
-    case CellKind::kAnd3:
-      return ins[0] & ins[1] & ins[2];
-    case CellKind::kAnd4:
-      return ins[0] & ins[1] & ins[2] & ins[3];
-    case CellKind::kNand2:
-      return ~(ins[0] & ins[1]);
-    case CellKind::kNand3:
-      return ~(ins[0] & ins[1] & ins[2]);
-    case CellKind::kNand4:
-      return ~(ins[0] & ins[1] & ins[2] & ins[3]);
-    case CellKind::kOr2:
-      return ins[0] | ins[1];
-    case CellKind::kOr3:
-      return ins[0] | ins[1] | ins[2];
-    case CellKind::kOr4:
-      return ins[0] | ins[1] | ins[2] | ins[3];
-    case CellKind::kNor2:
-      return ~(ins[0] | ins[1]);
-    case CellKind::kNor3:
-      return ~(ins[0] | ins[1] | ins[2]);
-    case CellKind::kNor4:
-      return ~(ins[0] | ins[1] | ins[2] | ins[3]);
-    case CellKind::kXor2:
-      return ins[0] ^ ins[1];
-    case CellKind::kXnor2:
-      return ~(ins[0] ^ ins[1]);
-    case CellKind::kAoi21:
-      return ~((ins[0] & ins[1]) | ins[2]);
-    case CellKind::kAoi22:
-      return ~((ins[0] & ins[1]) | (ins[2] & ins[3]));
-    case CellKind::kOai21:
-      return ~((ins[0] | ins[1]) & ins[2]);
-    case CellKind::kOai22:
-      return ~((ins[0] | ins[1]) & (ins[2] | ins[3]));
-    case CellKind::kMux2:
-      // Y = S ? B : A with fanins (A, B, S).
-      return (ins[0] & ~ins[2]) | (ins[1] & ins[2]);
-    case CellKind::kDff:
-      return ins[0];
-    case CellKind::kInput:
-    case CellKind::kCount:
-      break;
-  }
-  assert(false && "eval_packed: non-evaluable cell kind");
-  std::abort();
 }
 
 bool eval_bool(CellKind kind, std::span<const bool> ins) {

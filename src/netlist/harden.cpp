@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 #include <stdexcept>
+#include <string>
 
 #include "src/netlist/levelize.hpp"
 
@@ -85,22 +86,22 @@ HardenResult triplicate_nodes(const Netlist& nl,
 
   for (const NodeId target : ordered) {
     const NodeId copy = out.node_map[target];
-    const Node& copy_node = out.netlist.node(copy);
-    const CellKind kind = copy_node.kind;
+    // Copied out: add_gate grows the node vector, so a reference into it
+    // would dangle.
+    const CellKind kind = out.netlist.kind(copy);
+    const std::string name = out.netlist.node(copy).name;
 
     // Replicas share the copy's *current* fanins (already voter-redirected
     // where upstream targets were hardened).
-    std::vector<NodeId> fanins(copy_node.fanins().begin(),
-                               copy_node.fanins().end());
-    const NodeId r1 = out.netlist.add_gate(
-        kind, fanins, copy_node.name + "_tmr1");
-    const NodeId r2 = out.netlist.add_gate(
-        kind, fanins, copy_node.name + "_tmr2");
+    const auto copy_fanins = out.netlist.fanins(copy);
+    const std::vector<NodeId> fanins(copy_fanins.begin(), copy_fanins.end());
+    const NodeId r1 = out.netlist.add_gate(kind, fanins, name + "_tmr1");
+    const NodeId r2 = out.netlist.add_gate(kind, fanins, name + "_tmr2");
 
     std::vector<NodeId> voter_internals;
     const NodeId voter =
         majority(out.netlist, copy, r1, r2, voter_internals);
-    out.netlist.rename(voter, copy_node.name + "_vote");
+    out.netlist.rename(voter, name + "_vote");
     out.voter_of[target] = voter;
 
     // Redirect every other consumer of the copy to the voter.

@@ -26,6 +26,13 @@ std::string magic_line() {
   throw BundleError(code, detail);
 }
 
+void check_probability_cycles(int cycles) {
+  if (cycles < 1 || cycles > kMaxProbabilityCycles)
+    fail(BundleErrorCode::kMalformed,
+         "probability_cycles " + std::to_string(cycles) + " outside [1, " +
+             std::to_string(kMaxProbabilityCycles) + "]");
+}
+
 /// Rest-of-line string field (names may contain spaces).
 std::string read_line_field(std::istream& is) {
   std::string value;
@@ -87,6 +94,7 @@ std::uint64_t netlist_content_hash(const netlist::Netlist& nl) {
 ModelBundle pack_bundle(const core::PipelineResult& result) {
   if (!result.gcn)
     fail(BundleErrorCode::kMalformed, "pack: pipeline result has no GCN");
+  check_probability_cycles(result.config.probability_cycles);
   ModelBundle b;
   b.manifest.design_name = result.design.name;
   b.manifest.netlist_hash = netlist_content_hash(result.design.netlist);
@@ -174,6 +182,9 @@ ModelBundle load_bundle(std::istream& is) {
     is >> std::hex >> m.netlist_hash >> std::dec;
     ml::expect_token(is, "probability_cycles");
     is >> m.probability_cycles;
+    // A failed read falls through to the next token check, which tells a
+    // truncated stream from a malformed one.
+    if (is) check_probability_cycles(m.probability_cycles);
     ml::expect_token(is, "probability_seed");
     is >> m.probability_seed;
     ml::expect_token(is, "criticality_threshold");
@@ -199,10 +210,18 @@ ModelBundle load_bundle(std::istream& is) {
     std::size_t num_profiles = 0;
     is >> num_profiles;
     if (!is) fail(BundleErrorCode::kTruncated, "stimulus section");
+    // The count is untrusted: stop at the first failed read rather than
+    // spin through a count the stream cannot hold.
     for (std::size_t i = 0; i < num_profiles; ++i) {
       std::string name;
       is >> name;
-      s.profiles[name] = read_profile(is);
+      const sim::InputProfile profile = read_profile(is);
+      if (!is)
+        fail(is.eof() ? BundleErrorCode::kTruncated
+                      : BundleErrorCode::kMalformed,
+             "stimulus profile " + std::to_string(i) + " of " +
+                 std::to_string(num_profiles));
+      s.profiles[name] = profile;
     }
 
     ml::expect_token(is, "standardizer");

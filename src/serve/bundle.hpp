@@ -29,6 +29,11 @@ namespace fcrit::serve {
 
 inline constexpr int kBundleFormatVersion = 1;
 
+/// Largest probability_cycles a bundle may carry, 128x the default 512:
+/// pack_bundle and load_bundle reject a value outside [1, this] as
+/// kMalformed, which bounds the golden simulation every score replays.
+inline constexpr int kMaxProbabilityCycles = 65536;
+
 enum class BundleErrorCode {
   kIo,                    // file unreadable / unwritable
   kBadMagic,              // not a bundle at all

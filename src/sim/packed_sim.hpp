@@ -7,13 +7,20 @@
 // is the substrate that replaces the paper's commercial fault simulator: the
 // fault campaign (src/fault) runs one golden pass plus one pass per stuck-at
 // fault and reads off a per-lane "Dangerous" verdict from the packed words.
+//
+// The constructor compiles the netlist into a flat gate program: the
+// combinational gates ordered by level and, within a level, grouped into
+// runs of one cell kind. Gates on one level never read each other, so any
+// order inside a level settles the same words; each run is then evaluated by
+// a loop specialised for its kind (netlist::eval_cell), with no per-gate
+// call and no per-gate kind switch, reading only the program's node ids.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "src/netlist/levelize.hpp"
 #include "src/netlist/netlist.hpp"
 
 namespace fcrit::sim {
@@ -28,7 +35,6 @@ class PackedSimulator {
   explicit PackedSimulator(const Netlist& nl);
 
   const Netlist& netlist() const { return *nl_; }
-  const netlist::Levelization& levelization() const { return lev_; }
 
   /// Clear all flip-flops (power-on state 0 in every lane) and node values.
   void reset();
@@ -65,12 +71,26 @@ class PackedSimulator {
   bool has_fault() const { return fault_node_ != netlist::kNoNode; }
 
  private:
+  /// `count` gates of one kind on one level. Their records sit in prog_
+  /// from `offset`, 1 + arity node ids each: the output, then the fanins.
+  struct Run {
+    netlist::CellKind kind;
+    std::uint32_t count;
+    std::uint32_t offset;
+  };
+  static constexpr std::size_t kNoRun = static_cast<std::size_t>(-1);
+
   const Netlist* nl_;
-  netlist::Levelization lev_;
+  std::vector<Run> runs_;
+  std::vector<NodeId> prog_;
+  std::vector<NodeId> flop_d_;  // D fanin per flop, in flops() order
   std::vector<std::uint64_t> value_;
   std::vector<std::uint64_t> ff_next_;  // scratch, one per flop
   NodeId fault_node_ = netlist::kNoNode;
   bool fault_value_ = false;
+  // The run holding a faulty combinational node, after which the stuck
+  // word is forced; kNoRun for a fault on a source or DFF node.
+  std::size_t fault_run_ = kNoRun;
 };
 
 }  // namespace fcrit::sim

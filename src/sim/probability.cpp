@@ -1,8 +1,8 @@
 #include "src/sim/probability.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "src/netlist/levelize.hpp"
@@ -13,37 +13,84 @@ namespace fcrit::sim {
 using netlist::CellKind;
 using netlist::NodeId;
 
+namespace {
+
+// Population counts in plain integer operations. The repo builds for
+// baseline x86-64, which has no POPCNT instruction, so std::popcount is a
+// libgcc call per word; these inline to a few ALU operations each and
+// vectorise.
+
+/// Byte i of the result counts the ones in byte i of x (0..8).
+inline std::uint64_t byte_counts(std::uint64_t x) {
+  x -= (x >> 1) & 0x5555555555555555ULL;
+  x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+  return (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+}
+
+/// The sum of the eight bytes of x.
+inline std::uint64_t byte_sum(std::uint64_t x) {
+  x = (x & 0x00ff00ff00ff00ffULL) + ((x >> 8) & 0x00ff00ff00ff00ffULL);
+  x += x >> 16;
+  x += x >> 32;
+  return x & 0xffff;
+}
+
+/// Cycles a byte-sliced partial count may absorb: 31 * 8 <= 255.
+constexpr int kFoldCycles = 31;
+
+}  // namespace
+
 SignalStats estimate_by_simulation(const netlist::Netlist& nl,
                                    const StimulusSpec& spec,
                                    std::uint64_t seed, int cycles,
                                    int skip_cycles) {
   if (cycles <= 0) throw std::runtime_error("estimate_by_simulation: cycles");
+  if (skip_cycles < 0)
+    throw std::runtime_error("estimate_by_simulation: skip_cycles < 0");
+  if (cycles > std::numeric_limits<int>::max() - skip_cycles)
+    throw std::runtime_error(
+        "estimate_by_simulation: cycles + skip_cycles overflows int");
   PackedSimulator simulator(nl);
   StimulusGenerator stim(nl, spec, seed);
 
+  // Per node, each counted cycle adds byte_counts of the value word (and of
+  // its change since the previous cycle) into a byte-sliced partial word;
+  // every kFoldCycles cycles, before a byte could overflow, the partials
+  // fold into the exact 64-bit totals.
   const std::size_t n = nl.num_nodes();
-  std::vector<std::uint64_t> ones(n, 0);
-  std::vector<std::uint64_t> transitions(n, 0);
+  std::vector<std::uint64_t> ones(n, 0), ones_part(n, 0);
+  std::vector<std::uint64_t> transitions(n, 0), transitions_part(n, 0);
   std::vector<std::uint64_t> prev(n, 0);
+  const auto fold = [&] {
+    for (std::size_t id = 0; id < n; ++id) {
+      ones[id] += byte_sum(ones_part[id]);
+      transitions[id] += byte_sum(transitions_part[id]);
+      ones_part[id] = transitions_part[id] = 0;
+    }
+  };
 
   std::vector<std::uint64_t> words;
   std::uint64_t counted_cycles = 0;
   for (int t = 0; t < cycles + skip_cycles; ++t) {
     stim.next_cycle(words);
     simulator.eval_comb(words);
-    if (t >= skip_cycles) {
-      for (NodeId id = 0; id < n; ++id) {
-        const std::uint64_t v = simulator.value(id);
-        ones[id] += static_cast<std::uint64_t>(std::popcount(v));
-        if (t > skip_cycles)
-          transitions[id] +=
-              static_cast<std::uint64_t>(std::popcount(v ^ prev[id]));
-        prev[id] = v;
+    const std::uint64_t* v = simulator.values().data();
+    if (t == skip_cycles) {
+      for (std::size_t id = 0; id < n; ++id)
+        ones_part[id] += byte_counts(v[id]);
+    } else if (t > skip_cycles) {
+      for (std::size_t id = 0; id < n; ++id) {
+        ones_part[id] += byte_counts(v[id]);
+        transitions_part[id] += byte_counts(v[id] ^ prev[id]);
       }
-      ++counted_cycles;
+    }
+    if (t >= skip_cycles) {
+      std::copy(v, v + n, prev.begin());
+      if (++counted_cycles % kFoldCycles == 0) fold();
     }
     simulator.clock();
   }
+  fold();
 
   SignalStats stats;
   stats.p1.resize(n);

@@ -1,8 +1,9 @@
 #include "src/sim/stimulus.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <stdexcept>
+#include <unordered_map>
 
 #include "src/util/text.hpp"
 
@@ -23,25 +24,48 @@ const InputProfile& resolve_profile(const StimulusSpec& spec,
   return best ? *best : spec.default_profile;
 }
 
+/// One value word: lane L is the draw `(rng.next() >> 11) < threshold[L]`,
+/// exactly rng.next_bool(p) for the probability the threshold encodes.
+std::uint64_t draw_word(util::Rng& rng, const std::uint64_t* threshold) {
+  std::uint64_t w = 0;
+  for (int l = 0; l < kLanes; ++l)
+    w |= static_cast<std::uint64_t>((rng.next() >> 11) < threshold[l]) << l;
+  return w;
+}
+
 }  // namespace
 
 StimulusGenerator::StimulusGenerator(const netlist::Netlist& nl,
-                                     StimulusSpec spec, std::uint64_t seed)
-    : spec_(std::move(spec)), seed_(seed), rng_(seed) {
+                                     const StimulusSpec& spec,
+                                     std::uint64_t seed)
+    : seed_(seed), rng_(seed) {
   for (const netlist::NodeId in : nl.inputs())
-    profiles_.push_back(resolve_profile(spec_, nl.node(in).name));
+    profiles_.push_back(resolve_profile(spec, nl.node(in).name));
   prev_.assign(profiles_.size(), 0);
-  lane_activity_.resize(kLanes);
-  lane_p1_scale_.resize(kLanes);
+
+  std::array<double, kLanes> lane_p1_scale{};
   for (int l = 0; l < kLanes; ++l) {
     const double t = static_cast<double>(l) / (kLanes - 1);
-    lane_activity_[l] =
-        spec_.activity_min + (spec_.activity_max - spec_.activity_min) * t;
+    activity_threshold_[l] = util::Rng::bool_threshold(
+        spec.activity_min + (spec.activity_max - spec.activity_min) * t);
     // Golden-ratio sequence decorrelates the probability scale from the
     // activity ramp, so activity and bias vary independently across lanes.
     const double u = std::fmod(0.5 + 0.6180339887498949 * l, 1.0);
-    lane_p1_scale_[l] =
-        spec_.p1_scale_min + (spec_.p1_scale_max - spec_.p1_scale_min) * u;
+    lane_p1_scale[l] =
+        spec.p1_scale_min + (spec.p1_scale_max - spec.p1_scale_min) * u;
+  }
+
+  // One threshold block per distinct p1 (keyed by its bits), shared by
+  // every input that resolves to it.
+  std::unordered_map<std::uint64_t, std::size_t> block_of;
+  for (const InputProfile& p : profiles_) {
+    const auto [it, added] = block_of.try_emplace(
+        std::bit_cast<std::uint64_t>(p.p1), p1_threshold_.size());
+    threshold_offset_.push_back(it->second);
+    if (!added) continue;
+    for (int l = 0; l < kLanes; ++l)
+      p1_threshold_.push_back(util::Rng::bool_threshold(
+          std::min(1.0, std::max(0.0, p.p1 * lane_p1_scale[l]))));
   }
 }
 
@@ -51,24 +75,14 @@ void StimulusGenerator::restart() {
   cycle_ = 0;
 }
 
-std::uint64_t StimulusGenerator::bernoulli_word(double p1) {
-  std::uint64_t w = 0;
-  for (int l = 0; l < kLanes; ++l) {
-    const double p = std::min(1.0, std::max(0.0, p1 * lane_p1_scale_[l]));
-    if (rng_.next_bool(p)) w |= (1ULL << l);
-  }
-  return w;
-}
-
 void StimulusGenerator::next_cycle(std::vector<std::uint64_t>& words) {
   words.resize(profiles_.size());
+  util::Rng rng = rng_;  // a local copy keeps the state in registers
 
   // Per-lane toggle-enable mask: lane L re-randomizes this cycle with
   // probability activity(L). One mask shared by all inputs per cycle keeps
   // correlated bursts of activity, as real workload phases do.
-  std::uint64_t toggle_mask = 0;
-  for (int l = 0; l < kLanes; ++l)
-    if (rng_.next_bool(lane_activity_[l])) toggle_mask |= (1ULL << l);
+  const std::uint64_t toggle_mask = draw_word(rng, activity_threshold_.data());
 
   for (std::size_t i = 0; i < profiles_.size(); ++i) {
     const InputProfile& p = profiles_[i];
@@ -76,12 +90,14 @@ void StimulusGenerator::next_cycle(std::vector<std::uint64_t>& words) {
     if (cycle_ < p.hold_cycles) {
       w = p.hold_value ? ~0ULL : 0;
     } else {
-      const std::uint64_t candidate = bernoulli_word(p.p1);
+      const std::uint64_t candidate =
+          draw_word(rng, p1_threshold_.data() + threshold_offset_[i]);
       w = (prev_[i] & ~toggle_mask) | (candidate & toggle_mask);
     }
     prev_[i] = w;
     words[i] = w;
   }
+  rng_ = rng;
   ++cycle_;
 }
 

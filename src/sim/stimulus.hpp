@@ -11,8 +11,15 @@
 // Per-input profiles control the 1-probability of each primary input and
 // can pin an input to a fixed value for the first `hold_cycles` cycles
 // (used to apply reset sequences).
+//
+// Every lane bit is one Rng draw compared against p. The constructor turns
+// each probability into util::Rng::bool_threshold form once (per lane for
+// the activity mask, per lane and distinct p1 for the inputs), so a word is
+// 64 inline draws and integer compares; the draws and their order are those
+// of next_bool, bit for bit.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -52,7 +59,7 @@ struct StimulusSpec {
 
 class StimulusGenerator {
  public:
-  StimulusGenerator(const netlist::Netlist& nl, StimulusSpec spec,
+  StimulusGenerator(const netlist::Netlist& nl, const StimulusSpec& spec,
                     std::uint64_t seed);
 
   std::size_t num_inputs() const { return profiles_.size(); }
@@ -71,15 +78,15 @@ class StimulusGenerator {
   int cycle() const { return cycle_; }
 
  private:
-  std::uint64_t bernoulli_word(double p1);
-
-  StimulusSpec spec_;
   std::uint64_t seed_;
   util::Rng rng_;
   std::vector<InputProfile> profiles_;  // one per PI, resolved
   std::vector<std::uint64_t> prev_;     // previous value word per PI
-  std::vector<double> lane_activity_;   // per lane
-  std::vector<double> lane_p1_scale_;   // per lane
+  // Rng::bool_threshold of activity(L), per lane L.
+  std::array<std::uint64_t, kLanes> activity_threshold_{};
+  // kLanes thresholds per distinct p1: clamp(p1 * scale(L)), per lane L.
+  std::vector<std::uint64_t> p1_threshold_;
+  std::vector<std::size_t> threshold_offset_;  // per PI, into p1_threshold_
   int cycle_ = 0;
 };
 

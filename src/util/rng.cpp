@@ -6,27 +6,9 @@
 
 namespace fcrit::util {
 
-namespace {
-inline std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 Rng::Rng(std::uint64_t seed) {
   SplitMix64 sm(seed);
   for (auto& s : s_) s = sm.next();
-}
-
-std::uint64_t Rng::next() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
 }
 
 std::uint64_t Rng::next_below(std::uint64_t bound) {
@@ -55,6 +37,13 @@ float Rng::next_float() {
 }
 
 bool Rng::next_bool(double p) { return next_double() < p; }
+
+std::uint64_t Rng::bool_threshold(double p) {
+  if (!(p > 0.0)) return 0;  // also NaN
+  if (p >= 1.0) return std::uint64_t{1} << 53;
+  // p * 2^53 lies in (0, 2^53): its ceiling converts exactly.
+  return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+}
 
 std::int64_t Rng::next_int(std::int64_t lo, std::int64_t hi) {
   assert(lo <= hi);

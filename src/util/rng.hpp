@@ -45,7 +45,18 @@ class Rng {
 
   result_type operator()() { return next(); }
 
-  std::uint64_t next();
+  /// Inline: the stimulus generator draws 64 words per input per cycle.
+  std::uint64_t next() {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform in [0, bound) without modulo bias (Lemire's method).
   std::uint64_t next_below(std::uint64_t bound);
@@ -58,6 +69,15 @@ class Rng {
 
   /// true with probability p.
   bool next_bool(double p = 0.5);
+
+  /// The integer form of next_bool: for every double p, NaN and the
+  /// infinities included, `(next() >> 11) < bool_threshold(p)` is exactly
+  /// `next_bool(p)` on the same draw. next_double() is (x >> 11) * 2^-53
+  /// exactly, so next_double() < p  <=>  (x >> 11) < p * 2^53 (scaling by
+  /// 2^53 is exact)  <=>  (x >> 11) < ceil(p * 2^53). The result is 0 when
+  /// p <= 0 or p is NaN and 2^53 when p >= 1, so no out-of-range value is
+  /// ever converted to an integer.
+  static std::uint64_t bool_threshold(double p);
 
   /// Uniform integer in [lo, hi] inclusive.
   std::int64_t next_int(std::int64_t lo, std::int64_t hi);
@@ -89,6 +109,10 @@ class Rng {
   Rng fork();
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
   double cached_gaussian_ = 0.0;
   bool has_cached_gaussian_ = false;

@@ -2,8 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "src/designs/designs.hpp"
+#include "src/designs/random_circuit.hpp"
+#include "src/netlist/levelize.hpp"
 #include "src/rtl/builder.hpp"
+#include "src/sim/stimulus.hpp"
 #include "src/util/rng.hpp"
+#include "tests/pin_hash.hpp"
 
 namespace fcrit::sim {
 namespace {
@@ -208,6 +216,62 @@ TEST_P(RandomCircuitTest, PackedMatchesScalarReference) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomCircuitTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+/// fnv1a64 of every node word after each of 64 combinational settles,
+/// driven by the design's own stimulus (seed 5), with `fault` injected.
+enum class PinFault { kNone, kComb, kDff };
+
+std::uint64_t trace_hash(const designs::Design& d, PinFault fault) {
+  const Netlist& nl = d.netlist;
+  PackedSimulator sim(nl);
+  if (fault == PinFault::kComb) {
+    // First combinational gate in the second half of the node ids.
+    NodeId id = static_cast<NodeId>(nl.num_nodes() / 2);
+    while (nl.kind(id) == CellKind::kInput || nl.kind(id) == CellKind::kDff ||
+           nl.kind(id) == CellKind::kConst0 ||
+           nl.kind(id) == CellKind::kConst1)
+      ++id;
+    sim.inject(id, /*stuck_value=*/true);
+  } else if (fault == PinFault::kDff) {
+    sim.inject(nl.flops()[nl.flops().size() / 2], /*stuck_value=*/true);
+  }
+  StimulusGenerator stim(nl, d.stimulus, 5);
+  std::vector<std::uint64_t> words, trace;
+  for (int t = 0; t < 64; ++t) {
+    stim.next_cycle(words);
+    sim.eval_comb(words);
+    trace.insert(trace.end(), sim.values().begin(), sim.values().end());
+    sim.clock();
+  }
+  return pins::hash_bytes(std::span<const std::uint64_t>(trace));
+}
+
+// Node-for-node packed traces, fault-free and with a stuck-at fault on a
+// combinational gate and on a flip-flop.
+TEST(PackedSim, TraceMatchesPinnedHash) {
+  const designs::Design sdram = designs::build_design("sdram_ctrl");
+  const designs::Design random = designs::build_random_circuit(
+      {.num_inputs = 24, .num_gates = 800, .num_flops = 48,
+       .num_outputs = 8, .seed = 11});
+  const struct {
+    const designs::Design* design;
+    PinFault fault;
+    std::uint64_t pinned;
+  } cases[] = {
+      {&sdram, PinFault::kNone, 0x3c5cd99709d3c140ULL},
+      {&sdram, PinFault::kComb, 0x7e796152d4cc5335ULL},
+      {&sdram, PinFault::kDff, 0x1de5efa43c0bf04bULL},
+      {&random, PinFault::kNone, 0x31026fa38afd0029ULL},
+      {&random, PinFault::kComb, 0x731ec2ca3141e7f0ULL},
+      {&random, PinFault::kDff, 0x0241fbb9d86af6e5ULL},
+  };
+  for (const auto& c : cases) {
+    const std::uint64_t got = trace_hash(*c.design, c.fault);
+    EXPECT_EQ(got, c.pinned) << c.design->name << " fault "
+                             << static_cast<int>(c.fault) << ": got 0x"
+                             << std::hex << got;
+  }
+}
 
 }  // namespace
 }  // namespace fcrit::sim

@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "src/designs/designs.hpp"
+#include "src/designs/random_circuit.hpp"
 #include "src/rtl/builder.hpp"
+#include "tests/pin_hash.hpp"
 
 namespace fcrit::sim {
 namespace {
@@ -114,6 +122,15 @@ TEST(SimulationProbability, InvalidCyclesThrow) {
   nl.add_input("a");
   StimulusSpec spec;
   EXPECT_THROW(estimate_by_simulation(nl, spec, 1, 0), std::runtime_error);
+  EXPECT_THROW(estimate_by_simulation(nl, spec, 1, -5), std::runtime_error);
+  EXPECT_THROW(estimate_by_simulation(nl, spec, 1, 8, -1),
+               std::runtime_error);
+  // cycles + skip_cycles must fit in an int.
+  const int max = std::numeric_limits<int>::max();
+  EXPECT_THROW(estimate_by_simulation(nl, spec, 1, max), std::runtime_error);
+  EXPECT_THROW(estimate_by_simulation(nl, spec, 1, max - 3, 4),
+               std::runtime_error);
+  EXPECT_NO_THROW(estimate_by_simulation(nl, spec, 1, 8, 0));
 }
 
 TEST(AnalyticActivity, ToggleOfIidInputs) {
@@ -210,6 +227,40 @@ TEST(SimulationProbability, P0PlusP1IsOneByConstruction) {
     EXPECT_LE(stats.p1[id], 1.0);
     EXPECT_GE(stats.p_transition[id], 0.0);
     EXPECT_LE(stats.p_transition[id], 1.0);
+  }
+}
+
+// The §3.1 statistics the score path replays: fnv1a64 of the p1 bytes
+// followed by the p_transition bytes at 512 cycles, seed 99, for every
+// built-in design under its own stimulus and for a generated circuit that
+// uses every combinational kind.
+TEST(SimulationProbability, StatsMatchPinnedHash) {
+  const std::pair<const char*, std::uint64_t> cases[] = {
+      {"sdram_ctrl", 0x865082badf892578ULL},
+      {"or1200_if", 0x7a879bb39a89bb9eULL},
+      {"or1200_icfsm", 0x2a82344271fa9247ULL},
+      {"or1200_genpc", 0x201757b81a1a34d8ULL},
+      {"ee_zonal", 0x27043c59d17e1e15ULL},
+      {"random", 0xc81c181e162279bdULL},
+  };
+  for (const auto& [name, pinned] : cases) {
+    const std::string label = name;
+    const designs::Design d =
+        label == "random"
+            ? designs::build_random_circuit({.num_inputs = 32,
+                                             .num_gates = 1500,
+                                             .num_flops = 64,
+                                             .num_outputs = 16,
+                                             .seed = 3})
+            : designs::build_design(label);
+    const SignalStats stats = estimate_by_simulation(d.netlist, d.stimulus,
+                                                     99, 512);
+    std::vector<double> bytes = stats.p1;
+    bytes.insert(bytes.end(), stats.p_transition.begin(),
+                 stats.p_transition.end());
+    const std::uint64_t got =
+        pins::hash_bytes(std::span<const double>(bytes));
+    EXPECT_EQ(got, pinned) << label << ": got 0x" << std::hex << got;
   }
 }
 

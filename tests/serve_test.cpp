@@ -176,6 +176,17 @@ TEST_F(BundleRoundTrip, StrictHashRejectsForeignNetlist) {
   EXPECT_EQ(r.proba.size(), foreign.netlist.num_nodes());
 }
 
+TEST_F(BundleRoundTrip, PackBoundsProbabilityCycles) {
+  const int saved = result_->config.probability_cycles;
+  for (const int bad : {0, -5, kMaxProbabilityCycles + 1}) {
+    result_->config.probability_cycles = bad;
+    EXPECT_EQ(error_code_of([&] { pack_bundle(*result_); }),
+              BundleErrorCode::kMalformed)
+        << bad;
+  }
+  result_->config.probability_cycles = saved;
+}
+
 TEST_F(BundleRoundTrip, TopSitesRanksByDescendingScore) {
   ScoringEngine engine({.threads = 1});
   const ScoreResult r =
@@ -221,6 +232,52 @@ TEST(BundleValidation, RejectsTruncatedFile) {
   std::istringstream is(text);
   EXPECT_EQ(error_code_of([&] { load_bundle(is); }),
             BundleErrorCode::kTruncated);
+}
+
+/// A saved synthetic bundle with the text from the first `from` on
+/// replaced by `to` (to the end of the line, or of the file when `to_end`).
+std::string edited_bundle(std::uint64_t seed, const std::string& from,
+                          const std::string& to, bool to_end = false) {
+  std::ostringstream os;
+  save_bundle(synthetic_bundle(tiny_design(seed), seed), os);
+  std::string text = os.str();
+  const std::size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  const std::size_t end = to_end ? text.size() : text.find('\n', at);
+  return text.replace(at, end - at, to);
+}
+
+TEST(BundleValidation, BoundsProbabilityCycles) {
+  for (const char* bad : {"-5", "0", "65537", "2147483647", "99999999999",
+                          "many"}) {
+    std::istringstream is(edited_bundle(
+        14, "probability_cycles", std::string("probability_cycles ") + bad));
+    EXPECT_EQ(error_code_of([&] { load_bundle(is); }),
+              BundleErrorCode::kMalformed)
+        << bad;
+  }
+  std::istringstream at_limit(edited_bundle(
+      14, "probability_cycles",
+      "probability_cycles " + std::to_string(kMaxProbabilityCycles)));
+  EXPECT_EQ(load_bundle(at_limit).manifest.probability_cycles,
+            kMaxProbabilityCycles);
+}
+
+TEST(BundleValidation, HugeProfileCountStopsAtTheFirstFailedRead) {
+  // The stream holds one profile; the declared counts would spin for
+  // seconds (1e8) or forever (2^64 - 1) if the loop trusted them.
+  for (const char* count : {"100000000", "18446744073709551615"}) {
+    std::istringstream is(edited_bundle(
+        15, "profiles ",
+        std::string("profiles ") + count + "\nin0 0.5 0 0\n", true));
+    EXPECT_EQ(error_code_of([&] { load_bundle(is); }),
+              BundleErrorCode::kTruncated)
+        << count;
+  }
+  std::istringstream garbled(edited_bundle(
+      15, "profiles ", "profiles 2\nin0 0.5 0 0\nin1 half 0 0\n", true));
+  EXPECT_EQ(error_code_of([&] { load_bundle(garbled); }),
+            BundleErrorCode::kMalformed);
 }
 
 TEST(BundleValidation, RejectsFeatureWidthMismatch) {

@@ -3,6 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "src/designs/designs.hpp"
+#include "tests/pin_hash.hpp"
 
 namespace fcrit::sim {
 namespace {
@@ -150,6 +156,54 @@ TEST(Stimulus, LowActivityLanesToggleLess) {
     prev = w[0];
   }
   EXPECT_LT(toggles_low * 4, toggles_high);
+}
+
+/// fnv1a64 of every input word of `cycles` cycles from seed 7.
+std::uint64_t stimulus_hash(const netlist::Netlist& nl,
+                            const StimulusSpec& spec, int cycles) {
+  StimulusGenerator gen(nl, spec, 7);
+  std::vector<std::uint64_t> all, w;
+  for (int t = 0; t < cycles; ++t) {
+    gen.next_cycle(w);
+    all.insert(all.end(), w.begin(), w.end());
+  }
+  return pins::hash_bytes(std::span<const std::uint64_t>(all));
+}
+
+// The exact stimulus stream over 300 cycles: the default spec, out-of-range
+// doubles a bundle may carry (1e300 and -3 clamp; an infinite activity span
+// makes lane 0's activity NaN), and every built-in design's own spec (hold
+// cycles, prefix profiles, or1200_icfsm's activity and p1_scale).
+TEST(Stimulus, WordsMatchPinnedHash) {
+  StimulusSpec extreme;
+  extreme.default_profile.p1 = 1e300;
+  extreme.profiles["addr"] = {.p1 = -3.0, .hold_cycles = 0,
+                              .hold_value = false};
+  extreme.profiles["req"] = {.p1 = 5e-324, .hold_cycles = 0,
+                             .hold_value = false};
+  extreme.activity_min = -1e308;
+  extreme.activity_max = 1e308;
+  extreme.p1_scale_min = -3.0;
+  extreme.p1_scale_max = 1e300;
+
+  const std::pair<const char*, std::uint64_t> cases[] = {
+      {"default", 0xe706b80afd45cd4aULL},
+      {"extreme", 0x6b2ecd37a6d20b43ULL},
+      {"sdram_ctrl", 0xe643d7a6ecc90fa5ULL},
+      {"or1200_if", 0xb70e535647609149ULL},
+      {"or1200_icfsm", 0x2069f298c6d7f15fULL},
+      {"or1200_genpc", 0xe54c0bdd7d015b89ULL},
+      {"ee_zonal", 0x80a028cd10696928ULL},
+  };
+  for (const auto& [name, pinned] : cases) {
+    const std::string label = name;
+    designs::Design d = designs::build_design(
+        label == "default" || label == "extreme" ? "sdram_ctrl" : label);
+    if (label == "default") d.stimulus = StimulusSpec{};
+    if (label == "extreme") d.stimulus = extreme;
+    const std::uint64_t got = stimulus_hash(d.netlist, d.stimulus, 300);
+    EXPECT_EQ(got, pinned) << label << ": got 0x" << std::hex << got;
+  }
 }
 
 }  // namespace

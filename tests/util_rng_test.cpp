@@ -4,7 +4,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
+#include <vector>
+
+#include "tests/pin_hash.hpp"
 
 namespace fcrit::util {
 namespace {
@@ -136,6 +140,65 @@ TEST(Rng, ForkDecorrelates) {
   for (int i = 0; i < 64; ++i)
     if (parent.next() == child.next()) ++same;
   EXPECT_LE(same, 1);
+}
+
+// The raw stream every stimulus word, statistic and campaign verdict is
+// drawn from: fnv1a64 of the first 4096 next() words per seed.
+TEST(Rng, StreamMatchesPinnedHash) {
+  const std::pair<std::uint64_t, std::uint64_t> cases[] = {
+      {0, 0x07da72e5c5943bd6ULL},
+      {1, 0x0a6333cd21094044ULL},
+      {99, 0xdb0037d3a5ceb0efULL},
+      {0x5eed5eed5eedULL, 0x642f6c09bb2799e4ULL},
+  };
+  for (const auto& [seed, pinned] : cases) {
+    Rng rng(seed);
+    std::vector<std::uint64_t> words(4096);
+    for (auto& w : words) w = rng.next();
+    const std::uint64_t got =
+        pins::hash_bytes(std::span<const std::uint64_t>(words));
+    EXPECT_EQ(got, pinned) << "seed " << seed << ": got 0x" << std::hex << got;
+  }
+}
+
+// The stimulus generator's integer form of next_bool: (next() >> 11) <
+// bool_threshold(p) must agree with next_double() < p for every double,
+// at the draws around the threshold and on real streams.
+TEST(Rng, BoolThresholdMatchesNextBool) {
+  constexpr std::uint64_t kTwo53 = std::uint64_t{1} << 53;
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> ps = {-0.0,
+                            0.0,
+                            std::numeric_limits<double>::denorm_min(),
+                            0x1.0p-53,
+                            0.5,
+                            std::nextafter(1.0, 0.0),
+                            1.0,
+                            1.6,
+                            -3.0,
+                            1e300,
+                            inf,
+                            -inf,
+                            std::numeric_limits<double>::quiet_NaN()};
+  Rng gen(5);
+  for (int i = 0; i < 200; ++i) ps.push_back(gen.next_double());
+  for (int i = 0; i < 50; ++i) ps.push_back(3.0 * gen.next_double() - 1.0);
+
+  for (const double p : ps) {
+    const std::uint64_t t = Rng::bool_threshold(p);
+    ASSERT_LE(t, kTwo53) << p;
+    // next_double() of a draw x is (x >> 11) * 2^-53.
+    for (const std::uint64_t x53 : {std::uint64_t{0}, t - 1, t, t + 1,
+                                    kTwo53 - 1}) {
+      if (x53 >= kTwo53) continue;  // t - 1 wrapped, or t + 1 past the top
+      EXPECT_EQ(static_cast<double>(x53) * 0x1.0p-53 < p, x53 < t)
+          << "p " << p << " x53 " << x53;
+    }
+    Rng by_double(11), by_threshold(11);
+    for (int i = 0; i < 256; ++i)
+      ASSERT_EQ(by_double.next_bool(p), (by_threshold.next() >> 11) < t)
+          << "p " << p << " draw " << i;
+  }
 }
 
 TEST(SplitMix64, KnownSequenceIsStable) {
