@@ -8,10 +8,12 @@
 #include <sstream>
 #include <vector>
 
+#include "src/check/front_end_ref.hpp"
 #include "src/fault/fault.hpp"
 #include "src/graphir/features.hpp"
 #include "src/graphir/graph.hpp"
 #include "src/ml/serialize.hpp"
+#include "src/netlist/verilog_parser.hpp"
 #include "src/netlist/verilog_writer.hpp"
 #include "src/serve/bundle.hpp"
 #include "src/serve/engine.hpp"
@@ -445,10 +447,12 @@ struct DirectScore {
   std::vector<double> proba;
   std::vector<int> predicted;
   std::vector<double> score;
+  std::string graph_divergence;  // "" when build_graph matched the reference
 };
 
 /// In-process replay of the scoring pipeline straight from the bundle
-/// artifact — no engine, no cache, no worker pool.
+/// artifact — no engine, no cache, no worker pool — over the reference
+/// graph build, which graphir::build_graph must match byte for byte.
 DirectScore direct_score(const designs::Design& design,
                          const std::string& bundle_path) {
   const serve::ModelBundle bundle = serve::load_bundle_file(bundle_path);
@@ -458,9 +462,10 @@ DirectScore direct_score(const designs::Design& design,
       bundle.manifest.probability_cycles);
   const ml::Matrix x =
       bundle.standardizer.transform(graphir::extract_features(nl, stats));
-  const graphir::CircuitGraph graph = graphir::build_graph(nl);
+  const graphir::CircuitGraph graph = reference_build_graph(nl);
 
   DirectScore d;
+  d.graph_divergence = diff_graphs(graphir::build_graph(nl), graph);
   ml::GcnModel classifier = ml::clone_gcn(*bundle.classifier);
   classifier.set_adjacency(&graph.normalized_adjacency);
   const ml::Matrix out = classifier.forward(x, /*training=*/false);
@@ -508,6 +513,27 @@ std::string diff_serve_vs_pipeline(const designs::Design& design,
   }
 
   const DirectScore ref = direct_score(design, bundle_path);
+  if (!ref.graph_divergence.empty())
+    return "serve-oracle: build_graph vs reference graph build: " +
+           ref.graph_divergence;
+
+  // The streamed content hash against the export -> parse -> export
+  // reference, on the design and on its .v re-parse.
+  const netlist::Netlist reparsed = [&] {
+    std::ifstream is(netlist_path);
+    return netlist::parse_verilog(is);
+  }();
+  for (const netlist::Netlist* nl : {&design.netlist, &reparsed}) {
+    const std::uint64_t got = serve::netlist_content_hash(*nl);
+    const std::uint64_t want = reference_content_hash(*nl);
+    if (got != want) {
+      std::ostringstream os;
+      os << "serve-oracle: netlist_content_hash of the "
+         << (nl == &reparsed ? ".v re-parse" : "design") << " is 0x"
+         << std::hex << got << ", the round-trip reference 0x" << want;
+      return os.str();
+    }
+  }
 
   serve::ScoringEngine engine(
       {.threads = 2, .queue_capacity = 8, .cache_capacity = 2});
@@ -529,12 +555,16 @@ std::string diff_serve_vs_pipeline(const designs::Design& design,
            "hit";
 
   // Worker-pool path on the Verilog round-trip of the same netlist: the
-  // writer/parser pair is exact, so results must still be bit-identical.
+  // writer/parser pair is exact, so the hash must match the bundle's and
+  // the results must still be bit-identical.
   std::vector<std::future<serve::ScoreResult>> futures;
   for (int i = 0; i < 2; ++i)
     futures.push_back(engine.submit(bundle_path, netlist_path));
   for (auto& fut : futures) {
     const serve::ScoreResult rs = fut.get();
+    if (!rs.netlist_matched)
+      return "serve-oracle: engine.submit on .v round-trip reports a "
+             "netlist hash mismatch";
     if (auto msg = compare_scores(rs, ref, "engine.submit on .v round-trip");
         !msg.empty())
       return msg;

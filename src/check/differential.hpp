@@ -26,7 +26,9 @@
 //                             bit-identical
 //   diff_serve_vs_pipeline    serve::ScoringEngine (cache + worker pool)
 //                             vs  direct in-process scoring of the same
-//                             bundle artifact
+//                             bundle artifact over the reference graph
+//                             build; build_graph and the streamed content
+//                             hash vs their references (front_end_ref.hpp)
 //
 // The harness (src/check/harness.hpp) drives these over a randomized
 // netlist fuzzer; tests also aim them at the registered designs.
@@ -108,8 +110,12 @@ std::string diff_static_prune(const designs::Design& design,
 /// Pack a deterministic (untrained) model bundle for the design into
 /// `scratch_dir`, score it through a multi-threaded ScoringEngine — twice
 /// synchronously (second hit must come from the LRU cache) and once through
-/// the worker-pool submit path — and compare every probability, class and
-/// score against a direct in-process replay of the scoring pipeline.
+/// the worker-pool submit path on the design's .v export, which must report
+/// netlist_matched — and compare every probability, class and score against
+/// a direct in-process replay of the scoring pipeline. The replay builds its
+/// graph with reference_build_graph and byte-compares graphir::build_graph
+/// against it; netlist_content_hash must equal reference_content_hash on
+/// the design and on its .v re-parse.
 std::string diff_serve_vs_pipeline(const designs::Design& design,
                                    const std::string& scratch_dir,
                                    std::uint64_t seed);

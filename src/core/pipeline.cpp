@@ -50,17 +50,17 @@ PipelineResult FaultCriticalityAnalyzer::analyze(
             r.design.name.c_str(), nl.num_nodes());
 
   // ---- lint preflight: reject structurally broken inputs up front ---------
-  if (config_.preflight_lint) {
+  // Only the rules that can report an error run here (src/lint); the
+  // graph-IR consistency rules gate again before training.
+  {
     obs::Span span("lint");
-    lint::LintReport preflight = lint::lint_netlist(nl);
+    lint::LintReport preflight = lint::preflight(nl);
     preflight.target_name = r.design.name;
     obs::registry().counter("lint.findings_total")
         .add(preflight.diagnostics.size());
     obs::registry().counter("lint.errors_total").add(preflight.errors());
     if (preflight.errors() > 0) throw lint::LintError(std::move(preflight));
-    obs::logf(obs::LogLevel::kDebug,
-              "pipeline: lint preflight clean (%zu warning(s), %zu note(s))",
-              preflight.warnings(), preflight.notes());
+    obs::logf(obs::LogLevel::kDebug, "pipeline: lint preflight clean");
   }
 
   // ---- golden simulation: signal statistics for the §3.1 features ---------

@@ -84,13 +84,6 @@ struct PipelineConfig {
   // 0 uses all hardware threads, 1 forces the exact serial path. Results
   // are bitwise-identical across all values.
   int jobs = -1;
-
-  // Preflight gate (src/lint): run the structural rules over the input
-  // netlist before any cycle is simulated; error-severity findings reject
-  // the design with a lint::LintError carrying the full report. The
-  // graph-IR consistency rules additionally gate between feature
-  // extraction and training regardless of this flag.
-  bool preflight_lint = true;
 };
 
 /// One trained model's validation-set evaluation.

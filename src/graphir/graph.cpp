@@ -2,78 +2,87 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <stdexcept>
 
 namespace fcrit::graphir {
 
 CircuitGraph build_graph(const netlist::Netlist& nl) {
   CircuitGraph g;
-  g.num_nodes = static_cast<int>(nl.num_nodes());
+  const std::size_t n = nl.num_nodes();
+  g.num_nodes = static_cast<int>(n);
 
-  // Unique undirected edges. Parallel connections (a gate consuming the
-  // same net twice) collapse to one edge; self-feedback (only possible via
-  // DFF q->d loops) is dropped because Â adds a self-loop anyway.
-  std::map<std::pair<int, int>, int> edge_index;
-  for (netlist::NodeId id = 0; id < nl.num_nodes(); ++id) {
-    for (const netlist::NodeId f : nl.fanins(id)) {
-      if (f == id) continue;
-      const int a = static_cast<int>(f);
-      const int b = static_cast<int>(id);
-      const std::pair<int, int> e{std::min(a, b), std::max(a, b)};
-      if (!edge_index.contains(e)) {
-        edge_index.emplace(e, static_cast<int>(g.edges.size()));
-        g.edges.push_back(e);
+  // Unique undirected edges, first seen walking nodes by id and each
+  // node's fanins by slot. Parallel connections (a gate consuming the same
+  // net twice) collapse to one edge; self-feedback (only possible via DFF
+  // q->d loops) is dropped because Â adds a self-loop anyway. Fanin f of
+  // node id repeats an edge in exactly two cases, so no lookup table is
+  // needed: f also sits in an earlier slot of id, or f < id and id is a
+  // fanin of f (a two-node gate <-> DFF loop).
+  std::vector<int> degree(n, 1);  // deg(v) = 1 + #incident edges
+  for (netlist::NodeId id = 0; id < n; ++id) {
+    const auto fanins = nl.fanins(id);
+    for (std::size_t slot = 0; slot < fanins.size(); ++slot) {
+      const netlist::NodeId f = fanins[slot];
+      const auto earlier = fanins.first(slot);
+      if (f == id || std::find(earlier.begin(), earlier.end(), f) !=
+                         earlier.end())
+        continue;
+      if (f < id) {
+        const auto back = nl.fanins(f);
+        if (std::find(back.begin(), back.end(), id) != back.end()) continue;
       }
+      g.edges.emplace_back(static_cast<int>(std::min(f, id)),
+                           static_cast<int>(std::max(f, id)));
+      ++degree[f];
+      ++degree[id];
+    }
+  }
+  std::vector<double> dinv_sqrt(n);
+  for (std::size_t i = 0; i < n; ++i)
+    dinv_sqrt[i] = 1.0 / std::sqrt(static_cast<double>(degree[i]));
+
+  // Each node's neighbours with the connecting edge, by a counting pass.
+  std::vector<int> adj_ptr(n + 1, 0);
+  for (std::size_t i = 0; i < n; ++i)
+    adj_ptr[i + 1] = adj_ptr[i] + degree[i] - 1;
+  std::vector<std::pair<int, int>> adj(static_cast<std::size_t>(adj_ptr[n]));
+  {
+    std::vector<int> fill(adj_ptr.begin(), adj_ptr.end() - 1);
+    for (std::size_t e = 0; e < g.edges.size(); ++e) {
+      const auto [u, v] = g.edges[e];
+      adj[static_cast<std::size_t>(fill[u]++)] = {v, static_cast<int>(e)};
+      adj[static_cast<std::size_t>(fill[v]++)] = {u, static_cast<int>(e)};
     }
   }
 
-  // Degrees with self-loops: deg(v) = 1 + #incident edges.
-  std::vector<double> degree(static_cast<std::size_t>(g.num_nodes), 1.0);
-  for (const auto& [u, v] : g.edges) {
-    degree[static_cast<std::size_t>(u)] += 1.0;
-    degree[static_cast<std::size_t>(v)] += 1.0;
+  // Â in CSR, entries sorted by (row, col). Walking columns c in ascending
+  // order and appending (r, c) to the row of every neighbour r of c (and
+  // (c, c) to row c) fills each row in column order: Â is symmetric.
+  std::vector<int> row_ptr(n + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) row_ptr[i + 1] = row_ptr[i] + degree[i];
+  const auto nnz = static_cast<std::size_t>(row_ptr[n]);
+  std::vector<int> col(nnz);
+  std::vector<float> val(nnz);
+  g.entry_edge.resize(nnz);
+  std::vector<int> next(row_ptr.begin(), row_ptr.end() - 1);
+  for (std::size_t c = 0; c < n; ++c) {
+    auto k = static_cast<std::size_t>(next[c]++);
+    col[k] = static_cast<int>(c);
+    val[k] = static_cast<float>(dinv_sqrt[c] * dinv_sqrt[c]);
+    g.entry_edge[k] = -1;
+    for (int a = adj_ptr[c]; a < adj_ptr[c + 1]; ++a) {
+      const auto [r, e] = adj[static_cast<std::size_t>(a)];
+      const auto [u, v] = g.edges[static_cast<std::size_t>(e)];
+      k = static_cast<std::size_t>(next[static_cast<std::size_t>(r)]++);
+      col[k] = static_cast<int>(c);
+      val[k] = static_cast<float>(dinv_sqrt[static_cast<std::size_t>(u)] *
+                                  dinv_sqrt[static_cast<std::size_t>(v)]);
+      g.entry_edge[k] = e;
+    }
   }
-  std::vector<double> dinv_sqrt(degree.size());
-  for (std::size_t i = 0; i < degree.size(); ++i)
-    dinv_sqrt[i] = 1.0 / std::sqrt(degree[i]);
-
-  // COO entries of Â, remembering each entry's undirected edge.
-  struct Tagged {
-    ml::Coo coo;
-    int edge;
-  };
-  std::vector<Tagged> tagged;
-  tagged.reserve(2 * g.edges.size() + static_cast<std::size_t>(g.num_nodes));
-  for (std::size_t e = 0; e < g.edges.size(); ++e) {
-    const auto [u, v] = g.edges[e];
-    const float w = static_cast<float>(dinv_sqrt[static_cast<std::size_t>(u)] *
-                                       dinv_sqrt[static_cast<std::size_t>(v)]);
-    tagged.push_back({{u, v, w}, static_cast<int>(e)});
-    tagged.push_back({{v, u, w}, static_cast<int>(e)});
-  }
-  for (int i = 0; i < g.num_nodes; ++i) {
-    const float w = static_cast<float>(dinv_sqrt[static_cast<std::size_t>(i)] *
-                                       dinv_sqrt[static_cast<std::size_t>(i)]);
-    tagged.push_back({{i, i, w}, -1});
-  }
-
-  // from_coo sorts by (row, col); replicate that order for entry_edge.
-  std::sort(tagged.begin(), tagged.end(), [](const Tagged& a, const Tagged& b) {
-    return std::tie(a.coo.row, a.coo.col) < std::tie(b.coo.row, b.coo.col);
-  });
-  std::vector<ml::Coo> entries;
-  entries.reserve(tagged.size());
-  g.entry_edge.reserve(tagged.size());
-  for (const Tagged& t : tagged) {
-    entries.push_back(t.coo);
-    g.entry_edge.push_back(t.edge);
-  }
-  g.normalized_adjacency =
-      ml::SparseMatrix::from_coo(g.num_nodes, g.num_nodes, std::move(entries));
-  if (g.normalized_adjacency.nnz() != g.entry_edge.size())
-    throw std::runtime_error(
-        "build_graph: duplicate (row,col) entries broke edge tagging");
+  g.normalized_adjacency = ml::SparseMatrix::from_csr(
+      g.num_nodes, g.num_nodes, std::move(row_ptr), std::move(col),
+      std::move(val));
   return g;
 }
 

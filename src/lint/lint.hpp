@@ -11,10 +11,11 @@
 // LintReport renders the findings either human-readable or as one strict
 // RFC-8259 JSON document (obs::json_valid-clean).
 //
-// Three consumers gate on it: the `fcrit lint` CLI verb, the pipeline /
-// serve preflight (error-severity findings reject the input, wrapped in a
-// LintError carrying the full report), and the `fcrit check` fuzzer, which
-// auto-lints shrunken repro circuits.
+// Three consumers gate on it: the `fcrit lint` CLI verb (the full pass),
+// the pipeline / serve preflight (only the rules that can report an error;
+// error findings reject the input, wrapped in a LintError carrying the
+// report), and the `fcrit check` fuzzer, which auto-lints shrunken repro
+// circuits.
 #pragma once
 
 #include <cstddef>
@@ -100,12 +101,21 @@ const std::vector<RuleInfo>& rule_catalog();
 
 // ---- passes ----------------------------------------------------------------
 
-/// Run every structural netlist rule, appending findings to `report`.
-/// Tolerates unresolved (kNoNode) fanins — they are themselves findings.
+/// Run every structural netlist rule, appending findings to `report`:
+/// the preflight rules, then the advisory ones (warnings and notes, some
+/// backed by the sla::DataflowAnalysis fixpoint). Tolerates unresolved
+/// (kNoNode) fanins — they are themselves findings.
 void lint_netlist(const netlist::Netlist& nl, LintReport& report);
 
 /// Convenience wrapper returning a fresh report named after the netlist.
 LintReport lint_netlist(const netlist::Netlist& nl);
+
+/// The gate in front of scoring and analysis: exactly the netlist rules
+/// whose catalog severity is error (undriven-fanin, duplicate-name,
+/// comb-loop), through the same functions lint_netlist runs first, so its
+/// findings are the error subset of lint_netlist's, in the same order.
+/// Returns a report named after the netlist.
+LintReport preflight(const netlist::Netlist& nl);
 
 /// Map the Verilog parser's collected semantic issues (multi-driven nets,
 /// unknown cells, undriven pins — each with its source line) onto typed

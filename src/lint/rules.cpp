@@ -1,7 +1,8 @@
 // The structural rule registry behind lint_netlist() / lint_graphir().
 //
-// Every rule is linear (or near-linear) in nodes + edges: the whole pass
-// stays cheap enough to run per serve request. The pass never trusts
+// Every rule is linear (or near-linear) in nodes + edges; the error rules
+// alone form the preflight every serve request and pipeline run passes
+// through, the full pass is `fcrit lint`. The pass never trusts
 // Netlist::fanouts() — unresolved kNoNode fanins (themselves findings)
 // would corrupt its CSR build — and instead derives its own adjacency,
 // skipping invalid edges.
@@ -427,14 +428,28 @@ void rule_reset_cone(const Netlist& nl,
   }
 }
 
+/// The rules whose catalog severity is error.
+void error_rules(const Netlist& nl,
+                 const std::vector<std::vector<NodeId>>& fanout,
+                 LintReport& report) {
+  rule_undriven_fanin(nl, report);
+  rule_duplicate_name(nl, report);
+  rule_comb_loop(nl, fanout, report);
+}
+
 }  // namespace
+
+LintReport preflight(const Netlist& nl) {
+  LintReport report;
+  report.target_name = nl.name();
+  error_rules(nl, safe_fanouts(nl), report);
+  return report;
+}
 
 void lint_netlist(const Netlist& nl, LintReport& report) {
   if (report.target_name.empty()) report.target_name = nl.name();
   const auto fanout = safe_fanouts(nl);
-  rule_undriven_fanin(nl, report);
-  rule_duplicate_name(nl, report);
-  rule_comb_loop(nl, fanout, report);
+  error_rules(nl, fanout, report);
   // Static dataflow analysis (src/sla) backs the const-fold, dead-cone
   // and reset-cone rules when the netlist is sound enough to analyze;
   // each falls back to its one-level structural check otherwise.

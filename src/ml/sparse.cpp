@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "src/ml/kernel_stats.hpp"
 #include "src/util/parallel.hpp"
@@ -39,6 +40,40 @@ SparseMatrix SparseMatrix::from_coo(int rows, int cols,
   }
   for (std::size_t r = 1; r < s.row_ptr_.size(); ++r)
     s.row_ptr_[r] += s.row_ptr_[r - 1];
+  return s;
+}
+
+SparseMatrix SparseMatrix::from_csr(int rows, int cols,
+                                    std::vector<int> row_ptr,
+                                    std::vector<int> col_index,
+                                    std::vector<float> values) {
+  auto fail = [](const char* what) {
+    throw std::runtime_error(std::string("SparseMatrix::from_csr: ") + what);
+  };
+  if (rows < 0 || cols < 0 ||
+      row_ptr.size() != static_cast<std::size_t>(rows) + 1 ||
+      row_ptr.front() != 0 ||
+      static_cast<std::size_t>(row_ptr.back()) != col_index.size() ||
+      values.size() != col_index.size())
+    fail("array sizes disagree");
+  for (std::size_t r = 0; r < static_cast<std::size_t>(rows); ++r)
+    if (row_ptr[r + 1] < row_ptr[r]) fail("row_ptr is not monotone");
+  for (int r = 0; r < rows; ++r) {
+    const int begin = row_ptr[static_cast<std::size_t>(r)];
+    const int end = row_ptr[static_cast<std::size_t>(r) + 1];
+    for (int k = begin; k < end; ++k) {
+      const int c = col_index[static_cast<std::size_t>(k)];
+      if (c < 0 || c >= cols) fail("column index out of range");
+      if (k > begin && c <= col_index[static_cast<std::size_t>(k) - 1])
+        fail("columns not strictly increasing within a row");
+    }
+  }
+  SparseMatrix s;
+  s.rows_ = rows;
+  s.cols_ = cols;
+  s.row_ptr_ = std::move(row_ptr);
+  s.col_ = std::move(col_index);
+  s.val_ = std::move(values);
   return s;
 }
 

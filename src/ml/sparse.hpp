@@ -33,6 +33,13 @@ class SparseMatrix {
   /// Build from coordinate triples; duplicate (row, col) entries sum.
   static SparseMatrix from_coo(int rows, int cols, std::vector<Coo> entries);
 
+  /// Adopt CSR arrays as they are. Throws std::runtime_error unless
+  /// row_ptr has rows + 1 monotone offsets from 0 to nnz, values has nnz
+  /// entries, and every row's columns are in range and strictly increasing.
+  static SparseMatrix from_csr(int rows, int cols, std::vector<int> row_ptr,
+                               std::vector<int> col_index,
+                               std::vector<float> values);
+
   int rows() const { return rows_; }
   int cols() const { return cols_; }
   std::size_t nnz() const { return col_.size(); }

@@ -4,10 +4,18 @@
 // (.Y(...), .A(...), ...), a single implicit clock `clk` on every FD1, and
 // wire-per-node naming. verilog_parser.hpp reads this subset back, so
 // write→parse round-trips are exact (tested in tests/netlist_verilog_test).
+//
+// One emitter writes every Verilog text: it takes an emission order and a
+// sink. write_verilog/to_verilog pass node-id order; the bundle content
+// hash passes parse_order() into a hashing sink, which yields the bytes an
+// export → parse → export round trip would produce, without the round trip.
 #pragma once
 
 #include <iosfwd>
+#include <span>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "src/netlist/netlist.hpp"
 
@@ -17,6 +25,26 @@ namespace fcrit::netlist {
 /// Combinational cells use A/B/C/D + Y; MX2 uses A/B/S + Y; FD1 uses D + Q.
 std::vector<std::string> pin_names(CellKind kind);
 
+/// Receives the emitter's text, piece by piece and in order.
+class VerilogSink {
+ public:
+  virtual void write(std::string_view text) = 0;
+
+ protected:
+  ~VerilogSink() = default;
+};
+
+/// The order parse_verilog numbers nodes in: primary inputs in port order,
+/// then constants, then gates and flip-flops, each group in id order.
+std::vector<NodeId> parse_order(const Netlist& nl);
+
+/// Emit the module with its wires, constants and instances in `order`, a
+/// permutation of the node ids. The wire of the node at position k of
+/// `order` is named n_k; primary inputs keep their port names.
+void emit_verilog(const Netlist& nl, std::span<const NodeId> order,
+                  VerilogSink& sink);
+
+/// emit_verilog in node-id order.
 void write_verilog(const Netlist& nl, std::ostream& os);
 
 std::string to_verilog(const Netlist& nl);

@@ -1,6 +1,6 @@
 // Request-scoped tracing for the scoring daemon: one RequestTrace per
 // SCORE request, carrying named spans (queue_wait, parse, bundle_load,
-// golden_sim, forward).
+// lint, content_hash, golden_sim, features, forward).
 //
 // The collector is the single rendezvous between the daemon front end and
 // the engine's workers: the server calls begin() (honoring a client's id=

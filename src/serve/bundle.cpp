@@ -8,7 +8,6 @@
 #include <sstream>
 
 #include "src/ml/serialize.hpp"
-#include "src/netlist/verilog_parser.hpp"
 #include "src/netlist/verilog_writer.hpp"
 #include "src/util/text.hpp"
 
@@ -74,21 +73,29 @@ BundleError::BundleError(BundleErrorCode code, const std::string& message)
                          message),
       code_(code) {}
 
-std::uint64_t fnv1a64(std::string_view bytes) {
-  std::uint64_t h = 1469598103934665603ULL;
+std::uint64_t fnv1a64(std::string_view bytes, std::uint64_t state) {
   for (const unsigned char c : bytes) {
-    h ^= c;
-    h *= 1099511628211ULL;
+    state ^= c;
+    state *= 1099511628211ULL;
   }
-  return h;
+  return state;
 }
 
+namespace {
+
+/// Hashes the emitter's text as it streams by.
+class HashSink final : public netlist::VerilogSink {
+ public:
+  void write(std::string_view text) override { hash = fnv1a64(text, hash); }
+  std::uint64_t hash = kFnv1a64Basis;
+};
+
+}  // namespace
+
 std::uint64_t netlist_content_hash(const netlist::Netlist& nl) {
-  // One export→parse round-trip first: the parser's node order is a fixed
-  // point of to_verilog, the builders' is not, so hashing the canonical
-  // form makes hash(design) == hash(parse(exported .v file)).
-  return fnv1a64(
-      netlist::to_verilog(netlist::parse_verilog(netlist::to_verilog(nl))));
+  HashSink sink;
+  netlist::emit_verilog(nl, netlist::parse_order(nl), sink);
+  return sink.hash;
 }
 
 ModelBundle pack_bundle(const core::PipelineResult& result) {

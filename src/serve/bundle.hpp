@@ -80,12 +80,18 @@ struct ModelBundle {
   std::unique_ptr<ml::GcnModel> regressor;  // null when not trained
 };
 
-/// FNV-1a 64-bit hash of a byte string.
-std::uint64_t fnv1a64(std::string_view bytes);
+inline constexpr std::uint64_t kFnv1a64Basis = 1469598103934665603ULL;
 
-/// Canonical content hash of a netlist: FNV-1a over its structural-Verilog
-/// emission, so the hash is stable across export→parse round-trips and
-/// independent of the on-disk container (.v vs in-memory).
+/// FNV-1a 64-bit hash of a byte string. Pass the hash of the bytes before
+/// as `state` to hash a text fed in pieces.
+std::uint64_t fnv1a64(std::string_view bytes,
+                      std::uint64_t state = kFnv1a64Basis);
+
+/// Canonical content hash of a netlist: FNV-1a over its structural Verilog
+/// emitted in the order parse_verilog numbers nodes (netlist::parse_order),
+/// streamed without building the text. That order is a fixed point of an
+/// export → parse round trip, so hash(design) == hash(parse(exported .v)),
+/// independent of the container (.v, .bench or in-memory).
 std::uint64_t netlist_content_hash(const netlist::Netlist& nl);
 
 /// Package the trained artifacts of a pipeline run. Requires result.gcn;

@@ -192,7 +192,9 @@ ScoreResult ScoringEngine::score(const std::string& bundle_path,
       tc->span(opts.trace_id, "bundle_load", t_load, obs::TraceClock::now(),
                cache_hit ? "cache-hit" : "parse");
 
-    const auto t_prep = obs::TraceClock::now();
+    // One span per stage; each ends where the next begins, so the spans
+    // tile the request without overlap.
+    const auto t_lint = obs::TraceClock::now();
     const BundleManifest& m = bundle->manifest;
     const netlist::Netlist& nl = target.netlist;
     nl.validate();
@@ -200,20 +202,20 @@ ScoreResult ScoringEngine::score(const std::string& bundle_path,
     // Lint preflight: a user-supplied netlist with structural errors
     // (combinational loops, undriven pins, duplicate names) is rejected
     // with the full report instead of being scored garbage-in/garbage-out.
-    {
-      lint::LintReport preflight = lint::lint_netlist(nl);
-      preflight.target_name = target.name;
-      registry_.counter("lint.findings_total")
-          .add(preflight.diagnostics.size());
-      registry_.counter("lint.errors_total").add(preflight.errors());
-      if (preflight.errors() > 0)
-        throw lint::LintError(std::move(preflight));
-    }
+    lint::LintReport preflight = lint::preflight(nl);
+    preflight.target_name = target.name;
+    registry_.counter("lint.findings_total").add(preflight.diagnostics.size());
+    registry_.counter("lint.errors_total").add(preflight.errors());
+    const auto t_hash = obs::TraceClock::now();
+    if (tc) tc->span(opts.trace_id, "lint", t_lint, t_hash);
+    if (preflight.errors() > 0) throw lint::LintError(std::move(preflight));
 
     ScoreResult r;
     r.target_name = target.name;
     r.bundle_design = m.design_name;
     r.netlist_matched = netlist_content_hash(nl) == m.netlist_hash;
+    const auto t_stats = obs::TraceClock::now();
+    if (tc) tc->span(opts.trace_id, "content_hash", t_hash, t_stats);
     if (!r.netlist_matched && opts.strict_hash)
       throw BundleError(BundleErrorCode::kNetlistHashMismatch,
                         "'" + target.name + "' is not the netlist '" +
@@ -222,6 +224,8 @@ ScoreResult ScoringEngine::score(const std::string& bundle_path,
     util::Timer stats_timer;
     const auto stats = sim::estimate_by_simulation(
         nl, bundle->stimulus, m.probability_seed, m.probability_cycles);
+    const auto t_features = obs::TraceClock::now();
+    if (tc) tc->span(opts.trace_id, "golden_sim", t_stats, t_features);
     const ml::Matrix raw = graphir::extract_features(nl, stats);
     if (raw.cols() != m.feature_width)
       throw BundleError(BundleErrorCode::kFeatureWidthMismatch,
@@ -237,11 +241,10 @@ ScoreResult ScoringEngine::score(const std::string& bundle_path,
     r.node_names.reserve(nl.num_nodes());
     for (netlist::NodeId id = 0; id < nl.num_nodes(); ++id)
       r.node_names.push_back(nl.node(id).name);
-    if (tc)
-      tc->span(opts.trace_id, "golden_sim", t_prep, obs::TraceClock::now());
+    const auto t_fwd = obs::TraceClock::now();
+    if (tc) tc->span(opts.trace_id, "features", t_features, t_fwd);
     r.trace_id = opts.trace_id;
 
-    const auto t_fwd = obs::TraceClock::now();
     util::Timer forward_timer;
     // This thread's private clones of the bundle's models: no other thread
     // can touch them, so the forward pass is race-free by construction.

@@ -75,9 +75,9 @@ struct EngineConfig {
   std::function<void(const std::string& target_path)> before_score_hook =
       nullptr;
   /// Request-trace sink (not owned). Requests whose ScoreOptions carry a
-  /// nonzero trace_id record queue_wait / parse / bundle_load /
-  /// golden_sim / forward spans against it. Null or disabled: zero work
-  /// on the scoring path.
+  /// nonzero trace_id record queue_wait / parse / bundle_load / lint /
+  /// content_hash / golden_sim / features / forward spans against it.
+  /// Null or disabled: zero work on the scoring path.
   obs::RequestTraceCollector* traces = nullptr;
 };
 

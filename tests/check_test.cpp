@@ -8,11 +8,14 @@
 #include <string>
 
 #include "src/check/differential.hpp"
+#include "src/check/front_end_ref.hpp"
 #include "src/check/harness.hpp"
 #include "src/check/scalar_sim.hpp"
 #include "src/designs/designs.hpp"
 #include "src/designs/random_circuit.hpp"
+#include "src/graphir/graph.hpp"
 #include "src/rtl/builder.hpp"
+#include "src/serve/bundle.hpp"
 
 namespace fcrit::check {
 namespace {
@@ -177,6 +180,45 @@ TEST(ServeOracle, MatchesDirectScoring) {
           .string();
   const auto d = random_design(17, /*gates=*/50, /*flops=*/4);
   EXPECT_EQ(diff_serve_vs_pipeline(d, scratch, 17), "");
+}
+
+TEST(FrontEndReferences, StreamedHashAndLinearGraphMatchOnRandomCircuits) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    designs::RandomCircuitConfig cfg;
+    cfg.num_inputs = 1 + static_cast<int>(seed % 6);
+    cfg.num_gates = static_cast<int>(1 + seed * 7);
+    cfg.num_flops = static_cast<int>(seed % 9);
+    cfg.num_outputs = 1 + static_cast<int>(seed % 3);
+    cfg.reuse_bias = 0.1 * static_cast<double>(seed % 10);
+    cfg.seed = seed;
+    const Netlist nl = designs::build_random_circuit(cfg).netlist;
+    EXPECT_EQ(serve::netlist_content_hash(nl), reference_content_hash(nl))
+        << "seed " << seed;
+    EXPECT_EQ(diff_graphs(graphir::build_graph(nl), reference_build_graph(nl)),
+              "")
+        << "seed " << seed;
+  }
+}
+
+TEST(FrontEndReferences, OutputPortNamedLikeAWireHashesItsOwnDriver) {
+  // Port n_1 is driven by u2, but the export names u1's wire n_1 too, so
+  // the round trip resolves the port to u1: the reference hashes the
+  // re-driven netlist, the streamed hash the netlist as built.
+  Netlist nl("renamed");
+  const NodeId a = nl.add_input("a");
+  const NodeId u1 = nl.add_gate(CellKind::kInv, {a}, "u1");
+  const NodeId u2 = nl.add_gate(CellKind::kInv, {u1}, "u2");
+  nl.add_output("n_1", u2);
+  Netlist redriven("renamed");
+  const NodeId ra = redriven.add_input("a");
+  const NodeId r1 = redriven.add_gate(CellKind::kInv, {ra}, "u1");
+  redriven.add_gate(CellKind::kInv, {r1}, "u2");
+  redriven.add_output("n_1", r1);
+  EXPECT_EQ(reference_content_hash(nl), reference_content_hash(redriven));
+  EXPECT_NE(serve::netlist_content_hash(nl),
+            serve::netlist_content_hash(redriven));
+  EXPECT_EQ(serve::netlist_content_hash(redriven),
+            reference_content_hash(redriven));
 }
 
 CheckConfig tranche_config() {

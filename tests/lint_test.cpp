@@ -321,6 +321,36 @@ TEST(LintError, CarriesFullReport) {
       << err.what();
 }
 
+TEST(LintPreflight, IsTheErrorSubsetOfTheFullPass) {
+  // Every error rule fires, next to warnings and notes the preflight skips.
+  Netlist nl("mixed");
+  const NodeId a = nl.add_input("a");
+  const NodeId c = nl.add_const(true);
+  const NodeId open = nl.add_gate(CellKind::kAnd2, {a, kNoNode}, "u_open");
+  const NodeId g1 = nl.add_gate(CellKind::kInv, {kNoNode}, "u_loop");
+  const NodeId g2 = nl.add_gate(CellKind::kAnd2, {g1, a}, "u_loop");
+  nl.set_fanin(g1, 0, g2);
+  nl.add_gate(CellKind::kOr2, {a, c}, "u_dead");
+  const NodeId ff = nl.add_gate(CellKind::kDff, {kNoNode}, "r_self");
+  nl.set_fanin(ff, 0, ff);
+  nl.add_output("y", g2);
+  nl.add_output("z", open);
+  nl.add_output("q", ff);
+
+  const LintReport full = lint_netlist(nl);
+  const LintReport gate = preflight(nl);
+  for (const char* rule : {"undriven-fanin", "duplicate-name", "comb-loop"})
+    EXPECT_TRUE(has_rule(gate, rule)) << rule << "\n" << gate.to_string();
+  ASSERT_GT(full.warnings() + full.notes(), 0u) << full.to_string();
+  LintReport errors;
+  errors.target_name = full.target_name;
+  for (const Diagnostic& d : full.diagnostics)
+    if (d.severity == Severity::kError) errors.add(d);
+  EXPECT_EQ(gate.to_json(), errors.to_json());
+  EXPECT_EQ(gate.target_name, "mixed");
+  EXPECT_TRUE(preflight(clean_circuit()).clean());
+}
+
 TEST(LintCatalog, EveryEmittedRuleIsRegistered) {
   const auto& catalog = rule_catalog();
   const std::vector<std::string> expected = {

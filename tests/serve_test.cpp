@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "src/designs/random_circuit.hpp"
+#include "src/lint/lint.hpp"
 #include "src/netlist/verilog_writer.hpp"
 #include "src/obs/exporter.hpp"
 #include "src/obs/json.hpp"
@@ -300,6 +301,195 @@ TEST(BundleValidation, RejectsFeatureWidthMismatch) {
   std::istringstream is2(os2.str());
   EXPECT_EQ(error_code_of([&] { load_bundle(is2); }),
             BundleErrorCode::kFeatureWidthMismatch);
+}
+
+// ---- score front end: preflight gate, content hash, stage spans -----------
+
+// A combinational loop u1 -> u2 -> u1, and nothing else lint can report.
+constexpr const char* kLoopV = R"(module looped (
+  input clk,
+  input a,
+  output y
+);
+  wire w1;
+  wire w2;
+  AN2 u1 (.Y(w1), .A(a), .B(w2));
+  IV u2 (.Y(w2), .A(w1));
+  assign y = w1;
+endmodule
+)";
+
+// Two instances named u1, and nothing else lint can report.
+constexpr const char* kDuplicateV = R"(module dup (
+  input clk,
+  input a,
+  input b,
+  output y
+);
+  wire w1;
+  wire w2;
+  AN2 u1 (.Y(w1), .A(a), .B(b));
+  IV u1 (.Y(w2), .A(w1));
+  assign y = w2;
+endmodule
+)";
+
+// u2 drives nothing: its only finding is a dead-gate warning.
+constexpr const char* kDeadGateV = R"(module dead (
+  input clk,
+  input a,
+  input b,
+  output y
+);
+  wire w1;
+  wire w2;
+  AN2 u1 (.Y(w1), .A(a), .B(b));
+  IV u2 (.Y(w2), .A(w1));
+  assign y = w1;
+endmodule
+)";
+
+/// lint_netlist's error findings, under the gate's target name.
+lint::LintReport error_subset(const netlist::Netlist& nl,
+                              const std::string& target) {
+  lint::LintReport errors;
+  errors.target_name = target;
+  for (const lint::Diagnostic& d : lint::lint_netlist(nl).diagnostics)
+    if (d.severity == lint::Severity::kError) errors.add(d);
+  return errors;
+}
+
+TEST(PreflightGate, BothGatesRejectLoopsAndDuplicateNamesWithTheErrorSubset) {
+  const std::string dir = ::testing::TempDir() + "fcrit_preflight";
+  std::filesystem::create_directories(dir);
+  const auto d = tiny_design(71);
+  const std::string bundle = dir + "/tiny.fcm";
+  save_bundle_file(synthetic_bundle(d, 3), bundle);
+  ScoringEngine engine({.threads = 1});
+  core::PipelineConfig cfg;
+  cfg.train_baselines = false;
+  const core::FaultCriticalityAnalyzer analyzer(cfg);
+
+  for (const auto& [file, rule] :
+       {std::pair{"loop.v", "comb-loop"},
+        std::pair{"dup.v", "duplicate-name"}}) {
+    const std::string path = dir + "/" + file;
+    write_file(path, file == std::string("loop.v") ? kLoopV : kDuplicateV);
+    const designs::Design target = load_score_target(path);
+    const lint::LintReport want = error_subset(target.netlist, path);
+    ASSERT_GT(want.errors(), 0u) << file;
+    EXPECT_EQ(want.diagnostics.front().rule_id, rule);
+
+    try {
+      engine.score_path(bundle, path);
+      ADD_FAILURE() << "engine scored " << file;
+    } catch (const lint::LintError& e) {
+      EXPECT_EQ(e.report().to_json(), want.to_json()) << file;
+    }
+    try {
+      (void)analyzer.analyze(target);
+      ADD_FAILURE() << "analyze ran on " << file;
+    } catch (const lint::LintError& e) {
+      EXPECT_EQ(e.report().to_json(), want.to_json()) << file;
+    }
+  }
+  EXPECT_EQ(engine.metrics().errors, 2u);
+}
+
+TEST(PreflightGate, DeadGateWarningsStillScore) {
+  const std::string dir = ::testing::TempDir() + "fcrit_preflight_dead";
+  std::filesystem::create_directories(dir);
+  const auto d = tiny_design(72);
+  save_bundle_file(synthetic_bundle(d, 4), dir + "/tiny.fcm");
+  const std::string path = dir + "/dead.v";
+  write_file(path, kDeadGateV);
+  const designs::Design target = load_score_target(path);
+  const lint::LintReport full = lint::lint_netlist(target.netlist);
+  ASSERT_EQ(full.errors(), 0u) << full.to_string();
+  ASSERT_GT(full.warnings(), 0u);
+  for (const lint::Diagnostic& f : full.diagnostics)
+    EXPECT_EQ(f.rule_id, "dead-gate") << full.to_string();
+
+  ScoringEngine engine({.threads = 1});
+  const ScoreResult r = engine.score_path(dir + "/tiny.fcm", path);
+  EXPECT_EQ(r.proba.size(), target.netlist.num_nodes());
+}
+
+// Lint-clean netlists whose hash the export -> parse -> export round trip
+// could not compute: an input port named like a writer wire, a .bench
+// input named clk (the writer's implicit clock) and a .bench input whose
+// name is not a Verilog identifier.
+TEST(ContentHash, LintCleanTargetsTheRoundTripRejectedScore) {
+  const std::string dir = ::testing::TempDir() + "fcrit_hash_targets";
+  std::filesystem::create_directories(dir);
+  const auto d = tiny_design(73);
+  const std::string bundle = dir + "/tiny.fcm";
+  save_bundle_file(synthetic_bundle(d, 5), bundle);
+  write_file(dir + "/port_n_1.v", R"(module port_n_1 (
+  input clk,
+  input n_1,
+  output y
+);
+  wire w1;
+  wire w2;
+  IV u1 (.Y(w1), .A(n_1));
+  IV u2 (.Y(w2), .A(w1));
+  assign y = w2;
+endmodule
+)");
+  write_file(dir + "/clk_input.bench",
+             "INPUT(clk)\nINPUT(a)\nOUTPUT(y)\nn1 = AND(clk, a)\n"
+             "y = NOT(n1)\n");
+  write_file(dir + "/dotted.bench",
+             "INPUT(a.1)\nINPUT(b)\nOUTPUT(y)\ny = NAND(a.1, b)\n");
+
+  ScoringEngine engine({.threads = 1});
+  for (const char* file : {"port_n_1.v", "clk_input.bench", "dotted.bench"}) {
+    const std::string path = dir + "/" + file;
+    const designs::Design target = load_score_target(path);
+    EXPECT_EQ(lint::lint_netlist(target.netlist).errors(), 0u) << file;
+    ScoreResult r;
+    EXPECT_NO_THROW(r = engine.score_path(bundle, path)) << file;
+    EXPECT_EQ(r.proba.size(), target.netlist.num_nodes()) << file;
+    EXPECT_FALSE(r.netlist_matched) << file;
+  }
+}
+
+TEST(EngineSpans, StagesTileTheRequestWithoutOverlap) {
+  const std::string dir = ::testing::TempDir() + "fcrit_stage_spans";
+  std::filesystem::create_directories(dir);
+  const auto d = tiny_design(74);
+  save_bundle_file(synthetic_bundle(d, 6), dir + "/tiny.fcm");
+  obs::RequestTraceCollector traces(4);
+  traces.set_enabled(true);
+  EngineConfig ec;
+  ec.threads = 1;
+  ec.traces = &traces;
+  ScoringEngine engine(ec);
+  const std::uint64_t id = traces.begin(dir + "/tiny.fcm", d.name);
+  ScoreOptions opts;
+  opts.trace_id = id;
+  engine.score(dir + "/tiny.fcm", d, opts);
+  traces.finish(id, "ok");
+
+  const auto trace = traces.find(id);
+  ASSERT_TRUE(trace.has_value());
+  const std::vector<std::string> stages = {
+      "bundle_load", "lint", "content_hash", "golden_sim", "features",
+      "forward"};
+  ASSERT_EQ(trace->spans.size(), stages.size());
+  for (std::size_t i = 0; i < stages.size(); ++i) {
+    const obs::TraceSpan& s = trace->spans[i];
+    EXPECT_EQ(s.name, stages[i]);
+    EXPECT_GE(s.dur_ms, 0.0) << s.name;
+    if (i == 0) continue;
+    const obs::TraceSpan& prev = trace->spans[i - 1];
+    // No overlap; from lint on, each stage starts where the last ended.
+    EXPECT_GE(s.start_ms + 1e-9, prev.start_ms + prev.dur_ms) << s.name;
+    if (i > 1) {
+      EXPECT_NEAR(s.start_ms, prev.start_ms + prev.dur_ms, 1e-6) << s.name;
+    }
+  }
 }
 
 // ---- LRU cache ------------------------------------------------------------
@@ -679,8 +869,9 @@ TEST(ServerTest, TraceVerbReturnsSpansForScoredRequests) {
     EXPECT_NE(body.find("\"verdict\":\"ok\""), std::string::npos);
     // The per-stage story every trace must tell (docs/OBSERVABILITY.md).
     for (const char* span :
-         {"\"queue_wait\"", "\"parse\"", "\"bundle_load\"",
-          "\"golden_sim\"", "\"forward\""})
+         {"\"queue_wait\"", "\"parse\"", "\"bundle_load\"", "\"lint\"",
+          "\"content_hash\"", "\"golden_sim\"", "\"features\"",
+          "\"forward\""})
       EXPECT_NE(body.find(span), std::string::npos) << span << " in " << body;
   }
   // The second request hit the bundle cache; the first parsed.
@@ -1108,8 +1299,10 @@ TEST(ServerTest, ConcurrentScoresEachHaveARetrievableTrace) {
     ASSERT_TRUE(obs::json_valid(body)) << body;
     EXPECT_NE(body.find("\"id\":\"" + id + "\""), std::string::npos);
     EXPECT_NE(body.find("\"verdict\":\"ok\""), std::string::npos) << body;
-    for (const char* span : {"\"queue_wait\"", "\"parse\"", "\"bundle_load\"",
-                             "\"golden_sim\"", "\"forward\""})
+    for (const char* span :
+         {"\"queue_wait\"", "\"parse\"", "\"bundle_load\"", "\"lint\"",
+          "\"content_hash\"", "\"golden_sim\"", "\"features\"",
+          "\"forward\""})
       EXPECT_NE(body.find(span), std::string::npos) << span << " in " << body;
   }
   EXPECT_EQ(ids.size(), kRequests) << "trace ids must be distinct";

@@ -43,6 +43,42 @@ TEST(Sparse, OutOfRangeThrows) {
                std::runtime_error);
 }
 
+TEST(Sparse, FromCsrAdoptsValidArrays) {
+  const SparseMatrix ref = sample();
+  const SparseMatrix s = SparseMatrix::from_csr(
+      3, 3, ref.row_ptr(), ref.col_index(), ref.values());
+  EXPECT_EQ(s.row_ptr(), ref.row_ptr());
+  EXPECT_EQ(s.col_index(), ref.col_index());
+  EXPECT_EQ(s.values(), ref.values());
+}
+
+TEST(Sparse, FromCsrChecksItsInvariants) {
+  const std::vector<float> v3 = {1, 2, 3};
+  // Offsets: wrong count, not starting at 0, not monotone, not ending at nnz.
+  EXPECT_THROW(SparseMatrix::from_csr(2, 3, {0, 3}, {0, 1, 2}, v3),
+               std::runtime_error);
+  EXPECT_THROW(SparseMatrix::from_csr(2, 3, {1, 2, 3}, {0, 1, 2}, v3),
+               std::runtime_error);
+  EXPECT_THROW(SparseMatrix::from_csr(2, 3, {0, 5, 3}, {0, 1, 2}, v3),
+               std::runtime_error);
+  EXPECT_THROW(SparseMatrix::from_csr(2, 3, {0, 1, 2}, {0, 1, 2}, v3),
+               std::runtime_error);
+  // Values of another length.
+  EXPECT_THROW(SparseMatrix::from_csr(2, 3, {0, 1, 3}, {0, 1, 2}, {1, 2}),
+               std::runtime_error);
+  // Columns out of range, repeated or descending within a row.
+  EXPECT_THROW(SparseMatrix::from_csr(2, 3, {0, 1, 3}, {0, 1, 3}, v3),
+               std::runtime_error);
+  EXPECT_THROW(SparseMatrix::from_csr(2, 3, {0, 1, 3}, {-1, 1, 2}, v3),
+               std::runtime_error);
+  EXPECT_THROW(SparseMatrix::from_csr(2, 3, {0, 1, 3}, {0, 1, 1}, v3),
+               std::runtime_error);
+  EXPECT_THROW(SparseMatrix::from_csr(2, 3, {0, 1, 3}, {0, 2, 1}, v3),
+               std::runtime_error);
+  // Columns may restart between rows.
+  EXPECT_NO_THROW(SparseMatrix::from_csr(2, 3, {0, 2, 3}, {1, 2, 0}, v3));
+}
+
 TEST(Sparse, SpmmMatchesDense) {
   const auto s = sample();
   util::Rng rng(1);
