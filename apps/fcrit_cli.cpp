@@ -85,11 +85,9 @@ constexpr const char* kUsageText =
     "  sweep <file> [-o FILE]            remove dead logic\n"
     "  campaign <design|file> [--cycles N] [--seed S]\n"
     "           [--fraction F] [--threads T] [--report FILE]\n"
-    "           [--engine levelized|frontier] [--no-static-prune]\n"
     "  analyze <design|file> [--top N] [--no-baselines]\n"
     "           [--explain K] [--save-model FILE] [--csv FILE]\n"
     "           [--cycles N] [--epochs N] [--trace-out FILE]\n"
-    "           [--no-static-prune]\n"
     "  pipeline <design|file> [...]      alias of analyze; --trace-out FILE\n"
     "                                    writes a Chrome trace of the phases\n"
     "  scoap <design|file> [--top N]     testability report\n"
@@ -110,7 +108,7 @@ constexpr const char* kUsageText =
     "                                    replace bundles by rename\n"
     "  check [--trials N] [--seed S] [--cycles N] [--gates N] [--flops N]\n"
     "        [--inputs N] [--outputs N] [--faults N] [--serve-every K]\n"
-    "        [--campaign-every K] [--prune-every K]\n"
+    "        [--campaign-every K]\n"
     "        [--no-shrink] [--no-dump] [--self-test]\n"
     "                                    differential-oracle fuzzing harness\n"
     "  help | --help                     this text\n"
@@ -321,13 +319,6 @@ int cmd_campaign(const std::string& target,
     cfg.dangerous_cycle_fraction = std::stod(flags.at("--fraction"));
   if (flags.contains("--threads"))
     cfg.num_threads = std::stoi(flags.at("--threads"));
-  if (flags.contains("--engine")) {
-    const std::string& engine = flags.at("--engine");
-    if (engine == "levelized") cfg.engine = fault::FiEngine::kLevelized;
-    else if (engine == "frontier") cfg.engine = fault::FiEngine::kFrontier;
-    else throw std::runtime_error("--engine takes levelized|frontier");
-  }
-  if (flags.contains("--no-static-prune")) cfg.static_prune = false;
 
   fault::FaultCampaign campaign(d.netlist, d.stimulus, cfg);
   const auto result = campaign.run_all();
@@ -341,12 +332,6 @@ int cmd_campaign(const std::string& target,
                 result.simulated_faults,
                 static_cast<unsigned long long>(result.frontier_evals),
                 static_cast<unsigned long long>(result.early_exit_cycles));
-  if (cfg.static_prune)
-    std::printf("static prune: %u proved benign in %.3fs (%u site-const, "
-                "%u dead-cone, %u constant-blocked)\n",
-                result.pruned_faults, result.triage_seconds,
-                result.prune_site_const, result.prune_dead_cone,
-                result.prune_const_blocked);
   std::printf("%s\n",
               fault::summarize_coverage(result).to_string().c_str());
   if (flags.contains("--report")) {
@@ -368,7 +353,6 @@ int cmd_analyze(const std::string& target,
                 const std::map<std::string, std::string>& flags) {
   core::PipelineConfig cfg;
   if (flags.contains("--no-baselines")) cfg.train_baselines = false;
-  if (flags.contains("--no-static-prune")) cfg.campaign_static_prune = false;
   if (flags.contains("--cycles"))
     cfg.campaign_cycles = std::stoi(flags.at("--cycles"));
   if (flags.contains("--epochs")) {
@@ -570,7 +554,6 @@ int cmd_pack(const std::string& target,
              const std::map<std::string, std::string>& flags) {
   core::PipelineConfig cfg;
   cfg.train_baselines = false;  // the bundle ships only the GCNs
-  if (flags.contains("--no-static-prune")) cfg.campaign_static_prune = false;
   if (flags.contains("--cycles"))
     cfg.campaign_cycles = std::stoi(flags.at("--cycles"));
   if (flags.contains("--prob-cycles"))
@@ -767,17 +750,14 @@ int cmd_check(const std::map<std::string, std::string>& flags) {
     cfg.serve_every = std::stoi(flags.at("--serve-every"));
   if (flags.contains("--campaign-every"))
     cfg.campaign_every = std::stoi(flags.at("--campaign-every"));
-  if (flags.contains("--prune-every"))
-    cfg.prune_every = std::stoi(flags.at("--prune-every"));
   if (flags.contains("--no-shrink")) cfg.shrink = false;
   if (flags.contains("--no-dump")) cfg.dump_netlist = false;
   cfg.scratch_dir =
       (std::filesystem::temp_directory_path() / "fcrit_check").string();
 
-  // Self-test: three phases, each planting one deliberate defect that the
+  // Self-test: two phases, each planting one deliberate defect that the
   // run must CATCH — a wrong-XOR scalar reference (packed-vs-scalar
-  // oracle), a corrupted frontier-campaign verdict (campaign oracle), and
-  // a fabricated static-prune proof (static-prune oracle).
+  // oracle) and a corrupted frontier-campaign verdict (campaign oracle).
   if (flags.contains("--self-test")) {
     check::CheckConfig scalar_cfg = cfg;
     scalar_cfg.scalar_bug = check::ScalarBug::kXorAsOr;
@@ -785,29 +765,23 @@ int cmd_check(const std::map<std::string, std::string>& flags) {
     check::CheckConfig campaign_cfg = cfg;
     campaign_cfg.campaign_bug = check::CampaignBug::kMismatchOffByOne;
     const auto campaign_report = check::run_checks(campaign_cfg, &std::cerr);
-    check::CheckConfig prune_cfg = cfg;
-    prune_cfg.prune_bug = check::PruneBug::kBadProof;
-    const auto prune_report = check::run_checks(prune_cfg, &std::cerr);
-    if (scalar_report.ok() || campaign_report.ok() || prune_report.ok()) {
+    if (scalar_report.ok() || campaign_report.ok()) {
       std::fprintf(stderr,
                    "check: SELF-TEST FAILED: planted %s defect not caught\n",
-                   scalar_report.ok()     ? "scalar"
-                   : campaign_report.ok() ? "campaign"
-                                          : "static-prune");
+                   scalar_report.ok() ? "scalar" : "campaign");
       return 1;
     }
     std::printf(
-        "check: self-test OK (planted scalar + campaign + static-prune "
-        "defects caught)\n");
+        "check: self-test OK (planted scalar + campaign defects caught)\n");
     return 0;
   }
 
   const auto report = check::run_checks(cfg, &std::cerr);
   std::printf(
       "check: %d trials (%d packed-vs-scalar, %d fault-oracle, %d campaign, "
-      "%d static-prune, %d serve)\n",
+      "%d dataflow, %d serve)\n",
       report.trials_run, report.packed_checks, report.fault_checks,
-      report.campaign_checks, report.prune_checks, report.serve_checks);
+      report.campaign_checks, report.dataflow_checks, report.serve_checks);
   if (!report.ok()) {
     std::fprintf(stderr, "check: FAILED\n");
     return 1;

@@ -8,13 +8,9 @@
 //   frontier     event-driven divergence-frontier resim, one fault per pass
 //   frontier@Nt  the production default: the frontier engine with
 //                collapse-equivalence sharing, at 1/2/4 threads
-// plus a static-prune A/B on the production engine: the same
-// frontier campaign with the src/sla triage disabled vs enabled,
-// recording the prune rate and both end-to-end wall times (the prune-on
-// time includes the triage itself). See docs/STATIC_ANALYSIS.md.
 // Every leg is verified to produce bit-identical verdicts before its
 // timing is recorded (the `fcrit check` campaign oracle proves the same
-// equivalence on fuzzed circuits, and `diff_static_prune` the prune A/B).
+// equivalence on fuzzed circuits).
 //
 // Secondary output (full mode only): the paper's Section 1 pitch — run FI
 // on a subset, train the GCN, predict the rest — quantified per design.
@@ -87,9 +83,6 @@ int main(int argc, char** argv) {
   core::TextTable table({"Design", "Nodes", "Faults", "naive (s)", "cone (s)",
                          "frontier (s)", "frontier@1t (s)", "frontier@4t (s)",
                          "f@4t vs cone", "simulated", "early-exit %"});
-  core::TextTable prune_table({"Design", "Faults", "Pruned", "Prune %",
-                               "triage (ms)", "prune-off (s)", "prune-on (s)",
-                               "off vs on"});
 
   bool all_identical = true;
   for (const auto& design : targets) {
@@ -164,54 +157,10 @@ int main(int argc, char** argv) {
     // (a pure number recorded alongside the timing phases).
     rec.phase(design.name + "/speedup_f4t_vs_cone",
               f4_s > 0 ? cone_s / f4_s : 0.0);
-
-    // Static-prune A/B on the production engine (frontier@1t): the
-    // identical campaign with the sla triage off vs on. The prune-on wall
-    // includes the triage itself, so "off vs on" is an honest end-to-end
-    // comparison; verdicts must stay bit-identical either way.
-    {
-      fault::CampaignConfig on = base;
-      on.engine = fault::FiEngine::kFrontier;
-      on.static_prune = true;
-      fault::CampaignConfig off = on;
-      off.static_prune = false;
-
-      fault::FaultCampaign cam_off(design.netlist, design.stimulus, off);
-      const auto r_off = cam_off.run_all();
-      fault::FaultCampaign cam_on(design.netlist, design.stimulus, on);
-      const auto r_on = cam_on.run_all();
-      if (!same_verdicts(r_off, r_on)) {
-        std::fprintf(stderr,
-                     "bench_fi_speedup: %s static-prune A/B diverged!\n",
-                     design.name.c_str());
-        all_identical = false;
-      }
-
-      const double off_s = r_off.fault_seconds;
-      const double on_s = r_on.fault_seconds + r_on.triage_seconds;
-      const double rate =
-          r_on.faults.empty()
-              ? 0.0
-              : 100.0 * static_cast<double>(r_on.pruned_faults) /
-                    static_cast<double>(r_on.faults.size());
-      rec.phase(design.name + "/prune_off@1t", 1000.0 * off_s);
-      rec.phase(design.name + "/prune_on@1t", 1000.0 * on_s);
-      rec.phase(design.name + "/prune_rate_pct", rate);
-      prune_table.add_row(
-          {design.name, std::to_string(r_on.faults.size()),
-           std::to_string(r_on.pruned_faults), util::format_double(rate, 1),
-           util::format_double(1000.0 * r_on.triage_seconds, 2),
-           util::format_double(off_s, 3), util::format_double(on_s, 3),
-           util::format_double(on_s > 0 ? off_s / on_s : 0.0, 2) + "x"});
-    }
   }
 
   std::printf("\ncampaign engine trajectory (fault_seconds, golden excluded)\n%s\n",
               table.to_string().c_str());
-  std::printf(
-      "\nstatic-prune A/B, frontier@1t (prune-on wall includes triage)\n"
-      "%s\n",
-      prune_table.to_string().c_str());
   std::printf("verdict equality across all legs: %s\n",
               all_identical ? "bit-identical" : "DIVERGED");
 

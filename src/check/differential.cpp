@@ -20,7 +20,7 @@
 #include "src/sim/packed_sim.hpp"
 #include "src/sim/probability.hpp"
 #include "src/sim/stimulus.hpp"
-#include "src/sla/triage.hpp"
+#include "src/sla/dataflow.hpp"
 
 namespace fcrit::check {
 
@@ -271,12 +271,14 @@ std::string diff_campaign_equivalence(const designs::Design& design,
 
   // Engine-independent replay: serial fault injection through
   // PackedSimulator::inject on a deterministic strided subset.
-  const std::size_t stride =
-      max_faults > 0
-          ? std::max<std::size_t>(
-                1, ref.faults.size() / static_cast<std::size_t>(max_faults))
-          : 1;
-  for (std::size_t i = 0; i < ref.faults.size(); i += stride) {
+  auto stride_for = [&](std::size_t items) {
+    return max_faults > 0
+               ? std::max<std::size_t>(
+                     1, items / static_cast<std::size_t>(max_faults))
+               : 1;
+  };
+  for (std::size_t i = 0; i < ref.faults.size();
+       i += stride_for(ref.faults.size())) {
     const fault::FaultResult& a = ref.faults[i];
     const fault::FaultResult ri =
         injected_fault_result(design, ref_cfg, ref_campaign, a.fault);
@@ -285,132 +287,40 @@ std::string diff_campaign_equivalence(const designs::Design& design,
         !msg.empty())
       return msg;
   }
+
+  // Transient (SEU) leg: the frontier pass against the levelized sweep on
+  // strided sites, each flipped on the first, middle and last cycle.
+  fault::CampaignConfig seu_cfg = config;
+  seu_cfg.engine = fault::FiEngine::kFrontier;
+  fault::FaultCampaign seu_campaign(nl, design.stimulus, seu_cfg);
+  seu_campaign.run_golden();
+  const std::vector<NodeId> sites = fault::fault_sites(nl);
+  const int last = config.cycles - 1;
+  for (std::size_t i = 0; i < sites.size(); i += stride_for(sites.size())) {
+    for (const int cycle : {0, last / 2, last}) {
+      const auto want = ref_campaign.simulate_transient(sites[i], cycle);
+      const auto got = seu_campaign.simulate_transient(sites[i], cycle);
+      if (got.affected_lanes != want.affected_lanes ||
+          got.mismatch_cycles != want.mismatch_cycles) {
+        std::ostringstream os;
+        os << "campaign-oracle: transient " << nl.node(sites[i]).name << " @"
+           << cycle << ": affected_lanes cone=" << std::hex
+           << want.affected_lanes << " frontier=" << got.affected_lanes
+           << std::dec << " mismatch_cycles cone=" << want.mismatch_cycles
+           << " frontier=" << got.mismatch_cycles;
+        return os.str();
+      }
+    }
+  }
   return {};
 }
 
-std::string diff_static_prune(const designs::Design& design,
-                              const fault::CampaignConfig& config,
-                              PruneBug bug) {
-  const netlist::Netlist& nl = design.netlist;
-  const auto universe = fault::full_fault_list(nl);
-  if (universe.empty()) return {};
-
-  // 1. The analysis must ship a certificate the independent checker
-  // accepts (every constant and equivalence fact re-proved locally).
-  const sla::DataflowAnalysis analysis = sla::DataflowAnalysis::run(nl);
+std::string diff_dataflow_facts(const designs::Design& design) {
+  const sla::DataflowAnalysis analysis =
+      sla::DataflowAnalysis::run(design.netlist);
   std::string why;
-  if (!sla::verify_facts(nl, analysis, &why))
-    return "static-prune-oracle: fact certificate rejected: " + why;
-
-  sla::TriageResult triage = sla::triage_faults(nl, analysis, universe);
-  if (triage.records.size() != universe.size())
-    return "static-prune-oracle: triage returned " +
-           std::to_string(triage.records.size()) + " records for " +
-           std::to_string(universe.size()) + " faults";
-
-  if (bug == PruneBug::kBadProof) {
-    // Fabricate a constant-blocked proof for an observable fault: its
-    // singleton "closure" cannot be closed (the site is observable, so at
-    // least one escape edge is unblocked, or the site drives an output).
-    sla::ProofRecord bogus;
-    bogus.kind = sla::ProofKind::kConstantBlocked;
-    std::size_t victim = universe.size();
-    for (std::size_t i = 0; i < universe.size(); ++i)
-      if (triage.records[i].verdict == sla::TriageVerdict::kMustSimulate) {
-        victim = i;
-        break;
-      }
-    if (victim < universe.size()) {
-      bogus.fault = universe[victim];
-      bogus.closure = static_cast<std::int32_t>(triage.closures.size());
-      triage.closures.push_back({universe[victim].node});
-    } else {
-      bogus.fault = universe.front();
-      bogus.closure = -1;  // a proof with no closure at all
-    }
-    triage.proofs.push_back(bogus);
-  }
-
-  // 2. Every proof record must stand on its own.
-  for (std::size_t p = 0; p < triage.proofs.size(); ++p) {
-    if (!sla::verify_proof(nl, analysis, triage, p, &why))
-      return "static-prune-oracle: " +
-             std::string(sla::proof_kind_name(triage.proofs[p].kind)) +
-             " proof for " + fault_name(nl, triage.proofs[p].fault) +
-             " rejected: " + why;
-  }
-
-  // 3. Simulate the full universe with pruning off; every pruned fault's
-  // real verdict must be all-zero (the exact result pruning synthesizes).
-  fault::CampaignConfig off_cfg = config;
-  off_cfg.static_prune = false;
-  fault::FaultCampaign campaign_off(nl, design.stimulus, off_cfg);
-  const fault::CampaignResult ref = campaign_off.run_all();
-  if (ref.faults.size() != universe.size())
-    return "static-prune-oracle: reference campaign returned " +
-           std::to_string(ref.faults.size()) + " verdicts for " +
-           std::to_string(universe.size()) + " faults";
-
-  if (bug == PruneBug::kPruneObservable) {
-    // Mark a detected fault pruned (the first one, falling back to any
-    // must-simulate fault) so the sweep below must flag it.
-    std::size_t victim = universe.size();
-    for (std::size_t i = 0; i < universe.size(); ++i) {
-      if (triage.records[i].verdict != sla::TriageVerdict::kMustSimulate)
-        continue;
-      if (victim == universe.size()) victim = i;
-      if (ref.faults[i].detected_lanes != 0) {
-        victim = i;
-        break;
-      }
-    }
-    if (victim < universe.size())
-      triage.records[victim].verdict = sla::TriageVerdict::kProvedBenign;
-  }
-
-  for (std::size_t i = 0; i < universe.size(); ++i) {
-    if (triage.records[i].verdict != sla::TriageVerdict::kProvedBenign)
-      continue;
-    const fault::FaultResult& r = ref.faults[i];
-    if (r.dangerous_lanes != 0 || r.detected_lanes != 0 ||
-        r.mismatch_cycles != 0 || r.first_detect_cycle >= 0) {
-      std::ostringstream os;
-      os << "static-prune-oracle: pruned fault " << fault_name(nl, universe[i])
-         << " (" << sla::proof_kind_name(triage.records[i].kind)
-         << ") is observable in simulation: detected_lanes=" << std::hex
-         << r.detected_lanes << std::dec
-         << " mismatch_cycles=" << r.mismatch_cycles
-         << " first_detect_cycle=" << r.first_detect_cycle;
-      return os.str();
-    }
-  }
-
-  // 4. The production path: run_all with pruning on must be bit-identical
-  // to the unpruned reference, cone_size included.
-  fault::CampaignConfig on_cfg = config;
-  on_cfg.static_prune = true;
-  fault::FaultCampaign campaign_on(nl, design.stimulus, on_cfg);
-  const fault::CampaignResult pruned = campaign_on.run_all();
-  if (pruned.faults.size() != ref.faults.size())
-    return "static-prune-oracle: pruned campaign returned " +
-           std::to_string(pruned.faults.size()) + " verdicts, reference " +
-           std::to_string(ref.faults.size());
-  for (std::size_t i = 0; i < ref.faults.size(); ++i) {
-    const fault::FaultResult& a = ref.faults[i];
-    const fault::FaultResult& b = pruned.faults[i];
-    if (a.fault.node != b.fault.node ||
-        a.fault.stuck_value != b.fault.stuck_value)
-      return "static-prune-oracle: pruned campaign reordered the fault "
-             "universe at index " + std::to_string(i);
-    if (auto msg = compare_fault_results(nl, a.fault, a, b, "sim", "pruned",
-                                         "static-prune-oracle");
-        !msg.empty())
-      return msg;
-    if (a.cone_size != b.cone_size)
-      return "static-prune-oracle: " + fault_name(nl, a.fault) +
-             ": cone_size sim=" + std::to_string(a.cone_size) +
-             " pruned=" + std::to_string(b.cone_size);
-  }
+  if (!sla::verify_facts(design.netlist, analysis, &why))
+    return "dataflow-oracle: fact certificate rejected: " + why;
   return {};
 }
 

@@ -18,12 +18,12 @@
 //                             levelized cone reference, whole-universe
 //                             run_all verdicts, plus serial
 //                             PackedSimulator::inject replay on a
-//                             strided fault subset
-//   diff_static_prune         static dataflow triage (src/sla): fact
-//                             certificate + proof records re-verified,
-//                             every pruned fault re-simulated (must be
-//                             Benign), campaign with pruning on vs off
-//                             bit-identical
+//                             strided fault subset, plus frontier vs
+//                             levelized simulate_transient on a strided
+//                             (site, cycle) sample
+//   diff_dataflow_facts       static dataflow analysis (src/sla): the
+//                             fixpoint's fact certificate vs the
+//                             independent local checker verify_facts
 //   diff_serve_vs_pipeline    serve::ScoringEngine (cache + worker pool)
 //                             vs  direct in-process scoring of the same
 //                             bundle artifact over the reference graph
@@ -77,35 +77,18 @@ enum class CampaignBug {
 /// byte-identical dangerous_lanes / detected_lanes / mismatch_cycles /
 /// first_detect_cycle for every fault. Additionally replays up to
 /// `max_faults` faults (strided across the universe) through serial
-/// PackedSimulator::inject as an engine-independent reference.
+/// PackedSimulator::inject as an engine-independent reference, and
+/// injects SEUs at up to `max_faults` strided fault sites, each on the
+/// first, middle and last cycle, through both engines' simulate_transient.
 std::string diff_campaign_equivalence(const designs::Design& design,
                                       const fault::CampaignConfig& config,
                                       int max_faults,
                                       CampaignBug bug = CampaignBug::kNone);
 
-/// Deliberate defects planted in the static-prune oracle's triage result
-/// so tests (and `--self-test`) can prove the oracle has teeth.
-enum class PruneBug {
-  kNone = 0,
-  /// Append a fabricated constant-blocked proof for an observable fault
-  /// (or one with no closure at all): verify_proof must reject it.
-  kBadProof,
-  /// Flip a must-simulate fault's triage verdict to kProvedBenign without
-  /// any proof: the re-simulation sweep must observe it.
-  kPruneObservable,
-};
-
-/// Gate the static dataflow triage (src/sla) end to end:
-///   1. the exported fact certificate must pass verify_facts,
-///   2. every ProofRecord must pass verify_proof independently,
-///   3. every fault triaged kProvedBenign must come back all-zero
-///      (undetected, zero mismatch cycles) from a real simulation with
-///      pruning disabled — the soundness contract, checked by simulation,
-///   4. run_all with pruning on must be bit-identical (including
-///      cone_size) to run_all with pruning off.
-std::string diff_static_prune(const designs::Design& design,
-                              const fault::CampaignConfig& config,
-                              PruneBug bug = PruneBug::kNone);
+/// Run the static dataflow analysis (src/sla) on the design and require
+/// its exported fact certificate to pass the independent verify_facts
+/// checker — the facts lint's const-fold and reset-cone rules rely on.
+std::string diff_dataflow_facts(const designs::Design& design);
 
 /// Pack a deterministic (untrained) model bundle for the design into
 /// `scratch_dir`, score it through a multi-threaded ScoringEngine — twice

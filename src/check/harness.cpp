@@ -36,9 +36,7 @@ std::string run_oracle(const std::string& oracle,
   if (oracle == "campaign")
     return diff_campaign_equivalence(design, fault_config(cycles, seed),
                                      config.max_faults, config.campaign_bug);
-  if (oracle == "static-prune")
-    return diff_static_prune(design, fault_config(cycles, seed),
-                             config.prune_bug);
+  if (oracle == "dataflow") return diff_dataflow_facts(design);
   return diff_serve_vs_pipeline(design, config.scratch_dir, seed);
 }
 
@@ -156,12 +154,11 @@ CheckReport run_checks(const CheckConfig& config, std::ostream* log) {
       ++report.campaign_checks;
     }
 
-    if (d.message.empty() && config.prune_every > 0 &&
-        trial % config.prune_every == 0) {
-      d.oracle = "static-prune";
+    if (d.message.empty()) {
+      d.oracle = "dataflow";
       d.message =
           run_oracle(d.oracle, circuit, config.cycles, trial_seed, config);
-      ++report.prune_checks;
+      ++report.dataflow_checks;
     }
 
     if (d.message.empty() && config.serve_every > 0 &&

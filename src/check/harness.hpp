@@ -52,11 +52,6 @@ struct CheckConfig {
   /// the second-slowest oracle) on every k-th trial. 0 disables it.
   int campaign_every = 1;
 
-  /// Run the static-prune oracle (certificate + proof verification, full
-  /// unpruned reference campaign, pruned campaign) on every k-th trial.
-  /// 0 disables it.
-  int prune_every = 1;
-
   /// Plants a deliberate defect in the scalar reference so tests can prove
   /// the harness is able to fail. kNone for real checking.
   ScalarBug scalar_bug = ScalarBug::kNone;
@@ -64,17 +59,13 @@ struct CheckConfig {
   /// Plants a deliberate verdict corruption in one leg of the campaign
   /// oracle (see CampaignBug). kNone for real checking.
   CampaignBug campaign_bug = CampaignBug::kNone;
-
-  /// Plants a deliberate defect in the static-prune oracle's triage
-  /// result (see PruneBug). kNone for real checking.
-  PruneBug prune_bug = PruneBug::kNone;
 };
 
 /// One reproducible failure: re-running the named oracle on
 /// build_random_circuit(circuit) with `seed` and `cycles` diverges again.
 struct Divergence {
   int trial = -1;
-  /// "packed-vs-scalar" | "fault" | "campaign" | "static-prune" | "serve"
+  /// "packed-vs-scalar" | "fault" | "campaign" | "dataflow" | "serve"
   std::string oracle;
   std::string message;
   std::uint64_t seed = 0;
@@ -92,7 +83,7 @@ struct CheckReport {
   int packed_checks = 0;
   int fault_checks = 0;
   int campaign_checks = 0;
-  int prune_checks = 0;
+  int dataflow_checks = 0;
   int serve_checks = 0;
   std::vector<Divergence> divergences;
 

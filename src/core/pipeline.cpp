@@ -80,9 +80,7 @@ PipelineResult FaultCriticalityAnalyzer::analyze(
     cc.dangerous_cycle_fraction = config_.dangerous_cycle_fraction >= 0
                                       ? config_.dangerous_cycle_fraction
                                       : r.design.dangerous_cycle_fraction;
-    cc.engine = config_.campaign_engine;
     cc.collapse_equivalent = config_.campaign_collapse_equivalent;
-    cc.static_prune = config_.campaign_static_prune;
     cc.num_threads = config_.campaign_threads;
     const int batches = std::max(1, config_.workload_batches);
     for (int b = 0; b < batches; ++b) {

@@ -41,18 +41,16 @@ struct PipelineConfig {
   int workload_batches = 1;
   /// Overrides the design's dangerous_cycle_fraction when >= 0.
   double dangerous_cycle_fraction = -1.0;
-  /// Campaign engine knobs, passed straight through to CampaignConfig:
-  /// event-driven frontier resim with collapse-equivalence sharing by
-  /// default (bit-identical to the levelized sweep at any thread count —
-  /// the `fcrit check` campaign oracle holds that line).
-  fault::FiEngine campaign_engine = fault::FiEngine::kFrontier;
-  /// No effect, like CampaignConfig::batch_faults; kept so existing
-  /// callers that assign it still compile.
-  bool campaign_batch_faults = true;
+  /// The campaign always runs the event-driven frontier engine;
+  /// collapse-equivalence sharing is passed straight through to
+  /// CampaignConfig (bit-identical either way — the `fcrit check`
+  /// campaign oracle holds that line).
   bool campaign_collapse_equivalent = true;
-  /// Static dataflow triage (src/sla): skip faults proved Benign before
-  /// simulating. Verdict-preserving by construction; --no-static-prune is
-  /// the escape hatch and the `diff_static_prune` oracle the enforcement.
+  /// No effect, like CampaignConfig::batch_faults and static_prune: the
+  /// pipeline reads none of these. Kept so existing callers that assign
+  /// them still compile.
+  fault::FiEngine campaign_engine = fault::FiEngine::kFrontier;
+  bool campaign_batch_faults = true;
   bool campaign_static_prune = true;
   /// Worker threads for the campaign shards (-1 = inherit process pool).
   int campaign_threads = -1;

@@ -12,7 +12,6 @@
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
 #include "src/sim/packed_sim.hpp"
-#include "src/sla/triage.hpp"
 #include "src/util/parallel.hpp"
 #include "src/util/timer.hpp"
 
@@ -166,14 +165,18 @@ std::vector<NodeId> FaultCampaign::transitive_fanout(NodeId src) const {
   return queue;
 }
 
-FaultResult FaultCampaign::simulate_fault_levelized(const Fault& fault) const {
+FaultCampaign::Injection FaultCampaign::stuck_at(const Fault& fault) const {
+  return {fault.node, 0, config_.cycles - 1, 0,
+          fault.stuck_value ? ~0ULL : 0};
+}
+
+FaultResult FaultCampaign::levelized_sweep(const Injection& inj) const {
   FaultResult result;
-  result.fault = fault;
 
   // Cone membership.
   std::vector<std::uint8_t> in_cone(num_nodes_, 0);
   if (config_.use_cone_restriction) {
-    for (const NodeId id : transitive_fanout(fault.node)) in_cone[id] = 1;
+    for (const NodeId id : transitive_fanout(inj.site)) in_cone[id] = 1;
   } else {
     std::fill(in_cone.begin(), in_cone.end(), 1);
   }
@@ -198,10 +201,7 @@ FaultResult FaultCampaign::simulate_fault_levelized(const Fault& fault) const {
   result.cone_size = static_cast<std::uint32_t>(cone_comb.size() +
                                                 cone_ffs.size());
 
-  const std::uint64_t fault_word = fault.stuck_value ? ~0ULL : 0;
-  const CellKind fault_kind = nl_->kind(fault.node);
-  const bool fault_on_source =
-      is_source_kind(fault_kind) || fault_kind == CellKind::kDff;
+  const bool site_is_flop = nl_->kind(inj.site) == CellKind::kDff;
 
   std::vector<std::uint64_t> val(num_nodes_, 0);  // cone values only
   // uint32: a uint16 counter wraps at 65536 cycles and can flip a Dangerous
@@ -210,11 +210,21 @@ FaultResult FaultCampaign::simulate_fault_levelized(const Fault& fault) const {
   std::array<std::uint64_t, netlist::kMaxFanins> ins{};
   std::vector<std::uint64_t> ff_next(cone_ffs.size(), 0);
 
-  for (int t = 0; t < config_.cycles; ++t) {
+  // The design is golden before the injection starts: cone flip-flops
+  // enter cycle `first` in their recorded state.
+  const std::uint64_t* first_row =
+      trace_.data() + static_cast<std::size_t>(inj.first) * num_nodes_;
+  for (const NodeId ff : cone_ffs) val[ff] = first_row[ff];
+
+  for (int t = inj.first; t < config_.cycles; ++t) {
     const std::uint64_t* golden_row =
         trace_.data() + static_cast<std::size_t>(t) * num_nodes_;
+    const bool forced = t <= inj.last;
+    const std::uint64_t forced_word =
+        (golden_row[inj.site] & inj.keep) ^ inj.flip;
 
-    if (fault_on_source) val[fault.node] = fault_word;
+    // A forced flip-flop holds the forced word as the cycle starts.
+    if (forced && site_is_flop) val[inj.site] = forced_word;
 
     // Combinational evaluation restricted to the cone; everything outside
     // reads its recorded golden value.
@@ -226,7 +236,7 @@ FaultResult FaultCampaign::simulate_fault_levelized(const Fault& fault) const {
       }
       std::uint64_t v = netlist::eval_packed(
           node.kind, std::span(ins.data(), node.fanin_count));
-      if (id == fault.node) v = fault_word;
+      if (forced && id == inj.site) v = forced_word;
       val[id] = v;
     }
 
@@ -251,11 +261,8 @@ FaultResult FaultCampaign::simulate_fault_levelized(const Fault& fault) const {
       const NodeId d = nl_->node(cone_ffs[i]).fanin[0];
       ff_next[i] = in_cone[d] ? val[d] : golden_row[d];
     }
-    for (std::size_t i = 0; i < cone_ffs.size(); ++i) {
-      std::uint64_t v = ff_next[i];
-      if (cone_ffs[i] == fault.node) v = fault_word;
-      val[cone_ffs[i]] = v;
-    }
+    for (std::size_t i = 0; i < cone_ffs.size(); ++i)
+      val[cone_ffs[i]] = ff_next[i];
   }
 
   const auto threshold =
@@ -300,30 +307,31 @@ struct FaultCampaign::FrontierScratch {
   std::vector<netlist::NodeId> divergent_pos;  // PO drivers marked this cycle
   std::vector<netlist::NodeId> captures;       // flops capturing divergence
   std::vector<DivFlop> div_ffs, next_div_ffs;
-  std::vector<std::uint64_t> sched;  // bit t: stuck word != golden on t
+  std::vector<std::uint64_t> sched;  // bit t: forced word != golden on t
   std::uint64_t epoch = 0;
   std::uint64_t evals = 0;        // nodes re-evaluated (fi.frontier_nodes)
   std::uint64_t early_exits = 0;  // quiesced fault-cycles (fi.early_exits)
 };
 
-FaultResult FaultCampaign::run_frontier_pass(const Fault& fault,
-                                             FrontierScratch& s) const {
+FaultResult FaultCampaign::frontier_pass(const Injection& inj,
+                                         FrontierScratch& s) const {
   FaultResult out;
-  out.fault = fault;
-  const NodeId site = fault.node;
-  const std::uint64_t stuck = fault.stuck_value ? ~0ULL : 0;
+  const NodeId site = inj.site;
 
   // Divergence schedule, one strided sweep over the golden trace up
-  // front: bit t says the stuck word differs from golden on cycle t.
+  // front: bit t says the forced word differs from golden on cycle t.
   // Quiet cycles are then decided from this bitmask (plus the carried
   // flop state) without touching the trace, which is what makes a
   // mostly-quiescent fault nearly free to simulate.
   s.sched.assign((static_cast<std::size_t>(config_.cycles) + 63) / 64, 0);
-  for (int t = 0; t < config_.cycles; ++t)
-    if (trace_[static_cast<std::size_t>(t) * num_nodes_ + site] != stuck)
+  for (int t = inj.first; t <= inj.last; ++t) {
+    const std::uint64_t golden =
+        trace_[static_cast<std::size_t>(t) * num_nodes_ + site];
+    if (((golden & inj.keep) ^ inj.flip) != golden)
       s.sched[static_cast<std::size_t>(t) >> 6] |= 1ULL << (t & 63);
+  }
 
-  // uint32 for the same reason as simulate_fault_levelized's counters.
+  // uint32 for the same reason as levelized_sweep's counters.
   std::array<std::uint32_t, sim::kLanes> lane_cycles{};
   std::array<std::uint64_t, netlist::kMaxFanins> ins{};
 
@@ -345,7 +353,7 @@ FaultResult FaultCampaign::run_frontier_pass(const Fault& fault,
   std::uint64_t evals = 0;
   s.div_ffs.clear();
 
-  for (int t = 0; t < config_.cycles; ++t) {
+  for (int t = inj.first; t < config_.cycles; ++t) {
     const std::size_t tw = static_cast<std::size_t>(t) >> 6;
     const std::uint64_t tb = 1ULL << (t & 63);
     if (!(sched[tw] & tb) && s.div_ffs.empty()) {
@@ -361,12 +369,17 @@ FaultResult FaultCampaign::run_frontier_pass(const Fault& fault,
     int max_lvl = -1;
     s.divergent_pos.clear();
     s.captures.clear();
+    // A site still forced on the next cycle ignores this cycle's edge.
+    const NodeId held = t < inj.last ? site : netlist::kNoNode;
 
     // Record a node's divergence from golden and schedule its fanout:
     // combinational consumers join the level-ordered worklist, flip-flops
     // capture the divergent D on this cycle's clock edge (unless the flop
-    // itself is the forced fault site).
-    auto mark_divergent = [&](NodeId n, std::uint64_t v) {
+    // is the held site). Forced inline: a call left out of line would
+    // keep the worklist's level bounds in memory for the whole pass, and
+    // GCC's size heuristics leave the two seeding calls out of line.
+    auto mark_divergent = [&](NodeId n, std::uint64_t v)
+        __attribute__((always_inline)) {
       div[n].epoch = ep;
       div[n].val = v;
       if (is_po[n]) s.divergent_pos.push_back(n);
@@ -382,19 +395,21 @@ FaultResult FaultCampaign::run_frontier_pass(const Fault& fault,
       }
       for (std::uint32_t e = flop_off[n]; e < flop_off[n + 1]; ++e) {
         const NodeId c = flop_edge[e];
-        if (c != site) s.captures.push_back(c);
+        if (c != held) s.captures.push_back(c);
       }
     };
 
-    // Seed the frontier. The forced site first pre-claims its worklist
-    // slot — a site's value never depends on its fanins, so even when its
-    // own divergence wraps around through flip-flop state it must not be
-    // re-evaluated — then the site (when the schedule says its stuck word
-    // differs from golden this cycle) and flip-flops whose state diverged
-    // on the previous clock edge (DFFs never appear in the combinational
-    // CSR, so they are never queued).
-    queue_epoch[site] = ep;
-    if (sched[tw] & tb) mark_divergent(site, stuck);
+    // Seed the frontier. While forced, the site first pre-claims its
+    // worklist slot — a forced value never depends on its fanins, so even
+    // when its own divergence wraps around through flip-flop state it must
+    // not be re-evaluated; outside its forced cycles it is evaluated like
+    // any other node. Then the site (when the schedule says its forced
+    // word differs from golden this cycle) and flip-flops whose state
+    // diverged on the previous clock edge (DFFs never appear in the
+    // combinational CSR, so they are never queued).
+    if (t <= inj.last) queue_epoch[site] = ep;
+    if (sched[tw] & tb)
+      mark_divergent(site, (golden_row[site] & inj.keep) ^ inj.flip);
     for (const auto& df : s.div_ffs) mark_divergent(df.ff, df.value);
 
     // Drain the worklist in ascending level order; marking a node only
@@ -463,13 +478,18 @@ FaultResult FaultCampaign::run_frontier_pass(const Fault& fault,
   return out;
 }
 
+FaultResult FaultCampaign::inject(const Injection& inj,
+                                  FrontierScratch& s) const {
+  return config_.engine == FiEngine::kLevelized ? levelized_sweep(inj)
+                                                : frontier_pass(inj, s);
+}
+
 FaultResult FaultCampaign::simulate_fault(const Fault& fault) const {
   if (!golden_ready_)
     throw std::runtime_error("simulate_fault: golden trace not recorded");
-  if (config_.engine == FiEngine::kLevelized)
-    return simulate_fault_levelized(fault);
   FrontierScratch scratch(num_nodes_, lev_.max_level);
-  FaultResult result = run_frontier_pass(fault, scratch);
+  FaultResult result = inject(stuck_at(fault), scratch);
+  result.fault = fault;
   result.cone_size = static_cone_size(fault.node);
   return result;
 }
@@ -524,7 +544,7 @@ CampaignResult FaultCampaign::run_frontier(const std::vector<Fault>& faults) {
             FrontierScratch scratch(num_nodes_, lev_.max_level);
             for (std::int64_t j = j0; j < j1; ++j) {
               const std::uint32_t i = simulated[static_cast<std::size_t>(j)];
-              out.faults[i] = run_frontier_pass(faults[i], scratch);
+              out.faults[i] = frontier_pass(stuck_at(faults[i]), scratch);
             }
             evals.fetch_add(scratch.evals, std::memory_order_relaxed);
             early.fetch_add(scratch.early_exits, std::memory_order_relaxed);
@@ -555,9 +575,12 @@ CampaignResult FaultCampaign::run_levelized(const std::vector<Fault>& faults) {
   out.faults.resize(faults.size());
   shard(config_.num_threads, static_cast<std::int64_t>(faults.size()),
         [&](std::int64_t i0, std::int64_t i1) {
-          for (std::int64_t i = i0; i < i1; ++i)
-            out.faults[static_cast<std::size_t>(i)] =
-                simulate_fault_levelized(faults[static_cast<std::size_t>(i)]);
+          for (std::int64_t i = i0; i < i1; ++i) {
+            const Fault& f = faults[static_cast<std::size_t>(i)];
+            FaultResult& r = out.faults[static_cast<std::size_t>(i)];
+            r = levelized_sweep(stuck_at(f));
+            r.fault = f;
+          }
         });
   out.fault_seconds = timer.seconds();
   return out;
@@ -579,58 +602,10 @@ std::uint32_t FaultCampaign::static_cone_size(NodeId site) const {
 
 CampaignResult FaultCampaign::run(const std::vector<Fault>& faults) {
   if (!golden_ready_) run_golden();
-
-  // Static triage: prove faults Benign before paying for simulation.
-  sla::TriageResult triage;
-  double triage_seconds = 0.0;
-  std::vector<Fault> must_sim;
-  const bool prune = config_.static_prune && !faults.empty();
-  if (prune) {
-    obs::Span span("sla_triage");
-    util::Timer timer;
-    const sla::DataflowAnalysis analysis = sla::DataflowAnalysis::run(*nl_);
-    triage = sla::triage_faults(*nl_, analysis, faults);
-    must_sim.reserve(triage.must_simulate);
-    for (std::size_t i = 0; i < faults.size(); ++i)
-      if (triage.records[i].verdict == sla::TriageVerdict::kMustSimulate)
-        must_sim.push_back(faults[i]);
-    triage_seconds = timer.seconds();
-  }
-  const std::vector<Fault>& active = prune ? must_sim : faults;
-
   CampaignResult out = config_.engine == FiEngine::kFrontier
-                           ? run_frontier(active)
-                           : run_levelized(active);
+                           ? run_frontier(faults)
+                           : run_levelized(faults);
   out.golden_seconds = golden_seconds_;
-  if (!prune) return out;
-
-  out.triage_seconds = triage_seconds;
-  out.pruned_faults = static_cast<std::uint32_t>(triage.proved_benign);
-  out.prune_site_const = static_cast<std::uint32_t>(triage.count_site_const);
-  out.prune_dead_cone = static_cast<std::uint32_t>(triage.count_dead_cone);
-  out.prune_const_blocked =
-      static_cast<std::uint32_t>(triage.count_const_blocked);
-  auto& reg = obs::registry();
-  reg.counter("sla.pruned").add(triage.proved_benign);
-  reg.counter("sla.site_const").add(triage.count_site_const);
-  reg.counter("sla.dead_cone").add(triage.count_dead_cone);
-  reg.counter("sla.const_blocked").add(triage.count_const_blocked);
-  reg.counter("sla.must_simulate").add(triage.must_simulate);
-  if (triage.proved_benign == 0) return out;
-
-  // Scatter the simulated subset back and synthesize the proved-Benign
-  // results: zero detections and the cone_size simulation would report.
-  std::vector<FaultResult> full(faults.size());
-  std::size_t cursor = 0;
-  for (std::size_t i = 0; i < faults.size(); ++i) {
-    if (triage.records[i].verdict == sla::TriageVerdict::kMustSimulate) {
-      full[i] = out.faults[cursor++];
-    } else {
-      full[i].fault = faults[i];
-      full[i].cone_size = static_cone_size(faults[i].node);
-    }
-  }
-  out.faults = std::move(full);
   return out;
 }
 
@@ -638,91 +613,21 @@ CampaignResult FaultCampaign::run_all() {
   return run(full_fault_list(*nl_));
 }
 
-FaultCampaign::TransientResult FaultCampaign::simulate_transient(
-    NodeId node, int inject_cycle) const {
+FaultCampaign::TransientResult FaultCampaign::transient(
+    NodeId node, int inject_cycle, FrontierScratch& s) const {
   if (!golden_ready_)
     throw std::runtime_error("simulate_transient: golden trace not recorded");
   if (inject_cycle < 0 || inject_cycle >= config_.cycles)
     throw std::runtime_error("simulate_transient: cycle out of range");
+  const FaultResult r =
+      inject({node, inject_cycle, inject_cycle, ~0ULL, ~0ULL}, s);
+  return {node, inject_cycle, r.detected_lanes, r.mismatch_cycles};
+}
 
-  TransientResult result;
-  result.node = node;
-  result.inject_cycle = inject_cycle;
-
-  // Same cone machinery as the levelized stuck-at sweep; before the
-  // injection cycle the design is exactly golden, so simulation starts at
-  // inject_cycle with golden flop state. (The frontier engine never
-  // applies here: a one-shot flip has no per-cycle forced site.)
-  std::vector<std::uint8_t> in_cone(num_nodes_, 0);
-  if (config_.use_cone_restriction) {
-    for (const NodeId id : transitive_fanout(node)) in_cone[id] = 1;
-  } else {
-    std::fill(in_cone.begin(), in_cone.end(), 1);
-  }
-  for (NodeId id = 0; id < num_nodes_; ++id) {
-    if (is_source_kind(nl_->kind(id))) in_cone[id] = 0;
-  }
-  // The injected node itself participates even when it is a source (DFF).
-  if (nl_->kind(node) == CellKind::kDff) in_cone[node] = 1;
-
-  std::vector<NodeId> cone_comb;
-  for (const NodeId id : lev_.order)
-    if (in_cone[id]) cone_comb.push_back(id);
-  std::vector<NodeId> cone_ffs;
-  for (const NodeId ff : nl_->flops())
-    if (in_cone[ff]) cone_ffs.push_back(ff);
-  std::vector<NodeId> cone_pos;
-  for (const auto& port : nl_->outputs())
-    if (in_cone[port.driver]) cone_pos.push_back(port.driver);
-
-  std::vector<std::uint64_t> val(num_nodes_, 0);
-  std::array<std::uint64_t, netlist::kMaxFanins> ins{};
-  std::vector<std::uint64_t> ff_next(cone_ffs.size(), 0);
-
-  // Cone flop state at the start of the injection cycle is golden: the
-  // trace rows hold within-cycle values, so the state entering cycle t is
-  // the trace of cycle t-1's committed D — equivalently, the flop's value
-  // recorded *during* cycle t. Seed from the injection cycle's row.
-  const std::uint64_t* inject_row =
-      trace_.data() + static_cast<std::size_t>(inject_cycle) * num_nodes_;
-  for (const NodeId ff : cone_ffs) val[ff] = inject_row[ff];
-
-  for (int t = inject_cycle; t < config_.cycles; ++t) {
-    const std::uint64_t* golden_row =
-        trace_.data() + static_cast<std::size_t>(t) * num_nodes_;
-
-    // A register SEU flips the state *before* the cycle's logic sees it.
-    if (t == inject_cycle && nl_->kind(node) == CellKind::kDff)
-      val[node] = ~val[node];
-
-    for (const NodeId id : cone_comb) {
-      const netlist::Node& n = nl_->node(id);
-      for (std::size_t i = 0; i < n.fanin_count; ++i) {
-        const NodeId f = n.fanin[i];
-        ins[i] = in_cone[f] ? val[f] : golden_row[f];
-      }
-      std::uint64_t v = netlist::eval_packed(
-          n.kind, std::span(ins.data(), n.fanin_count));
-      if (t == inject_cycle && id == node) v = ~v;  // the SEU flip
-      val[id] = v;
-    }
-
-    std::uint64_t any_mismatch = 0;
-    for (const NodeId po : cone_pos) any_mismatch |= val[po] ^ golden_row[po];
-    if (any_mismatch) {
-      result.affected_lanes |= any_mismatch;
-      result.mismatch_cycles +=
-          static_cast<std::uint32_t>(std::popcount(any_mismatch));
-    }
-
-    for (std::size_t i = 0; i < cone_ffs.size(); ++i) {
-      const NodeId d = nl_->node(cone_ffs[i]).fanin[0];
-      ff_next[i] = in_cone[d] ? val[d] : golden_row[d];
-    }
-    for (std::size_t i = 0; i < cone_ffs.size(); ++i)
-      val[cone_ffs[i]] = ff_next[i];
-  }
-  return result;
+FaultCampaign::TransientResult FaultCampaign::simulate_transient(
+    NodeId node, int inject_cycle) const {
+  FrontierScratch scratch(num_nodes_, lev_.max_level);
+  return transient(node, inject_cycle, scratch);
 }
 
 std::vector<double> FaultCampaign::transient_criticality(
@@ -730,12 +635,13 @@ std::vector<double> FaultCampaign::transient_criticality(
     const std::vector<int>& inject_cycles) const {
   if (inject_cycles.empty())
     throw std::runtime_error("transient_criticality: no injection cycles");
+  FrontierScratch scratch(num_nodes_, lev_.max_level);
   std::vector<double> out;
   out.reserve(nodes.size());
   for (const NodeId node : nodes) {
     double affected = 0.0;
     for (const int cycle : inject_cycles)
-      affected += std::popcount(simulate_transient(node, cycle).affected_lanes);
+      affected += std::popcount(transient(node, cycle, scratch).affected_lanes);
     out.push_back(affected /
                   (64.0 * static_cast<double>(inject_cycles.size())));
   }

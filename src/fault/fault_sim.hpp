@@ -8,7 +8,8 @@
 //     fault's static transitive fanout (crossing flip-flops) is
 //     re-evaluated every cycle; fanins outside the cone read the recorded
 //     golden value. `use_cone_restriction=false` degenerates to the naive
-//     full-netlist sweep (benchmark baseline).
+//     full-netlist sweep (benchmark baseline). It is the reference the
+//     frontier engine is checked against.
 //
 //   kFrontier — event-driven incremental resim, one pass per fault: per
 //     cycle a worklist is seeded at the forced fault site and at
@@ -21,14 +22,20 @@
 //     pass (`collapse_equivalent`), and passes are sharded across the
 //     process thread pool in input order.
 //
+// Both engines run one injection shape for both fault models: a site
+// forced to (golden & keep) ^ flip on every cycle of [first, last]. A
+// stuck-at fault is the whole window with keep = 0 and flip = the stuck
+// word; a transient (SEU) is one cycle with keep = flip = ~0.
+//
 // Per cycle, primary outputs inside the cone are compared against the
 // golden trace, giving a per-lane mismatch mask; a lane whose
 // mismatch-cycle count reaches `min_mismatch_cycles` marks the fault
 // "Dangerous" for that workload — the verdict Algorithm 1 aggregates.
 // Both engines produce byte-identical FaultResults for every fault in the
 // stuck-at universe, at any thread count and for any subset of the
-// universe (tests/fault_batch_test.cpp and the `fcrit check` campaign
-// oracle hold this line).
+// universe, and identical transient results (tests/fault_batch_test.cpp,
+// tests/transient_test.cpp and the `fcrit check` campaign oracle hold
+// this line).
 #pragma once
 
 #include <cstdint>
@@ -59,22 +66,15 @@ struct CampaignConfig {
 
   FiEngine engine = FiEngine::kFrontier;
 
-  /// Triage the fault list through the static dataflow engine (src/sla)
-  /// before simulating: faults proved Benign — site already stuck at the
-  /// faulty value in every reachable cycle, dead cone, or every path to an
-  /// output blocked by a controlling constant — are skipped and reported
-  /// with all-zero verdicts, bit-identical to what simulation would have
-  /// produced. Escape hatch: --no-static-prune / set false here. The
-  /// `diff_static_prune` oracle in fcrit check enforces the soundness
-  /// contract by re-simulating every pruned fault.
-  bool static_prune = true;
-
   /// kLevelized only: disable to benchmark the naive full sweep.
   bool use_cone_restriction = true;
 
-  /// No effect: the frontier engine runs one pass per fault. Kept so
-  /// existing callers that assign it still compile.
+  /// No effect, kept so existing callers that assign them still compile:
+  /// the frontier engine runs one pass per fault (`batch_faults`), and
+  /// every fault is simulated — there is no static pre-pass
+  /// (`static_prune`).
   bool batch_faults = true;
+  bool static_prune = true;
 
   /// kFrontier only: simulate one representative per structural
   /// collapse-equivalence class (BUF/INV chain rule, src/fault/collapse)
@@ -126,12 +126,10 @@ struct CampaignResult {
   std::uint64_t frontier_evals = 0;     // node re-evaluations across passes
   std::uint64_t early_exit_cycles = 0;  // fault-cycles skipped as quiescent
 
-  // Static-pruning statistics (zero when static_prune is off).
-  std::uint32_t pruned_faults = 0;       // proved Benign, never simulated
-  std::uint32_t prune_site_const = 0;    // site already holds the stuck value
-  std::uint32_t prune_dead_cone = 0;     // site cannot reach any output
-  std::uint32_t prune_const_blocked = 0; // every escape blocked by a constant
-  double triage_seconds = 0.0;           // dataflow analysis + triage time
+  /// Always 0: no fault is pruned before simulation. Kept so existing
+  /// readers still compile.
+  std::uint32_t pruned_faults = 0;
+  double triage_seconds = 0.0;
 };
 
 class FaultCampaign {
@@ -164,11 +162,11 @@ class FaultCampaign {
   FaultResult simulate_fault(const Fault& fault) const;
 
   /// Transient (SEU) injection: flip the node's value for exactly one
-  /// cycle, then let the fault-free dynamics run on the corrupted state.
-  /// Returns the lanes whose primary outputs were ever corrupted and the
-  /// total corrupted (cycle, lane) count. Always uses the levelized cone
-  /// sweep — the frontier machinery does not apply to one-shot flips.
-  /// Thread-safe like simulate_fault.
+  /// cycle (a flip-flop's state as the cycle starts), then let the
+  /// fault-free dynamics run on the corrupted state. Returns the lanes
+  /// whose primary outputs were ever corrupted and the total corrupted
+  /// (cycle, lane) count. Uses the configured engine, and is thread-safe,
+  /// like simulate_fault.
   struct TransientResult {
     netlist::NodeId node = netlist::kNoNode;
     int inject_cycle = 0;
@@ -187,6 +185,18 @@ class FaultCampaign {
  private:
   struct FrontierScratch;  // per-worker frontier state; see fault_sim.cpp
 
+  /// One injection, the shape both engines simulate: `site` is forced to
+  /// (golden & keep) ^ flip on every cycle of [first, last] and evaluates
+  /// normally outside it. The simulation starts at `first` from golden
+  /// state.
+  struct Injection {
+    netlist::NodeId site;
+    int first;
+    int last;
+    std::uint64_t keep;
+    std::uint64_t flip;
+  };
+
   /// Structure-of-arrays shadow of the netlist for the frontier hot path:
   /// byte-wide kinds, flat fanin slots, and the fanout CSR split into
   /// combinational edges (with the consumer's level pre-packed into the
@@ -203,15 +213,18 @@ class FaultCampaign {
   };
 
   std::vector<netlist::NodeId> transitive_fanout(netlist::NodeId src) const;
-  /// The cone_size the configured engine reports for a fault at `site` —
-  /// also used to fill results of statically pruned faults so the
-  /// campaign output is bit-identical with pruning on or off.
+  /// The cone_size the configured engine reports for a fault at `site`.
   std::uint32_t static_cone_size(netlist::NodeId site) const;
   void build_frontier_graph();
-  FaultResult simulate_fault_levelized(const Fault& fault) const;
-  /// One frontier pass over the whole golden trace for `fault`. Leaves
-  /// cone_size zero for the caller to fill.
-  FaultResult run_frontier_pass(const Fault& fault, FrontierScratch& s) const;
+  Injection stuck_at(const Fault& fault) const;
+  /// The two engines. Each fills the verdict fields, not `fault`; the
+  /// levelized sweep also fills cone_size.
+  FaultResult levelized_sweep(const Injection& inj) const;
+  FaultResult frontier_pass(const Injection& inj, FrontierScratch& s) const;
+  /// Dispatch on config().engine; `s` is used only by the frontier pass.
+  FaultResult inject(const Injection& inj, FrontierScratch& s) const;
+  TransientResult transient(netlist::NodeId node, int inject_cycle,
+                            FrontierScratch& s) const;
   CampaignResult run_frontier(const std::vector<Fault>& faults);
   CampaignResult run_levelized(const std::vector<Fault>& faults);
 

@@ -16,7 +16,6 @@
 
 #include "src/lint/lint.hpp"
 #include "src/sla/dataflow.hpp"
-#include "src/sla/triage.hpp"
 #include "src/util/text.hpp"
 
 namespace fcrit::lint {
@@ -271,8 +270,8 @@ void rule_dead_logic(const Netlist& nl,
   // Static-dataflow extension: a gate that does reach an output
   // structurally, but whose every consumer is pinned by a controlling
   // constant on its other fanins, is just as dead — its value can never
-  // move a single level. Same node-local blocking test as the triage
-  // engine's divergence closure (src/sla/triage).
+  // move a single level. Same node-local blocking test as the divergence
+  // closure (src/sla/dataflow).
   std::array<sla::Ternary, netlist::kMaxFanins> ins{};
   std::array<std::uint64_t, netlist::kMaxFanins> lits{};
   for (NodeId id = 0; id < n; ++id) {
@@ -405,11 +404,10 @@ void rule_reset_cone(const Netlist& nl,
   // forward reachability (the fallback) over-approximates that set, so
   // the delegated rule only ever finds more unresettable flops.
   if (df != nullptr) {
-    const auto closure = sla::divergence_closure(
-        nl, *df, std::span<const NodeId>(resets.data(), resets.size()),
-        /*stop_at_output=*/false);
+    const std::vector<NodeId> closure = sla::divergence_closure(
+        nl, *df, std::span<const NodeId>(resets.data(), resets.size()));
     for (const NodeId flop : nl.flops()) {
-      if (std::binary_search(closure->begin(), closure->end(), flop)) continue;
+      if (std::binary_search(closure.begin(), closure.end(), flop)) continue;
       report.add(at_node(nl, flop, "reset-cone", Severity::kNote,
                          "flip-flop '" + nl.node(flop).name +
                              "' is provably never influenced by a reset "

@@ -1,5 +1,6 @@
 #include "src/sla/dataflow.hpp"
 
+#include <algorithm>
 #include <array>
 
 #include "src/netlist/levelize.hpp"
@@ -281,8 +282,8 @@ bool verify_facts(const Netlist& nl, const DataflowAnalysis& analysis,
   }
 
   // Cross-check: every definite lattice value must be backed by a fact,
-  // and agree with it (the triage pass consumes values(), the checker
-  // validated facts — the two must be the same statement).
+  // and agree with it (lint consumes values(), the checker validated
+  // facts — the two must be the same statement).
   for (NodeId id = 0; id < n; ++id) {
     if (nl.kind(id) == CellKind::kInput) continue;
     if (is_definite(analysis.value(id)) && consts[id] != analysis.value(id))
@@ -290,6 +291,53 @@ bool verify_facts(const Netlist& nl, const DataflowAnalysis& analysis,
                            " is not backed by a verified fact");
   }
   return true;
+}
+
+std::vector<NodeId> divergence_closure(const Netlist& nl,
+                                       const DataflowAnalysis& analysis,
+                                       std::span<const NodeId> seeds) {
+  std::vector<std::uint8_t> divergent(nl.num_nodes(), 0);
+  std::vector<NodeId> queue;
+  auto mark = [&](NodeId id) {
+    divergent[id] = 1;
+    queue.push_back(id);
+  };
+  for (const NodeId s : seeds)
+    if (!divergent[s]) mark(s);
+
+  std::array<Ternary, netlist::kMaxFanins> ins{};
+  std::array<std::uint64_t, netlist::kMaxFanins> in_lits{};
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    for (const NodeId c : nl.fanouts(queue[head])) {
+      if (divergent[c]) continue;
+      const netlist::Node& node = nl.node(c);
+      // State loads the (divergent) D on the next edge; registers are
+      // never transparent to blocking.
+      if (node.kind != CellKind::kDff) {
+        for (std::size_t i = 0; i < node.fanin_count; ++i) {
+          const NodeId f = node.fanin[i];
+          if (divergent[f]) {
+            // The corrupted net carries an unknown value; the synthetic
+            // literal is keyed by the net, past every real literal.
+            ins[i] = Ternary::kX;
+            in_lits[i] = static_cast<std::uint64_t>(nl.num_nodes() + f) * 2;
+          } else {
+            ins[i] = analysis.value(f);
+            in_lits[i] = analysis.literal(f);
+          }
+        }
+        if (is_definite(eval_ternary_related(
+                node.kind,
+                std::span<const Ternary>(ins.data(), node.fanin_count),
+                std::span<const std::uint64_t>(in_lits.data(),
+                                               node.fanin_count))))
+          continue;
+      }
+      mark(c);
+    }
+  }
+  std::sort(queue.begin(), queue.end());
+  return queue;
 }
 
 }  // namespace fcrit::sla

@@ -29,6 +29,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -92,9 +93,20 @@ class DataflowAnalysis {
 /// Independently re-check every exported fact against the netlist as one
 /// simultaneous inductive invariant (see file comment), and cross-check
 /// that every definite lattice value is backed by a fact. Returns false
-/// and describes the first violation in *why (when non-null). Used by the
-/// `diff_static_prune` oracle before any pruning decision is trusted.
+/// and describes the first violation in *why (when non-null). The
+/// `fcrit check` dataflow oracle runs it on every fuzzed circuit.
 bool verify_facts(const netlist::Netlist& nl, const DataflowAnalysis& analysis,
                   std::string* why);
+
+/// Constant-transparency influence closure: the set of nodes a change on
+/// any seed could influence, propagating through a gate only when the
+/// gate's output is not pinned by the lattice values of its untouched
+/// fanins (flip-flop crossings always propagate). Two pins fed by the same
+/// divergent net still carry equal values, so XOR(g, g) blocks. The
+/// result is sorted by node id and includes the seeds. The engine behind
+/// the lint reset-cone rule.
+std::vector<netlist::NodeId> divergence_closure(
+    const netlist::Netlist& nl, const DataflowAnalysis& analysis,
+    std::span<const netlist::NodeId> seeds);
 
 }  // namespace fcrit::sla

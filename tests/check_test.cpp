@@ -1,7 +1,8 @@
 // The differential-oracle harness: scalar-vs-packed agreement on real and
-// random circuits, fault-oracle triple agreement, serve-vs-pipeline bit
-// identity, the deterministic fuzz tranche, and — crucially — the planted
-// defects that prove the oracles are able to fail.
+// random circuits, fault-oracle triple agreement, the dataflow
+// certificate, serve-vs-pipeline bit identity, the deterministic fuzz
+// tranche, and — crucially — the planted defects that prove the oracles
+// are able to fail.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -174,6 +175,12 @@ TEST(CampaignOracle, PlantedDetectionDefectIsCaught) {
   EXPECT_NE(msg.find("detected_lanes"), std::string::npos);
 }
 
+TEST(DataflowOracle, CleanOnRegisteredAndRandomDesigns) {
+  EXPECT_EQ(diff_dataflow_facts(designs::build_design("or1200_icfsm")), "");
+  for (std::uint64_t seed : {5u, 6u})
+    EXPECT_EQ(diff_dataflow_facts(random_design(seed)), "") << "seed " << seed;
+}
+
 TEST(ServeOracle, MatchesDirectScoring) {
   const std::string scratch =
       (std::filesystem::path(::testing::TempDir()) / "fcrit_check_serve")
@@ -242,6 +249,7 @@ TEST(Harness, DeterministicTrancheRunsClean) {
   EXPECT_EQ(report.packed_checks, 4);
   EXPECT_EQ(report.fault_checks, 4);
   EXPECT_EQ(report.campaign_checks, 4);
+  EXPECT_EQ(report.dataflow_checks, 4);
   EXPECT_EQ(report.serve_checks, 0);
 }
 

@@ -110,7 +110,6 @@ class BatchPartitionTest : public ::testing::Test {
     const std::vector<FaultResult> ref = levelized_reference(nl, cfg, faults);
 
     cfg.engine = FiEngine::kFrontier;
-    cfg.static_prune = false;  // every fault must reach a frontier pass
     FaultCampaign camp(nl, default_spec(), cfg);
     camp.run_golden();
 
@@ -192,7 +191,6 @@ TEST(FaultBatch, DffOutputFaultsMatchReference) {
 
   CampaignConfig fcfg = cfg;
   fcfg.engine = FiEngine::kFrontier;
-  fcfg.static_prune = false;
   FaultCampaign camp(c.nl, default_spec(), fcfg);
   const auto got = camp.run(dff_faults).faults;
   for (std::size_t i = 0; i < dff_faults.size(); ++i)
@@ -210,7 +208,6 @@ TEST(FaultBatch, RunAllSimulatesOneFaultPerCollapseClass) {
   rc.seed = 17;  // its INV chains collapse 264 faults into 260 classes
   const designs::Design d = designs::build_random_circuit(rc);
   CampaignConfig cfg = small_config();
-  cfg.static_prune = false;
   FaultCampaign camp(d.netlist, default_spec(), cfg);
   const CampaignResult r = camp.run_all();
 

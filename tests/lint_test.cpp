@@ -185,6 +185,28 @@ TEST(LintNetlist, ResetConeNotesUninfluencedFlops) {
   EXPECT_EQ(r.count(Severity::kNote), 1u);
 }
 
+TEST(LintNetlist, ResetConeSeesThroughControllingConstant) {
+  // rst reaches r_q structurally, but only through AND(rst, 0), which no
+  // reset toggle can move: the dataflow closure flags the flop that plain
+  // forward reachability would call covered.
+  Netlist nl("rst_blocked");
+  const NodeId rst = nl.add_input("rst");
+  const NodeId a = nl.add_input("a");
+  const NodeId c0 = nl.add_const(false);
+  const NodeId k = nl.add_gate(CellKind::kAnd2, {rst, c0}, "u_k");
+  const NodeId d = nl.add_gate(CellKind::kOr2, {k, a}, "u_d");
+  const NodeId ff = nl.add_gate(CellKind::kDff, {d}, "r_q");
+  nl.add_output("q", ff);
+
+  const LintReport r = lint_netlist(nl);
+  ASSERT_TRUE(has_rule(r, "reset-cone")) << r.to_string();
+  const Diagnostic& diag = first_of(r, "reset-cone");
+  EXPECT_EQ(diag.severity, Severity::kNote);
+  EXPECT_EQ(diag.node_name, "r_q");
+  EXPECT_NE(diag.message.find("(static dataflow)"), std::string::npos)
+      << diag.message;
+}
+
 TEST(LintParser, MultiDrivenNetCarriesRuleAndLine) {
   const std::string text =
       "module m (input clk, input a, output y);\n"

@@ -1,9 +1,10 @@
 // Static dataflow engine unit tests: the ternary transfer functions of
 // every cell kind checked exhaustively against the concrete evaluator,
 // the relation-aware evaluator on tied inputs, the equivalence learner,
-// the sequential fixpoint on crafted netlists, and the fact certificate
+// the sequential fixpoint on crafted netlists, the fact certificate
 // (verify_facts accepts the engine's own output and rejects a certificate
-// replayed against a different netlist).
+// replayed against a different netlist), and the divergence closure's
+// blocking rules.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "src/designs/designs.hpp"
+#include "src/designs/random_circuit.hpp"
 #include "src/netlist/cell_library.hpp"
 #include "src/netlist/netlist.hpp"
 #include "src/sla/dataflow.hpp"
@@ -254,6 +256,75 @@ TEST(Dataflow, CertificatesOfRegisteredDesignsVerify) {
     std::string why;
     EXPECT_TRUE(verify_facts(d.netlist, df, &why)) << name << ": " << why;
   }
+}
+
+TEST(Dataflow, CertificatesOfRandomCircuitsVerify) {
+  for (const std::uint64_t seed : {3u, 14u, 15u, 92u}) {
+    designs::RandomCircuitConfig cfg;
+    cfg.num_inputs = 6;
+    cfg.num_gates = 70;
+    cfg.num_flops = 7;
+    cfg.num_outputs = 4;
+    cfg.seed = seed;
+    const auto d = designs::build_random_circuit(cfg);
+    const auto df = DataflowAnalysis::run(d.netlist);
+    std::string why;
+    EXPECT_TRUE(verify_facts(d.netlist, df, &why)) << "seed " << seed << ": "
+                                                   << why;
+  }
+}
+
+TEST(DivergenceClosure, StopsAtControllingConstant) {
+  // g structurally reaches the output through k, but k = AND(g, 0) is
+  // pinned at 0 whatever g does; a's change still reaches out.
+  Netlist nl;
+  const NodeId a = nl.add_input("a");
+  const NodeId c0 = nl.add_const(false);
+  const NodeId g = nl.add_gate(CellKind::kInv, {a}, "g");
+  const NodeId k = nl.add_gate(CellKind::kAnd2, {g, c0}, "k");
+  const NodeId out = nl.add_gate(CellKind::kOr2, {k, a}, "out");
+  nl.add_output("y", out);
+  nl.validate();
+
+  const auto df = DataflowAnalysis::run(nl);
+  const NodeId seed_g[] = {g};
+  EXPECT_EQ(divergence_closure(nl, df, seed_g), std::vector<NodeId>{g});
+  const NodeId seed_a[] = {a};
+  EXPECT_EQ(divergence_closure(nl, df, seed_a),
+            (std::vector<NodeId>{a, g, out}));
+}
+
+TEST(DivergenceClosure, CrossesFlipFlops) {
+  // A flop is never transparent to blocking: g reaches q, and q's
+  // consumer h, even though nothing downstream is pinned.
+  Netlist nl;
+  const NodeId a = nl.add_input("a");
+  const NodeId g = nl.add_gate(CellKind::kInv, {a}, "g");
+  const NodeId q = nl.add_gate(CellKind::kDff, {g}, "q");
+  const NodeId h = nl.add_gate(CellKind::kBuf, {q}, "h");
+  nl.add_output("y", h);
+  nl.validate();
+
+  const auto df = DataflowAnalysis::run(nl);
+  const NodeId seeds[] = {g};
+  EXPECT_EQ(divergence_closure(nl, df, seeds),
+            (std::vector<NodeId>{g, q, h}));
+}
+
+TEST(DivergenceClosure, RelatedLiteralsBlockXorOfOneNet) {
+  // Both pins of x = XOR(g, g) carry the same corrupted value, so x stays
+  // 0: the synthetic literal is keyed by the net, not by the pin.
+  Netlist nl;
+  const NodeId a = nl.add_input("a");
+  const NodeId g = nl.add_gate(CellKind::kInv, {a}, "g");
+  const NodeId x = nl.add_gate(CellKind::kXor2, {g, g}, "x");
+  const NodeId out = nl.add_gate(CellKind::kOr2, {x, a}, "out");
+  nl.add_output("y", out);
+  nl.validate();
+
+  const auto df = DataflowAnalysis::run(nl);
+  const NodeId seeds[] = {g};
+  EXPECT_EQ(divergence_closure(nl, df, seeds), std::vector<NodeId>{g});
 }
 
 }  // namespace

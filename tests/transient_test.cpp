@@ -1,10 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <map>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "src/designs/designs.hpp"
+#include "src/designs/random_circuit.hpp"
 #include "src/fault/fault_sim.hpp"
 #include "src/rtl/builder.hpp"
+#include "tests/pin_hash.hpp"
 
 namespace fcrit::fault {
 namespace {
@@ -127,9 +134,9 @@ TEST(Transient, InjectAtLastCycleIsVisibleExactlyOnce) {
 }
 
 TEST(Transient, IdenticalUnderFrontierCampaignConfig) {
-  // simulate_transient always runs the levelized cone sweep; a campaign
-  // configured for the frontier engine must still produce bit-identical
-  // transient verdicts, including at the cycle-0 and last-cycle edges.
+  // The frontier pass and the levelized sweep are independent SEU
+  // engines; they must agree bit for bit, including at the cycle-0 and
+  // last-cycle edges.
   const auto d = designs::build_or1200_icfsm();
   CampaignConfig lev;
   lev.cycles = 48;
@@ -153,6 +160,46 @@ TEST(Transient, IdenticalUnderFrontierCampaignConfig) {
   }
 }
 
+TEST(Transient, FlipThatLoopsBackThroughAFlopKeepsToggling) {
+  // q' = g, g = q ^ a, y = g: a flip of g (or of q) is captured by the
+  // flop and comes back to g's own fanin on the next cycle, so it
+  // persists to the end of the window in every lane. An engine that kept
+  // the site forced after the flip cycle would drop it after one cycle.
+  Netlist nl;
+  rtl::Builder b(nl, 1);
+  const NodeId a = b.input("a");
+  const NodeId q = b.reg_placeholder();
+  const NodeId g = b.xor2(q, a);
+  b.connect_reg(q, g);
+  b.output("y", g);
+  nl.validate();
+
+  CampaignConfig lev;
+  lev.cycles = 32;
+  lev.engine = FiEngine::kLevelized;
+  CampaignConfig fr = lev;
+  fr.engine = FiEngine::kFrontier;
+  FaultCampaign cl(nl, spec(), lev);
+  FaultCampaign cf(nl, spec(), fr);
+  cl.run_golden();
+  cf.run_golden();
+  for (const NodeId site : {g, q}) {
+    for (const int cycle : {0, 5, 31}) {
+      const auto rl = cl.simulate_transient(site, cycle);
+      const auto rf = cf.simulate_transient(site, cycle);
+      const auto expected = static_cast<std::uint32_t>(32 - cycle) * 64u;
+      EXPECT_EQ(rl.affected_lanes, ~0ULL)
+          << nl.node(site).name << " @" << cycle;
+      EXPECT_EQ(rl.mismatch_cycles, expected)
+          << nl.node(site).name << " @" << cycle;
+      EXPECT_EQ(rf.affected_lanes, rl.affected_lanes)
+          << nl.node(site).name << " @" << cycle;
+      EXPECT_EQ(rf.mismatch_cycles, rl.mismatch_cycles)
+          << nl.node(site).name << " @" << cycle;
+    }
+  }
+}
+
 TEST(Transient, RejectsBadArguments) {
   Netlist nl;
   const NodeId a = nl.add_input("a");
@@ -170,6 +217,7 @@ TEST(Transient, ConeMatchesNaive) {
   const auto d = designs::build_or1200_icfsm();
   CampaignConfig fast;
   fast.cycles = 48;
+  fast.engine = FiEngine::kLevelized;
   CampaignConfig naive = fast;
   naive.use_cone_restriction = false;
   FaultCampaign cf(d.netlist, d.stimulus, fast);
@@ -184,6 +232,84 @@ TEST(Transient, ConeMatchesNaive) {
       EXPECT_EQ(rf.affected_lanes, rn.affected_lanes)
           << d.netlist.node(node).name << " @" << cycle;
       EXPECT_EQ(rf.mismatch_cycles, rn.mismatch_cycles);
+    }
+  }
+}
+
+/// The pin circuits: every built-in design plus two random circuits with
+/// flops.
+std::vector<designs::Design> pin_designs() {
+  std::vector<designs::Design> out;
+  for (const auto& name : designs::all_design_names())
+    out.push_back(designs::build_design(name));
+  designs::RandomCircuitConfig rc;
+  rc.num_gates = 200;
+  rc.num_flops = 16;
+  rc.seed = 3;
+  out.push_back(designs::build_random_circuit(rc));
+  rc.num_gates = 120;
+  rc.num_flops = 12;
+  rc.seed = 17;
+  out.push_back(designs::build_random_circuit(rc));
+  return out;
+}
+
+/// fnv1a64 of (affected_lanes, mismatch_cycles) over `sites`, each
+/// injected at the first, middle and last cycle.
+std::uint64_t transient_digest(const FaultCampaign& camp,
+                               const std::vector<NodeId>& sites) {
+  const int cycles = camp.config().cycles;
+  std::vector<std::uint64_t> words;
+  for (const NodeId site : sites) {
+    for (const int cycle : {0, cycles / 2, cycles - 1}) {
+      const auto r = camp.simulate_transient(site, cycle);
+      words.push_back(r.affected_lanes);
+      words.push_back(r.mismatch_cycles);
+    }
+  }
+  return pins::hash_bytes(std::span<const std::uint64_t>(words));
+}
+
+// Recorded on the levelized SEU sweep before transient injection moved
+// onto the frontier pass; both engines must keep reproducing them.
+TEST(Transient, MatchesPinnedDigests) {
+  struct Pin {
+    std::uint64_t digest;
+    std::uint64_t criticality;
+  };
+  const std::map<std::string, Pin> pinned = {
+      {"sdram_ctrl", {0x97b0373c08ac47faULL, 0xd2247cf3aaf4f166ULL}},
+      {"or1200_if", {0xf3c435f3c5975e1bULL, 0xe99d1b24aaa26f6dULL}},
+      {"or1200_icfsm", {0xa5fe12800d99f488ULL, 0xe792d42151a494b7ULL}},
+      {"or1200_genpc", {0x4f31a0c5117052b6ULL, 0x48d1624bb618ad5aULL}},
+      {"ee_zonal", {0xe17c4d6ebfaab313ULL, 0x8a27334af8eaeaa0ULL}},
+      {"random_3", {0xa0fa1fb8f8a41f9eULL, 0xd4497f6d8faf857cULL}},
+      {"random_17", {0xd30ff4dfe315c845ULL, 0x0f65d9605ad6d0c7ULL}},
+  };
+  for (const auto& d : pin_designs()) {
+    const auto all_sites = fault_sites(d.netlist);
+    const std::size_t stride = std::max<std::size_t>(1, all_sites.size() / 96);
+    std::vector<NodeId> sites;
+    for (std::size_t i = 0; i < all_sites.size(); i += stride)
+      sites.push_back(all_sites[i]);
+    const auto it = pinned.find(d.name);
+    ASSERT_NE(it, pinned.end()) << d.name;
+    for (const FiEngine engine : {FiEngine::kFrontier, FiEngine::kLevelized}) {
+      CampaignConfig cfg;
+      cfg.cycles = 64;
+      cfg.engine = engine;
+      FaultCampaign camp(d.netlist, d.stimulus, cfg);
+      camp.run_golden();
+      const std::uint64_t got = transient_digest(camp, sites);
+      const auto crit = camp.transient_criticality(sites, {7, 40});
+      const std::uint64_t got_crit =
+          pins::hash_bytes(std::span<const double>(crit));
+      const char* which =
+          engine == FiEngine::kFrontier ? "frontier" : "levelized";
+      EXPECT_EQ(got, it->second.digest)
+          << d.name << " " << which << ": got 0x" << std::hex << got;
+      EXPECT_EQ(got_crit, it->second.criticality)
+          << d.name << " " << which << ": got 0x" << std::hex << got_crit;
     }
   }
 }
