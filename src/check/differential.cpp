@@ -343,11 +343,13 @@ serve::ModelBundle make_check_bundle(const designs::Design& design,
   b.standardizer.stddev.assign(graphir::kNumBaseFeatures, 1.0);
   ml::GcnConfig cc = ml::GcnConfig::classifier();
   cc.hidden = {8};
+  cc.dropout_after = -1;  // one hidden conv: no Dropout position
   cc.seed = seed;
   b.classifier =
       std::make_unique<ml::GcnModel>(graphir::kNumBaseFeatures, cc);
   ml::GcnConfig rc = ml::GcnConfig::regressor();
   rc.hidden = {8};
+  rc.dropout_after = -1;
   rc.seed = seed + 1;
   b.regressor = std::make_unique<ml::GcnModel>(graphir::kNumBaseFeatures, rc);
   return b;

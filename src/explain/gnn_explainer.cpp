@@ -197,12 +197,15 @@ Explanation GnnExplainer::explain(int node) {
     model_->set_adjacency(&masked_adj);
     edge_grad_buffer.assign(base_values.size(), 0.0f);
     model_->set_edge_grad_buffer(&edge_grad_buffer);
-    const ml::Matrix logp = model_->forward(x_masked, /*training=*/false);
+    // The grad-capable evaluation pass: dropout off, caches kept, so
+    // backward() turns `grad` into dL/dX.
+    const ml::Matrix& logp = model_->forward(x_masked, ml::Pass::kEval);
     ml::Matrix grad(n_local, logp.cols());
     grad(0, target_class) = -1.0f;  // node is local index 0
     model_->zero_grad();
-    const ml::Matrix dx = model_->backward(grad);
+    model_->backward(grad);
     model_->set_edge_grad_buffer(nullptr);
+    const ml::Matrix& dx = grad;
 
     // Edge-mask gradients: chain through masked_value = base * sigmoid(m),
     // then add size and entropy regularizer derivatives.
@@ -245,8 +248,10 @@ Explanation GnnExplainer::explain(int node) {
     feat_opt.step(feat_logit, gf);
   }
 
-  // Restore the full-graph adjacency on the shared model.
+  // Restore the full-graph adjacency on the shared model, and drop the
+  // workspace, whose caches point at this call's masked features.
   model_->set_adjacency(&graph_->normalized_adjacency);
+  model_->release_workspace();
 
   // ---- package the explanation ---------------------------------------------
   Explanation ex;
@@ -270,9 +275,6 @@ Explanation GnnExplainer::explain(int node) {
     ex.edge_importance.emplace_back(sub_edges[se], sigmoid(edge_logit[se]));
   std::sort(ex.edge_importance.begin(), ex.edge_importance.end(),
             [](const auto& a, const auto& b) { return a.second > b.second; });
-
-  // Hygiene for the model's conv caches (mask entropy noise aside): leave
-  // the explainer's masked tensors out of scope; nothing else to restore.
   return ex;
 }
 

@@ -7,10 +7,16 @@
 
 namespace fcrit::ml {
 
-Matrix MlpClassifier::forward(const Matrix& x, bool training) const {
-  Matrix h = x;
-  for (const auto& layer : layers_) h = layer->forward(h, training);
-  return h;
+const Matrix& MlpClassifier::forward(const Matrix& x, Pass pass) const {
+  // fit() puts the input Linear first; it reads the caller's x.
+  Matrix* h = &static_cast<Linear&>(*layers_.front()).forward(x, pass);
+  for (std::size_t i = 1; i < layers_.size(); ++i)
+    h = &layers_[i]->forward(*h, pass);
+  return *h;
+}
+
+void MlpClassifier::release() const {
+  for (const auto& layer : layers_) layer->release();
 }
 
 void MlpClassifier::fit(const Matrix& x, const std::vector<int>& labels,
@@ -31,24 +37,26 @@ void MlpClassifier::fit(const Matrix& x, const std::vector<int>& labels,
   for (const auto& layer : layers_) layer->collect_params(params);
   Adam opt(params, config_.lr, config_.weight_decay);
 
+  Matrix grad;
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
-    const Matrix logp = forward(x, /*training=*/true);
-    Matrix grad;
-    masked_nll(logp, labels, train_idx, grad);
+    masked_nll(forward(x, Pass::kTrain), labels, train_idx, grad);
     opt.zero_grad();
-    Matrix g = grad;
-    for (auto it = layers_.rbegin(); it != layers_.rend(); ++it)
-      g = (*it)->backward(g);
+    // Nothing reads the input gradient, so the first layer skips it.
+    Matrix* g = &grad;
+    for (std::size_t i = layers_.size(); i-- > 0;)
+      g = &layers_[i]->backward(*g, i > 0);
     opt.step();
   }
+  release();
 }
 
 std::vector<double> MlpClassifier::predict_proba(const Matrix& x) const {
   if (layers_.empty()) throw std::runtime_error("MLP::predict: not fitted");
-  const Matrix logp = forward(x, /*training=*/false);
+  const Matrix& logp = forward(x, Pass::kInfer);
   std::vector<double> p(static_cast<std::size_t>(x.rows()));
   for (int i = 0; i < x.rows(); ++i)
     p[static_cast<std::size_t>(i)] = std::exp(static_cast<double>(logp(i, 1)));
+  release();
   return p;
 }
 

@@ -30,7 +30,10 @@ class MlpClassifier final : public BaselineClassifier {
   std::string name() const override { return "MLP"; }
 
  private:
-  Matrix forward(const Matrix& x, bool training) const;
+  /// Runs every layer in `pass`; the output stays in the last layer's
+  /// buffer until the layers are released.
+  const Matrix& forward(const Matrix& x, Pass pass) const;
+  void release() const;
 
   Config config_;
   mutable util::Rng rng_{2};

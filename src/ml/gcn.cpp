@@ -30,14 +30,17 @@ GcnModel::GcnModel(int in_features, GcnConfig config)
     layers_.push_back(std::move(conv));
     layers_.push_back(std::make_unique<Relu>());
     if (static_cast<int>(k) == config_.dropout_after &&
-        config_.dropout > 0.0)
+        config_.dropout > 0.0) {
+      prefix_end_ = layers_.size();
       layers_.push_back(std::make_unique<Dropout>(config_.dropout, *rng_));
+    }
     width = config_.hidden[k];
   }
   auto head = std::make_unique<GcnConv>(width, config_.output_dim, *rng_);
   convs_.push_back(head.get());
   layers_.push_back(std::move(head));
   if (config_.log_softmax) layers_.push_back(std::make_unique<LogSoftmax>());
+  if (prefix_end_ == 0) prefix_end_ = layers_.size();  // no Dropout
 }
 
 void GcnModel::set_adjacency(const SparseMatrix* adj) {
@@ -48,19 +51,79 @@ void GcnModel::set_edge_grad_buffer(std::vector<float>* buf) {
   for (GcnConv* conv : convs_) conv->set_edge_grad_buffer(buf);
 }
 
-Matrix GcnModel::forward(const Matrix& x, bool training) {
+// The public passes each hold the use guard for their whole duration and
+// run the unguarded helpers below.
+
+const Matrix& GcnModel::forward(const Matrix& x, Pass pass) {
   UseGuard guard(*in_use_);
-  Matrix h = x;
-  for (const auto& layer : layers_) h = layer->forward(h, training);
-  return h;
+  run_prefix(x, pass);
+  return run_suffix(pass);
 }
 
-Matrix GcnModel::backward(const Matrix& grad_out) {
+Matrix GcnModel::forward(const Matrix& x, bool training) {
   UseGuard guard(*in_use_);
-  Matrix g = grad_out;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it)
-    g = (*it)->backward(g);
-  return g;
+  run_prefix(x, training ? Pass::kTrain : Pass::kInfer);
+  if (training) return run_suffix(Pass::kTrain);
+  Matrix out = std::move(run_suffix(Pass::kInfer));
+  drop_workspace();
+  return out;
+}
+
+void GcnModel::forward_prefix(const Matrix& x, Pass pass) {
+  UseGuard guard(*in_use_);
+  run_prefix(x, pass);
+}
+
+const Matrix& GcnModel::forward_suffix(Pass pass) {
+  UseGuard guard(*in_use_);
+  return run_suffix(pass);
+}
+
+void GcnModel::backward(Matrix& grad) {
+  UseGuard guard(*in_use_);
+  if (cached_ == Pass::kInfer)
+    throw std::logic_error(
+        "GcnModel::backward: the last forward pass kept no caches");
+  // Every GCN layer backpropagates in place, so the gradient stays in
+  // `grad` throughout; only an evaluation pass needs the first conv's dX.
+  for (std::size_t i = layers_.size(); i-- > 0;)
+    layers_[i]->backward(grad, i > 0 || cached_ == Pass::kEval);
+}
+
+void GcnModel::release_workspace() {
+  UseGuard guard(*in_use_);
+  drop_workspace();
+}
+
+void GcnModel::run_prefix(const Matrix& x, Pass pass) {
+  // The first conv reads the caller's x; every later layer reads or
+  // rewrites the output buffer of the conv before it.
+  Matrix* h = &convs_.front()->forward(x, pass);
+  for (std::size_t i = 1; i < prefix_end_; ++i)
+    h = &layers_[i]->forward(*h, pass);
+  prefix_out_ = h;
+  prefix_pass_ = pass;
+  cached_ = Pass::kInfer;
+}
+
+Matrix& GcnModel::run_suffix(Pass pass) {
+  if (!prefix_out_)
+    throw std::logic_error(
+        "GcnModel::forward_suffix: no prefix output (a training suffix "
+        "consumed it)");
+  Matrix* h = prefix_out_;
+  for (std::size_t i = prefix_end_; i < layers_.size(); ++i)
+    h = &layers_[i]->forward(*h, pass);
+  if (pass == Pass::kTrain && prefix_end_ < layers_.size())
+    prefix_out_ = nullptr;  // the Dropout rewrote it
+  cached_ = prefix_pass_ == Pass::kInfer ? Pass::kInfer : pass;
+  return *h;
+}
+
+void GcnModel::drop_workspace() {
+  for (const auto& layer : layers_) layer->release();
+  prefix_out_ = nullptr;
+  cached_ = Pass::kInfer;
 }
 
 std::vector<Param> GcnModel::params() {

@@ -47,16 +47,41 @@ class GcnModel {
   /// buffer (summed across layers). GNNExplainer's edge-mask gradient.
   void set_edge_grad_buffer(std::vector<float>* buf);
 
-  /// N x output_dim output (log-probabilities for the classifier).
-  /// NOT safe for concurrent callers on one instance (layers cache their
-  /// activations between forward and backward): a second thread entering
-  /// while a pass is in flight gets std::logic_error instead of silently
-  /// corrupted activations — clone per thread via ml::clone_gcn.
+  /// Runs every layer in `pass` (see ml::Pass) over the model's workspace.
+  /// Returns the N x output_dim output (log-probabilities for the
+  /// classifier), which stays in the workspace until the next pass or
+  /// release_workspace(). kTrain and kEval keep caches for backward(),
+  /// including a pointer to `x`, which must stay unchanged until then.
+  /// NOT safe for concurrent callers on one instance: a second thread
+  /// entering while a pass is in flight gets std::logic_error instead of
+  /// silently corrupted activations — clone per thread via ml::clone_gcn.
+  const Matrix& forward(const Matrix& x, Pass pass);
+
+  /// With training == false, the inference pass: forward(x, Pass::kInfer)
+  /// returning its output and leaving no per-node state in the model. With
+  /// training == true, a copy of forward(x, Pass::kTrain).
   Matrix forward(const Matrix& x, bool training);
 
-  /// Backpropagate; returns dL/dX (needed by the explainer's feature mask).
-  /// Same single-caller contract as forward().
-  Matrix backward(const Matrix& grad_out);
+  /// forward(x, pass) split at the first Dropout; the prefix is the whole
+  /// model when there is no Dropout. The prefix (convs and ReLUs) draws
+  /// nothing from the RNG, so a training loop runs it once per weight
+  /// update and then both suffixes over its output: the evaluation
+  /// (Pass::kInfer) and the next epoch's training (Pass::kTrain), in that
+  /// order — a training suffix's Dropout overwrites the prefix output, and
+  /// forward_suffix() then throws std::logic_error until the next prefix.
+  void forward_prefix(const Matrix& x, Pass pass);
+  const Matrix& forward_suffix(Pass pass);
+
+  /// Backpropagates dL/dY in `grad`, rewriting it in place. After a kEval
+  /// pass `grad` ends as dL/dX (the explainer's feature-mask gradient);
+  /// after a kTrain pass the first conv skips dL/dX and `grad` ends as
+  /// dL/d(its output). Throws std::logic_error unless the last pass kept
+  /// caches through the whole model. Same single-caller contract as
+  /// forward().
+  void backward(Matrix& grad);
+
+  /// Frees the workspace: every activation, mask and cache.
+  void release_workspace();
 
   std::vector<Param> params();
   void zero_grad();
@@ -83,13 +108,23 @@ class GcnModel {
     std::atomic<bool>& flag_;
   };
 
+  void run_prefix(const Matrix& x, Pass pass);
+  Matrix& run_suffix(Pass pass);
+  void drop_workspace();
+
   int in_features_;
   GcnConfig config_;
   // Dropout layers keep a pointer to this Rng, so it lives on the heap to
   // stay at a stable address when the model itself is moved.
   std::unique_ptr<util::Rng> rng_;
+  // The layers own the workspace: each keeps its output, mask and backward
+  // buffers from pass to pass until release_workspace().
   std::vector<std::unique_ptr<Layer>> layers_;
   std::vector<GcnConv*> convs_;
+  std::size_t prefix_end_ = 0;      // index of the first Dropout, or size
+  Matrix* prefix_out_ = nullptr;    // the prefix's output, until consumed
+  Pass prefix_pass_ = Pass::kInfer;
+  Pass cached_ = Pass::kInfer;      // whose caches backward() uses; kInfer: none
   // Heap-allocated so the implicit move ctor stays available; detects
   // concurrent forward/backward on one instance (see forward()).
   std::unique_ptr<std::atomic<bool>> in_use_;

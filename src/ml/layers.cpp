@@ -20,38 +20,46 @@ GcnConv::GcnConv(int in_features, int out_features, util::Rng& rng,
       b_grad_(1, out_features),
       with_bias_(with_bias) {}
 
-Matrix GcnConv::forward(const Matrix& x, bool /*training*/) {
+Matrix& GcnConv::forward(const Matrix& x, Pass pass) {
   if (!adj_)
     throw std::runtime_error("GcnConv::forward: adjacency not set");
   if (x.cols() != w_.rows())
     throw std::runtime_error("GcnConv::forward: feature dim mismatch");
-  cached_x_ = x;
-  Matrix z = matmul(x, w_);
+  x_ = pass == Pass::kInfer ? nullptr : &x;
+  matmul(x, w_, z_);
   if (with_bias_) {
-    for (int i = 0; i < z.rows(); ++i) {
-      auto zrow = z.row(i);
-      for (int j = 0; j < z.cols(); ++j) zrow[j] += b_(0, j);
+    for (int i = 0; i < z_.rows(); ++i) {
+      auto zrow = z_.row(i);
+      for (int j = 0; j < z_.cols(); ++j) zrow[j] += b_(0, j);
     }
   }
-  cached_z_ = z;
-  return adj_->spmm(z);
+  adj_->spmm(z_, y_);
+  return y_;
 }
 
-Matrix GcnConv::backward(const Matrix& grad_out) {
+Matrix& GcnConv::backward(Matrix& grad, bool input_grad) {
   if (!adj_)
     throw std::runtime_error("GcnConv::backward: adjacency not set");
+  if (!x_) throw std::logic_error("GcnConv::backward: no caching forward");
   // Y = Â Z  =>  dL/dZ = Âᵀ G; edge grads dL/dÂ[u,v] = <G.row(u), Z.row(v)>.
-  if (edge_grad_) adj_->accumulate_edge_grad(grad_out, cached_z_, *edge_grad_);
-  const Matrix gz = adj_->spmm_t(grad_out);
+  if (edge_grad_) adj_->accumulate_edge_grad(grad, z_, *edge_grad_);
+  adj_->spmm_t(grad, gz_);
   // Z = X W + b.
-  w_grad_ += matmul_tn(cached_x_, gz);
-  if (with_bias_) b_grad_ += col_sum(gz);
-  return matmul_nt(gz, w_);
+  matmul_tn(*x_, gz_, dw_);
+  w_grad_ += dw_;
+  if (with_bias_) b_grad_ += col_sum(gz_);
+  if (input_grad) matmul_nt(gz_, w_, grad);
+  return grad;
 }
 
 void GcnConv::collect_params(std::vector<Param>& out) {
   out.push_back({&w_, &w_grad_});
   if (with_bias_) out.push_back({&b_, &b_grad_});
+}
+
+void GcnConv::release() {
+  x_ = nullptr;
+  z_ = y_ = gz_ = dw_ = Matrix();
 }
 
 std::string GcnConv::describe() const {
@@ -67,27 +75,36 @@ Linear::Linear(int in_features, int out_features, util::Rng& rng)
       b_(1, out_features),
       b_grad_(1, out_features) {}
 
-Matrix Linear::forward(const Matrix& x, bool /*training*/) {
+Matrix& Linear::forward(const Matrix& x, Pass pass) {
   if (x.cols() != w_.rows())
     throw std::runtime_error("Linear::forward: feature dim mismatch");
-  cached_x_ = x;
-  Matrix y = matmul(x, w_);
-  for (int i = 0; i < y.rows(); ++i) {
-    auto yrow = y.row(i);
-    for (int j = 0; j < y.cols(); ++j) yrow[j] += b_(0, j);
+  x_ = pass == Pass::kInfer ? nullptr : &x;
+  matmul(x, w_, y_);
+  for (int i = 0; i < y_.rows(); ++i) {
+    auto yrow = y_.row(i);
+    for (int j = 0; j < y_.cols(); ++j) yrow[j] += b_(0, j);
   }
-  return y;
+  return y_;
 }
 
-Matrix Linear::backward(const Matrix& grad_out) {
-  w_grad_ += matmul_tn(cached_x_, grad_out);
-  b_grad_ += col_sum(grad_out);
-  return matmul_nt(grad_out, w_);
+Matrix& Linear::backward(Matrix& grad, bool input_grad) {
+  if (!x_) throw std::logic_error("Linear::backward: no caching forward");
+  matmul_tn(*x_, grad, dw_);
+  w_grad_ += dw_;
+  b_grad_ += col_sum(grad);
+  if (!input_grad) return grad;
+  matmul_nt(grad, w_, dx_);
+  return dx_;
 }
 
 void Linear::collect_params(std::vector<Param>& out) {
   out.push_back({&w_, &w_grad_});
   out.push_back({&b_, &b_grad_});
+}
+
+void Linear::release() {
+  x_ = nullptr;
+  y_ = dw_ = dx_ = Matrix();
 }
 
 std::string Linear::describe() const {
@@ -97,72 +114,88 @@ std::string Linear::describe() const {
 
 // ---- Relu ---------------------------------------------------------------------
 
-Matrix Relu::forward(const Matrix& x, bool /*training*/) {
-  mask_ = Matrix(x.rows(), x.cols());
-  Matrix y = x;
-  // Elementwise per row — row sharding is trivially order-preserving.
-  // Branch-free: `y > 0` (false for -0, NaN and negatives) becomes an
-  // all-ones/all-zeros bit mask that selects both outputs, so the half of
-  // the post-ReLU entries that are zero cost no mispredicted branch. The
-  // outputs are x itself or +0, and 1 or +0, bit for bit the reference
-  // loop in tests/kernel_determinism_test.cpp.
+namespace {
+
+/// ReLU in place on x, writing the mask too when kMask. Elementwise per row —
+/// row sharding is trivially order-preserving. Branch-free: `x > 0` (false
+/// for -0, NaN and negatives) becomes an all-ones/all-zeros bit mask that
+/// selects both outputs, so the half of the post-ReLU entries that are zero
+/// cost no mispredicted branch. The outputs are x itself or +0, and 1 or
+/// +0, bit for bit the reference loop in tests/kernel_determinism_test.cpp.
+template <bool kMask>
+void relu_in_place(Matrix& x, Matrix& mask) {
   const std::uint32_t one = std::bit_cast<std::uint32_t>(1.0f);
   util::parallel_for(0, x.rows(), detail::row_grain(x.cols()),
                      [&](std::int64_t r0, std::int64_t r1) {
     for (int i = static_cast<int>(r0); i < static_cast<int>(r1); ++i) {
-      auto yrow = y.row(i);
-      auto mrow = mask_.row(i);
+      auto xrow = x.row(i);
+      float* mrow = kMask ? mask.row(i).data() : nullptr;
       for (int j = 0; j < x.cols(); ++j) {
         const std::uint32_t keep =
-            0u - static_cast<std::uint32_t>(yrow[j] > 0.0f);
-        mrow[j] = std::bit_cast<float>(one & keep);
-        yrow[j] = std::bit_cast<float>(std::bit_cast<std::uint32_t>(yrow[j]) &
+            0u - static_cast<std::uint32_t>(xrow[j] > 0.0f);
+        if constexpr (kMask) mrow[j] = std::bit_cast<float>(one & keep);
+        xrow[j] = std::bit_cast<float>(std::bit_cast<std::uint32_t>(xrow[j]) &
                                        keep);
       }
     }
   });
-  return y;
 }
 
-Matrix Relu::backward(const Matrix& grad_out) {
-  Matrix g = grad_out;
-  g.hadamard_(mask_);
-  return g;
+}  // namespace
+
+Matrix& Relu::forward(Matrix& x, Pass pass) {
+  if (pass == Pass::kInfer) {
+    mask_.reset(0, 0);
+    relu_in_place<false>(x, mask_);
+  } else {
+    mask_.reset(x.rows(), x.cols());
+    relu_in_place<true>(x, mask_);
+  }
+  return x;
+}
+
+Matrix& Relu::backward(Matrix& grad, bool /*input_grad*/) {
+  if (mask_.rows() != grad.rows() || mask_.cols() != grad.cols())
+    throw std::logic_error("Relu::backward: no caching forward");
+  return grad.hadamard_(mask_);
 }
 
 // ---- Dropout -------------------------------------------------------------------
 
 // Deliberately serial: the mask consumes one RNG draw per element in row-major
-// order, and that draw order must not depend on the thread count.
-Matrix Dropout::forward(const Matrix& x, bool training) {
-  if (!training || rate_ <= 0.0) {
-    mask_ = Matrix();
+// order, and that draw order must not depend on the thread count. Each draw
+// keeps the element exactly when next_float() < keep would hold
+// (Rng::float_threshold), and a local copy of the generator keeps its state
+// in registers. Branch-free, like ReLU: the keep test becomes an
+// all-ones/all-zeros bit mask selecting scale and x * scale, or +0 for both,
+// so the unpredictable drops cost no mispredicted branch.
+Matrix& Dropout::forward(Matrix& x, Pass pass) {
+  if (pass != Pass::kTrain || rate_ <= 0.0) {
+    mask_.reset(0, 0);
     return x;
   }
   const float keep = static_cast<float>(1.0 - rate_);
   const float scale = 1.0f / keep;
-  mask_ = Matrix(x.rows(), x.cols());
-  Matrix y = x;
-  for (int i = 0; i < x.rows(); ++i) {
-    auto yrow = y.row(i);
-    auto mrow = mask_.row(i);
-    for (int j = 0; j < x.cols(); ++j) {
-      if (rng_->next_float() < keep) {
-        mrow[j] = scale;
-        yrow[j] *= scale;
-      } else {
-        yrow[j] = 0.0f;
-      }
-    }
+  const std::uint32_t scale_bits = std::bit_cast<std::uint32_t>(scale);
+  const std::uint64_t threshold = util::Rng::float_threshold(keep);
+  mask_.reset(x.rows(), x.cols());
+  float* xd = x.data();
+  float* md = mask_.data();
+  util::Rng rng = *rng_;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const std::uint32_t kept =
+        0u - static_cast<std::uint32_t>((rng.next() >> 40) < threshold);
+    md[i] = std::bit_cast<float>(scale_bits & kept);
+    xd[i] = std::bit_cast<float>(std::bit_cast<std::uint32_t>(xd[i] * scale) &
+                                 kept);
   }
-  return y;
+  *rng_ = rng;
+  return x;
 }
 
-Matrix Dropout::backward(const Matrix& grad_out) {
-  if (mask_.empty()) return grad_out;
-  Matrix g = grad_out;
-  g.hadamard_(mask_);
-  return g;
+Matrix& Dropout::backward(Matrix& grad, bool /*input_grad*/) {
+  if (mask_.empty()) return grad;
+  return grad.hadamard_(mask_);
 }
 
 std::string Dropout::describe() const {
@@ -171,38 +204,37 @@ std::string Dropout::describe() const {
 
 // ---- LogSoftmax -----------------------------------------------------------------
 
-Matrix LogSoftmax::forward(const Matrix& x, bool /*training*/) {
-  Matrix y = x;
+Matrix& LogSoftmax::forward(Matrix& x, Pass pass) {
   // Each row's reduction stays within one chunk, so the j-order (and hence
   // the FP result) matches the serial loop exactly.
   util::parallel_for(0, x.rows(), detail::row_grain(3 * x.cols()),
                      [&](std::int64_t r0, std::int64_t r1) {
     for (int i = static_cast<int>(r0); i < static_cast<int>(r1); ++i) {
-      auto yrow = y.row(i);
-      float mx = yrow[0];
-      for (int j = 1; j < x.cols(); ++j) mx = std::max(mx, yrow[j]);
+      auto xrow = x.row(i);
+      float mx = xrow[0];
+      for (int j = 1; j < x.cols(); ++j) mx = std::max(mx, xrow[j]);
       float sum = 0.0f;
-      for (int j = 0; j < x.cols(); ++j) sum += std::exp(yrow[j] - mx);
+      for (int j = 0; j < x.cols(); ++j) sum += std::exp(xrow[j] - mx);
       const float lse = mx + std::log(sum);
-      for (int j = 0; j < x.cols(); ++j) yrow[j] -= lse;
+      for (int j = 0; j < x.cols(); ++j) xrow[j] -= lse;
     }
   });
-  cached_logp_ = y;
-  return y;
+  logp_ = pass == Pass::kInfer ? nullptr : &x;
+  return x;
 }
 
-Matrix LogSoftmax::backward(const Matrix& grad_out) {
+Matrix& LogSoftmax::backward(Matrix& grad, bool /*input_grad*/) {
+  if (!logp_) throw std::logic_error("LogSoftmax::backward: no caching forward");
   // y = x - lse(x); dL/dx = g - softmax(x) * sum_j(g_j) per row.
-  Matrix g = grad_out;
-  for (int i = 0; i < g.rows(); ++i) {
-    auto grow = g.row(i);
-    const auto lrow = cached_logp_.row(i);
+  for (int i = 0; i < grad.rows(); ++i) {
+    auto grow = grad.row(i);
+    const auto lrow = logp_->row(i);
     float gsum = 0.0f;
-    for (int j = 0; j < g.cols(); ++j) gsum += grow[j];
-    for (int j = 0; j < g.cols(); ++j)
+    for (int j = 0; j < grad.cols(); ++j) gsum += grow[j];
+    for (int j = 0; j < grad.cols(); ++j)
       grow[j] -= std::exp(lrow[j]) * gsum;
   }
-  return g;
+  return grad;
 }
 
 // ---- losses ------------------------------------------------------------------------
@@ -210,7 +242,7 @@ Matrix LogSoftmax::backward(const Matrix& grad_out) {
 double masked_nll(const Matrix& logp, const std::vector<int>& labels,
                   const std::vector<int>& mask, Matrix& grad) {
   if (mask.empty()) throw std::runtime_error("masked_nll: empty mask");
-  grad = Matrix(logp.rows(), logp.cols());
+  grad.reset(logp.rows(), logp.cols());
   double loss = 0.0;
   const float inv = 1.0f / static_cast<float>(mask.size());
   for (const int i : mask) {
@@ -226,7 +258,7 @@ double masked_mse(const Matrix& pred, const std::vector<double>& target,
   if (mask.empty()) throw std::runtime_error("masked_mse: empty mask");
   if (pred.cols() != 1)
     throw std::runtime_error("masked_mse: prediction must be N x 1");
-  grad = Matrix(pred.rows(), 1);
+  grad.reset(pred.rows(), 1);
   double loss = 0.0;
   const float inv = 2.0f / static_cast<float>(mask.size());
   for (const int i : mask) {

@@ -162,12 +162,12 @@ void accumulate_row(const Terms& terms, const Matrix& b, float* crow,
 
 }  // namespace
 
-Matrix matmul(const Matrix& a, const Matrix& b) {
-  assert(a.cols() == b.rows());
+void matmul(const Matrix& a, const Matrix& b, Matrix& c) {
+  assert(a.cols() == b.rows() && &c != &a && &c != &b);
   static obs::Histogram& hist =
       obs::registry().histogram("ml.kernel.matmul_ms");
   detail::KernelScope scope("matmul", hist);
-  Matrix c(a.rows(), b.cols());
+  c.reset(a.rows(), b.cols());
   const std::int64_t per_row =
       static_cast<std::int64_t>(a.cols()) * b.cols();
   util::parallel_for(0, a.rows(), detail::row_grain(per_row),
@@ -181,15 +181,14 @@ Matrix matmul(const Matrix& a, const Matrix& b) {
       accumulate_row(terms, b, c.row(i).data());
     }
   });
-  return c;
 }
 
-Matrix matmul_tn(const Matrix& a, const Matrix& b) {
-  assert(a.rows() == b.rows());
+void matmul_tn(const Matrix& a, const Matrix& b, Matrix& c) {
+  assert(a.rows() == b.rows() && &c != &a && &c != &b);
   static obs::Histogram& hist =
       obs::registry().histogram("ml.kernel.matmul_tn_ms");
   detail::KernelScope scope("matmul_tn", hist);
-  Matrix c(a.cols(), b.cols());
+  c.reset(a.cols(), b.cols());
   // C.row(i) sums a(k, i) * B.row(k) over k; sharding by i keeps that
   // k-order per output row. Each chunk walks A and B in kStrip-row strips
   // and, per owned row i, compacts the strip's nonzero a(k, i) and adds
@@ -210,11 +209,10 @@ Matrix matmul_tn(const Matrix& a, const Matrix& b) {
       }
     }
   });
-  return c;
 }
 
-Matrix matmul_nt(const Matrix& a, const Matrix& b) {
-  assert(a.cols() == b.cols());
+void matmul_nt(const Matrix& a, const Matrix& b, Matrix& c) {
+  assert(a.cols() == b.cols() && &c != &a && &c != &b);
   static obs::Histogram& hist =
       obs::registry().histogram("ml.kernel.matmul_nt_ms");
   detail::KernelScope scope("matmul_nt", hist);
@@ -223,7 +221,7 @@ Matrix matmul_nt(const Matrix& a, const Matrix& b) {
   // a(i, k) * b(j, k) from +0 in ascending k, and — like the original dot
   // product — every k is a term, so 0 * Inf still yields NaN.
   const Matrix bt = transpose(b);
-  Matrix c(a.rows(), b.rows());
+  c.reset(a.rows(), b.rows());
   const std::int64_t per_row =
       static_cast<std::int64_t>(a.cols()) * b.rows();
   util::parallel_for(0, a.rows(), detail::row_grain(per_row),
@@ -234,7 +232,6 @@ Matrix matmul_nt(const Matrix& a, const Matrix& b) {
       accumulate_row({ks.data(), a.row(i).data(), a.cols()}, bt,
                      c.row(i).data());
   });
-  return c;
 }
 
 Matrix transpose(const Matrix& a) {

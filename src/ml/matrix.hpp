@@ -63,6 +63,15 @@ class Matrix {
   void fill(float v) { std::fill(data_.begin(), data_.end(), v); }
   void set_zero() { fill(0.0f); }
 
+  /// Becomes a rows x cols matrix of +0, reusing the allocation when it is
+  /// large enough — how the kernels and layers fill a caller-owned output.
+  void reset(int rows, int cols) {
+    assert(rows >= 0 && cols >= 0);
+    rows_ = rows;
+    cols_ = cols;
+    data_.assign(static_cast<std::size_t>(rows) * cols, 0.0f);
+  }
+
   // In-place elementwise ops.
   Matrix& operator+=(const Matrix& other);
   Matrix& operator-=(const Matrix& other);
@@ -80,12 +89,29 @@ class Matrix {
   std::vector<float> data_;
 };
 
-/// C = A * B.
-Matrix matmul(const Matrix& a, const Matrix& b);
+/// C = A * B. The three-argument forms write into `c`, which must not
+/// alias an operand, reusing its allocation (Matrix::reset); the
+/// value-returning forms wrap them.
+void matmul(const Matrix& a, const Matrix& b, Matrix& c);
+inline Matrix matmul(const Matrix& a, const Matrix& b) {
+  Matrix c;
+  matmul(a, b, c);
+  return c;
+}
 /// C = A^T * B (without materializing the transpose).
-Matrix matmul_tn(const Matrix& a, const Matrix& b);
+void matmul_tn(const Matrix& a, const Matrix& b, Matrix& c);
+inline Matrix matmul_tn(const Matrix& a, const Matrix& b) {
+  Matrix c;
+  matmul_tn(a, b, c);
+  return c;
+}
 /// C = A * B^T.
-Matrix matmul_nt(const Matrix& a, const Matrix& b);
+void matmul_nt(const Matrix& a, const Matrix& b, Matrix& c);
+inline Matrix matmul_nt(const Matrix& a, const Matrix& b) {
+  Matrix c;
+  matmul_nt(a, b, c);
+  return c;
+}
 
 Matrix transpose(const Matrix& a);
 

@@ -49,28 +49,60 @@ void save_gcn(const GcnModel& model, std::ostream& os) {
   }
 }
 
+namespace {
+
+/// Reads one header value of `field`. A read that fails at the end of the
+/// stream is a truncation (plain runtime_error); any other failed read is
+/// a bad field.
+template <typename T>
+T read_header_value(std::istream& is, const std::string& field) {
+  T value{};
+  is >> value;
+  if (!is) {
+    if (is.eof())
+      throw std::runtime_error("load_gcn: truncated at '" + field + "'");
+    throw GcnHeaderError(field, "does not parse as a number");
+  }
+  return value;
+}
+
+/// An integer header value of `field` in [lo, hi].
+int read_header_int(std::istream& is, const std::string& field, long long lo,
+                    long long hi) {
+  const auto value = read_header_value<long long>(is, field);
+  if (value < lo || value > hi)
+    throw GcnHeaderError(field, "= " + std::to_string(value) +
+                                    " is outside [" + std::to_string(lo) +
+                                    ", " + std::to_string(hi) + "]");
+  return static_cast<int>(value);
+}
+
+}  // namespace
+
 GcnModel load_gcn(std::istream& is) {
   expect_token(is, kMagic);
+  // Every field is checked before anything is sized from it.
   GcnConfig cfg;
-  int in_features = 0;
   expect_token(is, "in_features");
-  is >> in_features;
+  const int in_features =
+      read_header_int(is, "in_features", 1, kMaxGcnInFeatures);
   expect_token(is, "hidden");
-  std::size_t num_hidden = 0;
-  is >> num_hidden;
-  cfg.hidden.resize(num_hidden);
-  for (auto& h : cfg.hidden) is >> h;
+  cfg.hidden.resize(static_cast<std::size_t>(
+      read_header_int(is, "hidden", 1, kMaxGcnHiddenLayers)));
+  for (std::size_t k = 0; k < cfg.hidden.size(); ++k)
+    cfg.hidden[k] = read_header_int(is, "hidden[" + std::to_string(k) + "]",
+                                    1, kMaxGcnWidth);
   expect_token(is, "output_dim");
-  is >> cfg.output_dim;
+  cfg.output_dim = read_header_int(is, "output_dim", 1, 2);
   expect_token(is, "log_softmax");
-  int ls = 0;
-  is >> ls;
-  cfg.log_softmax = ls != 0;
+  cfg.log_softmax = read_header_int(is, "log_softmax", 0, 1) != 0;
   expect_token(is, "dropout");
-  is >> cfg.dropout;
+  cfg.dropout = read_header_value<double>(is, "dropout");
+  if (!(cfg.dropout >= 0.0 && cfg.dropout < 1.0))  // also NaN
+    throw GcnHeaderError("dropout", "is outside [0, 1)");
   expect_token(is, "dropout_after");
-  is >> cfg.dropout_after;
-  if (!is) throw std::runtime_error("load_gcn: malformed header");
+  cfg.dropout_after = read_header_int(
+      is, "dropout_after", -1, static_cast<long long>(cfg.hidden.size()) - 1);
 
   GcnModel model(in_features, cfg);
   expect_token(is, "params");

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <iosfwd>
+#include <stdexcept>
 #include <string>
 
 #include "src/graphir/features.hpp"
@@ -13,7 +14,30 @@
 
 namespace fcrit::ml {
 
+/// Limits load_gcn checks every `.gcn` header field against before it
+/// builds a model, so a hostile header cannot size the weights or the
+/// per-node workspace (docs/FORMATS.md).
+inline constexpr int kMaxGcnInFeatures = 256;
+inline constexpr int kMaxGcnHiddenLayers = 16;
+inline constexpr int kMaxGcnWidth = 1024;
+
+/// A `.gcn` header field that fails to parse or lies outside its limit.
+/// Bundle loading reports it as BundleErrorCode::kMalformed.
+class GcnHeaderError : public std::runtime_error {
+ public:
+  GcnHeaderError(const std::string& field, const std::string& detail)
+      : std::runtime_error("load_gcn: header field '" + field + "' " +
+                           detail),
+        field_(field) {}
+  const std::string& field() const { return field_; }
+
+ private:
+  std::string field_;
+};
+
 void save_gcn(const GcnModel& model, std::ostream& os);
+/// Throws GcnHeaderError for a bad header field, std::runtime_error for
+/// anything else.
 GcnModel load_gcn(std::istream& is);
 
 void save_standardizer(const graphir::Standardizer& s, std::ostream& os);
@@ -27,9 +51,8 @@ void save_standardizer_file(const graphir::Standardizer& s,
 graphir::Standardizer load_standardizer_file(const std::string& path);
 
 /// Deep copy via a fresh model of the same architecture. Serving uses this
-/// to give each request its own forward-pass workspace (GcnModel caches
-/// activations between forward and backward, so sharing one instance
-/// across threads would race).
+/// to give each worker its own model: a pass runs over the model's own
+/// workspace, so sharing one instance across threads would race.
 GcnModel clone_gcn(const GcnModel& model);
 
 /// Read one whitespace-delimited token and require it to equal `expected`;

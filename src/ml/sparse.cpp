@@ -84,11 +84,11 @@ int SparseMatrix::entry_row(std::size_t k) const {
   return static_cast<int>(it - row_ptr_.begin()) - 1;
 }
 
-Matrix SparseMatrix::spmm(const Matrix& x) const {
-  assert(x.rows() == cols_);
+void SparseMatrix::spmm(const Matrix& x, Matrix& y) const {
+  assert(x.rows() == cols_ && &y != &x);
   static obs::Histogram& hist = obs::registry().histogram("ml.kernel.spmm_ms");
   detail::KernelScope scope("spmm", hist);
-  Matrix y(rows_, x.cols());
+  y.reset(rows_, x.cols());
   // Output-row sharding: row r's gather walks its CSR entries in stored
   // order regardless of which chunk owns r — bitwise-identical to serial.
   const std::int64_t per_row =
@@ -106,15 +106,14 @@ Matrix SparseMatrix::spmm(const Matrix& x) const {
       }
     }
   });
-  return y;
 }
 
-Matrix SparseMatrix::spmm_t(const Matrix& x) const {
-  assert(x.rows() == rows_);
+void SparseMatrix::spmm_t(const Matrix& x, Matrix& y) const {
+  assert(x.rows() == rows_ && &y != &x);
   static obs::Histogram& hist =
       obs::registry().histogram("ml.kernel.spmm_t_ms");
   detail::KernelScope scope("spmm_t", hist);
-  Matrix y(cols_, x.cols());
+  y.reset(cols_, x.cols());
   // Sᵀ scatters into y.row(col): sharding by OUTPUT row means every chunk
   // re-scans the whole entry stream but only accumulates the columns it
   // owns, so for a fixed output row contributions still arrive in the
@@ -136,7 +135,6 @@ Matrix SparseMatrix::spmm_t(const Matrix& x) const {
       }
     }
   });
-  return y;
 }
 
 void SparseMatrix::accumulate_edge_grad(const Matrix& g_out, const Matrix& x,

@@ -52,11 +52,23 @@ class SparseMatrix {
   /// Row index of stored entry k (O(log rows)).
   int entry_row(std::size_t k) const;
 
-  /// Y = S · X.
-  Matrix spmm(const Matrix& x) const;
+  /// Y = S · X. The two-argument forms write into `y`, which must not
+  /// alias `x`, reusing its allocation (Matrix::reset); the
+  /// value-returning forms wrap them.
+  void spmm(const Matrix& x, Matrix& y) const;
+  Matrix spmm(const Matrix& x) const {
+    Matrix y;
+    spmm(x, y);
+    return y;
+  }
 
   /// Y = Sᵀ · X.
-  Matrix spmm_t(const Matrix& x) const;
+  void spmm_t(const Matrix& x, Matrix& y) const;
+  Matrix spmm_t(const Matrix& x) const {
+    Matrix y;
+    spmm_t(x, y);
+    return y;
+  }
 
   /// Per-entry gradient of L w.r.t. the stored values, where Y = S · X and
   /// g_out = dL/dY: out[k] += <g_out.row(row_k), x.row(col_k)>.

@@ -37,6 +37,15 @@ class ParamSnapshot {
 
 }  // namespace
 
+// Both loops run one explicit schedule. The layers before the first Dropout
+// (GcnModel::forward_prefix) draw nothing from the RNG, and an epoch's
+// evaluation forward and the next epoch's training forward run them on the
+// same weights and the same input. So after each optimizer step the prefix
+// runs once, then the rest of the model runs twice over its output: first
+// for evaluation (Pass::kInfer, dropout off), then — only if training goes
+// on — for the next epoch's training (Pass::kTrain). Every layer sees
+// exactly the operands two full forwards would give it, bit for bit.
+
 TrainHistory train_classifier(GcnModel& model, const SparseMatrix& adj,
                               const Matrix& x, const std::vector<int>& labels,
                               const std::vector<int>& train_idx,
@@ -52,16 +61,18 @@ TrainHistory train_classifier(GcnModel& model, const SparseMatrix& adj,
       obs::registry().histogram("ml.classifier.epoch_ms");
   obs::registry().gauge("ml.jobs").set(util::num_threads());
 
+  Matrix grad;
+  model.forward_prefix(x, Pass::kTrain);
   for (int epoch = 0; epoch < config.epochs; ++epoch) {
     util::Timer epoch_timer;
-    const Matrix logp = model.forward(x, /*training=*/true);
-    Matrix grad;
-    const double loss = masked_nll(logp, labels, train_idx, grad);
+    const double loss = masked_nll(model.forward_suffix(Pass::kTrain), labels,
+                                   train_idx, grad);
     opt.zero_grad();
     model.backward(grad);
     opt.step();
 
-    const Matrix eval = model.forward(x, /*training=*/false);
+    model.forward_prefix(x, Pass::kTrain);
+    const Matrix& eval = model.forward_suffix(Pass::kInfer);
     const double val_acc = accuracy(predict_labels(eval), labels, val_idx);
     history.train_loss.push_back(loss);
     history.val_metric.push_back(val_acc);
@@ -79,6 +90,7 @@ TrainHistory train_classifier(GcnModel& model, const SparseMatrix& adj,
       obs::logf(obs::LogLevel::kInfo, "epoch %4d  loss %.4f  val_acc %.4f",
                 epoch, loss, val_acc);
   }
+  model.release_workspace();
   best.restore();
   obs::logf(obs::LogLevel::kDebug,
             "train_classifier: %zu epochs, best val_acc %.4f at epoch %d",
@@ -103,18 +115,19 @@ TrainHistory train_regressor(GcnModel& model, const SparseMatrix& adj,
       obs::registry().histogram("ml.regressor.epoch_ms");
   obs::registry().gauge("ml.jobs").set(util::num_threads());
 
+  Matrix grad, unused;
+  model.forward_prefix(x, Pass::kTrain);
   for (int epoch = 0; epoch < config.epochs; ++epoch) {
     util::Timer epoch_timer;
-    const Matrix pred = model.forward(x, /*training=*/true);
-    Matrix grad;
-    const double loss = masked_mse(pred, targets, train_idx, grad);
+    const double loss = masked_mse(model.forward_suffix(Pass::kTrain), targets,
+                                   train_idx, grad);
     opt.zero_grad();
     model.backward(grad);
     opt.step();
 
-    const Matrix eval = model.forward(x, /*training=*/false);
-    Matrix unused;
-    const double val_mse = masked_mse(eval, targets, val_idx, unused);
+    model.forward_prefix(x, Pass::kTrain);
+    const double val_mse = masked_mse(model.forward_suffix(Pass::kInfer),
+                                      targets, val_idx, unused);
     history.train_loss.push_back(loss);
     history.val_metric.push_back(-val_mse);
     epoch_ms.observe(epoch_timer.millis());
@@ -131,6 +144,7 @@ TrainHistory train_regressor(GcnModel& model, const SparseMatrix& adj,
       obs::logf(obs::LogLevel::kInfo, "epoch %4d  loss %.5f  val_mse %.5f",
                 epoch, loss, val_mse);
   }
+  model.release_workspace();
   best.restore();
   obs::logf(obs::LogLevel::kDebug,
             "train_regressor: %zu epochs, best -val_mse %.5f at epoch %d",

@@ -247,6 +247,8 @@ ModelBundle load_bundle(std::istream& is) {
       fail(BundleErrorCode::kTruncated, "missing end marker");
   } catch (const BundleError&) {
     throw;
+  } catch (const ml::GcnHeaderError& e) {
+    fail(BundleErrorCode::kMalformed, e.what());
   } catch (const std::exception& e) {
     // ml::serialize throws plain runtime_errors; a mid-section failure on
     // an otherwise well-formed bundle means the stream ended early.

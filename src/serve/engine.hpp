@@ -15,9 +15,14 @@
 // counters, a queue-depth gauge with high-water mark) back both metrics()
 // and the metrics_json() snapshot the daemon's METRICS command returns; a
 // per-engine registry keeps concurrent engines from mixing counts.
-// Every forward pass runs on a per-WORKER clone of the bundle's models:
-// GcnModel caches activations internally, so instances must not be shared
-// across threads. Each thread keeps a small thread_local cache of clones
+// Every forward pass runs on a per-WORKER clone of the bundle's models. A
+// GcnModel runs three passes over a workspace of its own: training
+// (dropout on, caches kept), grad-capable evaluation (dropout off, caches
+// kept; the explainer's) and inference (dropout off, no caches). Scoring
+// runs only the inference pass, which leaves no per-node state behind, so
+// an idle clone holds just its weights — but a pass in flight writes the
+// workspace, so instances must not be shared across threads. Each thread
+// keeps a small thread_local cache of clones
 // keyed by bundle identity (pinned by shared_ptr so a cache entry can
 // never alias a recycled address), making the steady-state forward path
 // clone-free; serve.model_clone_hits/misses count its effectiveness.

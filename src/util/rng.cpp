@@ -45,6 +45,13 @@ std::uint64_t Rng::bool_threshold(double p) {
   return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
 }
 
+std::uint64_t Rng::float_threshold(float p) {
+  if (!(p > 0.0f)) return 0;  // also NaN
+  if (p >= 1.0f) return std::uint64_t{1} << 24;
+  // p * 2^24 lies in (0, 2^24): its ceiling converts exactly.
+  return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p24f));
+}
+
 std::int64_t Rng::next_int(std::int64_t lo, std::int64_t hi) {
   assert(lo <= hi);
   const auto span =

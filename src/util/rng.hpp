@@ -79,6 +79,15 @@ class Rng {
   /// ever converted to an integer.
   static std::uint64_t bool_threshold(double p);
 
+  /// The same identity for next_float(): for every float p, NaN and the
+  /// infinities included, `(next() >> 40) < float_threshold(p)` is exactly
+  /// `next_float() < p` on the same draw. next_float() is (x >> 40) * 2^-24
+  /// exactly, and p * 2^24 is exact in float, so the comparison holds
+  /// against ceil(p * 2^24). The result is 0 when p <= 0 or p is NaN and
+  /// 2^24 when p >= 1, so no out-of-range value is ever converted to an
+  /// integer.
+  static std::uint64_t float_threshold(float p);
+
   /// Uniform integer in [lo, hi] inclusive.
   std::int64_t next_int(std::int64_t lo, std::int64_t hi);
 

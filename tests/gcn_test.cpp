@@ -4,6 +4,8 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
+#include <stdexcept>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -173,6 +175,79 @@ TEST(GcnModel, MoveKeepsDropoutRngValid) {
   for (int i = 0; i < y.rows(); ++i)
     for (int j = 0; j < y.cols(); ++j)
       EXPECT_TRUE(std::isfinite(y(i, j)));
+}
+
+::testing::AssertionResult same_bits(const Matrix& a, const Matrix& b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols())
+    return ::testing::AssertionFailure() << "shape";
+  if (std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) != 0)
+    return ::testing::AssertionFailure() << "bits differ";
+  return ::testing::AssertionSuccess();
+}
+
+TEST(GcnModel, PrefixSuffixScheduleMatchesPlainForwardBitwise) {
+  // The trainer's schedule — one prefix, an evaluation suffix, then a
+  // training suffix — must reproduce two plain forwards bit for bit, and
+  // draw the same dropout masks.
+  const int n = 40;
+  const auto adj = chain_adjacency(n);
+  util::Rng rng(21);
+  const Matrix x = Matrix::randn(n, 5, rng, 1.0f);
+  for (const int dropout_after : {-1, 0, 1, 2}) {
+    GcnConfig cfg = GcnConfig::classifier();
+    cfg.dropout_after = dropout_after;
+    GcnModel plain(5, cfg), split(5, cfg);
+    plain.set_adjacency(&adj);
+    split.set_adjacency(&adj);
+
+    const Matrix eval = plain.forward(x, /*training=*/false);
+    const Matrix train = plain.forward(x, /*training=*/true);
+    split.forward_prefix(x, Pass::kTrain);
+    const Matrix split_eval = split.forward_suffix(Pass::kInfer);
+    const Matrix split_train = split.forward_suffix(Pass::kTrain);
+    EXPECT_TRUE(same_bits(split_eval, eval)) << dropout_after;
+    EXPECT_TRUE(same_bits(split_train, train)) << dropout_after;
+
+    // A training suffix's Dropout consumes the prefix output.
+    if (dropout_after >= 0)
+      EXPECT_THROW(split.forward_suffix(Pass::kInfer), std::logic_error);
+    else
+      EXPECT_NO_THROW(split.forward_suffix(Pass::kInfer));
+  }
+}
+
+TEST(GcnModel, EvalPassBackwardYieldsInputGradient) {
+  // dL/dX from the grad-capable evaluation pass against central
+  // differences of the inference pass, L = sum of output * weight.
+  const int n = 6;
+  const auto adj = chain_adjacency(n);
+  GcnConfig cfg = GcnConfig::regressor();
+  cfg.hidden = {8, 8};
+  GcnModel model(3, cfg);
+  model.set_adjacency(&adj);
+  util::Rng rng(4);
+  const Matrix x = Matrix::randn(n, 3, rng, 1.0f);
+  const Matrix weight = Matrix::randn(n, 1, rng, 1.0f);
+  auto loss = [&](const Matrix& in) {
+    const Matrix y = model.forward(in, false);
+    double s = 0.0;
+    for (int i = 0; i < n; ++i) s += double(weight(i, 0)) * y(i, 0);
+    return s;
+  };
+  model.forward(x, Pass::kEval);
+  Matrix grad = weight;
+  model.backward(grad);
+  ASSERT_EQ(grad.rows(), n);
+  ASSERT_EQ(grad.cols(), 3);
+  const float eps = 1e-3f;
+  for (int i = 0; i < n; ++i)
+    for (int j = 0; j < 3; ++j) {
+      Matrix xp = x, xm = x;
+      xp(i, j) += eps;
+      xm(i, j) -= eps;
+      EXPECT_NEAR(grad(i, j), (loss(xp) - loss(xm)) / (2.0 * eps), 1e-2)
+          << i << "," << j;
+    }
 }
 
 TEST(GcnModel, ConcurrentForwardOnOneInstanceIsDetected) {

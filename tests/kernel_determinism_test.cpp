@@ -450,11 +450,16 @@ TEST_F(KernelDeterminismTest, ReluMatchesBranchyLoopBitwise) {
   for (const int threads : {1, 4}) {
     util::set_num_threads(threads);
     ml::Relu relu;
-    const Matrix y = relu.forward(x, true);
+    Matrix y = x;
+    relu.forward(y, ml::Pass::kTrain);  // in place
     // backward(1) = 1 ⊙ mask: the mask itself, bit for bit.
-    const Matrix mask = relu.backward(Matrix::full(x.rows(), x.cols(), 1.0f));
+    Matrix mask = Matrix::full(x.rows(), x.cols(), 1.0f);
+    relu.backward(mask, /*input_grad=*/true);
     EXPECT_TRUE(bitwise_equal(y, ref_y)) << threads;
     EXPECT_TRUE(bitwise_equal(mask, ref_mask)) << threads;
+    Matrix y_infer = x;
+    relu.forward(y_infer, ml::Pass::kInfer);  // the mask-free form
+    EXPECT_TRUE(bitwise_equal(y_infer, ref_y)) << threads;
   }
 }
 

@@ -61,9 +61,9 @@ TEST_P(GradCheck, AnalyticMatchesNumeric) {
                        : masked_nll(out, labels, mask, grad);
   };
 
-  // Analytic gradients.
+  // Analytic gradients, through the grad-capable evaluation pass.
   {
-    const Matrix out = model.forward(x, false);
+    const Matrix& out = model.forward(x, Pass::kEval);
     Matrix grad;
     if (c.regressor)
       masked_mse(out, targets, mask, grad);

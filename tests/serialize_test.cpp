@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 namespace fcrit::ml {
 namespace {
@@ -84,6 +85,7 @@ TEST(Serialize, CloneGcnMatchesOriginalForward) {
 TEST(Serialize, RegressorConfigRoundTrips) {
   GcnConfig cfg = GcnConfig::regressor();
   cfg.hidden = {6};
+  cfg.dropout_after = -1;  // one hidden conv: no Dropout position
   GcnModel original(3, cfg);
   std::stringstream buffer;
   save_gcn(original, buffer);
@@ -105,6 +107,37 @@ TEST(Serialize, RejectsCorruptInput) {
   text.resize(text.size() / 2);  // truncate weights
   std::stringstream truncated(text);
   EXPECT_THROW(load_gcn(truncated), std::runtime_error);
+}
+
+TEST(Serialize, RejectsHeaderFieldsPastTheirLimits) {
+  GcnModel model(5, GcnConfig::classifier());
+  std::stringstream buffer;
+  save_gcn(model, buffer);
+  const std::string text = buffer.str();
+  const struct {
+    const char* from;
+    std::string line;
+    const char* field;
+  } cases[] = {
+      {"in_features", "in_features -7", "in_features"},
+      {"hidden ", "hidden 3 16 " + std::to_string(kMaxGcnWidth + 1) + " 64",
+       "hidden[1]"},
+      {"dropout ", "dropout nan", "dropout"},
+      {"dropout_after", "dropout_after 7", "dropout_after"},
+  };
+  for (const auto& c : cases) {
+    std::string edited = text;
+    const std::size_t at = edited.find(c.from);
+    ASSERT_NE(at, std::string::npos);
+    edited.replace(at, edited.find('\n', at) - at, c.line);
+    std::stringstream is(edited);
+    try {
+      load_gcn(is);
+      ADD_FAILURE() << c.line << ": loaded";
+    } catch (const GcnHeaderError& e) {
+      EXPECT_EQ(e.field(), c.field) << c.line;
+    }
+  }
 }
 
 TEST(Serialize, StandardizerRoundTrips) {

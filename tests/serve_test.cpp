@@ -31,6 +31,7 @@
 
 #include "src/designs/random_circuit.hpp"
 #include "src/lint/lint.hpp"
+#include "src/ml/serialize.hpp"
 #include "src/netlist/verilog_writer.hpp"
 #include "src/obs/exporter.hpp"
 #include "src/obs/json.hpp"
@@ -90,10 +91,12 @@ ModelBundle synthetic_bundle(const designs::Design& d, std::uint64_t seed) {
   b.standardizer.stddev.assign(graphir::kNumBaseFeatures, 1.0);
   ml::GcnConfig cc = ml::GcnConfig::classifier();
   cc.hidden = {8};
+  cc.dropout_after = -1;  // one hidden conv: no Dropout position
   cc.seed = seed;
   b.classifier = std::make_unique<ml::GcnModel>(graphir::kNumBaseFeatures, cc);
   ml::GcnConfig rc = ml::GcnConfig::regressor();
   rc.hidden = {8};
+  rc.dropout_after = -1;
   rc.seed = seed + 1;
   b.regressor = std::make_unique<ml::GcnModel>(graphir::kNumBaseFeatures, rc);
   return b;
@@ -279,6 +282,72 @@ TEST(BundleValidation, HugeProfileCountStopsAtTheFirstFailedRead) {
       15, "profiles ", "profiles 2\nin0 0.5 0 0\nin1 half 0 0\n", true));
   EXPECT_EQ(error_code_of([&] { load_bundle(garbled); }),
             BundleErrorCode::kMalformed);
+}
+
+/// Loads a synthetic bundle whose classifier header line starting with
+/// `from` reads `to` instead; the load must fail as kMalformed, naming
+/// `field`. Every value tried lies just past its limit, so a missing check
+/// cannot make the load allocate more than a few kilobytes.
+void expect_gcn_header_rejected(const std::string& from, const std::string& to,
+                                const std::string& field) {
+  std::istringstream is(edited_bundle(16, from, to));
+  try {
+    load_bundle(is);
+    ADD_FAILURE() << to << ": loaded";
+  } catch (const BundleError& e) {
+    EXPECT_EQ(e.code(), BundleErrorCode::kMalformed) << to;
+    EXPECT_NE(std::string(e.what()).find("'" + field + "'"),
+              std::string::npos)
+        << to << ": " << e.what();
+  }
+}
+
+TEST(BundleValidation, BoundsGcnInFeatures) {
+  expect_gcn_header_rejected("in_features", "in_features 0", "in_features");
+  expect_gcn_header_rejected("in_features", "in_features -7", "in_features");
+  expect_gcn_header_rejected(
+      "in_features",
+      "in_features " + std::to_string(ml::kMaxGcnInFeatures + 1),
+      "in_features");
+}
+
+TEST(BundleValidation, BoundsGcnHiddenCount) {
+  expect_gcn_header_rejected("hidden ", "hidden 0", "hidden");
+  expect_gcn_header_rejected(
+      "hidden ",
+      "hidden " + std::to_string(ml::kMaxGcnHiddenLayers + 1) + " 8",
+      "hidden");
+}
+
+TEST(BundleValidation, BoundsGcnHiddenWidth) {
+  expect_gcn_header_rejected("hidden ", "hidden 1 0", "hidden[0]");
+  expect_gcn_header_rejected(
+      "hidden ", "hidden 1 " + std::to_string(ml::kMaxGcnWidth + 1),
+      "hidden[0]");
+}
+
+TEST(BundleValidation, BoundsGcnOutputDim) {
+  expect_gcn_header_rejected("output_dim", "output_dim 0", "output_dim");
+  expect_gcn_header_rejected("output_dim", "output_dim 3", "output_dim");
+}
+
+TEST(BundleValidation, BoundsGcnLogSoftmax) {
+  expect_gcn_header_rejected("log_softmax", "log_softmax -1", "log_softmax");
+  expect_gcn_header_rejected("log_softmax", "log_softmax 2", "log_softmax");
+}
+
+TEST(BundleValidation, BoundsGcnDropout) {
+  expect_gcn_header_rejected("dropout ", "dropout -0.001", "dropout");
+  expect_gcn_header_rejected("dropout ", "dropout 1", "dropout");
+  expect_gcn_header_rejected("dropout ", "dropout nan", "dropout");
+}
+
+TEST(BundleValidation, BoundsGcnDropoutAfter) {
+  // The synthetic classifier has one hidden conv: dropout_after in [-1, 0].
+  expect_gcn_header_rejected("dropout_after", "dropout_after -2",
+                             "dropout_after");
+  expect_gcn_header_rejected("dropout_after", "dropout_after 1",
+                             "dropout_after");
 }
 
 TEST(BundleValidation, RejectsFeatureWidthMismatch) {
