@@ -130,13 +130,8 @@ bool is_file_arg(const std::string& arg) {
 }
 
 designs::Design load_target(const std::string& arg) {
-  if (!is_file_arg(arg)) return designs::build_design(arg);
-  std::ifstream in(arg);
-  if (!in) throw std::runtime_error("cannot open " + arg);
-  designs::Design d;
-  d.name = arg;
-  d.netlist = util::ends_with(arg, ".bench") ? netlist::parse_bench(in)
-                                             : netlist::parse_verilog(in);
+  designs::Design d = serve::load_score_target(arg);
+  if (!is_file_arg(arg)) return d;
   // Generic stimulus: reset pulse on rst-like ports.
   for (const auto in_id : d.netlist.inputs()) {
     const auto& name = d.netlist.node(in_id).name;
@@ -177,40 +172,44 @@ int cmd_lint(const std::string& target,
   netlist::Netlist nl;
   bool have_netlist = false;
 
+  auto parse_error = [&](const char* message) {
+    lint::Diagnostic d;
+    d.rule_id = "parse-error";
+    d.severity = lint::Severity::kError;
+    d.message = message;
+    report.add(std::move(d));
+  };
+
   if (!is_file_arg(target)) {
     nl = designs::build_design(target).netlist;
     have_netlist = true;
-  } else if (util::ends_with(target, ".v")) {
-    // Lenient parse: semantic problems become typed findings (with their
-    // source lines) and the repaired netlist is still linted structurally.
-    // Syntactic failures (the lexer/grammar giving up) still surface as a
-    // single parse-error finding so --json always emits a report.
-    std::ifstream in(target);
-    if (!in) throw std::runtime_error("cannot open " + target);
-    try {
-      auto parsed = netlist::parse_verilog_collect(in);
-      lint::add_parse_issues(parsed.issues, report);
-      nl = std::move(parsed.netlist);
-      have_netlist = true;
-    } catch (const std::exception& e) {
-      lint::Diagnostic d;
-      d.rule_id = "parse-error";
-      d.severity = lint::Severity::kError;
-      d.message = e.what();
-      report.add(std::move(d));
-    }
   } else {
-    std::ifstream in(target);
-    if (!in) throw std::runtime_error("cannot open " + target);
+    // A file over the reader's size limit, or one the lexer/grammar gives
+    // up on, surfaces as a single parse-error finding so --json always
+    // emits a report; a file that cannot be opened is fatal. A .v parses
+    // leniently: semantic problems become typed findings (with their
+    // source lines) and the repaired netlist is still linted structurally.
+    std::string text;
+    bool have_text = false;
     try {
-      nl = netlist::parse_bench(in);
-      have_netlist = true;
-    } catch (const std::exception& e) {
-      lint::Diagnostic d;
-      d.rule_id = "parse-error";
-      d.severity = lint::Severity::kError;
-      d.message = e.what();
-      report.add(std::move(d));
+      text = netlist::read_netlist_file(target);
+      have_text = true;
+    } catch (const netlist::VerilogLimitError& e) {
+      parse_error(e.what());
+    }
+    if (have_text) {
+      try {
+        if (util::ends_with(target, ".v")) {
+          auto parsed = netlist::parse_verilog_collect(text);
+          lint::add_parse_issues(parsed.issues, report);
+          nl = std::move(parsed.netlist);
+        } else {
+          nl = netlist::parse_bench(text);
+        }
+        have_netlist = true;
+      } catch (const std::exception& e) {
+        parse_error(e.what());
+      }
     }
   }
 
@@ -755,33 +754,44 @@ int cmd_check(const std::map<std::string, std::string>& flags) {
   cfg.scratch_dir =
       (std::filesystem::temp_directory_path() / "fcrit_check").string();
 
-  // Self-test: two phases, each planting one deliberate defect that the
+  // Self-test: three phases, each planting one deliberate defect that the
   // run must CATCH — a wrong-XOR scalar reference (packed-vs-scalar
-  // oracle) and a corrupted frontier-campaign verdict (campaign oracle).
+  // oracle), a corrupted frontier-campaign verdict (campaign oracle) and a
+  // reference reader reporting an issue one line off (parse oracle).
   if (flags.contains("--self-test")) {
     check::CheckConfig scalar_cfg = cfg;
     scalar_cfg.scalar_bug = check::ScalarBug::kXorAsOr;
-    const auto scalar_report = check::run_checks(scalar_cfg, &std::cerr);
     check::CheckConfig campaign_cfg = cfg;
     campaign_cfg.campaign_bug = check::CampaignBug::kMismatchOffByOne;
-    const auto campaign_report = check::run_checks(campaign_cfg, &std::cerr);
-    if (scalar_report.ok() || campaign_report.ok()) {
-      std::fprintf(stderr,
-                   "check: SELF-TEST FAILED: planted %s defect not caught\n",
-                   scalar_report.ok() ? "scalar" : "campaign");
-      return 1;
+    check::CheckConfig parse_cfg = cfg;
+    parse_cfg.parse_bug = check::ParseBug::kIssueLineOffByOne;
+    const std::pair<const char*, const check::CheckConfig*> phases[] = {
+        {"scalar", &scalar_cfg},
+        {"campaign", &campaign_cfg},
+        {"parse", &parse_cfg}};
+    for (const auto& [name, phase_cfg] : phases) {
+      if (check::run_checks(*phase_cfg, &std::cerr).ok()) {
+        std::fprintf(stderr,
+                     "check: SELF-TEST FAILED: planted %s defect not caught\n",
+                     name);
+        return 1;
+      }
     }
-    std::printf(
-        "check: self-test OK (planted scalar + campaign defects caught)\n");
+    std::printf("check: self-test OK (planted scalar + campaign + parse "
+                "defects caught)\n");
     return 0;
   }
 
   const auto report = check::run_checks(cfg, &std::cerr);
   std::printf(
       "check: %d trials (%d packed-vs-scalar, %d fault-oracle, %d campaign, "
-      "%d dataflow, %d serve)\n",
+      "%d dataflow, %d parse, %d serve)\n",
       report.trials_run, report.packed_checks, report.fault_checks,
-      report.campaign_checks, report.dataflow_checks, report.serve_checks);
+      report.campaign_checks, report.dataflow_checks, report.parse_checks,
+      report.serve_checks);
+  std::printf("check: parse inputs: %d clean, %d with issues, %d throw\n",
+              report.parse_split.clean, report.parse_split.with_issues,
+              report.parse_split.throws);
   if (!report.ok()) {
     std::fprintf(stderr, "check: FAILED\n");
     return 1;

@@ -1,5 +1,6 @@
 #include "src/check/differential.hpp"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <filesystem>
@@ -21,6 +22,7 @@
 #include "src/sim/probability.hpp"
 #include "src/sim/stimulus.hpp"
 #include "src/sla/dataflow.hpp"
+#include "src/util/rng.hpp"
 
 namespace fcrit::check {
 
@@ -321,6 +323,272 @@ std::string diff_dataflow_facts(const designs::Design& design) {
   std::string why;
   if (!sla::verify_facts(design.netlist, analysis, &why))
     return "dataflow-oracle: fact certificate rejected: " + why;
+  return {};
+}
+
+namespace {
+
+bool is_word_byte(char c) {
+  const auto u = static_cast<unsigned char>(c);
+  return (u >= '0' && u <= '9') || (u >= 'A' && u <= 'Z') ||
+         (u >= 'a' && u <= 'z') || c == '_' || c == '\'' || c == '$';
+}
+
+/// A `.PIN(NET)` group of an instance: [begin, end) spans the group and
+/// [net_begin, net_end) the net.
+struct PinGroup {
+  std::size_t begin, end, net_begin, net_end;
+};
+
+std::vector<PinGroup> pin_groups(const std::string& t) {
+  std::vector<PinGroup> groups;
+  for (std::size_t i = 0; i + 1 < t.size(); ++i) {
+    if (t[i] != '.') continue;
+    std::size_t j = i + 1;
+    while (j < t.size() && is_word_byte(t[j])) ++j;
+    if (j == i + 1 || j >= t.size() || t[j] != '(') continue;
+    std::size_t k = j + 1;
+    while (k < t.size() && is_word_byte(t[k])) ++k;
+    if (k == j + 1 || k >= t.size() || t[k] != ')') continue;
+    groups.push_back({i, k + 1, j + 1, k});
+  }
+  return groups;
+}
+
+/// [begin, end) of every line (its newline included) that contains `what`.
+std::vector<std::pair<std::size_t, std::size_t>> lines_with(
+    const std::string& t, std::string_view what) {
+  std::vector<std::pair<std::size_t, std::size_t>> lines;
+  for (std::size_t b = 0; b < t.size();) {
+    std::size_t e = t.find('\n', b);
+    e = e == std::string::npos ? t.size() : e + 1;
+    if (std::string_view(t).substr(b, e - b).find(what) !=
+        std::string_view::npos)
+      lines.emplace_back(b, e);
+    b = e;
+  }
+  return lines;
+}
+
+/// One seeded edit of a Verilog text; appends its name to `recipe`. An
+/// edit with nothing to act on (no pin left, say) leaves the text alone.
+void mutate_once(std::string& t, util::Rng& rng, std::string& recipe) {
+  auto below = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng.next_below(n));
+  };
+  auto note = [&](const std::string& what) {
+    recipe += recipe.empty() ? what : ", " + what;
+  };
+  // Bytes that steer the lexer: delimiters, comment starts, line ends,
+  // NUL and a high byte, besides any random byte.
+  static constexpr char kPickBytes[] = "();,.=/*\n\r\0\x80'_ aZ9";
+  static constexpr std::string_view kPicks{kPickBytes, sizeof kPickBytes - 1};
+  const int op = static_cast<int>(rng.next_below(10));
+  if (t.empty() && op < 4) return;
+  switch (op) {
+    case 0: {  // flip
+      const std::size_t p = below(t.size());
+      const char c = rng.next_bool()
+                         ? kPicks[below(kPicks.size())]
+                         : static_cast<char>(rng.next_below(256));
+      t[p] = c;
+      note("flip@" + std::to_string(p) + "=" +
+           std::to_string(static_cast<unsigned char>(c)));
+      return;
+    }
+    case 1: {  // truncate
+      const std::size_t p = below(t.size());
+      t.resize(p);
+      note("truncate@" + std::to_string(p));
+      return;
+    }
+    case 2: {  // delete
+      const std::size_t p = below(t.size());
+      const std::size_t n = 1 + below(16);
+      t.erase(p, n);
+      note("delete@" + std::to_string(p) + "+" + std::to_string(n));
+      return;
+    }
+    case 3: {  // splice a chunk from elsewhere
+      const std::size_t from = below(t.size());
+      const std::size_t n = std::min(t.size() - from, 1 + below(64));
+      const std::size_t at = below(t.size() + 1);
+      t.insert(at, t.substr(from, n));
+      note("splice@" + std::to_string(at) + "<-" + std::to_string(from) +
+           "+" + std::to_string(n));
+      return;
+    }
+    default:
+      break;
+  }
+  const std::vector<PinGroup> pins = pin_groups(t);
+  switch (op) {
+    case 4: {  // rename a net: to another pin's net or a fresh name
+      if (pins.empty()) return;
+      const PinGroup& g = pins[below(pins.size())];
+      const PinGroup& o = pins[below(pins.size())];
+      const std::string to =
+          rng.next_bool() ? t.substr(o.net_begin, o.net_end - o.net_begin)
+                          : "nz" + std::to_string(below(1000));
+      note("rename-net@" + std::to_string(g.net_begin) + "=" + to);
+      t.replace(g.net_begin, g.net_end - g.net_begin, to);
+      return;
+    }
+    case 5: {  // drop a net's driver: an instance or an assign line
+      auto lines = lines_with(t, " (.");
+      const auto assigns = lines_with(t, "assign ");
+      lines.insert(lines.end(), assigns.begin(), assigns.end());
+      if (lines.empty()) return;
+      const auto [b, e] = lines[below(lines.size())];
+      note("drop-net@" + std::to_string(b));
+      t.erase(b, e - b);
+      return;
+    }
+    case 6: {  // drop a pin with its separator
+      if (pins.empty()) return;
+      const PinGroup& g = pins[below(pins.size())];
+      std::size_t b = g.begin;
+      std::size_t e = g.end;
+      if (b >= 2 && t.compare(b - 2, 2, ", ") == 0)
+        b -= 2;
+      else if (t.compare(e, 2, ", ") == 0)
+        e += 2;
+      note("drop-pin@" + std::to_string(g.begin));
+      t.erase(b, e - b);
+      return;
+    }
+    case 7: {  // repeat a pin
+      if (pins.empty()) return;
+      const PinGroup& g = pins[below(pins.size())];
+      note("repeat-pin@" + std::to_string(g.begin));
+      t.insert(g.end, ", " + t.substr(g.begin, g.end - g.begin));
+      return;
+    }
+    case 8: {  // duplicate an instance
+      const auto lines = lines_with(t, " (.");
+      if (lines.empty()) return;
+      const auto [b, e] = lines[below(lines.size())];
+      note("dup-instance@" + std::to_string(b));
+      t.insert(e, t.substr(b, e - b));
+      return;
+    }
+    default: {  // change the case of a cell name
+      const auto lines = lines_with(t, " (.");
+      if (lines.empty()) return;
+      std::size_t p = lines[below(lines.size())].first;
+      while (p < t.size() && t[p] == ' ') ++p;
+      note("cell-case@" + std::to_string(p));
+      for (; p < t.size() && is_word_byte(t[p]); ++p) {
+        const char c = t[p];
+        if (c >= 'A' && c <= 'Z') t[p] = static_cast<char>(c - 'A' + 'a');
+        else if (c >= 'a' && c <= 'z') t[p] = static_cast<char>(c - 'a' + 'A');
+      }
+      return;
+    }
+  }
+}
+
+struct ParseOutcome {
+  bool threw = false;
+  std::string error;
+  netlist::VerilogParse parse;
+};
+
+template <typename F>
+ParseOutcome run_parse(F&& parse) {
+  ParseOutcome o;
+  try {
+    o.parse = parse();
+  } catch (const std::exception& e) {
+    o.threw = true;
+    o.error = e.what();
+  }
+  return o;
+}
+
+/// "" when the outcomes agree exactly, else the first difference.
+std::string compare_parses(const ParseOutcome& got, const ParseOutcome& ref) {
+  if (got.threw || ref.threw) {
+    if (got.threw != ref.threw)
+      return got.threw ? "parser threw '" + got.error +
+                             "', the reference parsed"
+                       : "the reference threw '" + ref.error +
+                             "', the parser did not";
+    if (got.error != ref.error)
+      return "error '" + got.error + "', reference '" + ref.error + "'";
+    return {};
+  }
+  const auto& gi = got.parse.issues;
+  const auto& ri = ref.parse.issues;
+  for (std::size_t k = 0; k < std::max(gi.size(), ri.size()); ++k) {
+    auto show = [](const std::vector<netlist::ParseIssue>& v, std::size_t k) {
+      return k < v.size() ? v[k].rule + " line " + std::to_string(v[k].line) +
+                                ": " + v[k].message
+                          : std::string("(none)");
+    };
+    if (k >= gi.size() || k >= ri.size() || gi[k].rule != ri[k].rule ||
+        gi[k].line != ri[k].line || gi[k].message != ri[k].message)
+      return "issue " + std::to_string(k) + ": '" + show(gi, k) +
+             "', reference '" + show(ri, k) + "'";
+  }
+  const netlist::Netlist& a = got.parse.netlist;
+  const netlist::Netlist& b = ref.parse.netlist;
+  if (a.name() != b.name()) return "module names differ";
+  if (a.num_nodes() != b.num_nodes())
+    return std::to_string(a.num_nodes()) + " nodes, reference " +
+           std::to_string(b.num_nodes());
+  for (NodeId id = 0; id < a.num_nodes(); ++id) {
+    const netlist::Node& x = a.node(id);
+    const netlist::Node& y = b.node(id);
+    if (x.kind != y.kind || x.name != y.name ||
+        !std::ranges::equal(x.fanins(), y.fanins()))
+      return "node " + std::to_string(id) + " ('" + x.name +
+             "') differs from the reference's ('" + y.name + "')";
+  }
+  if (a.inputs() != b.inputs()) return "input lists differ";
+  if (a.outputs().size() != b.outputs().size())
+    return "output counts differ";
+  for (std::size_t k = 0; k < a.outputs().size(); ++k)
+    if (a.outputs()[k].name != b.outputs()[k].name ||
+        a.outputs()[k].driver != b.outputs()[k].driver)
+      return "output " + std::to_string(k) + " differs";
+  if (netlist::to_verilog(a) != netlist::to_verilog(b))
+    return "export bytes differ";
+  return {};
+}
+
+}  // namespace
+
+std::string diff_verilog_parse(const designs::Design& design,
+                               std::uint64_t seed, ParseBug bug,
+                               ParseSplit* split) {
+  const std::string exported = netlist::to_verilog(design.netlist);
+  util::Rng rng(seed ^ 0x7061727365ULL);
+  for (int input = 0; input <= kParseMutants; ++input) {
+    std::string text = exported;
+    std::string recipe;
+    const int edits = input == 0 ? 0 : 1 + static_cast<int>(rng.next_below(3));
+    for (int k = 0; k < edits; ++k) mutate_once(text, rng, recipe);
+    if (recipe.empty()) recipe = "unmutated export";
+
+    const ParseOutcome got =
+        run_parse([&] { return netlist::parse_verilog_collect(text); });
+    ParseOutcome ref =
+        run_parse([&] { return reference_parse_verilog_collect(text); });
+    if (bug == ParseBug::kIssueLineOffByOne && !ref.threw &&
+        !ref.parse.issues.empty())
+      ref.parse.issues.front().line += 1;
+    if (split) {
+      if (ref.threw) ++split->throws;
+      else if (ref.parse.issues.empty()) ++split->clean;
+      else ++split->with_issues;
+    }
+    if (const std::string diff = compare_parses(got, ref); !diff.empty()) {
+      std::string msg = "parse-oracle: input " + std::to_string(input);
+      msg += " [" + recipe + "]: ";
+      return msg + diff;
+    }
+  }
   return {};
 }
 

@@ -1,4 +1,4 @@
-// The five differential oracles of the correctness harness.
+// The six differential oracles of the correctness harness.
 //
 // Each check cross-examines a hand-optimized production path against an
 // independent (slower, simpler) reference on the same design and returns a
@@ -24,6 +24,10 @@
 //   diff_dataflow_facts       static dataflow analysis (src/sla): the
 //                             fixpoint's fact certificate vs the
 //                             independent local checker verify_facts
+//   diff_verilog_parse        the view-based Verilog reader vs the
+//                             tokenizing reference reader
+//                             (front_end_ref.hpp) on the design's export
+//                             and seeded byte- and token-level mutants
 //   diff_serve_vs_pipeline    serve::ScoringEngine (cache + worker pool)
 //                             vs  direct in-process scoring of the same
 //                             bundle artifact over the reference graph
@@ -89,6 +93,39 @@ std::string diff_campaign_equivalence(const designs::Design& design,
 /// its exported fact certificate to pass the independent verify_facts
 /// checker — the facts lint's const-fold and reset-cone rules rely on.
 std::string diff_dataflow_facts(const designs::Design& design);
+
+/// Deliberate defect planted in the parse oracle's reference leg so tests
+/// (and the CLI `--self-test`) can prove the oracle is able to fail.
+enum class ParseBug {
+  kNone = 0,
+  /// Report the reference's first issue one line later.
+  kIssueLineOffByOne,
+};
+
+/// The parse oracle's inputs by the reference reader's outcome.
+struct ParseSplit {
+  int clean = 0;        // parsed with no issue
+  int with_issues = 0;  // parsed, issues recorded and repaired
+  int throws = 0;       // syntax error
+};
+
+/// Inputs per parse-oracle run: the export plus this many mutants.
+inline constexpr int kParseMutants = 48;
+
+/// Parse the design's Verilog export and kParseMutants mutants of it,
+/// derived from `seed`, through netlist::parse_verilog_collect and through
+/// reference_parse_verilog_collect. A mutant applies one to three edits:
+/// byte-level (flip, truncate, delete, splice from elsewhere in the text)
+/// or token-level (rename a net, drop a net's driver, drop or repeat a
+/// pin, duplicate an instance, change a cell name's case). On every input
+/// both must throw the same text, or return the same issues (rule, line,
+/// message) and the same netlist (name, node kinds, names, fanins, inputs,
+/// outputs and export bytes). The divergence names the input's edits.
+/// `split`, when non-null, accumulates the reference outcomes.
+std::string diff_verilog_parse(const designs::Design& design,
+                               std::uint64_t seed,
+                               ParseBug bug = ParseBug::kNone,
+                               ParseSplit* split = nullptr);
 
 /// Pack a deterministic (untrained) model bundle for the design into
 /// `scratch_dir`, score it through a multi-threaded ScoringEngine — twice

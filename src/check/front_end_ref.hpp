@@ -1,20 +1,30 @@
 // Independent references for the score front end, kept as the code they
-// replaced: the content hash by an export -> parse -> export round trip,
-// and the graph build by a std::map edge table and two COO sorts. The
-// serve oracle (diff_serve_vs_pipeline) and the front-end tests hold the
-// production paths byte-identical to them.
+// replaced: the Verilog reader as a tokenizer with one std::string per
+// token and a std::map of nets, the content hash by an export -> parse ->
+// export round trip through that reader, and the graph build by a
+// std::map edge table and two COO sorts. The parse oracle
+// (diff_verilog_parse), the serve oracle (diff_serve_vs_pipeline) and the
+// front-end tests hold the production paths byte-identical to them.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "src/graphir/graph.hpp"
 #include "src/netlist/netlist.hpp"
+#include "src/netlist/verilog_parser.hpp"
 
 namespace fcrit::check {
 
-/// FNV-1a of to_verilog(parse_verilog(to_verilog(nl))). Throws whatever
-/// parse_verilog throws when the export does not parse back.
+/// The reference Verilog reader: the same grammar, issues, repairs and
+/// exception texts as netlist::parse_verilog_collect, without its size
+/// limit.
+netlist::VerilogParse reference_parse_verilog_collect(std::string_view text);
+
+/// FNV-1a of to_verilog(reference parse of to_verilog(nl)). Throws the
+/// strict parse_verilog message when the export does not parse back
+/// cleanly.
 std::uint64_t reference_content_hash(const netlist::Netlist& nl);
 
 /// build_graph through a std::map of node pairs and

@@ -26,7 +26,8 @@ fault::CampaignConfig fault_config(int cycles, std::uint64_t seed) {
 std::string run_oracle(const std::string& oracle,
                        const designs::RandomCircuitConfig& circuit,
                        int cycles, std::uint64_t seed,
-                       const CheckConfig& config) {
+                       const CheckConfig& config,
+                       ParseSplit* split = nullptr) {
   const designs::Design design = designs::build_random_circuit(circuit);
   if (oracle == "packed-vs-scalar")
     return diff_packed_vs_scalar(design, cycles, seed, config.scalar_bug);
@@ -37,6 +38,8 @@ std::string run_oracle(const std::string& oracle,
     return diff_campaign_equivalence(design, fault_config(cycles, seed),
                                      config.max_faults, config.campaign_bug);
   if (oracle == "dataflow") return diff_dataflow_facts(design);
+  if (oracle == "parse")
+    return diff_verilog_parse(design, seed, config.parse_bug, split);
   return diff_serve_vs_pipeline(design, config.scratch_dir, seed);
 }
 
@@ -159,6 +162,13 @@ CheckReport run_checks(const CheckConfig& config, std::ostream* log) {
       d.message =
           run_oracle(d.oracle, circuit, config.cycles, trial_seed, config);
       ++report.dataflow_checks;
+    }
+
+    if (d.message.empty()) {
+      d.oracle = "parse";
+      d.message = run_oracle(d.oracle, circuit, config.cycles, trial_seed,
+                             config, &report.parse_split);
+      ++report.parse_checks;
     }
 
     if (d.message.empty() && config.serve_every > 0 &&

@@ -1,6 +1,6 @@
 // Randomized differential-oracle harness.
 //
-// run_checks() fuzzes the five oracles of src/check/differential.hpp over
+// run_checks() fuzzes the six oracles of src/check/differential.hpp over
 // random sequential circuits (designs::build_random_circuit). Every trial
 // derives its own seed from CheckConfig::seed via SplitMix64, so a failure
 // report pins down a single reproducible (seed, circuit config, cycles)
@@ -59,13 +59,18 @@ struct CheckConfig {
   /// Plants a deliberate verdict corruption in one leg of the campaign
   /// oracle (see CampaignBug). kNone for real checking.
   CampaignBug campaign_bug = CampaignBug::kNone;
+
+  /// Plants a deliberate defect in the parse oracle's reference leg (see
+  /// ParseBug). kNone for real checking.
+  ParseBug parse_bug = ParseBug::kNone;
 };
 
 /// One reproducible failure: re-running the named oracle on
 /// build_random_circuit(circuit) with `seed` and `cycles` diverges again.
 struct Divergence {
   int trial = -1;
-  /// "packed-vs-scalar" | "fault" | "campaign" | "dataflow" | "serve"
+  /// "packed-vs-scalar" | "fault" | "campaign" | "dataflow" | "parse" |
+  /// "serve"
   std::string oracle;
   std::string message;
   std::uint64_t seed = 0;
@@ -84,6 +89,8 @@ struct CheckReport {
   int fault_checks = 0;
   int campaign_checks = 0;
   int dataflow_checks = 0;
+  int parse_checks = 0;
+  ParseSplit parse_split;  // every parse-oracle input, by reference outcome
   int serve_checks = 0;
   std::vector<Divergence> divergences;
 

@@ -2,20 +2,22 @@
 
 #include <array>
 #include <cassert>
-#include <cctype>
 #include <cstdlib>
-#include <string>
 
 namespace fcrit::netlist {
 
 CellKind kind_from_name(std::string_view name) {
-  const std::string upper = [&] {
-    std::string s(name);
-    for (char& c : s) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
-    return s;
-  }();
+  // Case-insensitive as in the C locale: only a-z fold to upper case.
+  auto same = [](std::string_view lib, std::string_view name) {
+    if (lib.size() != name.size()) return false;
+    for (std::size_t k = 0; k < lib.size(); ++k) {
+      const char c = name[k];
+      if ((c >= 'a' && c <= 'z' ? c - 'a' + 'A' : c) != lib[k]) return false;
+    }
+    return true;
+  };
   for (int i = 0; i < kNumCellKinds; ++i) {
-    if (kCellSpecs[static_cast<std::size_t>(i)].name == upper)
+    if (same(kCellSpecs[static_cast<std::size_t>(i)].name, name))
       return static_cast<CellKind>(i);
   }
   return CellKind::kCount;

@@ -1,9 +1,11 @@
 #include "src/netlist/verilog_parser.hpp"
 
-#include <cctype>
-#include <map>
-#include <sstream>
+#include <array>
+#include <filesystem>
+#include <fstream>
+#include <functional>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "src/netlist/verilog_writer.hpp"
@@ -11,89 +13,94 @@
 
 namespace fcrit::netlist {
 
+VerilogLimitError::VerilogLimitError(std::uint64_t bytes)
+    : std::runtime_error("verilog text of " + std::to_string(bytes) +
+                         " bytes exceeds the limit of " +
+                         std::to_string(kMaxVerilogBytes) + " bytes") {}
+
 namespace {
 
+// Character classes of the C locale (nothing in fcrit calls setlocale):
+// isspace is \t \n \v \f \r and space; a word is isalnum plus _ ' $.
+enum : unsigned char { kOther, kSpace, kWord };
+
+constexpr std::array<unsigned char, 256> kCharClass = [] {
+  std::array<unsigned char, 256> t{};
+  for (int c = '\t'; c <= '\r'; ++c) t[c] = kSpace;
+  t[' '] = kSpace;
+  for (int c = '0'; c <= '9'; ++c) t[c] = kWord;
+  for (int c = 'A'; c <= 'Z'; ++c) t[c] = kWord;
+  for (int c = 'a'; c <= 'z'; ++c) t[c] = kWord;
+  t['_'] = t['\''] = t['$'] = kWord;
+  return t;
+}();
+
+unsigned char char_class(char c) {
+  return kCharClass[static_cast<unsigned char>(c)];
+}
+
+/// A token is a view into the source text; line -1 marks end of input.
 struct Token {
-  std::string text;
+  std::string_view text;
   int line = 0;
 };
 
+/// Lexes on demand: a word ([A-Za-z0-9_'$]+) or any other single byte,
+/// skipping whitespace and // and /* */ comments. Newlines inside a block
+/// comment count; an unterminated block comment runs to end of input.
 class Lexer {
  public:
-  explicit Lexer(std::istream& is) {
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    src_ = buf.str();
-    tokenize();
-  }
-
-  const Token& peek() const {
-    if (pos_ >= tokens_.size()) return eof_;
-    return tokens_[pos_];
-  }
+  explicit Lexer(std::string_view src) : src_(src) {}
 
   Token next() {
-    Token t = peek();
-    if (pos_ < tokens_.size()) ++pos_;
-    return t;
-  }
-
-  bool done() const { return pos_ >= tokens_.size(); }
-
- private:
-  void tokenize() {
-    int line = 1;
-    std::size_t i = 0;
+    const char* s = src_.data();
     const std::size_t n = src_.size();
+    std::size_t i = pos_;
     while (i < n) {
-      const char c = src_[i];
+      const char c = s[i];
       if (c == '\n') {
-        ++line;
+        ++line_;
         ++i;
         continue;
       }
-      if (std::isspace(static_cast<unsigned char>(c))) {
+      const unsigned char cls = char_class(c);
+      if (cls == kSpace) {
         ++i;
         continue;
       }
-      if (c == '/' && i + 1 < n && src_[i + 1] == '/') {
-        while (i < n && src_[i] != '\n') ++i;
+      if (c == '/' && i + 1 < n && s[i + 1] == '/') {
+        while (i < n && s[i] != '\n') ++i;
         continue;
       }
-      if (c == '/' && i + 1 < n && src_[i + 1] == '*') {
+      if (c == '/' && i + 1 < n && s[i + 1] == '*') {
         i += 2;
-        while (i + 1 < n && !(src_[i] == '*' && src_[i + 1] == '/')) {
-          if (src_[i] == '\n') ++line;
+        while (i + 1 < n && !(s[i] == '*' && s[i + 1] == '/')) {
+          if (s[i] == '\n') ++line_;
           ++i;
         }
         i += 2;
         continue;
       }
-      if (std::isalnum(static_cast<unsigned char>(c)) || c == '_' ||
-          c == '\'' || c == '$') {
-        std::size_t start = i;
-        while (i < n &&
-               (std::isalnum(static_cast<unsigned char>(src_[i])) ||
-                src_[i] == '_' || src_[i] == '\'' || src_[i] == '$'))
-          ++i;
-        tokens_.push_back({src_.substr(start, i - start), line});
-        continue;
-      }
-      tokens_.push_back({std::string(1, c), line});
-      ++i;
+      const std::size_t start = i++;
+      if (cls == kWord)
+        while (i < n && char_class(s[i]) == kWord) ++i;
+      pos_ = i;
+      return {src_.substr(start, i - start), line_};
     }
+    pos_ = n;
+    return {"<eof>", -1};
   }
 
-  std::string src_;
-  std::vector<Token> tokens_;
+ private:
+  std::string_view src_;
   std::size_t pos_ = 0;
-  Token eof_{"<eof>", -1};
+  int line_ = 1;
 };
 
 [[noreturn]] void fail(const Token& at, const std::string& msg) {
   throw std::runtime_error("verilog parse error (line " +
                            std::to_string(at.line) + "): " + msg +
-                           ", got '" + at.text + "'");
+                           ", got '" + std::string(at.text) + "'");
 }
 
 void expect(Lexer& lex, std::string_view text) {
@@ -101,78 +108,85 @@ void expect(Lexer& lex, std::string_view text) {
   if (t.text != text) fail(t, "expected '" + std::string(text) + "'");
 }
 
+struct Pin {
+  std::string_view pin;
+  std::string_view net;
+};
+
 struct Instance {
-  std::string cell;
-  std::string name;
-  // pin -> net connections in source order.
-  std::vector<std::pair<std::string, std::string>> pins;
+  std::string_view cell;
+  std::string_view name;
   int line = 0;
+  std::uint32_t first_pin = 0;  // into ParsedModule::pins, source order
+  std::uint32_t num_pins = 0;
 };
 
 struct OutputDecl {
-  std::string name;
+  std::string_view name;
   int line = 0;
 };
 
 struct Alias {
-  std::string lhs;
-  std::string rhs;
+  std::string_view lhs;
+  std::string_view rhs;
   int line = 0;
 };
 
 struct ConstAssign {
-  std::string lhs;
+  std::string_view lhs;
   bool value = false;
   int line = 0;
 };
 
+/// The module as written, every name a view into the source text.
 struct ParsedModule {
-  std::string name;
-  std::vector<std::string> input_ports;  // excl. clk
+  std::string_view name;
+  std::vector<std::string_view> input_ports;  // excl. clk
   std::vector<OutputDecl> output_ports;
-  std::vector<Alias> aliases;            // lhs = rhs net
+  std::vector<Alias> aliases;  // lhs = rhs net
   std::vector<ConstAssign> const_assigns;
   std::vector<Instance> instances;
+  std::vector<Pin> pins;
 };
 
 ParsedModule parse_structure(Lexer& lex) {
   ParsedModule m;
   expect(lex, "module");
-  Token name = lex.next();
+  const Token name = lex.next();
   if (!util::is_identifier(name.text)) fail(name, "expected module name");
   m.name = name.text;
   expect(lex, "(");
   while (true) {
-    Token dir = lex.next();
+    const Token dir = lex.next();
     if (dir.text != "input" && dir.text != "output")
       fail(dir, "expected port direction");
-    Token port = lex.next();
+    const Token port = lex.next();
     if (!util::is_identifier(port.text)) fail(port, "expected port name");
     if (dir.text == "input") {
       if (port.text != "clk") m.input_ports.push_back(port.text);
     } else {
       m.output_ports.push_back({port.text, port.line});
     }
-    Token sep = lex.next();
+    const Token sep = lex.next();
     if (sep.text == ")") break;
     if (sep.text != ",") fail(sep, "expected ',' or ')' in port list");
   }
   expect(lex, ";");
 
   while (true) {
-    Token t = lex.next();
+    const Token t = lex.next();
     if (t.text == "endmodule") break;
     if (t.line < 0) fail(t, "unexpected end of file (missing endmodule?)");
     if (t.text == "wire") {
-      Token w = lex.next();
+      const Token w = lex.next();
       if (!util::is_identifier(w.text)) fail(w, "expected wire name");
       expect(lex, ";");
       continue;
     }
     if (t.text == "assign") {
-      Token lhs = lex.next();
+      const Token lhs = lex.next();
       expect(lex, "=");
-      Token rhs = lex.next();
+      const Token rhs = lex.next();
       expect(lex, ";");
       if (rhs.text == "1'b0")
         m.const_assigns.push_back({lhs.text, false, lhs.line});
@@ -188,137 +202,195 @@ ParsedModule parse_structure(Lexer& lex) {
     Instance inst;
     inst.cell = t.text;
     inst.line = t.line;
-    Token iname = lex.next();
-    if (!util::is_identifier(iname.text)) fail(iname, "expected instance name");
+    const Token iname = lex.next();
+    if (!util::is_identifier(iname.text))
+      fail(iname, "expected instance name");
     inst.name = iname.text;
+    inst.first_pin = static_cast<std::uint32_t>(m.pins.size());
     expect(lex, "(");
     while (true) {
       expect(lex, ".");
-      Token pin = lex.next();
+      const Token pin = lex.next();
       expect(lex, "(");
-      Token net = lex.next();
+      const Token net = lex.next();
       expect(lex, ")");
-      inst.pins.emplace_back(pin.text, net.text);
-      Token sep = lex.next();
+      m.pins.push_back({pin.text, net.text});
+      const Token sep = lex.next();
       if (sep.text == ")") break;
       if (sep.text != ",") fail(sep, "expected ',' or ')' in pin list");
     }
     expect(lex, ";");
-    m.instances.push_back(std::move(inst));
+    inst.num_pins = static_cast<std::uint32_t>(m.pins.size()) - inst.first_pin;
+    m.instances.push_back(inst);
   }
   return m;
 }
 
-}  // namespace
+/// Open-addressing map from a net name (a view into the source text) to a
+/// value. Sized once for `max_keys` keys at no more than half load, so it
+/// never rehashes; a slot whose key has no data is empty.
+template <typename V>
+class NetMap {
+ public:
+  explicit NetMap(std::size_t max_keys) {
+    std::size_t capacity = 16;
+    while (capacity < 2 * max_keys) capacity *= 2;
+    slots_.resize(capacity);
+    mask_ = capacity - 1;
+  }
 
-VerilogParse parse_verilog_collect(std::istream& is) {
-  Lexer lex(is);
-  const ParsedModule m = parse_structure(lex);
+  /// The value slot of `key`, and whether the key was just inserted.
+  std::pair<V*, bool> insert(std::string_view key) {
+    Slot& s = slots_[probe(key)];
+    const bool fresh = s.key.data() == nullptr;
+    if (fresh) s.key = key;
+    return {&s.value, fresh};
+  }
 
-  VerilogParse out{Netlist(m.name), {}};
+  const V* find(std::string_view key) const {
+    const Slot& s = slots_[probe(key)];
+    return s.key.data() == nullptr ? nullptr : &s.value;
+  }
+
+ private:
+  struct Slot {
+    std::string_view key;
+    V value{};
+  };
+
+  /// Index of `key`'s slot, or of the empty slot it would take.
+  std::size_t probe(std::string_view key) const {
+    std::size_t i = std::hash<std::string_view>{}(key) & mask_;
+    while (slots_[i].key.data() != nullptr && slots_[i].key != key)
+      i = (i + 1) & mask_;
+    return i;
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t mask_ = 0;
+};
+
+/// The netlist of a parsed module, with every semantic defect recorded and
+/// repaired: first driver wins, undriven pins and nets tie to constant 0.
+VerilogParse build_netlist(const ParsedModule& m) {
+  VerilogParse out{Netlist(std::string(m.name)), {}};
   Netlist& nl = out.netlist;
   auto issue = [&](const char* rule, int line, std::string message) {
     out.issues.push_back({rule, line, std::move(message)});
   };
 
-  // Pass 1: create nodes and record each net's driver.
-  std::map<std::string, NodeId> driver;
-  for (const std::string& port : m.input_ports)
-    driver[port] = nl.add_input(port);
+  // Pass 1: create nodes and record each net's driver. A repeated input
+  // port re-points its net at the later input.
+  NetMap<NodeId> driver(m.input_ports.size() + m.const_assigns.size() +
+                        m.instances.size());
+  for (const std::string_view port : m.input_ports)
+    *driver.insert(port).first = nl.add_input(port);
   for (const ConstAssign& ca : m.const_assigns) {
-    if (driver.contains(ca.lhs)) {
+    const auto [slot, fresh] = driver.insert(ca.lhs);
+    if (!fresh) {
       issue("multi-driven", ca.line,
-            "net '" + ca.lhs + "' has multiple drivers");
+            "net '" + std::string(ca.lhs) + "' has multiple drivers");
       continue;
     }
-    driver[ca.lhs] = nl.add_const(ca.value);
+    *slot = nl.add_const(ca.value);
   }
 
   struct PendingFanin {
     NodeId node;
     std::size_t slot;
-    std::string net;
+    std::string_view net;
     int line;
   };
   std::vector<PendingFanin> pending;
+  pending.reserve(m.pins.size());
 
   for (const Instance& inst : m.instances) {
     const CellKind kind = kind_from_name(inst.cell);
     if (kind == CellKind::kCount || kind == CellKind::kInput) {
-      issue("unknown-cell", inst.line, "unknown cell '" + inst.cell + "'");
+      issue("unknown-cell", inst.line,
+            "unknown cell '" + std::string(inst.cell) + "'");
       continue;
     }
-    const auto pins = pin_names(kind);
-    const std::string& out_pin = pins.back();
+    const std::string_view out_pin = output_pin(kind);
     const auto arity = static_cast<std::size_t>(spec(kind).arity);
-    std::vector<NodeId> fanins(arity, kNoNode);
-    std::vector<std::pair<std::size_t, std::string>> slot_nets;
-    std::vector<char> slot_filled(arity, 0);
-    std::string out_net;
-    for (const auto& [pin, net] : inst.pins) {
-      if (pin == "CP") continue;  // implicit clock
-      if (pin == out_pin) {
-        out_net = net;
+    // Each input slot keeps its first connection; fill_order lists the
+    // filled slots in pin source order.
+    std::array<std::string_view, kMaxFanins> slot_net{};
+    std::array<std::size_t, kMaxFanins> fill_order{};
+    std::size_t filled = 0;
+    std::string_view out_net;
+    for (std::uint32_t p = 0; p < inst.num_pins; ++p) {
+      const Pin& pin = m.pins[inst.first_pin + p];
+      if (pin.pin == "CP") continue;  // implicit clock
+      if (pin.pin == out_pin) {
+        out_net = pin.net;
         continue;
       }
       bool matched = false;
-      for (std::size_t slot = 0; slot + 1 < pins.size(); ++slot) {
-        if (pins[slot] != pin) continue;
-        if (!slot_filled[slot]) {
-          slot_nets.emplace_back(slot, net);
-          slot_filled[slot] = 1;
+      for (std::size_t slot = 0; slot < arity; ++slot) {
+        if (input_pin(kind, slot) != pin.pin) continue;
+        if (slot_net[slot].data() == nullptr) {
+          slot_net[slot] = pin.net;
+          fill_order[filled++] = slot;
         }
         matched = true;
         break;
       }
       if (!matched)
         issue("bad-pin", inst.line,
-              "cell '" + inst.cell + "' has no pin '" + pin + "'");
+              "cell '" + std::string(inst.cell) + "' has no pin '" +
+                  std::string(pin.pin) + "'");
     }
-    if (out_net.empty()) {
-      issue("bad-pin", inst.line, "instance '" + inst.name +
-                                      "' lacks output pin ." + out_pin);
+    if (out_net.data() == nullptr) {
+      issue("bad-pin", inst.line,
+            "instance '" + std::string(inst.name) + "' lacks output pin ." +
+                std::string(out_pin));
       continue;
     }
-    const NodeId id =
-        nl.add_gate(kind, std::span<const NodeId>(fanins), inst.name);
-    for (auto& [slot, net] : slot_nets)
-      pending.push_back({id, slot, std::move(net), inst.line});
+    std::array<NodeId, kMaxFanins> fanins;
+    fanins.fill(kNoNode);
+    const NodeId id = nl.add_gate(
+        kind, std::span<const NodeId>(fanins.data(), arity), inst.name);
+    for (std::size_t k = 0; k < filled; ++k)
+      pending.push_back(
+          {id, fill_order[k], slot_net[fill_order[k]], inst.line});
     for (std::size_t slot = 0; slot < arity; ++slot) {
-      if (slot_filled[slot]) continue;
-      issue("undriven-fanin", inst.line, "pin ." + pins[slot] +
-                                             " of instance '" + inst.name +
-                                             "' is unconnected");
+      if (slot_net[slot].data() != nullptr) continue;
+      issue("undriven-fanin", inst.line,
+            "pin ." + std::string(input_pin(kind, slot)) + " of instance '" +
+                std::string(inst.name) + "' is unconnected");
       nl.set_fanin(id, slot, nl.add_const(false));
     }
-    if (driver.contains(out_net)) {
+    const auto [slot, fresh] = driver.insert(out_net);
+    if (!fresh) {
       issue("multi-driven", inst.line,
-            "net '" + out_net + "' has multiple drivers (instance '" +
-                inst.name + "')");
+            "net '" + std::string(out_net) +
+                "' has multiple drivers (instance '" + std::string(inst.name) +
+                "')");
       continue;  // first driver wins; this gate becomes dead logic
     }
-    driver[out_net] = id;
+    *slot = id;
   }
 
-  // Resolve aliases transitively (assign a = b; assign y = a;). A net with
-  // no driver at all is reported and tied to constant 0 so the returned
-  // netlist stays well-formed for the structural lint pass.
-  auto resolve = [&](const std::string& net, int line) -> NodeId {
-    std::string cur = net;
+  // Resolve aliases transitively (assign a = b; assign y = a;), the first
+  // assign of a net winning, up to 1024 hops. A net with no driver at all
+  // is reported and tied to constant 0 so the returned netlist stays
+  // well-formed for the structural lint pass.
+  NetMap<std::string_view> alias(m.aliases.size());
+  for (const Alias& a : m.aliases) {
+    const auto [rhs, fresh] = alias.insert(a.lhs);
+    if (fresh) *rhs = a.rhs;
+  }
+  auto resolve = [&](std::string_view net, int line) -> NodeId {
+    std::string_view cur = net;
     for (int hops = 0; hops < 1024; ++hops) {
-      const auto it = driver.find(cur);
-      if (it != driver.end()) return it->second;
-      bool advanced = false;
-      for (const Alias& alias : m.aliases) {
-        if (alias.lhs == cur) {
-          cur = alias.rhs;
-          advanced = true;
-          break;
-        }
-      }
-      if (!advanced) break;
+      if (const NodeId* id = driver.find(cur)) return *id;
+      const std::string_view* next = alias.find(cur);
+      if (next == nullptr) break;
+      cur = *next;
     }
-    issue("undriven-fanin", line, "net '" + net + "' has no driver");
+    issue("undriven-fanin", line,
+          "net '" + std::string(net) + "' has no driver");
     return nl.add_const(false);
   };
 
@@ -333,8 +405,36 @@ VerilogParse parse_verilog_collect(std::istream& is) {
   return out;
 }
 
-Netlist parse_verilog(std::istream& is) {
-  VerilogParse parse = parse_verilog_collect(is);
+/// The whole stream as one buffer, refusing text over kMaxVerilogBytes
+/// before it grows past the limit.
+std::string read_bounded(std::istream& is) {
+  std::string text;
+  char chunk[1 << 16];
+  while (true) {
+    is.read(chunk, sizeof chunk);
+    const auto got = static_cast<std::size_t>(is.gcount());
+    if (got == 0) break;
+    if (got > kMaxVerilogBytes - text.size())
+      throw VerilogLimitError(text.size() + got);
+    text.append(chunk, got);
+  }
+  return text;
+}
+
+}  // namespace
+
+VerilogParse parse_verilog_collect(std::string_view text) {
+  if (text.size() > kMaxVerilogBytes) throw VerilogLimitError(text.size());
+  Lexer lex(text);
+  return build_netlist(parse_structure(lex));
+}
+
+VerilogParse parse_verilog_collect(std::istream& is) {
+  return parse_verilog_collect(read_bounded(is));
+}
+
+Netlist parse_verilog(std::string_view text) {
+  VerilogParse parse = parse_verilog_collect(text);
   if (!parse.ok()) {
     std::string msg = "verilog parse error: " +
                       std::to_string(parse.issues.size()) + " problem(s)";
@@ -345,9 +445,21 @@ Netlist parse_verilog(std::istream& is) {
   return std::move(parse.netlist);
 }
 
-Netlist parse_verilog(std::string_view text) {
-  std::istringstream is{std::string(text)};
-  return parse_verilog(is);
+Netlist parse_verilog(std::istream& is) {
+  return parse_verilog(read_bounded(is));
+}
+
+std::string read_netlist_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw std::runtime_error("cannot open " + path);
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  if (ec) return read_bounded(in);  // not a regular file (a pipe, say)
+  if (size > kMaxVerilogBytes) throw VerilogLimitError(size);
+  std::string text(static_cast<std::size_t>(size), '\0');
+  in.read(text.data(), static_cast<std::streamsize>(size));
+  text.resize(static_cast<std::size_t>(in.gcount()));
+  return text;
 }
 
 }  // namespace fcrit::netlist

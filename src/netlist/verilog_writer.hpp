@@ -3,7 +3,7 @@
 // The emitted subset uses one instance per gate with named pin connections
 // (.Y(...), .A(...), ...), a single implicit clock `clk` on every FD1, and
 // wire-per-node naming. verilog_parser.hpp reads this subset back, so
-// write→parse round-trips are exact (tested in tests/netlist_verilog_test).
+// write→parse round-trips are exact (tested in tests/verilog_test).
 //
 // One emitter writes every Verilog text: it takes an emission order and a
 // sink. write_verilog/to_verilog pass node-id order; the bundle content
@@ -24,6 +24,12 @@ namespace fcrit::netlist {
 /// Pin names of a cell kind in emission order: inputs then output.
 /// Combinational cells use A/B/C/D + Y; MX2 uses A/B/S + Y; FD1 uses D + Q.
 std::vector<std::string> pin_names(CellKind kind);
+
+/// Name of input pin `slot` (< arity) of a cell kind, as in pin_names.
+std::string_view input_pin(CellKind kind, std::size_t slot);
+
+/// Name of the output pin of a cell kind: Q for FD1, Y otherwise.
+std::string_view output_pin(CellKind kind);
 
 /// Receives the emitter's text, piece by piece and in order.
 class VerilogSink {

@@ -137,12 +137,11 @@ designs::Design load_score_target(const std::string& arg) {
   const bool is_file =
       util::ends_with(arg, ".v") || util::ends_with(arg, ".bench");
   if (!is_file) return designs::build_design(arg);
-  std::ifstream in(arg);
-  if (!in) throw std::runtime_error("cannot open " + arg);
+  const std::string text = netlist::read_netlist_file(arg);
   designs::Design d;
   d.name = arg;
-  d.netlist = util::ends_with(arg, ".bench") ? netlist::parse_bench(in)
-                                             : netlist::parse_verilog(in);
+  d.netlist = util::ends_with(arg, ".bench") ? netlist::parse_bench(text)
+                                             : netlist::parse_verilog(text);
   return d;
 }
 

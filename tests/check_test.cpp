@@ -1,8 +1,8 @@
 // The differential-oracle harness: scalar-vs-packed agreement on real and
 // random circuits, fault-oracle triple agreement, the dataflow
-// certificate, serve-vs-pipeline bit identity, the deterministic fuzz
-// tranche, and — crucially — the planted defects that prove the oracles
-// are able to fail.
+// certificate, the parse oracle, serve-vs-pipeline bit identity, the
+// deterministic fuzz tranche, and — crucially — the planted defects that
+// prove the oracles are able to fail.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -181,6 +181,14 @@ TEST(DataflowOracle, CleanOnRegisteredAndRandomDesigns) {
     EXPECT_EQ(diff_dataflow_facts(random_design(seed)), "") << "seed " << seed;
 }
 
+TEST(ParseOracle, AgreesOnRegisteredAndRandomDesigns) {
+  for (const char* name : {"or1200_icfsm", "or1200_genpc", "sdram_ctrl"})
+    EXPECT_EQ(diff_verilog_parse(designs::build_design(name), 11), "")
+        << name;
+  for (const std::uint64_t seed : {2ULL, 9ULL, 21ULL})
+    EXPECT_EQ(diff_verilog_parse(random_design(seed), seed), "") << seed;
+}
+
 TEST(ServeOracle, MatchesDirectScoring) {
   const std::string scratch =
       (std::filesystem::path(::testing::TempDir()) / "fcrit_check_serve")
@@ -250,7 +258,37 @@ TEST(Harness, DeterministicTrancheRunsClean) {
   EXPECT_EQ(report.fault_checks, 4);
   EXPECT_EQ(report.campaign_checks, 4);
   EXPECT_EQ(report.dataflow_checks, 4);
+  EXPECT_EQ(report.parse_checks, 4);
+  const ParseSplit& split = report.parse_split;
+  EXPECT_EQ(split.clean + split.with_issues + split.throws,
+            4 * (kParseMutants + 1));
+  // The token-level mutants keep a share of the inputs parseable, so the
+  // issue paths are reached, not only the syntax errors.
+  EXPECT_GT(split.clean, 4);  // at least the four unmutated exports
+  EXPECT_GT(split.with_issues, 0);
+  EXPECT_GT(split.throws, 0);
   EXPECT_EQ(report.serve_checks, 0);
+}
+
+TEST(Harness, PlantedParseDefectFailsAndShrinks) {
+  CheckConfig cfg = tranche_config();
+  cfg.parse_bug = ParseBug::kIssueLineOffByOne;
+  const auto report = run_checks(cfg);
+  ASSERT_FALSE(report.ok());
+  const Divergence& d = report.divergences.front();
+  EXPECT_EQ(d.oracle, "parse");
+  // The report names the input's edits, e.g. "input 3 [drop-net@230]".
+  EXPECT_NE(d.message.find("parse-oracle: input "), std::string::npos)
+      << d.message;
+  EXPECT_NE(d.message.find("["), std::string::npos) << d.message;
+  EXPECT_LE(d.circuit.num_gates, cfg.gates);
+
+  // The shrunk recipe reproduces under the same seed, and only with the
+  // planted defect.
+  const auto shrunk = designs::build_random_circuit(d.circuit);
+  EXPECT_NE(diff_verilog_parse(shrunk, d.seed, ParseBug::kIssueLineOffByOne),
+            "");
+  EXPECT_EQ(diff_verilog_parse(shrunk, d.seed), "");
 }
 
 TEST(Harness, PlantedCampaignDefectFailsAndShrinks) {

@@ -32,6 +32,7 @@
 #include "src/designs/random_circuit.hpp"
 #include "src/lint/lint.hpp"
 #include "src/ml/serialize.hpp"
+#include "src/netlist/verilog_parser.hpp"
 #include "src/netlist/verilog_writer.hpp"
 #include "src/obs/exporter.hpp"
 #include "src/obs/json.hpp"
@@ -1488,6 +1489,28 @@ TEST(ServerTest, OverlongRequestLineGetsErrThenEof) {
   ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &pending_error, &len);
   EXPECT_EQ(pending_error, 0) << "the server reset the connection";
   ::close(fd);
+}
+
+TEST(ServerTest, OverLimitNetlistGetsAnErrorReply) {
+  const std::string dir = make_bundle_dir("over_limit");
+  const auto d = tiny_design(52);
+  save_bundle_file(synthetic_bundle(d, 10), dir + "/tiny.fcm");
+  // A sparse file one byte over the Verilog reader's limit: its size is
+  // refused before a byte of it is read.
+  const std::string huge = dir + "/huge.v";
+  write_file(huge, "");
+  std::filesystem::resize_file(huge, netlist::kMaxVerilogBytes + 1);
+  EXPECT_THROW(load_score_target(huge), netlist::VerilogLimitError);
+
+  ScoringEngine engine({.threads = 1});
+  Server server(engine, {.bundle_dir = dir, .port = 0});
+  const std::string reply = server.handle_line("SCORE tiny.fcm " + huge);
+  EXPECT_EQ(reply.rfind("ERR ", 0), 0u) << reply;
+  EXPECT_NE(reply.find("verilog text of 67108865 bytes exceeds the limit "
+                       "of 67108864 bytes"),
+            std::string::npos)
+      << reply;
+  std::filesystem::remove(huge);
 }
 
 }  // namespace

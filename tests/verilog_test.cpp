@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <cstdio>
+#include <cstring>
+#include <streambuf>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "src/designs/designs.hpp"
 #include "src/netlist/verilog_parser.hpp"
@@ -274,6 +280,377 @@ TEST(VerilogParser, OutputPortDiagnosticCarriesDeclarationLine) {
   EXPECT_EQ(parsed.issues[0].rule, "undriven-fanin");
   EXPECT_EQ(parsed.issues[0].line, 2);
   EXPECT_NE(parsed.issues[0].message.find("z"), std::string::npos);
+}
+
+// ---- malformed-input pins ------------------------------------------------
+//
+// Each case records the exact parse_verilog_collect outcome on a malformed
+// input: the exception text, or every issue (rule, line, message) plus the
+// repaired netlist (node order, kinds, names, fanins, outputs). The pins
+// were recorded with the tokenizing reader that built a std::string per
+// token and a std::map of nets (now check::reference_parse_verilog_collect)
+// and hold every later reader to its exact behaviour.
+
+/// A byte string as a C++ literal, so a failing case prints its new pin.
+std::string cpp_literal(std::string_view s) {
+  std::string out = "\"";
+  bool hex_run = false;
+  for (std::size_t k = 0; k < s.size(); ++k) {
+    const char ch = s[k];
+    const auto c = static_cast<unsigned char>(ch);
+    const bool hex_digit = std::isxdigit(c) != 0;
+    if (hex_run && hex_digit) out += "\" \"";
+    hex_run = false;
+    if (c == '\n') {
+      out += k + 1 < s.size() ? "\\n\"\n\"" : "\\n";
+    } else if (c == '"' || c == '\\') {
+      out += '\\';
+      out += ch;
+    } else if (c < 0x20 || c >= 0x7f) {
+      char buf[8];
+      std::snprintf(buf, sizeof buf, "\\x%02x", c);
+      out += buf;
+      hex_run = true;
+    } else {
+      out += ch;
+    }
+  }
+  return out + "\"";
+}
+
+std::string collect_outcome(const std::string& text) {
+  std::istringstream is(text);
+  try {
+    const VerilogParse parse = parse_verilog_collect(is);
+    std::string out;
+    for (const ParseIssue& i : parse.issues)
+      out += i.rule + "@" + std::to_string(i.line) + ": " + i.message + "\n";
+    const Netlist& nl = parse.netlist;
+    out += "module " + nl.name() + "\n";
+    for (NodeId id = 0; id < nl.num_nodes(); ++id) {
+      out += std::to_string(id) + " " + std::string(spec(nl.kind(id)).name) +
+             " " + nl.node(id).name;
+      for (const NodeId f : nl.fanins(id)) out += " " + std::to_string(f);
+      out += "\n";
+    }
+    for (const OutputPort& port : nl.outputs())
+      out += "out " + port.name + "=" + std::to_string(port.driver) + "\n";
+    return out;
+  } catch (const std::exception& e) {
+    return std::string("throws: ") + e.what();
+  }
+}
+
+/// `assign y = c0; assign c0 = c1; ... assign c{links-1} = c{links};` with
+/// c{links} driven by an inverter: y sits links + 1 hops from its driver.
+std::string alias_chain(int links) {
+  std::string text = "module chain (input clk, input a, output y);\n";
+  text += "  IV u1 (.Y(c" + std::to_string(links) + "), .A(a));\n";
+  text += "  assign y = c0;\n";
+  for (int k = 0; k < links; ++k)
+    text += "  assign c" + std::to_string(k) + " = c" +
+            std::to_string(k + 1) + ";\n";
+  return text + "endmodule\n";
+}
+
+struct PinCase {
+  const char* name;
+  std::string text;
+  std::string expected;
+};
+
+std::vector<PinCase> malformed_cases() {
+  using namespace std::string_literals;
+  return {
+      {"unterminated block comment",
+       "module m (input clk, input a, output y);\n"
+       "  wire n; /* never closed\n"
+       "  IV u1 (.Y(n), .A(a));\n"
+       "  assign y = n;\n"
+       "endmodule\n",
+       "throws: verilog parse error (line -1): unexpected end of file (missing endmodule?), got '<eof>'"},
+      {"block comment over lines before an issue",
+       "module m (input clk, input a, output y);\n"
+       "  /* line 2\n"
+       "     line 3 */ wire n; /* line 3\n"
+       "     line 4 */\n"
+       "  BOGUS u1 (.Y(n), .A(a));\n"
+       "  assign y = n;\n"
+       "endmodule\n",
+       "unknown-cell@5: unknown cell 'BOGUS'\n"
+       "undriven-fanin@1: net 'y' has no driver\n"
+       "module m\n"
+       "0 INPUT a\n"
+       "1 TIE0 TIE0_U1\n"
+       "out y=1\n"},
+      {"block comment over lines before a syntax error",
+       "module m (input clk, input a, output y);\n"
+       "  /* one\n"
+       "     two */ wire 9n;\n"
+       "endmodule\n",
+       "throws: verilog parse error (line 3): expected wire name, got '9n'"},
+      {"crlf line ends and a lone cr",
+       "module m (input clk, input a, output y);\r\n"
+       "  wire n;\r\n"
+       "  IV u1 (.Y(n), .A(a));\r"
+       "  ND2 u2 (.Y(n), .A(a), .B(a));\r\n"
+       "  assign y = n;\r\n"
+       "endmodule\r\n",
+       "multi-driven@3: net 'n' has multiple drivers (instance 'u2')\n"
+       "module m\n"
+       "0 INPUT a\n"
+       "1 IV u1 0\n"
+       "2 ND2 u2 0 0\n"
+       "out y=1\n"},
+      {"nul byte inside an instance name",
+       "module m (input clk, input a, output y);\n"
+       "  wire n;\n"
+       "  IV u\0x1 (.Y(n), .A(a));\n"
+       "  assign y = n;\n"
+       "endmodule\n"s,
+       "throws: verilog parse error (line 3): expected '(', got '"},
+      {"nul byte as a pin name",
+       "module m (input clk, input a, output y);\n"
+       "  IV u1 (.Y(n), .\0(a));\n"
+       "  assign y = n;\n"
+       "endmodule\n"s,
+       "bad-pin@2: cell 'IV' has no pin '\x00'\n"
+       "undriven-fanin@2: pin .A of instance 'u1' is unconnected\n"
+       "module m\n"
+       "0 INPUT a\n"
+       "1 IV u1 2\n"
+       "2 TIE0 TIE0_U2\n"
+       "out y=1\n"s},
+      {"high byte inside a wire name",
+       "module m (input clk, input a, output y);\n"
+       "  wire n\xe9w;\n"
+       "endmodule\n",
+       "throws: verilog parse error (line 2): expected ';', got '\xe9'"},
+      {"high bytes as a pin name and a cell name",
+       "module m (input clk, input a, output y);\n"
+       "  IV u1 (.Y(n), .\xe9(a));\n"
+       "  \xb5 u2 (.Y(p), .A(a));\n"
+       "  assign y = n;\n"
+       "endmodule\n",
+       "bad-pin@2: cell 'IV' has no pin '\xe9'\n"
+       "undriven-fanin@2: pin .A of instance 'u1' is unconnected\n"
+       "unknown-cell@3: unknown cell '\xb5'\n"
+       "module m\n"
+       "0 INPUT a\n"
+       "1 IV u1 2\n"
+       "2 TIE0 TIE0_U2\n"
+       "out y=1\n"},
+      {"lower-case, tie and unknown cells",
+       "module m (input clk, input a, input b, output y, output z, "
+       "output t);\n"
+       "  nd2 u1 (.Y(n1), .A(a), .B(b));\n"
+       "  Fd1 r1 (.Q(n2), .D(n1), .CP(clk));\n"
+       "  XOR9 u2 (.Y(n3), .A(a));\n"
+       "  INPUT u3 (.Y(n4));\n"
+       "  tie1 u4 (.Y(n5));\n"
+       "  assign y = n2;\n"
+       "  assign z = n3;\n"
+       "  assign t = n5;\n"
+       "endmodule\n",
+       "unknown-cell@4: unknown cell 'XOR9'\n"
+       "unknown-cell@5: unknown cell 'INPUT'\n"
+       "undriven-fanin@1: net 'z' has no driver\n"
+       "module m\n"
+       "0 INPUT a\n"
+       "1 INPUT b\n"
+       "2 ND2 u1 0 1\n"
+       "3 FD1 r1 2\n"
+       "4 TIE1 u4\n"
+       "5 TIE0 TIE0_U5\n"
+       "out y=3\n"
+       "out z=5\n"
+       "out t=4\n"},
+      {"clock pin on a gate, repeated pins, missing pins",
+       "module m (input clk, input a, input b, output y, output q);\n"
+       "  ND2 u1 (.Y(n1), .A(a), .CP(b), .B(b));\n"
+       "  AN2 u2 (.Y(n2), .A(n1), .A(b), .B(a));\n"
+       "  IV u3 (.A(n2), .Z(a));\n"
+       "  OR2 u4 (.Y(n4), .Y(n5), .A(n1), .B(n2));\n"
+       "  AN3 u5 (.Y(n6), .B(a));\n"
+       "  FD1 r1 (.Y(n7), .Q(n8), .a(n6), .CP(clk));\n"
+       "  assign y = n5;\n"
+       "  assign q = n8;\n"
+       "endmodule\n",
+       "bad-pin@4: cell 'IV' has no pin 'Z'\n"
+       "bad-pin@4: instance 'u3' lacks output pin .Y\n"
+       "undriven-fanin@6: pin .A of instance 'u5' is unconnected\n"
+       "undriven-fanin@6: pin .C of instance 'u5' is unconnected\n"
+       "bad-pin@7: cell 'FD1' has no pin 'Y'\n"
+       "bad-pin@7: cell 'FD1' has no pin 'a'\n"
+       "undriven-fanin@7: pin .D of instance 'r1' is unconnected\n"
+       "module m\n"
+       "0 INPUT a\n"
+       "1 INPUT b\n"
+       "2 ND2 u1 0 1\n"
+       "3 AN2 u2 2 0\n"
+       "4 OR2 u4 2 3\n"
+       "5 AN3 u5 6 0 6\n"
+       "6 TIE0 TIE0_U6\n"
+       "7 FD1 r1 6\n"
+       "out y=4\n"
+       "out q=7\n"},
+      {"net driven by an instance and a constant assign",
+       "module m (input clk, input a, output y);\n"
+       "  IV u1 (.Y(n), .A(a));\n"
+       "  assign n = 1'b0;\n"
+       "  assign a = 1'b1;\n"
+       "  assign n = 1'b1;\n"
+       "  assign y = n;\n"
+       "endmodule\n",
+       "multi-driven@4: net 'a' has multiple drivers\n"
+       "multi-driven@5: net 'n' has multiple drivers\n"
+       "multi-driven@2: net 'n' has multiple drivers (instance 'u1')\n"
+       "module m\n"
+       "0 INPUT a\n"
+       "1 TIE0 TIE0_U1\n"
+       "2 IV u1 0\n"
+       "out y=1\n"},
+      {"repeated input and output ports",
+       "module m (input clk, input a, input a, input clk, output y, "
+       "output y);\n"
+       "  IV u1 (.Y(n), .A(a));\n"
+       "  assign y = n;\n"
+       "endmodule\n",
+       "module m\n"
+       "0 INPUT a\n"
+       "1 INPUT a\n"
+       "2 IV u1 1\n"
+       "out y=2\n"
+       "out y=2\n"},
+      {"alias chain, first alias wins, driver beats alias, alias cycle",
+       "module m (input clk, input a, output y, output z);\n"
+       "  IV u1 (.Y(n), .A(a));\n"
+       "  assign y = p;\n"
+       "  assign p = q;\n"
+       "  assign q = n;\n"
+       "  assign q = a;\n"
+       "  assign n = a;\n"
+       "  assign z = r;\n"
+       "  assign r = s;\n"
+       "  assign s = r;\n"
+       "  AN2 u2 (.Y(w), .A(p), .B(s));\n"
+       "endmodule\n",
+       "undriven-fanin@11: net 's' has no driver\n"
+       "undriven-fanin@1: net 'z' has no driver\n"
+       "module m\n"
+       "0 INPUT a\n"
+       "1 IV u1 0\n"
+       "2 AN2 u2 1 3\n"
+       "3 TIE0 TIE0_U3\n"
+       "out y=1\n"
+       "out z=3\n"},
+      {"alias chain one hop inside the guard", alias_chain(1022),
+       "module chain\n"
+       "0 INPUT a\n"
+       "1 IV u1 0\n"
+       "out y=1\n"},
+      {"alias chain one hop past the guard", alias_chain(1023),
+       "undriven-fanin@1: net 'y' has no driver\n"
+       "module chain\n"
+       "0 INPUT a\n"
+       "1 IV u1 0\n"
+       "2 TIE0 TIE0_U2\n"
+       "out y=2\n"},
+      {"punctuation and a constant literal as nets",
+       "module m (input clk, input a, output y);\n"
+       "  AN2 u1 (.Y(n), .A((), .B(1'b0));\n"
+       "  assign 1'b0 = 1'b1;\n"
+       "  assign y = n;\n"
+       "endmodule\n",
+       "undriven-fanin@2: net '(' has no driver\n"
+       "module m\n"
+       "0 INPUT a\n"
+       "1 TIE1 TIE1_U1\n"
+       "2 AN2 u1 3 1\n"
+       "3 TIE0 TIE0_U3\n"
+       "out y=2\n"},
+      {"eof inside a pin list",
+       "module m (input clk, input a, output y);\n"
+       "  IV u1 (.Y(n), .A(",
+       "throws: verilog parse error (line -1): expected ')', got '<eof>'"},
+      {"eof before endmodule",
+       "module m (input clk, input a, output y);\n"
+       "  IV u1 (.Y(n), .A(a));\n",
+       "throws: verilog parse error (line -1): unexpected end of file (missing endmodule?), got '<eof>'"},
+      {"empty text", "",
+       "throws: verilog parse error (line -1): expected 'module', got '<eof>'"},
+      {"text after endmodule",
+       "module m (input clk, input a, output y);\n"
+       "  IV u1 (.Y(n), .A(a));\n"
+       "  assign y = n;\n"
+       "endmodule\n"
+       "garbage ((( /* never closed\n",
+       "module m\n"
+       "0 INPUT a\n"
+       "1 IV u1 0\n"
+       "out y=1\n"},
+  };
+}
+
+TEST(VerilogParser, MalformedInputsMatchRecordedPins) {
+  for (const PinCase& c : malformed_cases()) {
+    const std::string got = collect_outcome(c.text);
+    EXPECT_EQ(got, c.expected) << c.name << "; pin: " << cpp_literal(got);
+  }
+}
+
+// ---- the size limit ---------------------------------------------------------
+
+/// An endless stream of spaces: a reader must stop at the limit.
+class EndlessSpaces : public std::streambuf {
+ protected:
+  int_type underflow() override {
+    std::memset(chunk_, ' ', sizeof chunk_);
+    setg(chunk_, chunk_, chunk_ + sizeof chunk_);
+    return traits_type::to_int_type(' ');
+  }
+
+ private:
+  char chunk_[4096];
+};
+
+TEST(VerilogLimit, OneByteOverTheLimitThrowsTheTypedError) {
+  const std::string text(kMaxVerilogBytes + 1, ' ');
+  try {
+    parse_verilog_collect(text);
+    FAIL() << "expected VerilogLimitError";
+  } catch (const VerilogLimitError& e) {
+    EXPECT_STREQ(e.what(),
+                 "verilog text of 67108865 bytes exceeds the limit of "
+                 "67108864 bytes");
+  }
+  EXPECT_THROW(parse_verilog(text), VerilogLimitError);
+  // A stream is refused as it passes the limit, never read whole.
+  EndlessSpaces endless;
+  std::istream is(&endless);
+  try {
+    parse_verilog_collect(is);
+    FAIL() << "expected VerilogLimitError";
+  } catch (const VerilogLimitError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(" bytes exceeds the limit of 67108864 bytes"),
+              std::string::npos)
+        << what;
+  }
+}
+
+TEST(VerilogLimit, TextOfExactlyTheLimitParsesAsUsual) {
+  const std::string exported = to_verilog(sample());
+  const std::size_t tail = exported.rfind("endmodule");
+  ASSERT_NE(tail, std::string::npos);
+  // The same module, whitespace before `endmodule` filling it to the limit.
+  std::string text = exported.substr(0, tail);
+  text.resize(kMaxVerilogBytes - (exported.size() - tail), ' ');
+  text += exported.substr(tail);
+  ASSERT_EQ(text.size(), kMaxVerilogBytes);
+  const VerilogParse parse = parse_verilog_collect(text);
+  EXPECT_TRUE(parse.ok());
+  EXPECT_EQ(to_verilog(parse.netlist), exported);
 }
 
 }  // namespace
