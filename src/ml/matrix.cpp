@@ -1,11 +1,14 @@
 #include "src/ml/matrix.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <numeric>
 
 #include "src/ml/kernel_stats.hpp"
+#include "src/ml/row_kernel.hpp"
 #include "src/util/parallel.hpp"
 
 namespace fcrit::ml {
@@ -64,100 +67,115 @@ std::string Matrix::shape_string() const {
 }
 
 // The three matmul variants shard the OUTPUT rows of C across the shared
-// pool (util::parallel_for, static partitioning) and share one row kernel.
-// Every output element is accumulated by exactly one thread, from +0, over
-// the same terms in the same k-order as the original serial loops (the
-// references in tests/kernel_determinism_test.cpp): the kernel changes
-// where a partial sum lives and how its terms are found, never which terms
-// are added or in what order, and nothing is fused into an FMA. So results
-// are bitwise-identical to those loops for any thread count.
+// pool (util::parallel_for, static partitioning). Every output element is
+// accumulated by exactly one thread, from +0, over the same terms in the
+// same k-order as the original serial loops (the references in
+// tests/kernel_determinism_test.cpp): the kernels change where a partial
+// sum lives and how its terms are found, never which terms are added or in
+// what order, and nothing is fused into an FMA. So results are
+// bitwise-identical to those loops for any thread count. A B at least a
+// vector wide goes through the row kernel (src/ml/row_kernel.hpp); a
+// narrower one — the GCN's 1- and 2-wide output heads — puts output rows
+// in the vector lanes instead.
 
 namespace {
 
-/// Four lanes of one SSE register (a GCC/Clang vector extension). Its + and
-/// * are the scalar IEEE single-precision operations applied lane by lane,
-/// so a lane computes exactly what a scalar loop would; it only makes the
-/// accumulators' register allocation independent of the auto-vectorizer.
-using Vec4 = float __attribute__((vector_size(16)));
+using detail::accumulate_row;
+using detail::compact_nonzero;
+using detail::Terms;
+using detail::Vec4;
+using Mask4 = std::int32_t __attribute__((vector_size(16)));
 
-/// Widest column block of the row kernel: 32 floats, eight accumulator
-/// registers of the sixteen SSE has (64 would spill).
-constexpr int kBlock = 32;
+/// a · b lane by lane, except that a lane where a is ±0 gives +0. Added to
+/// a sum that started at +0 — which is never −0 — that +0 changes nothing,
+/// so summing these products is summing with the reference loops'
+/// `if (a == 0.0f) continue;`, bit for bit, whatever b holds (±0, Inf,
+/// NaN).
+Vec4 nonzero_product(Vec4 a, Vec4 b) {
+  const Mask4 keep = a != Vec4{};
+  return std::bit_cast<Vec4>(std::bit_cast<Mask4>(a * b) & keep);
+}
+
+/// Elements first .. first + 3 of `row` as four lanes, +0 for those at or
+/// past `end`, which are not read.
+Vec4 load_lanes(const float* row, int first, int end) {
+  Vec4 v{};
+  if (first + 4 <= end) {
+    std::memcpy(&v, row + first, sizeof v);
+  } else {
+    for (int l = 0; first + l < end; ++l) v[l] = row[first + l];
+  }
+  return v;
+}
 
 /// matmul_tn's k-strip: 64 rows of A and of B (each at most 64 wide in the
 /// GCN) stay cache-resident while every owned output row walks them.
 constexpr int kStrip = 64;
 
-/// The terms of one output row: coefficient v[t] times row k[t] of B.
-struct Terms {
-  const int* k;
-  const float* v;
-  int count;
-};
+/// Row groups of four that the narrow kernels keep in flight: independent
+/// accumulator chains that hide the add latency.
+constexpr int kGroups = 4;
 
-/// Compacts, without branching, the terms (first + t, x[t * stride]) for
-/// t < len whose coefficient is nonzero — exactly the terms the original
-/// loops kept with `if (x == 0.0f) continue;` (±0 dropped; NaN, Inf and
-/// denormals kept).
-Terms compact_nonzero(const float* x, std::size_t stride, int len,
-                      int first, int* k, float* v) {
-  int count = 0;
-  for (int t = 0; t < len; ++t) {
-    const float xt = x[static_cast<std::size_t>(t) * stride];
-    k[count] = first + t;
-    v[count] = xt;
-    count += xt != 0.0f;
-  }
-  return {k, v, count};
-}
-
-/// out[j] += Σ_t v[t] · b[k[t] · ldb + j] for j < kWidth, each element
-/// summed in t order in a local accumulator loaded and stored once: vector
-/// registers for whole multiples of four, scalars for the 1- and 2-wide
-/// blocks.
-template <int kWidth>
-void accumulate_block(const Terms& terms, const float* b, std::size_t ldb,
-                      float* out) {
-  if constexpr (kWidth % 4 == 0) {
-    Vec4 acc[kWidth / 4];
-    std::memcpy(acc, out, sizeof acc);
-    for (int t = 0; t < terms.count; ++t) {
-      const float v = terms.v[t];
-      const Vec4 vv = {v, v, v, v};
-      const float* brow = b + static_cast<std::size_t>(terms.k[t]) * ldb;
-      for (std::size_t q = 0; q < kWidth / 4; ++q) {
-        Vec4 bq;
-        std::memcpy(&bq, brow + 4 * q, sizeof bq);
-        acc[q] += vv * bq;
+/// C = A · B for B narrower than a vector (kN = b.cols() < 4), output rows
+/// [r0, r1). The row kernel would feed a whole compacted row of A into one
+/// or two scalar chains; here rows take the lanes instead — four rows per
+/// vector, kGroups vectors in flight — and each lane sums its c(i, j) over
+/// ascending k from +0, a zero a(i, k) adding a selected +0.
+template <int kN>
+void matmul_narrow(const Matrix& a, const Matrix& b, Matrix& c, int r0,
+                   int r1) {
+  const auto lda = static_cast<std::size_t>(a.cols());
+  for (int i0 = r0; i0 < r1; i0 += 4 * kGroups) {
+    const int live = std::min(4 * kGroups, r1 - i0);
+    // A short last group repeats its last row in the spare lanes, whose
+    // sums are never stored.
+    const float* rows[4 * kGroups];
+    for (int l = 0; l < 4 * kGroups; ++l)
+      rows[l] = a.data() +
+                static_cast<std::size_t>(i0 + std::min(l, live - 1)) * lda;
+    Vec4 acc[kGroups][kN] = {};
+    for (int k = 0; k < a.cols(); ++k) {
+      Vec4 bk[kN];
+      for (int j = 0; j < kN; ++j) {
+        const float v = b(k, j);
+        bk[j] = Vec4{v, v, v, v};
+      }
+      for (int g = 0; g < kGroups; ++g) {
+        const float* const* r = rows + 4 * g;
+        const Vec4 ak = {r[0][k], r[1][k], r[2][k], r[3][k]};
+        for (int j = 0; j < kN; ++j) acc[g][j] += nonzero_product(ak, bk[j]);
       }
     }
-    std::memcpy(out, acc, sizeof acc);
-  } else {
-    float acc[kWidth];
-    std::copy(out, out + kWidth, acc);
-    for (int t = 0; t < terms.count; ++t) {
-      const float v = terms.v[t];
-      const float* brow = b + static_cast<std::size_t>(terms.k[t]) * ldb;
-      for (int j = 0; j < kWidth; ++j) acc[j] += v * brow[j];
-    }
-    std::copy(acc, acc + kWidth, out);
+    for (int l = 0; l < live; ++l)
+      for (int j = 0; j < kN; ++j) c(i0 + l, j) = acc[l / 4][j][l % 4];
   }
 }
 
-/// The row kernel: crow[j] += Σ_t v[t] · b(k[t], j) for j in [j0, b.cols()),
-/// in kWidth-wide blocks and then the remainder in halving widths, so every
-/// block — the GCN's 1-, 2- and 5-wide ones too — has a fixed-width
-/// accumulator.
-template <int kWidth = kBlock>
-void accumulate_row(const Terms& terms, const Matrix& b, float* crow,
-                    int j0 = 0) {
-  // No terms adds nothing, and keeps an empty B's null data() out of the
-  // pointer arithmetic.
-  if (terms.count == 0) return;
-  const auto ldb = static_cast<std::size_t>(b.cols());
-  for (; j0 + kWidth <= b.cols(); j0 += kWidth)
-    accumulate_block<kWidth>(terms, b.data() + j0, ldb, crow + j0);
-  if constexpr (kWidth > 1) accumulate_row<kWidth / 2>(terms, b, crow, j0);
+/// C = Aᵀ · B for B narrower than a vector, output rows [r0, r1): A's
+/// columns take the lanes, so every row of A is read with plain vector
+/// loads, and each lane sums its c(i, j) over ascending k from +0, a zero
+/// a(k, i) adding a selected +0.
+template <int kN>
+void matmul_tn_narrow(const Matrix& a, const Matrix& b, Matrix& c, int r0,
+                      int r1) {
+  for (int i0 = r0; i0 < r1; i0 += 4 * kGroups) {
+    const int live = std::min(4 * kGroups, r1 - i0);
+    Vec4 acc[kGroups][kN] = {};
+    for (int k = 0; k < a.rows(); ++k) {
+      const float* arow = a.row(k).data();
+      Vec4 bk[kN];
+      for (int j = 0; j < kN; ++j) {
+        const float v = b(k, j);
+        bk[j] = Vec4{v, v, v, v};
+      }
+      for (int g = 0; g < kGroups; ++g) {
+        const Vec4 ak = load_lanes(arow, i0 + 4 * g, r1);
+        for (int j = 0; j < kN; ++j) acc[g][j] += nonzero_product(ak, bk[j]);
+      }
+    }
+    for (int l = 0; l < live; ++l)
+      for (int j = 0; j < kN; ++j) c(i0 + l, j) = acc[l / 4][j][l % 4];
+  }
 }
 
 }  // namespace
@@ -172,10 +190,16 @@ void matmul(const Matrix& a, const Matrix& b, Matrix& c) {
       static_cast<std::int64_t>(a.cols()) * b.cols();
   util::parallel_for(0, a.rows(), detail::row_grain(per_row),
                      [&](std::int64_t r0, std::int64_t r1) {
+    const int i0 = static_cast<int>(r0), i1 = static_cast<int>(r1);
+    switch (b.cols()) {
+      case 1: return matmul_narrow<1>(a, b, c, i0, i1);
+      case 2: return matmul_narrow<2>(a, b, c, i0, i1);
+      case 3: return matmul_narrow<3>(a, b, c, i0, i1);
+    }
     // Per-chunk scratch: concurrent kernel calls never share it.
     std::vector<int> ks(static_cast<std::size_t>(a.cols()));
     std::vector<float> vs(ks.size());
-    for (int i = static_cast<int>(r0); i < static_cast<int>(r1); ++i) {
+    for (int i = i0; i < i1; ++i) {
       const Terms terms = compact_nonzero(a.row(i).data(), 1, a.cols(), 0,
                                           ks.data(), vs.data());
       accumulate_row(terms, b, c.row(i).data());
@@ -190,19 +214,26 @@ void matmul_tn(const Matrix& a, const Matrix& b, Matrix& c) {
   detail::KernelScope scope("matmul_tn", hist);
   c.reset(a.cols(), b.cols());
   // C.row(i) sums a(k, i) * B.row(k) over k; sharding by i keeps that
-  // k-order per output row. Each chunk walks A and B in kStrip-row strips
-  // and, per owned row i, compacts the strip's nonzero a(k, i) and adds
-  // them through the row kernel, which resumes from C.row(i)'s running sum.
+  // k-order per output row. A B at least a vector wide: each chunk walks A
+  // and B in kStrip-row strips and, per owned row i, compacts the strip's
+  // nonzero a(k, i) and adds them through the row kernel, which resumes
+  // from C.row(i)'s running sum.
   const std::int64_t per_row =
       static_cast<std::int64_t>(a.rows()) * b.cols();
   util::parallel_for(0, a.cols(), detail::row_grain(per_row),
                      [&](std::int64_t r0, std::int64_t r1) {
+    const int i0 = static_cast<int>(r0), i1 = static_cast<int>(r1);
+    switch (b.cols()) {
+      case 1: return matmul_tn_narrow<1>(a, b, c, i0, i1);
+      case 2: return matmul_tn_narrow<2>(a, b, c, i0, i1);
+      case 3: return matmul_tn_narrow<3>(a, b, c, i0, i1);
+    }
     std::vector<int> ks(kStrip);
     std::vector<float> vs(kStrip);
     const auto lda = static_cast<std::size_t>(a.cols());
     for (int k0 = 0; k0 < a.rows(); k0 += kStrip) {
       const int len = std::min(kStrip, a.rows() - k0);
-      for (int i = static_cast<int>(r0); i < static_cast<int>(r1); ++i) {
+      for (int i = i0; i < i1; ++i) {
         const Terms terms = compact_nonzero(a.row(k0).data() + i, lda, len,
                                             k0, ks.data(), vs.data());
         accumulate_row(terms, b, c.row(i).data());

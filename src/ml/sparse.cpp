@@ -7,9 +7,44 @@
 #include <string>
 
 #include "src/ml/kernel_stats.hpp"
+#include "src/ml/row_kernel.hpp"
 #include "src/util/parallel.hpp"
 
 namespace fcrit::ml {
+
+namespace {
+
+/// y = S · x for the CSR matrix S = (ptr, index, value) with `rows` rows:
+/// output row r sums value[t] · x.row(index[t]) over r's stored entries t
+/// in stored order, skipping zero values, through the row kernel. Rows are
+/// sharded by ownership, each summed by one chunk in one fixed order. When
+/// no value is zero the rows are their own term lists.
+void gather(int rows, const int* ptr, const int* index, const float* value,
+            std::size_t nnz, bool has_zero, const Matrix& x, Matrix& y) {
+  y.reset(rows, x.cols());
+  const std::int64_t per_row =
+      rows == 0 ? 1 : (static_cast<std::int64_t>(nnz) * x.cols()) / rows + 1;
+  util::parallel_for(0, rows, detail::row_grain(per_row),
+                     [&](std::int64_t r0, std::int64_t r1) {
+    int longest = 0;
+    if (has_zero)
+      for (auto r = r0; r < r1; ++r)
+        longest = std::max(longest, ptr[r + 1] - ptr[r]);
+    // Per-chunk scratch: concurrent kernel calls never share it.
+    std::vector<int> ks(static_cast<std::size_t>(longest));
+    std::vector<float> vs(ks.size());
+    for (int r = static_cast<int>(r0); r < static_cast<int>(r1); ++r) {
+      const int begin = ptr[r], len = ptr[r + 1] - begin;
+      const detail::Terms terms =
+          has_zero ? detail::compact_nonzero(index + begin, value + begin, len,
+                                             ks.data(), vs.data())
+                   : detail::Terms{index + begin, value + begin, len};
+      detail::accumulate_row(terms, x, y.row(r).data());
+    }
+  });
+}
+
+}  // namespace
 
 SparseMatrix SparseMatrix::from_coo(int rows, int cols,
                                     std::vector<Coo> entries) {
@@ -40,6 +75,7 @@ SparseMatrix SparseMatrix::from_coo(int rows, int cols,
   }
   for (std::size_t r = 1; r < s.row_ptr_.size(); ++r)
     s.row_ptr_[r] += s.row_ptr_[r - 1];
+  s.build_transpose();
   return s;
 }
 
@@ -74,7 +110,28 @@ SparseMatrix SparseMatrix::from_csr(int rows, int cols,
   s.row_ptr_ = std::move(row_ptr);
   s.col_ = std::move(col_index);
   s.val_ = std::move(values);
+  s.build_transpose();
   return s;
+}
+
+void SparseMatrix::build_transpose() {
+  has_zero_ = std::find(val_.begin(), val_.end(), 0.0f) != val_.end();
+  // Count each column's entries, then place them walking the rows in
+  // order, so every column lists its entries in ascending source row.
+  t_ptr_.assign(static_cast<std::size_t>(cols_) + 1, 0);
+  for (const int c : col_) ++t_ptr_[static_cast<std::size_t>(c) + 1];
+  for (std::size_t c = 1; c < t_ptr_.size(); ++c) t_ptr_[c] += t_ptr_[c - 1];
+  t_row_.resize(col_.size());
+  t_val_.resize(col_.size());
+  std::vector<int> next(t_ptr_.begin(), t_ptr_.end() - 1);
+  for (int r = 0; r < rows_; ++r) {
+    for (int k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
+      const auto slot = static_cast<std::size_t>(
+          next[static_cast<std::size_t>(col_[static_cast<std::size_t>(k)])]++);
+      t_row_[slot] = r;
+      t_val_[slot] = val_[static_cast<std::size_t>(k)];
+    }
+  }
 }
 
 int SparseMatrix::entry_row(std::size_t k) const {
@@ -88,24 +145,8 @@ void SparseMatrix::spmm(const Matrix& x, Matrix& y) const {
   assert(x.rows() == cols_ && &y != &x);
   static obs::Histogram& hist = obs::registry().histogram("ml.kernel.spmm_ms");
   detail::KernelScope scope("spmm", hist);
-  y.reset(rows_, x.cols());
-  // Output-row sharding: row r's gather walks its CSR entries in stored
-  // order regardless of which chunk owns r — bitwise-identical to serial.
-  const std::int64_t per_row =
-      rows_ == 0 ? 1
-                 : (static_cast<std::int64_t>(nnz()) * x.cols()) / rows_ + 1;
-  util::parallel_for(0, rows_, detail::row_grain(per_row),
-                     [&](std::int64_t r0, std::int64_t r1) {
-    for (int r = static_cast<int>(r0); r < static_cast<int>(r1); ++r) {
-      auto yrow = y.row(r);
-      for (int k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-        const float v = val_[static_cast<std::size_t>(k)];
-        if (v == 0.0f) continue;
-        const auto xrow = x.row(col_[static_cast<std::size_t>(k)]);
-        for (int j = 0; j < x.cols(); ++j) yrow[j] += v * xrow[j];
-      }
-    }
-  });
+  gather(rows_, row_ptr_.data(), col_.data(), val_.data(), nnz(), has_zero_,
+         x, y);
 }
 
 void SparseMatrix::spmm_t(const Matrix& x, Matrix& y) const {
@@ -113,28 +154,11 @@ void SparseMatrix::spmm_t(const Matrix& x, Matrix& y) const {
   static obs::Histogram& hist =
       obs::registry().histogram("ml.kernel.spmm_t_ms");
   detail::KernelScope scope("spmm_t", hist);
-  y.reset(cols_, x.cols());
-  // Sᵀ scatters into y.row(col): sharding by OUTPUT row means every chunk
-  // re-scans the whole entry stream but only accumulates the columns it
-  // owns, so for a fixed output row contributions still arrive in the
-  // serial (r, k)-ascending order — bitwise-identical, no scatter races.
-  const std::int64_t per_row =
-      cols_ == 0 ? 1
-                 : (static_cast<std::int64_t>(nnz()) * x.cols()) / cols_ + 1;
-  util::parallel_for(0, cols_, detail::row_grain(per_row),
-                     [&](std::int64_t c0, std::int64_t c1) {
-    for (int r = 0; r < rows_; ++r) {
-      const auto xrow = x.row(r);
-      for (int k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-        const int c = col_[static_cast<std::size_t>(k)];
-        if (c < c0 || c >= c1) continue;
-        const float v = val_[static_cast<std::size_t>(k)];
-        if (v == 0.0f) continue;
-        auto yrow = y.row(c);
-        for (int j = 0; j < x.cols(); ++j) yrow[j] += v * xrow[j];
-      }
-    }
-  });
+  // Output row c of Sᵀ · X gathers column c of S from the stored
+  // transpose, in ascending source row: the order a scatter over the rows
+  // of S would add the same terms in.
+  gather(cols_, t_ptr_.data(), t_row_.data(), t_val_.data(), nnz(), has_zero_,
+         x, y);
 }
 
 void SparseMatrix::accumulate_edge_grad(const Matrix& g_out, const Matrix& x,
@@ -166,6 +190,7 @@ SparseMatrix SparseMatrix::with_values(std::vector<float> values) const {
     throw std::runtime_error("SparseMatrix::with_values: size mismatch");
   SparseMatrix s = *this;
   s.val_ = std::move(values);
+  s.build_transpose();
   return s;
 }
 

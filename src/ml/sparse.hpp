@@ -7,9 +7,16 @@
 //   edge_grad  dL/dS[k] = <Gout.row(r_k), X.row(c_k)>  per stored entry
 // Entry order is stable (sorted by row, then column), so per-edge masks
 // and gradients can be carried in plain vectors aligned with values().
-// All three kernels shard their OUTPUT rows across the shared thread pool
-// (src/util/parallel.hpp) with per-row accumulation order unchanged, so
-// results are bitwise-identical to the serial path for any thread count.
+// Values are fixed at construction; with_values() builds a new matrix.
+// Each matrix also stores its transpose, built once at construction by a
+// counting pass (about 8 bytes per stored entry), with every column's
+// entries in ascending source row. spmm and spmm_t are then one gather:
+// each output row sums its stored entries' rows of X in stored order
+// through the register-blocked row kernel (src/ml/row_kernel.hpp),
+// skipping zero-valued entries. All three kernels shard their OUTPUT rows
+// across the shared thread pool (src/util/parallel.hpp), each row summed
+// by one owner in one fixed order, so results are bitwise-identical to the
+// serial path for any thread count.
 #pragma once
 
 #include <cstdint>
@@ -47,7 +54,6 @@ class SparseMatrix {
   const std::vector<int>& row_ptr() const { return row_ptr_; }
   const std::vector<int>& col_index() const { return col_; }
   const std::vector<float>& values() const { return val_; }
-  std::vector<float>& mutable_values() { return val_; }
 
   /// Row index of stored entry k (O(log rows)).
   int entry_row(std::size_t k) const;
@@ -81,11 +87,20 @@ class SparseMatrix {
   bool is_symmetric(float tol = 1e-6f) const;
 
  private:
+  /// Rebuilds the stored transpose and has_zero_ from the CSR arrays.
+  void build_transpose();
+
   int rows_ = 0;
   int cols_ = 0;
   std::vector<int> row_ptr_;
   std::vector<int> col_;
   std::vector<float> val_;
+  // The transpose in CSR: column c's entries are t_row_/t_val_ over
+  // [t_ptr_[c], t_ptr_[c + 1]), in ascending source row.
+  std::vector<int> t_ptr_;
+  std::vector<int> t_row_;
+  std::vector<float> t_val_;
+  bool has_zero_ = false;  // some stored value is ±0
 };
 
 }  // namespace fcrit::ml

@@ -251,6 +251,10 @@ class NetMap {
     const Slot& s = slots_[probe(key)];
     return s.key.data() == nullptr ? nullptr : &s.value;
   }
+  V* find(std::string_view key) {
+    Slot& s = slots_[probe(key)];
+    return s.key.data() == nullptr ? nullptr : &s.value;
+  }
 
  private:
   struct Slot {
@@ -373,22 +377,55 @@ VerilogParse build_netlist(const ParsedModule& m) {
   }
 
   // Resolve aliases transitively (assign a = b; assign y = a;), the first
-  // assign of a net winning, up to 1024 hops. A net with no driver at all
-  // is reported and tied to constant 0 so the returned netlist stays
-  // well-formed for the structural lint pass.
-  NetMap<std::string_view> alias(m.aliases.size());
+  // assign of a net winning, up to 1024 hops: a net resolves to the first
+  // driver its chain reaches if that takes fewer than 1024 alias steps. A
+  // net with no driver at all is reported and tied to constant 0 so the
+  // returned netlist stays well-formed for the structural lint pass.
+  //
+  // Each chain is walked once: every aliased net it passes memoises the
+  // driver the chain reaches (kNoNode for none: a dead end or a cycle) and
+  // its distance in alias steps, so a later reference stops at the first
+  // memoised net it meets.
+  struct AliasLink {
+    std::string_view rhs;
+    NodeId driver = kNoNode;
+    std::size_t distance = 0;
+    enum : std::uint8_t { kUnwalked, kOnPath, kDone } state = kUnwalked;
+  };
+  NetMap<AliasLink> alias(m.aliases.size());
   for (const Alias& a : m.aliases) {
-    const auto [rhs, fresh] = alias.insert(a.lhs);
-    if (fresh) *rhs = a.rhs;
+    const auto [link, fresh] = alias.insert(a.lhs);
+    if (fresh) link->rhs = a.rhs;
   }
+  std::vector<AliasLink*> path;
   auto resolve = [&](std::string_view net, int line) -> NodeId {
-    std::string_view cur = net;
-    for (int hops = 0; hops < 1024; ++hops) {
-      if (const NodeId* id = driver.find(cur)) return *id;
-      const std::string_view* next = alias.find(cur);
-      if (next == nullptr) break;
-      cur = *next;
+    // Walk to a driven net, a memoised one, a dead end or back onto the
+    // path (a cycle); `found` and `distance` describe the last net walked.
+    path.clear();
+    NodeId found = kNoNode;
+    std::size_t distance = 0;
+    for (std::string_view cur = net;;) {
+      if (const NodeId* id = driver.find(cur)) {
+        found = *id;
+        break;
+      }
+      AliasLink* link = alias.find(cur);
+      if (link == nullptr || link->state == AliasLink::kOnPath) break;
+      if (link->state == AliasLink::kDone) {
+        found = link->driver;
+        distance = link->distance;
+        break;
+      }
+      link->state = AliasLink::kOnPath;
+      path.push_back(link);
+      cur = link->rhs;
     }
+    for (auto it = path.rbegin(); it != path.rend(); ++it) {
+      (*it)->driver = found;
+      (*it)->distance = ++distance;
+      (*it)->state = AliasLink::kDone;
+    }
+    if (found != kNoNode && distance < 1024) return found;
     issue("undriven-fanin", line,
           "net '" + std::string(net) + "' has no driver");
     return nl.add_const(false);

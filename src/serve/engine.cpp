@@ -283,7 +283,17 @@ ScoreResult ScoringEngine::score(const std::string& bundle_path,
 ScoreResult ScoringEngine::score_path(const std::string& bundle_path,
                                       const std::string& target_path,
                                       ScoreOptions opts) {
-  return score(bundle_path, load_score_target(target_path), opts);
+  return score(bundle_path, load_target(target_path), opts);
+}
+
+designs::Design ScoringEngine::load_target(const std::string& target_path) {
+  try {
+    return load_score_target(target_path);
+  } catch (...) {
+    requests_->add();
+    errors_->add();
+    throw;
+  }
 }
 
 std::future<ScoreResult> ScoringEngine::submit(
@@ -350,7 +360,7 @@ void ScoringEngine::run_job(Job job) {
   const auto dequeued = obs::TraceClock::now();
   if (tc) tc->span(job.opts.trace_id, "queue_wait", job.enqueued, dequeued);
   try {
-    const designs::Design target = load_score_target(job.target_path);
+    const designs::Design target = load_target(job.target_path);
     if (tc)
       tc->span(job.opts.trace_id, "parse", dequeued, obs::TraceClock::now());
     job.promise.set_value(score(job.bundle_path, target, job.opts));

@@ -199,7 +199,8 @@ class ScoringEngine {
                     const designs::Design& target, ScoreOptions opts = {});
 
   /// Synchronous scoring of a target path: a registered design name or a
-  /// .v/.bench netlist file.
+  /// .v/.bench netlist file. A target that fails to load counts as one
+  /// request and one error.
   ScoreResult score_path(const std::string& bundle_path,
                          const std::string& target_path,
                          ScoreOptions opts = {});
@@ -249,6 +250,10 @@ class ScoringEngine {
 
   void worker_loop();
   void run_job(Job job);
+  /// load_score_target, counting a target that fails to load (missing,
+  /// unparsable, over the size limit) as one request and one error, as
+  /// score() counts its own failures.
+  designs::Design load_target(const std::string& target_path);
 
   EngineConfig config_;
   // Declared before cache_/instrument pointers: they borrow from it.

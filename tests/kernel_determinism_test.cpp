@@ -24,6 +24,8 @@
 #include <vector>
 
 #include "src/core/pipeline.hpp"
+#include "src/designs/designs.hpp"
+#include "src/graphir/graph.hpp"
 #include "src/ml/layers.hpp"
 #include "src/ml/matrix.hpp"
 #include "src/ml/serialize.hpp"
@@ -228,6 +230,76 @@ SparseMatrix random_sparse(int rows, int cols, util::Rng& rng) {
   return SparseMatrix::from_coo(rows, cols, std::move(entries));
 }
 
+/// A with exact +0 and −0, denormals of both signs and Gaussian entries,
+/// and whole columns of ±0 at every k in `zero_k` — the terms where B
+/// holds non-finite values (plant_where_zero).
+Matrix signed_zero_matrix(int rows, int cols, util::Rng& rng,
+                          const std::vector<int>& zero_k = {}) {
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  Matrix m(rows, cols);
+  for (int i = 0; i < rows; ++i)
+    for (int j = 0; j < cols; ++j) {
+      const float u = rng.next_float();
+      m(i, j) = u < 0.2f    ? 0.0f
+                : u < 0.4f  ? -0.0f
+                : u < 0.45f ? denorm
+                : u < 0.5f  ? -1e-40f
+                            : static_cast<float>(rng.next_gaussian());
+    }
+  for (const int k : zero_k)
+    for (int i = 0; i < rows; ++i)
+      m(i, k) = rng.next_float() < 0.5f ? 0.0f : -0.0f;
+  return m;
+}
+
+/// Row k of `b` becomes ±Inf and NaN for every k in `rows`.
+void plant_where_zero(Matrix& b, const std::vector<int>& rows) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float planted[] = {inf, -inf, nan};
+  for (const int k : rows)
+    for (int j = 0; j < b.cols(); ++j) b(k, j) = planted[(k + j) % 3];
+}
+
+/// Every third index below n, from 1.
+std::vector<int> every_third(int n) {
+  std::vector<int> out;
+  for (int k = 1; k < n; k += 3) out.push_back(k);
+  return out;
+}
+
+/// sdram_ctrl's row-normalized adjacency D^-1 (A + I) — asymmetric, so
+/// spmm and spmm_t differ — with every entry in a row or column of
+/// `poisoned` stored as an explicit ±0, and an input whose poisoned rows
+/// hold ±Inf and NaN. Each non-finite value meets only zero-valued
+/// entries, so the skip rule alone keeps both products finite.
+struct PoisonedAdjacency {
+  SparseMatrix adj;
+  std::vector<int> poisoned;
+};
+
+PoisonedAdjacency poisoned_row_normalized_adjacency() {
+  const auto graph =
+      graphir::build_graph(designs::build_design("sdram_ctrl").netlist);
+  const SparseMatrix rn = graphir::row_normalized_adjacency(graph);
+  std::vector<char> hit(static_cast<std::size_t>(rn.rows()), 0);
+  PoisonedAdjacency out;
+  for (int r = 7; r < rn.rows(); r += 11) {
+    hit[static_cast<std::size_t>(r)] = 1;
+    out.poisoned.push_back(r);
+  }
+  std::vector<float> values = rn.values();
+  for (int r = 0; r < rn.rows(); ++r)
+    for (int k = rn.row_ptr()[static_cast<std::size_t>(r)];
+         k < rn.row_ptr()[static_cast<std::size_t>(r) + 1]; ++k) {
+      const int c = rn.col_index()[static_cast<std::size_t>(k)];
+      if (hit[static_cast<std::size_t>(r)] || hit[static_cast<std::size_t>(c)])
+        values[static_cast<std::size_t>(k)] = k % 2 == 0 ? 0.0f : -0.0f;
+    }
+  out.adj = rn.with_values(std::move(values));
+  return out;
+}
+
 class KernelDeterminismTest : public ::testing::Test {
  protected:
   void SetUp() override { util::set_num_threads(4); }
@@ -312,22 +384,49 @@ TEST_F(KernelDeterminismTest, EdgeGradMatchesSerialBitwise) {
 TEST_F(KernelDeterminismTest, ThreadCountSweepIsBitwiseStable) {
   // The SAME kernel result must come out for 1, 2, 3 and 5 lanes, not just
   // match a reference at one setting — thread-count independence. The
-  // shapes are large enough that every kernel's row grain fans out.
+  // shapes are large enough that every kernel's row grain fans out, and
+  // they include the narrow outputs (B 1, 2 and 3 wide) and the
+  // asymmetric adjacency with zero entries facing Inf/NaN rows.
   util::Rng rng(7890);
   const int n = 301;
   const Matrix x = random_matrix(n, 64, rng, 0.5f);  // layer input
   const Matrix w = random_matrix(64, 32, rng);       // weight
   const Matrix g = random_matrix(n, 32, rng, 0.5f);  // output gradient
   const SparseMatrix adj = random_sparse(n, n, rng);
+  // Narrow B: matmul's A has ±0 columns and matmul_tn's A ±0 rows exactly
+  // where B holds ±Inf/NaN, so every product stays finite.
+  const std::vector<int> zero_k = every_third(64), zero_n = every_third(n);
+  const Matrix xz = signed_zero_matrix(n, 64, rng, zero_k);
+  const Matrix az = ml::transpose(signed_zero_matrix(64, n, rng, zero_n));
+  std::vector<Matrix> wz, gz, narrow_x;
+  for (const int width : {1, 2, 3}) {
+    wz.push_back(random_matrix(64, width, rng));
+    plant_where_zero(wz.back(), zero_k);
+    gz.push_back(random_matrix(n, width, rng, 0.3f));
+    plant_where_zero(gz.back(), zero_n);
+    narrow_x.push_back(random_matrix(n, width, rng, 0.3f));
+  }
+  const PoisonedAdjacency pa = poisoned_row_normalized_adjacency();
+  Matrix xp = random_matrix(pa.adj.rows(), 64, rng, 0.3f);
+  plant_where_zero(xp, pa.poisoned);
 
   struct Results {
     Matrix mm, tn, nt, sp, spt;
     std::vector<float> edge;
+    std::vector<Matrix> narrow;  // per width: matmul, matmul_tn, spmm, spmm_t
+    Matrix psp, pspt;            // on the poisoned adjacency
   };
   const auto run_all = [&] {
     Results r{ml::matmul(x, w),   ml::matmul_tn(x, g), ml::matmul_nt(g, w),
-              adj.spmm(g),        adj.spmm_t(g),       {}};
+              adj.spmm(g),        adj.spmm_t(g),       {},
+              {},                 pa.adj.spmm(xp),     pa.adj.spmm_t(xp)};
     adj.accumulate_edge_grad(g, g, r.edge);
+    for (std::size_t i = 0; i < wz.size(); ++i) {
+      r.narrow.push_back(ml::matmul(xz, wz[i]));
+      r.narrow.push_back(ml::matmul_tn(az, gz[i]));
+      r.narrow.push_back(adj.spmm(narrow_x[i]));
+      r.narrow.push_back(adj.spmm_t(narrow_x[i]));
+    }
     return r;
   };
 
@@ -342,6 +441,13 @@ TEST_F(KernelDeterminismTest, ThreadCountSweepIsBitwiseStable) {
     EXPECT_TRUE(bitwise_equal(r.sp, serial.sp)) << "spmm @" << threads;
     EXPECT_TRUE(bitwise_equal(r.spt, serial.spt)) << "spmm_t @" << threads;
     EXPECT_TRUE(bitwise_equal(r.edge, serial.edge)) << "edge @" << threads;
+    for (std::size_t i = 0; i < r.narrow.size(); ++i)
+      EXPECT_TRUE(bitwise_equal(r.narrow[i], serial.narrow[i]))
+          << "narrow case " << i << " @" << threads;
+    EXPECT_TRUE(bitwise_equal(r.psp, serial.psp)) << "poisoned spmm @"
+                                                  << threads;
+    EXPECT_TRUE(bitwise_equal(r.pspt, serial.pspt)) << "poisoned spmm_t @"
+                                                    << threads;
   }
 }
 
@@ -367,6 +473,50 @@ TEST_F(KernelDeterminismTest, GcnLayerShapesMatchSerialBitwise) {
       EXPECT_TRUE(bitwise_equal(ml::matmul_nt(g, w), ref_matmul_nt(g, w)))
           << "matmul_nt " << in << " -> " << out;
     }
+  }
+}
+
+// B narrower than a vector (1, 2 and 3 columns) takes its own path in
+// matmul and matmul_tn. A holds +0, −0 and denormals, and is ±0 at every
+// third k, exactly where B holds ±Inf and NaN: a product that is not
+// skipped would turn the (finite) reference result into NaN. Row and
+// column counts straddle the vector width and the row groups.
+TEST_F(KernelDeterminismTest, NarrowOutputsFollowTheSkipRuleBitwise) {
+  util::Rng rng(1357);
+  for (const int width : {1, 2, 3}) {
+    for (const int m : {0, 1, 3, 4, 5, 15, 16, 17, 33, 131}) {
+      for (const int k : {0, 1, 5, 16, 64, 65}) {
+        const std::vector<int> zero_k = every_third(k);
+        Matrix b = random_matrix(k, width, rng);
+        plant_where_zero(b, zero_k);
+        const Matrix a = signed_zero_matrix(m, k, rng, zero_k);
+        const Matrix at =
+            ml::transpose(signed_zero_matrix(m, k, rng, zero_k));
+        EXPECT_TRUE(bitwise_equal(ml::matmul(a, b), ref_matmul(a, b)))
+            << "matmul " << m << "x" << k << " * " << k << "x" << width;
+        EXPECT_TRUE(bitwise_equal(ml::matmul_tn(at, b), ref_matmul_tn(at, b)))
+            << "matmul_tn " << k << "x" << m << " ^T * " << k << "x" << width;
+      }
+    }
+  }
+}
+
+// spmm and spmm_t on an asymmetric adjacency whose explicit zero entries
+// face ±Inf/NaN rows of the input: each output row sums its nonzero
+// entries in stored order (spmm_t: ascending source row), exactly as the
+// reference loops do.
+TEST_F(KernelDeterminismTest, SpmmOnAsymmetricAdjacencyWithZeroEntries) {
+  const PoisonedAdjacency pa = poisoned_row_normalized_adjacency();
+  ASSERT_FALSE(pa.adj.is_symmetric());
+  ASSERT_FALSE(pa.poisoned.empty());
+  util::Rng rng(2468);
+  for (const int width : {1, 2, 3, 5, 16, 32, 33, 64}) {
+    Matrix x = random_matrix(pa.adj.rows(), width, rng, 0.3f);
+    plant_where_zero(x, pa.poisoned);
+    EXPECT_TRUE(bitwise_equal(pa.adj.spmm(x), ref_spmm(pa.adj, x)))
+        << "spmm width " << width;
+    EXPECT_TRUE(bitwise_equal(pa.adj.spmm_t(x), ref_spmm_t(pa.adj, x)))
+        << "spmm_t width " << width;
   }
 }
 
@@ -408,7 +558,7 @@ TEST_F(KernelDeterminismTest, NonFiniteTermsFollowTheReferenceSkipRule) {
       }
   };
   for (const int in : {5, 17, 64}) {
-    for (const int out : {2, 16, 33}) {
+    for (const int out : {1, 2, 3, 16, 33}) {
       const Matrix x = random_matrix(67, in, rng, 0.5f);
       Matrix w = random_matrix(in, out, rng, 0.5f);
       Matrix g = random_matrix(67, out, rng, 0.5f);

@@ -1510,6 +1510,12 @@ TEST(ServerTest, OverLimitNetlistGetsAnErrorReply) {
                        "of 67108864 bytes"),
             std::string::npos)
       << reply;
+  // The failed load counts as one request and one error, so the drained
+  // engine still reads requests == completed + errors.
+  const MetricsSnapshot m = engine.metrics();
+  EXPECT_EQ(m.requests, 1u);
+  EXPECT_EQ(m.errors, 1u);
+  EXPECT_EQ(m.completed, 0u);
   std::filesystem::remove(huge);
 }
 

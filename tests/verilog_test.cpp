@@ -599,6 +599,48 @@ TEST(VerilogParser, MalformedInputsMatchRecordedPins) {
   }
 }
 
+/// A 1,030-link alias chain c0 -> c1 -> ... -> c1030 (driven), read by one
+/// instance at its head c0 and one at c10, in the given order.
+std::string chain_with_two_readers(bool head_first) {
+  std::string text =
+      "module chain (input clk, input a, output y, output z);\n"
+      "  IV u1 (.Y(c1030), .A(a));\n";
+  const std::string head = "  IV uh (.Y(y), .A(c0));\n";
+  const std::string inner = "  IV ui (.Y(z), .A(c10));\n";
+  text += head_first ? head + inner : inner + head;
+  for (int k = 0; k < 1030; ++k)
+    text += "  assign c" + std::to_string(k) + " = c" +
+            std::to_string(k + 1) + ";\n";
+  return text + "endmodule\n";
+}
+
+// The head is 1,030 alias steps from its driver, past the 1,024-hop limit,
+// and stays undriven; c10 is 1,020 steps away and resolves. A chain is
+// walked once and memoised, so this must hold whichever reference is
+// resolved first.
+TEST(VerilogParser, AliasChainLimitHoldsPerReferenceInEitherOrder) {
+  for (const bool head_first : {true, false}) {
+    const VerilogParse parse =
+        parse_verilog_collect(chain_with_two_readers(head_first));
+    ASSERT_EQ(parse.issues.size(), 1u) << head_first;
+    EXPECT_EQ(parse.issues[0].rule, "undriven-fanin");
+    EXPECT_EQ(parse.issues[0].message, "net 'c0' has no driver");
+    const Netlist& nl = parse.netlist;
+    NodeId u1 = kNoNode, uh = kNoNode, ui = kNoNode;
+    for (NodeId id = 0; id < nl.num_nodes(); ++id) {
+      const std::string& name = nl.node(id).name;
+      if (name == "u1") u1 = id;
+      if (name == "uh") uh = id;
+      if (name == "ui") ui = id;
+    }
+    ASSERT_NE(u1, kNoNode);
+    ASSERT_NE(uh, kNoNode);
+    ASSERT_NE(ui, kNoNode);
+    EXPECT_EQ(nl.fanins(ui)[0], u1) << head_first;
+    EXPECT_EQ(nl.kind(nl.fanins(uh)[0]), CellKind::kConst0) << head_first;
+  }
+}
+
 // ---- the size limit ---------------------------------------------------------
 
 /// An endless stream of spaces: a reader must stop at the limit.
