@@ -632,7 +632,8 @@ struct DirectScore {
 
 /// In-process replay of the scoring pipeline straight from the bundle
 /// artifact — no engine, no cache, no worker pool — over the reference
-/// graph build, which graphir::build_graph must match byte for byte.
+/// graph build, which graphir::build_graph must match byte for byte. The
+/// models run the layer-by-layer Pass::kEval, not the engine's infer().
 DirectScore direct_score(const designs::Design& design,
                          const std::string& bundle_path) {
   const serve::ModelBundle bundle = serve::load_bundle_file(bundle_path);
@@ -648,12 +649,12 @@ DirectScore direct_score(const designs::Design& design,
   d.graph_divergence = diff_graphs(graphir::build_graph(nl), graph);
   ml::GcnModel classifier = ml::clone_gcn(*bundle.classifier);
   classifier.set_adjacency(&graph.normalized_adjacency);
-  const ml::Matrix out = classifier.forward(x, /*training=*/false);
+  const ml::Matrix& out = classifier.forward(x, ml::Pass::kEval);
   d.proba = ml::class1_probability(out);
   d.predicted = ml::predict_labels(out);
   ml::GcnModel regressor = ml::clone_gcn(*bundle.regressor);
   regressor.set_adjacency(&graph.normalized_adjacency);
-  const ml::Matrix pred = regressor.forward(x, /*training=*/false);
+  const ml::Matrix& pred = regressor.forward(x, ml::Pass::kEval);
   d.score.resize(static_cast<std::size_t>(pred.rows()));
   for (int i = 0; i < pred.rows(); ++i)
     d.score[static_cast<std::size_t>(i)] = static_cast<double>(pred(i, 0));

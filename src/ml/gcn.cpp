@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace fcrit::ml {
 
@@ -9,7 +10,7 @@ GcnModel::UseGuard::UseGuard(std::atomic<bool>& flag) : flag_(flag) {
   if (flag_.exchange(true, std::memory_order_acquire))
     throw std::logic_error(
         "GcnModel: concurrent forward/backward on one instance; "
-        "clone per thread (ml::clone_gcn)");
+        "share a model across threads through the const infer()");
 }
 
 GcnModel::UseGuard::~UseGuard() {
@@ -51,8 +52,22 @@ void GcnModel::set_edge_grad_buffer(std::vector<float>* buf) {
   for (GcnConv* conv : convs_) conv->set_edge_grad_buffer(buf);
 }
 
-// The public passes each hold the use guard for their whole duration and
-// run the unguarded helpers below.
+Matrix GcnModel::infer(const SparseMatrix& adj, const Matrix& x) const {
+  // Dropout is the identity outside training, so the layers reduce to the
+  // convs, a ReLU after each hidden one and the head's log-softmax. Each
+  // conv reads `in` and leaves its output in `out`; the buffers then swap.
+  Matrix z, in, out;
+  for (std::size_t k = 0; k < convs_.size(); ++k) {
+    convs_[k]->infer(adj, k == 0 ? x : in, z, out);
+    if (k + 1 < convs_.size()) relu_in_place(out);
+    std::swap(in, out);
+  }
+  if (config_.log_softmax) log_softmax_in_place(in);
+  return in;
+}
+
+// The public passes that write the model each hold the use guard for their
+// whole duration and run the unguarded helpers below.
 
 const Matrix& GcnModel::forward(const Matrix& x, Pass pass) {
   UseGuard guard(*in_use_);
@@ -61,12 +76,8 @@ const Matrix& GcnModel::forward(const Matrix& x, Pass pass) {
 }
 
 Matrix GcnModel::forward(const Matrix& x, bool training) {
-  UseGuard guard(*in_use_);
-  run_prefix(x, training ? Pass::kTrain : Pass::kInfer);
-  if (training) return run_suffix(Pass::kTrain);
-  Matrix out = std::move(run_suffix(Pass::kInfer));
-  drop_workspace();
-  return out;
+  return training ? forward(x, Pass::kTrain)
+                  : infer(convs_.front()->adjacency(), x);
 }
 
 void GcnModel::forward_prefix(const Matrix& x, Pass pass) {
@@ -92,7 +103,9 @@ void GcnModel::backward(Matrix& grad) {
 
 void GcnModel::release_workspace() {
   UseGuard guard(*in_use_);
-  drop_workspace();
+  for (const auto& layer : layers_) layer->release();
+  prefix_out_ = nullptr;
+  cached_ = Pass::kInfer;
 }
 
 void GcnModel::run_prefix(const Matrix& x, Pass pass) {
@@ -118,12 +131,6 @@ Matrix& GcnModel::run_suffix(Pass pass) {
     prefix_out_ = nullptr;  // the Dropout rewrote it
   cached_ = prefix_pass_ == Pass::kInfer ? Pass::kInfer : pass;
   return *h;
-}
-
-void GcnModel::drop_workspace() {
-  for (const auto& layer : layers_) layer->release();
-  prefix_out_ = nullptr;
-  cached_ = Pass::kInfer;
 }
 
 std::vector<Param> GcnModel::params() {

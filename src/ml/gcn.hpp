@@ -7,6 +7,8 @@
 //   GCNConv(64 -> 2), LogSoftmax.
 // The regressor variant (§3.4) removes the LogSoftmax and sets the output
 // dimensionality to 1, yielding continuous criticality scores.
+// A trained model scores through the const infer(), which threads may share;
+// the passes that write its workspace serve one caller at a time.
 #pragma once
 
 #include <atomic>
@@ -47,18 +49,21 @@ class GcnModel {
   /// buffer (summed across layers). GNNExplainer's edge-mask gradient.
   void set_edge_grad_buffer(std::vector<float>* buf);
 
+  /// The N x output_dim output (log-probabilities for the classifier) of
+  /// `x` over `adj`: forward(x, Pass::kInfer)'s math, kernel for kernel, in
+  /// buffers allocated per call. Writes no member, so threads may share it.
+  Matrix infer(const SparseMatrix& adj, const Matrix& x) const;
+
   /// Runs every layer in `pass` (see ml::Pass) over the model's workspace.
-  /// Returns the N x output_dim output (log-probabilities for the
-  /// classifier), which stays in the workspace until the next pass or
-  /// release_workspace(). kTrain and kEval keep caches for backward(),
-  /// including a pointer to `x`, which must stay unchanged until then.
-  /// NOT safe for concurrent callers on one instance: a second thread
-  /// entering while a pass is in flight gets std::logic_error instead of
-  /// silently corrupted activations — clone per thread via ml::clone_gcn.
+  /// Returns the N x output_dim output, which stays in the workspace until
+  /// the next pass or release_workspace(). kTrain and kEval keep caches for
+  /// backward(), including a pointer to `x`, which must stay unchanged
+  /// until then. NOT safe for concurrent callers on one instance: a second
+  /// thread entering while a pass is in flight gets std::logic_error
+  /// instead of silently corrupted activations — share a model via infer().
   const Matrix& forward(const Matrix& x, Pass pass);
 
-  /// With training == false, the inference pass: forward(x, Pass::kInfer)
-  /// returning its output and leaving no per-node state in the model. With
+  /// With training == false, infer() over the model's adjacency. With
   /// training == true, a copy of forward(x, Pass::kTrain).
   Matrix forward(const Matrix& x, bool training);
 
@@ -110,7 +115,6 @@ class GcnModel {
 
   void run_prefix(const Matrix& x, Pass pass);
   Matrix& run_suffix(Pass pass);
-  void drop_workspace();
 
   int in_features_;
   GcnConfig config_;

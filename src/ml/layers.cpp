@@ -20,30 +20,37 @@ GcnConv::GcnConv(int in_features, int out_features, util::Rng& rng,
       b_grad_(1, out_features),
       with_bias_(with_bias) {}
 
-Matrix& GcnConv::forward(const Matrix& x, Pass pass) {
-  if (!adj_)
-    throw std::runtime_error("GcnConv::forward: adjacency not set");
+const SparseMatrix& GcnConv::adjacency() const {
+  if (!adj_) throw std::runtime_error("GcnConv: adjacency not set");
+  return *adj_;
+}
+
+void GcnConv::infer(const SparseMatrix& adj, const Matrix& x, Matrix& z,
+                    Matrix& y) const {
   if (x.cols() != w_.rows())
-    throw std::runtime_error("GcnConv::forward: feature dim mismatch");
-  x_ = pass == Pass::kInfer ? nullptr : &x;
-  matmul(x, w_, z_);
+    throw std::runtime_error("GcnConv: feature dim mismatch");
+  matmul(x, w_, z);
   if (with_bias_) {
-    for (int i = 0; i < z_.rows(); ++i) {
-      auto zrow = z_.row(i);
-      for (int j = 0; j < z_.cols(); ++j) zrow[j] += b_(0, j);
+    for (int i = 0; i < z.rows(); ++i) {
+      auto zrow = z.row(i);
+      for (int j = 0; j < z.cols(); ++j) zrow[j] += b_(0, j);
     }
   }
-  adj_->spmm(z_, y_);
+  adj.spmm(z, y);
+}
+
+Matrix& GcnConv::forward(const Matrix& x, Pass pass) {
+  infer(adjacency(), x, z_, y_);
+  x_ = pass == Pass::kInfer ? nullptr : &x;
   return y_;
 }
 
 Matrix& GcnConv::backward(Matrix& grad, bool input_grad) {
-  if (!adj_)
-    throw std::runtime_error("GcnConv::backward: adjacency not set");
+  const SparseMatrix& adj = adjacency();
   if (!x_) throw std::logic_error("GcnConv::backward: no caching forward");
   // Y = Â Z  =>  dL/dZ = Âᵀ G; edge grads dL/dÂ[u,v] = <G.row(u), Z.row(v)>.
-  if (edge_grad_) adj_->accumulate_edge_grad(grad, z_, *edge_grad_);
-  adj_->spmm_t(grad, gz_);
+  if (edge_grad_) adj.accumulate_edge_grad(grad, z_, *edge_grad_);
+  adj.spmm_t(grad, gz_);
   // Z = X W + b.
   matmul_tn(*x_, gz_, dw_);
   w_grad_ += dw_;
@@ -123,7 +130,7 @@ namespace {
 /// cost no mispredicted branch. The outputs are x itself or +0, and 1 or
 /// +0, bit for bit the reference loop in tests/kernel_determinism_test.cpp.
 template <bool kMask>
-void relu_in_place(Matrix& x, Matrix& mask) {
+void relu_rows(Matrix& x, Matrix& mask) {
   const std::uint32_t one = std::bit_cast<std::uint32_t>(1.0f);
   util::parallel_for(0, x.rows(), detail::row_grain(x.cols()),
                      [&](std::int64_t r0, std::int64_t r1) {
@@ -143,13 +150,18 @@ void relu_in_place(Matrix& x, Matrix& mask) {
 
 }  // namespace
 
+void relu_in_place(Matrix& x) {
+  Matrix no_mask;
+  relu_rows<false>(x, no_mask);
+}
+
 Matrix& Relu::forward(Matrix& x, Pass pass) {
   if (pass == Pass::kInfer) {
     mask_.reset(0, 0);
-    relu_in_place<false>(x, mask_);
+    relu_in_place(x);
   } else {
     mask_.reset(x.rows(), x.cols());
-    relu_in_place<true>(x, mask_);
+    relu_rows<true>(x, mask_);
   }
   return x;
 }
@@ -204,7 +216,7 @@ std::string Dropout::describe() const {
 
 // ---- LogSoftmax -----------------------------------------------------------------
 
-Matrix& LogSoftmax::forward(Matrix& x, Pass pass) {
+void log_softmax_in_place(Matrix& x) {
   // Each row's reduction stays within one chunk, so the j-order (and hence
   // the FP result) matches the serial loop exactly.
   util::parallel_for(0, x.rows(), detail::row_grain(3 * x.cols()),
@@ -219,6 +231,10 @@ Matrix& LogSoftmax::forward(Matrix& x, Pass pass) {
       for (int j = 0; j < x.cols(); ++j) xrow[j] -= lse;
     }
   });
+}
+
+Matrix& LogSoftmax::forward(Matrix& x, Pass pass) {
+  log_softmax_in_place(x);
   logp_ = pass == Pass::kInfer ? nullptr : &x;
   return x;
 }

@@ -77,10 +77,18 @@ class GcnConv final : public Layer {
   /// The adjacency used by subsequent forward/backward calls. Must outlive
   /// them. Swappable between calls (full graph vs. explainer-masked graph).
   void set_adjacency(const SparseMatrix* adj) { adj_ = adj; }
+  /// That adjacency; throws std::runtime_error when none is set.
+  const SparseMatrix& adjacency() const;
 
   /// When non-null, backward() accumulates dL/dÂ[k] for every stored entry
   /// into this buffer (resized to nnz). Used by GNNExplainer.
   void set_edge_grad_buffer(std::vector<float>* buf) { edge_grad_ = buf; }
+
+  /// The inference step Y = Â (X W + b) into `y`, through `z` = X W + b
+  /// (neither may alias `x`), reusing their allocations. Writes no member,
+  /// so concurrent calls may share the layer; forward() runs it too.
+  void infer(const SparseMatrix& adj, const Matrix& x, Matrix& z,
+             Matrix& y) const;
 
   /// Y = Â (X W + b) into the layer's output buffer.
   Matrix& forward(const Matrix& x, Pass pass);
@@ -133,6 +141,11 @@ class Linear final : public Layer {
   Matrix dw_;  // backward: this call's dL/dW, added into w_grad_
   Matrix dx_;  // backward: dL/dX
 };
+
+/// The forward steps of Relu (an entry not > 0 becomes +0) and LogSoftmax
+/// (row-wise), in place.
+void relu_in_place(Matrix& x);
+void log_softmax_in_place(Matrix& x);
 
 class Relu final : public Layer {
  public:

@@ -50,9 +50,9 @@ void save_standardizer_file(const graphir::Standardizer& s,
                             const std::string& path);
 graphir::Standardizer load_standardizer_file(const std::string& path);
 
-/// Deep copy via a fresh model of the same architecture. Serving uses this
-/// to give each worker its own model: a pass runs over the model's own
-/// workspace, so sharing one instance across threads would race.
+/// Deep copy via a fresh model of the same architecture: a bundle's copy of
+/// a pipeline's models. Scoring needs none; workers share one model through
+/// the const GcnModel::infer().
 GcnModel clone_gcn(const GcnModel& model);
 
 /// Read one whitespace-delimited token and require it to equal `expected`;

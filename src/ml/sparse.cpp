@@ -1,8 +1,9 @@
 #include "src/ml/sparse.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
-#include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -75,7 +76,7 @@ SparseMatrix SparseMatrix::from_coo(int rows, int cols,
   }
   for (std::size_t r = 1; r < s.row_ptr_.size(); ++r)
     s.row_ptr_[r] += s.row_ptr_[r - 1];
-  s.build_transpose();
+  s.scan_values();
   return s;
 }
 
@@ -110,35 +111,28 @@ SparseMatrix SparseMatrix::from_csr(int rows, int cols,
   s.row_ptr_ = std::move(row_ptr);
   s.col_ = std::move(col_index);
   s.val_ = std::move(values);
-  s.build_transpose();
+  s.scan_values();
   return s;
 }
 
-void SparseMatrix::build_transpose() {
+void SparseMatrix::scan_values() {
   has_zero_ = std::find(val_.begin(), val_.end(), 0.0f) != val_.end();
-  // Count each column's entries, then place them walking the rows in
-  // order, so every column lists its entries in ascending source row.
-  t_ptr_.assign(static_cast<std::size_t>(cols_) + 1, 0);
-  for (const int c : col_) ++t_ptr_[static_cast<std::size_t>(c) + 1];
-  for (std::size_t c = 1; c < t_ptr_.size(); ++c) t_ptr_[c] += t_ptr_[c - 1];
-  t_row_.resize(col_.size());
-  t_val_.resize(col_.size());
-  std::vector<int> next(t_ptr_.begin(), t_ptr_.end() - 1);
-  for (int r = 0; r < rows_; ++r) {
-    for (int k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-      const auto slot = static_cast<std::size_t>(
-          next[static_cast<std::size_t>(col_[static_cast<std::size_t>(k)])]++);
-      t_row_[slot] = r;
-      t_val_[slot] = val_[static_cast<std::size_t>(k)];
+  // Walking the rows in order meets column c's entries (r, c) in ascending
+  // r, which is row c's stored order when S is symmetric: a cursor per row
+  // must find each mirror (c, r) next, equal and with the same bits (so a
+  // ±0 pair or a NaN fails). Each match advances one cursor within its
+  // row, so nnz matches consume every row.
+  symmetric_ = rows_ == cols_;
+  std::vector<int> next(row_ptr_.begin(),
+                        row_ptr_.begin() + (symmetric_ ? rows_ : 0));
+  for (int r = 0; r < rows_ && symmetric_; ++r) {
+    for (int k = row_ptr_[r]; k < row_ptr_[r + 1] && symmetric_; ++k) {
+      const int c = col_[k], m = next[c]++;
+      symmetric_ = m < row_ptr_[c + 1] && col_[m] == r && val_[m] == val_[k] &&
+                   std::bit_cast<std::uint32_t>(val_[m]) ==
+                       std::bit_cast<std::uint32_t>(val_[k]);
     }
   }
-}
-
-int SparseMatrix::entry_row(std::size_t k) const {
-  assert(k < col_.size());
-  const auto it = std::upper_bound(row_ptr_.begin(), row_ptr_.end(),
-                                   static_cast<int>(k));
-  return static_cast<int>(it - row_ptr_.begin()) - 1;
 }
 
 void SparseMatrix::spmm(const Matrix& x, Matrix& y) const {
@@ -154,10 +148,29 @@ void SparseMatrix::spmm_t(const Matrix& x, Matrix& y) const {
   static obs::Histogram& hist =
       obs::registry().histogram("ml.kernel.spmm_t_ms");
   detail::KernelScope scope("spmm_t", hist);
-  // Output row c of Sᵀ · X gathers column c of S from the stored
-  // transpose, in ascending source row: the order a scatter over the rows
-  // of S would add the same terms in.
-  gather(cols_, t_ptr_.data(), t_row_.data(), t_val_.data(), nnz(), has_zero_,
+  // Output row c of Sᵀ · X gathers column c of S in ascending source row:
+  // the order a scatter over the rows of S would add the same terms in. A
+  // symmetric S stores exactly that list as its row c.
+  if (symmetric_) {
+    gather(rows_, row_ptr_.data(), col_.data(), val_.data(), nnz(), has_zero_,
+           x, y);
+    return;
+  }
+  // Any other S is transposed here by a counting pass over its rows in
+  // order, which lists every column's entries in ascending source row.
+  std::vector<int> t_ptr(static_cast<std::size_t>(cols_) + 1, 0);
+  for (const int c : col_) ++t_ptr[c + 1];
+  for (int c = 0; c < cols_; ++c) t_ptr[c + 1] += t_ptr[c];
+  std::vector<int> next(t_ptr.begin(), t_ptr.end() - 1), t_row(nnz());
+  std::vector<float> t_val(nnz());
+  for (int r = 0; r < rows_; ++r) {
+    for (int k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
+      const int slot = next[col_[k]]++;
+      t_row[slot] = r;
+      t_val[slot] = val_[k];
+    }
+  }
+  gather(cols_, t_ptr.data(), t_row.data(), t_val.data(), nnz(), has_zero_,
          x, y);
 }
 
@@ -190,30 +203,8 @@ SparseMatrix SparseMatrix::with_values(std::vector<float> values) const {
     throw std::runtime_error("SparseMatrix::with_values: size mismatch");
   SparseMatrix s = *this;
   s.val_ = std::move(values);
-  s.build_transpose();
+  s.scan_values();
   return s;
-}
-
-bool SparseMatrix::is_symmetric(float tol) const {
-  if (rows_ != cols_) return false;
-  for (int r = 0; r < rows_; ++r) {
-    for (int k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-      const int c = col_[static_cast<std::size_t>(k)];
-      const float v = val_[static_cast<std::size_t>(k)];
-      // Find (c, r).
-      bool found = false;
-      for (int k2 = row_ptr_[c]; k2 < row_ptr_[c + 1]; ++k2) {
-        if (col_[static_cast<std::size_t>(k2)] == r) {
-          if (std::fabs(val_[static_cast<std::size_t>(k2)] - v) > tol)
-            return false;
-          found = true;
-          break;
-        }
-      }
-      if (!found && std::fabs(v) > tol) return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace fcrit::ml

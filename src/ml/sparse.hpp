@@ -8,15 +8,16 @@
 // Entry order is stable (sorted by row, then column), so per-edge masks
 // and gradients can be carried in plain vectors aligned with values().
 // Values are fixed at construction; with_values() builds a new matrix.
-// Each matrix also stores its transpose, built once at construction by a
-// counting pass (about 8 bytes per stored entry), with every column's
-// entries in ascending source row. spmm and spmm_t are then one gather:
-// each output row sums its stored entries' rows of X in stored order
-// through the register-blocked row kernel (src/ml/row_kernel.hpp),
-// skipping zero-valued entries. All three kernels shard their OUTPUT rows
-// across the shared thread pool (src/util/parallel.hpp), each row summed
-// by one owner in one fixed order, so results are bitwise-identical to the
-// serial path for any thread count.
+// Construction also flags whether S equals Sᵀ exactly, in one O(nnz) pass.
+// spmm and spmm_t are one gather: each output row sums its stored entries'
+// rows of X in stored order through the register-blocked row kernel
+// (src/ml/row_kernel.hpp), skipping zero-valued entries. spmm_t gathers a
+// symmetric S over its own rows, since row c lists column c's entries in
+// ascending source row with the same bits; any other S is transposed
+// inside the call by a counting pass. All three kernels shard their OUTPUT
+// rows across the shared thread pool (src/util/parallel.hpp), each row
+// summed by one owner in one fixed order, so results are bitwise-identical
+// to the serial path for any thread count.
 #pragma once
 
 #include <cstdint>
@@ -55,9 +56,6 @@ class SparseMatrix {
   const std::vector<int>& col_index() const { return col_; }
   const std::vector<float>& values() const { return val_; }
 
-  /// Row index of stored entry k (O(log rows)).
-  int entry_row(std::size_t k) const;
-
   /// Y = S · X. The two-argument forms write into `y`, which must not
   /// alias `x`, reusing its allocation (Matrix::reset); the
   /// value-returning forms wrap them.
@@ -84,23 +82,22 @@ class SparseMatrix {
   /// Copy with values replaced (same sparsity pattern).
   SparseMatrix with_values(std::vector<float> values) const;
 
-  bool is_symmetric(float tol = 1e-6f) const;
+  /// True when S equals Sᵀ exactly: S is square, every stored (r, c) has a
+  /// stored (c, r), and the two values compare equal with the same bits, so
+  /// a ±0 pair or any NaN makes S asymmetric.
+  bool is_symmetric() const { return symmetric_; }
 
  private:
-  /// Rebuilds the stored transpose and has_zero_ from the CSR arrays.
-  void build_transpose();
+  /// Sets has_zero_ and symmetric_ from the CSR arrays.
+  void scan_values();
 
   int rows_ = 0;
   int cols_ = 0;
   std::vector<int> row_ptr_;
   std::vector<int> col_;
   std::vector<float> val_;
-  // The transpose in CSR: column c's entries are t_row_/t_val_ over
-  // [t_ptr_[c], t_ptr_[c + 1]), in ascending source row.
-  std::vector<int> t_ptr_;
-  std::vector<int> t_row_;
-  std::vector<float> t_val_;
-  bool has_zero_ = false;  // some stored value is ±0
+  bool has_zero_ = false;   // some stored value is ±0
+  bool symmetric_ = false;  // see is_symmetric()
 };
 
 }  // namespace fcrit::ml

@@ -72,12 +72,13 @@ struct BundleManifest {
   double criticality_threshold = 0.5;
 };
 
+/// Const models: every scoring worker shares them via GcnModel::infer().
 struct ModelBundle {
   BundleManifest manifest;
   sim::StimulusSpec stimulus;
   graphir::Standardizer standardizer;
-  std::unique_ptr<ml::GcnModel> classifier;
-  std::unique_ptr<ml::GcnModel> regressor;  // null when not trained
+  std::unique_ptr<const ml::GcnModel> classifier;
+  std::unique_ptr<const ml::GcnModel> regressor;  // null when not trained
 };
 
 inline constexpr std::uint64_t kFnv1a64Basis = 1469598103934665603ULL;

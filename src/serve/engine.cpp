@@ -8,7 +8,6 @@
 #include "src/fault/fault.hpp"
 #include "src/graphir/graph.hpp"
 #include "src/lint/lint.hpp"
-#include "src/ml/serialize.hpp"
 #include "src/obs/json.hpp"
 #include "src/netlist/bench_format.hpp"
 #include "src/netlist/verilog_parser.hpp"
@@ -27,46 +26,6 @@ std::string read_file_bytes(const std::string& path) {
   buffer << is.rdbuf();
   return std::move(buffer).str();
 }
-
-// Per-thread cache of model clones, keyed by bundle identity. The pin
-// keeps the bundle alive while its clones are cached, which also
-// guarantees the key pointer is never recycled for a different bundle.
-// Capacity is tiny (a worker rarely alternates between more than a few
-// bundles); eviction is LRU by position.
-struct ThreadClones {
-  struct Entry {
-    std::shared_ptr<const ModelBundle> pin;
-    std::unique_ptr<ml::GcnModel> classifier;
-    std::unique_ptr<ml::GcnModel> regressor;  // null when the bundle has none
-  };
-  static constexpr std::size_t kCapacity = 4;
-  std::vector<Entry> entries;  // front = most recently used
-
-  Entry& get(const std::shared_ptr<const ModelBundle>& bundle,
-             obs::Counter& hits, obs::Counter& misses) {
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-      if (entries[i].pin.get() == bundle.get()) {
-        if (i != 0) std::rotate(entries.begin(), entries.begin() + i,
-                                entries.begin() + i + 1);
-        hits.add();
-        return entries.front();
-      }
-    }
-    misses.add();
-    Entry e;
-    e.pin = bundle;
-    e.classifier =
-        std::make_unique<ml::GcnModel>(ml::clone_gcn(*bundle->classifier));
-    if (bundle->regressor)
-      e.regressor =
-          std::make_unique<ml::GcnModel>(ml::clone_gcn(*bundle->regressor));
-    entries.insert(entries.begin(), std::move(e));
-    if (entries.size() > kCapacity) entries.pop_back();
-    return entries.front();
-  }
-};
-
-thread_local ThreadClones t_clones;
 
 }  // namespace
 
@@ -154,8 +113,6 @@ ScoringEngine::ScoringEngine(EngineConfig config)
       requests_(&registry_.counter("serve.requests")),
       completed_(&registry_.counter("serve.completed")),
       errors_(&registry_.counter("serve.errors")),
-      clone_hits_(&registry_.counter("serve.model_clone_hits")),
-      clone_misses_(&registry_.counter("serve.model_clone_misses")),
       submit_timeouts_(&registry_.counter("serve.submit_timeouts")),
       queue_depth_(&registry_.gauge("serve.queue_depth")),
       request_ms_(&registry_.histogram("serve.request_ms")),
@@ -245,20 +202,15 @@ ScoreResult ScoringEngine::score(const std::string& bundle_path,
     r.trace_id = opts.trace_id;
 
     util::Timer forward_timer;
-    // This thread's private clones of the bundle's models: no other thread
-    // can touch them, so the forward pass is race-free by construction.
-    ThreadClones::Entry& models =
-        t_clones.get(bundle, *clone_hits_, *clone_misses_);
-    models.classifier->set_adjacency(&graph.normalized_adjacency);
+    // Every worker shares the bundle's models: inference writes nothing.
     const ml::Matrix out =
-        models.classifier->forward(features, /*training=*/false);
+        bundle->classifier->infer(graph.normalized_adjacency, features);
     r.proba = ml::class1_probability(out);
     r.predicted = ml::predict_labels(out);
-    if (models.regressor) {
+    if (bundle->regressor) {
       r.has_regressor = true;
-      models.regressor->set_adjacency(&graph.normalized_adjacency);
       const ml::Matrix pred =
-          models.regressor->forward(features, /*training=*/false);
+          bundle->regressor->infer(graph.normalized_adjacency, features);
       r.score.resize(static_cast<std::size_t>(pred.rows()));
       for (int i = 0; i < pred.rows(); ++i)
         r.score[static_cast<std::size_t>(i)] =
@@ -422,8 +374,6 @@ std::string ScoringEngine::metrics_json() const {
   out += ",\"errors\":" + std::to_string(s.errors);
   out += ",\"cache_hits\":" + std::to_string(s.cache_hits);
   out += ",\"cache_misses\":" + std::to_string(s.cache_misses);
-  out += ",\"model_clone_hits\":" + std::to_string(clone_hits_->value());
-  out += ",\"model_clone_misses\":" + std::to_string(clone_misses_->value());
   out += ",\"submit_timeouts\":" + std::to_string(s.submit_timeouts);
   out += ",\"cache_hit_ratio\":" + obs::json_number(s.cache_hit_ratio());
   out += ",\"request_ms\":" + obs::histogram_json(s.request_ms);

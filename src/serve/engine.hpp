@@ -15,17 +15,9 @@
 // counters, a queue-depth gauge with high-water mark) back both metrics()
 // and the metrics_json() snapshot the daemon's METRICS command returns; a
 // per-engine registry keeps concurrent engines from mixing counts.
-// Every forward pass runs on a per-WORKER clone of the bundle's models. A
-// GcnModel runs three passes over a workspace of its own: training
-// (dropout on, caches kept), grad-capable evaluation (dropout off, caches
-// kept; the explainer's) and inference (dropout off, no caches). Scoring
-// runs only the inference pass, which leaves no per-node state behind, so
-// an idle clone holds just its weights — but a pass in flight writes the
-// workspace, so instances must not be shared across threads. Each thread
-// keeps a small thread_local cache of clones
-// keyed by bundle identity (pinned by shared_ptr so a cache entry can
-// never alias a recycled address), making the steady-state forward path
-// clone-free; serve.model_clone_hits/misses count its effectiveness.
+// Every worker scores on the cached bundle's own models, shared: scoring
+// calls only the const GcnModel::infer(), whose buffers are per call, so
+// concurrent requests against one bundle need no copy of its weights.
 #pragma once
 
 #include <chrono>
@@ -111,7 +103,7 @@ struct ScoreResult {
   std::vector<double> score;            // regressor (proba when absent)
 
   double stats_seconds = 0.0;    // golden simulation + feature extraction
-  double forward_seconds = 0.0;  // model clone + forward passes
+  double forward_seconds = 0.0;  // classifier + regressor inference
   std::uint64_t trace_id = 0;    // echo of ScoreOptions::trace_id
 };
 
@@ -271,8 +263,6 @@ class ScoringEngine {
   obs::Counter* requests_;
   obs::Counter* completed_;
   obs::Counter* errors_;
-  obs::Counter* clone_hits_;
-  obs::Counter* clone_misses_;
   obs::Counter* submit_timeouts_;
   obs::Gauge* queue_depth_;
   obs::Histogram* request_ms_;

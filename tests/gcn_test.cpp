@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/ml/trainer.hpp"
@@ -216,6 +217,36 @@ TEST(GcnModel, PrefixSuffixScheduleMatchesPlainForwardBitwise) {
   }
 }
 
+TEST(GcnModel, InferMatchesCachingPassesBitwise) {
+  // infer() is the inference math of the layer-by-layer passes: the
+  // grad-capable evaluation pass and the trainer's prefix + inference
+  // suffix schedule give the same bits, with the Dropout anywhere or
+  // nowhere, for the classifier and the regressor.
+  const int n = 40;
+  const auto adj = chain_adjacency(n);
+  util::Rng rng(22);
+  const Matrix x = Matrix::randn(n, 5, rng, 1.0f);
+  for (const bool regressor : {false, true}) {
+    for (const int dropout_after : {-1, 0, 1, 2}) {
+      GcnConfig cfg =
+          regressor ? GcnConfig::regressor() : GcnConfig::classifier();
+      cfg.dropout_after = dropout_after;
+      GcnModel model(5, cfg);
+      model.set_adjacency(&adj);
+      const Matrix inferred = std::as_const(model).infer(adj, x);
+      ASSERT_EQ(inferred.rows(), n);
+      ASSERT_EQ(inferred.cols(), cfg.output_dim);
+      EXPECT_TRUE(same_bits(model.forward(x, Pass::kEval), inferred))
+          << regressor << " " << dropout_after;
+      model.forward_prefix(x, Pass::kTrain);
+      EXPECT_TRUE(same_bits(model.forward_suffix(Pass::kInfer), inferred))
+          << regressor << " " << dropout_after;
+      EXPECT_TRUE(same_bits(model.forward(x, false), inferred))
+          << regressor << " " << dropout_after;
+    }
+  }
+}
+
 TEST(GcnModel, EvalPassBackwardYieldsInputGradient) {
   // dL/dX from the grad-capable evaluation pass against central
   // differences of the inference pass, L = sum of output * weight.
@@ -250,11 +281,42 @@ TEST(GcnModel, EvalPassBackwardYieldsInputGradient) {
     }
 }
 
+TEST(GcnModel, ConcurrentInferOnOneModelIsBitwiseStable) {
+  // One const model shared by several threads, as scoring workers share a
+  // bundle's: infer() writes nothing, so every call succeeds and returns
+  // the serial result bit for bit.
+  const int n = 300;
+  const auto adj = chain_adjacency(n);
+  const GcnModel model(4, GcnConfig::classifier());
+  util::Rng rng(5);
+  const Matrix x = Matrix::randn(n, 4, rng, 1.0f);
+  const Matrix serial = model.infer(adj, x);
+
+  std::atomic<int> mismatches{0}, failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      for (int k = 0; k < 25; ++k) {
+        try {
+          if (!same_bits(model.infer(adj, x), serial)) mismatches.fetch_add(1);
+        } catch (...) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(failures.load(), 0);
+}
+
 TEST(GcnModel, ConcurrentForwardOnOneInstanceIsDetected) {
-  // One shared instance hammered from several threads: every call must
-  // either return a well-formed result or throw std::logic_error (the
-  // concurrent-use guard) — never race silently. At least one call must
-  // succeed, and anything else is a test failure.
+  // One shared instance hammered from several threads with a pass that
+  // writes its workspace: every call must either finish or throw
+  // std::logic_error (the concurrent-use guard) — never race silently. At
+  // least one call must succeed, and anything else is a test failure. A
+  // caller reads nothing the pass left in the workspace: once the pass
+  // returns, another thread's pass may rewrite it.
   const int n = 64;
   const auto adj = chain_adjacency(n);
   GcnModel model(4, GcnConfig::classifier());
@@ -268,11 +330,8 @@ TEST(GcnModel, ConcurrentForwardOnOneInstanceIsDetected) {
     threads.emplace_back([&] {
       for (int k = 0; k < 25; ++k) {
         try {
-          const Matrix y = model.forward(x, false);
-          if (y.rows() == n && y.cols() == 2)
-            ok.fetch_add(1);
-          else
-            other.fetch_add(1);
+          model.forward(x, Pass::kEval);
+          ok.fetch_add(1);
         } catch (const std::logic_error&) {
           guarded.fetch_add(1);
         } catch (...) {

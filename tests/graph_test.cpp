@@ -6,6 +6,7 @@
 #include <set>
 
 #include "src/designs/designs.hpp"
+#include "src/designs/random_circuit.hpp"
 
 namespace fcrit::graphir {
 namespace {
@@ -44,6 +45,29 @@ TEST(Graph, ParallelConnectionsCollapse) {
 TEST(Graph, NormalizedAdjacencyIsSymmetric) {
   const auto g = build_graph(diamond());
   EXPECT_TRUE(g.normalized_adjacency.is_symmetric());
+}
+
+// The symmetry flag is exact (same sparsity, same value bits both ways),
+// and it holds for every Â the product builds, so training's spmm_t
+// gathers over Â's own rows. The row-normalized ablation is asymmetric.
+TEST(Graph, EveryBuiltAdjacencyIsExactlySymmetric) {
+  std::vector<netlist::Netlist> netlists;
+  for (const std::string& name : designs::all_design_names())
+    netlists.push_back(designs::build_design(name).netlist);
+  designs::RandomCircuitConfig rc;
+  rc.num_gates = 1500;
+  rc.num_flops = 64;
+  rc.seed = 11;
+  netlists.push_back(designs::build_random_circuit(rc).netlist);
+  for (const netlist::Netlist& nl : netlists) {
+    const auto g = build_graph(nl);
+    EXPECT_TRUE(g.normalized_adjacency.is_symmetric()) << g.num_nodes;
+    std::vector<float> weights(g.edges.size());
+    for (std::size_t e = 0; e < weights.size(); ++e)
+      weights[e] = 0.25f + 0.5f * static_cast<float>(e % 3);
+    EXPECT_TRUE(masked_adjacency(g, weights).is_symmetric()) << g.num_nodes;
+    EXPECT_FALSE(row_normalized_adjacency(g).is_symmetric()) << g.num_nodes;
+  }
 }
 
 TEST(Graph, SelfLoopsPresentWithCorrectWeight) {

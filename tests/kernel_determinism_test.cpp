@@ -520,6 +520,75 @@ TEST_F(KernelDeterminismTest, SpmmOnAsymmetricAdjacencyWithZeroEntries) {
   }
 }
 
+// spmm_t on a symmetric adjacency gathers over the matrix's own rows,
+// which must give the reference's scatter bit for bit: on sdram_ctrl's Â,
+// and on a copy whose rows and columns in `poisoned` hold +0 on both sides
+// of the diagonal (still symmetric), facing ±Inf/NaN rows of the input.
+TEST_F(KernelDeterminismTest, SpmmTOnSymmetricAdjacencyMatchesSerialBitwise) {
+  const auto graph =
+      graphir::build_graph(designs::build_design("sdram_ctrl").netlist);
+  const SparseMatrix& adj = graph.normalized_adjacency;
+  ASSERT_TRUE(adj.is_symmetric());
+  std::vector<char> hit(static_cast<std::size_t>(adj.rows()), 0);
+  std::vector<int> poisoned;
+  for (int r = 5; r < adj.rows(); r += 13) {
+    hit[static_cast<std::size_t>(r)] = 1;
+    poisoned.push_back(r);
+  }
+  std::vector<float> values = adj.values();
+  for (int r = 0; r < adj.rows(); ++r)
+    for (int k = adj.row_ptr()[static_cast<std::size_t>(r)];
+         k < adj.row_ptr()[static_cast<std::size_t>(r) + 1]; ++k) {
+      const int c = adj.col_index()[static_cast<std::size_t>(k)];
+      if (hit[static_cast<std::size_t>(r)] || hit[static_cast<std::size_t>(c)])
+        values[static_cast<std::size_t>(k)] = 0.0f;
+    }
+  const SparseMatrix zeroed = adj.with_values(std::move(values));
+  ASSERT_TRUE(zeroed.is_symmetric());
+  util::Rng rng(1357);
+  for (const int width : {1, 2, 3, 5, 16, 32, 33, 64}) {
+    Matrix x = random_matrix(adj.rows(), width, rng, 0.3f);
+    EXPECT_TRUE(bitwise_equal(adj.spmm_t(x), ref_spmm_t(adj, x)))
+        << "width " << width;
+    plant_where_zero(x, poisoned);
+    EXPECT_TRUE(bitwise_equal(zeroed.spmm_t(x), ref_spmm_t(zeroed, x)))
+        << "zeroed width " << width;
+  }
+}
+
+// The symmetry flag is exact: one mirrored pair of Â stored as +0 and -0,
+// or as NaN on both sides, makes the matrix asymmetric, and spmm_t then
+// transposes it inside the call. Its result stays the reference's.
+TEST_F(KernelDeterminismTest, SignedZeroAndNanPairsAreAsymmetric) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const auto graph =
+      graphir::build_graph(designs::build_design("or1200_icfsm").netlist);
+  const SparseMatrix& adj = graph.normalized_adjacency;
+  ASSERT_TRUE(adj.is_symmetric());
+  // Row 0's last entry (0, c), off the diagonal, and its mirror (c, 0).
+  const auto k = static_cast<std::size_t>(adj.row_ptr()[1] - 1);
+  const int c = adj.col_index()[k];
+  ASSERT_GT(c, 0);
+  auto mirror =
+      static_cast<std::size_t>(adj.row_ptr()[static_cast<std::size_t>(c)]);
+  while (adj.col_index()[mirror] != 0) ++mirror;
+
+  const std::pair<float, float> pairs[] = {{0.0f, -0.0f}, {nan, nan}};
+  util::Rng rng(8642);
+  for (const auto& [a, b] : pairs) {
+    std::vector<float> values = adj.values();
+    values[k] = a;
+    values[mirror] = b;
+    const SparseMatrix s = adj.with_values(std::move(values));
+    EXPECT_FALSE(s.is_symmetric()) << a << " / " << b;
+    for (const int width : {1, 2, 5, 16, 64}) {
+      const Matrix x = random_matrix(s.rows(), width, rng, 0.3f);
+      EXPECT_TRUE(bitwise_equal(s.spmm_t(x), ref_spmm_t(s, x)))
+          << a << " / " << b << " width " << width;
+    }
+  }
+}
+
 TEST_F(KernelDeterminismTest, NonFiniteTermsFollowTheReferenceSkipRule) {
   const float inf = std::numeric_limits<float>::infinity();
   const float nan = std::numeric_limits<float>::quiet_NaN();

@@ -351,7 +351,9 @@ TEST(TelemetryExporterTest, ManualModeWritesValidSnapshotLines) {
       EXPECT_NE(lines[i].find(key), std::string::npos) << key;
     const std::size_t at = lines[i].find("\"seq\":") + 6;
     const std::uint64_t seq = std::stoull(lines[i].substr(at));
-    if (i > 0) EXPECT_GT(seq, prev_seq);
+    if (i > 0) {
+      EXPECT_GT(seq, prev_seq);
+    }
     prev_seq = seq;
   }
   EXPECT_NE(lines[1].find("\"ticks\":42"), std::string::npos) << lines[1];

@@ -666,9 +666,10 @@ TEST(ScoringEngineTest, ConcurrentCacheThrashIsDeterministic) {
 
 TEST(ScoringEngineTest, HammerOneBundleFromManyThreads) {
   // Regression for the shared-model hazard: every worker scores the SAME
-  // bundle concurrently. Workers run on thread-local clones, so under the
-  // sanitizer matrix (ASan/TSan CI) this must be race-free, and every
-  // result must equal the single-threaded reference exactly.
+  // bundle concurrently, all eight on the bundle's one pair of models
+  // through the const infer(), so under the sanitizer matrix (ASan/TSan
+  // CI) this must be race-free, and every result must equal the
+  // single-threaded reference exactly.
   const std::string dir = ::testing::TempDir();
   const auto d = tiny_design(151);
   const std::string path = dir + "fcrit_hammer.fcm";
@@ -707,19 +708,6 @@ TEST(ScoringEngineTest, HammerOneBundleFromManyThreads) {
   const MetricsSnapshot m = engine.metrics();
   EXPECT_EQ(m.completed, static_cast<std::uint64_t>(kClients * kPerClient));
   EXPECT_EQ(m.errors, 0u);
-  // Per-thread clone caches: each scoring thread clones the bundle's
-  // models at most once, every later request is a clone-cache hit.
-  const auto& reg = engine.metrics_registry();
-  const std::uint64_t clone_misses =
-      const_cast<obs::Registry&>(reg).counter("serve.model_clone_misses")
-          .value();
-  const std::uint64_t clone_hits =
-      const_cast<obs::Registry&>(reg).counter("serve.model_clone_hits")
-          .value();
-  EXPECT_EQ(clone_hits + clone_misses,
-            static_cast<std::uint64_t>(kClients * kPerClient));
-  EXPECT_LE(clone_misses, static_cast<std::uint64_t>(kClients));
-  EXPECT_GT(clone_hits, 0u);
 }
 
 TEST(ScoringEngineTest, ZeroCacheCapacityIsClampedToOne) {

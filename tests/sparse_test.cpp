@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 namespace fcrit::ml {
 namespace {
 
@@ -99,15 +101,6 @@ TEST(Sparse, SpmmTMatchesDenseTranspose) {
     for (int j = 0; j < 4; ++j) EXPECT_NEAR(got(i, j), expect(i, j), 1e-5f);
 }
 
-TEST(Sparse, EntryRow) {
-  const auto s = sample();
-  EXPECT_EQ(s.entry_row(0), 0);
-  EXPECT_EQ(s.entry_row(1), 0);
-  EXPECT_EQ(s.entry_row(2), 1);
-  EXPECT_EQ(s.entry_row(3), 2);
-  EXPECT_EQ(s.entry_row(4), 2);
-}
-
 TEST(Sparse, EdgeGradMatchesFiniteDifference) {
   // L = sum(Y) where Y = S X; dL/dS[r,c] = sum_j X[c,j].
   const auto s = sample();
@@ -153,6 +146,30 @@ TEST(Sparse, IsSymmetric) {
   EXPECT_FALSE(asym.is_symmetric());
   const auto diff = SparseMatrix::from_coo(2, 2, {{0, 1, 3}, {1, 0, 4}});
   EXPECT_FALSE(diff.is_symmetric());
+  // Exact, not within a tolerance: an explicit zero without its mirror, a
+  // one-ulp difference, and a non-square matrix are all asymmetric.
+  EXPECT_FALSE(SparseMatrix::from_coo(2, 2, {{0, 1, 0}}).is_symmetric());
+  EXPECT_FALSE(SparseMatrix::from_coo(
+                   2, 2, {{0, 1, 1.0f}, {1, 0, std::nextafter(1.0f, 2.0f)}})
+                   .is_symmetric());
+  EXPECT_FALSE(SparseMatrix::from_coo(2, 3, {{0, 0, 1}}).is_symmetric());
+  EXPECT_TRUE(SparseMatrix::from_coo(3, 3, {}).is_symmetric());
+  EXPECT_TRUE(SparseMatrix::from_csr(2, 2, {0, 2, 4}, {0, 1, 0, 1},
+                                     {1, 2, 2, 1})
+                  .is_symmetric());
+}
+
+TEST(Sparse, WithValuesRecomputesSymmetry) {
+  const auto sym = SparseMatrix::from_coo(
+      3, 3, {{0, 1, 3}, {1, 0, 3}, {1, 2, 5}, {2, 1, 5}, {2, 2, 1}});
+  ASSERT_TRUE(sym.is_symmetric());
+  // Values in stored order: (0,1) (1,0) (1,2) (2,1) (2,2).
+  EXPECT_FALSE(sym.with_values({3, 3, 5, 6, 1}).is_symmetric());
+  EXPECT_TRUE(sym.with_values({4, 4, 7, 7, -2}).is_symmetric());
+  const auto asym = sample();
+  ASSERT_FALSE(asym.is_symmetric());
+  EXPECT_FALSE(asym.with_values(std::vector<float>(asym.nnz(), 1.0f))
+                   .is_symmetric());
 }
 
 TEST(Sparse, EmptyMatrixBehaves) {

@@ -233,10 +233,11 @@ TEST(TrainingPin, BackwardAfterInferencePassThrows) {
                  grad);
   model.backward(grad);  // fine: the training pass kept its caches
 
-  // The inference pass keeps no caches, so backward must refuse rather
-  // than read the training pass's stale ones.
-  const Matrix out = model.forward(g.x, /*training=*/false);
-  ml::masked_nll(out, g.labels, g.train, grad);
+  // The workspace's inference pass keeps no caches, so backward must
+  // refuse rather than read the training pass's stale ones. (The const
+  // infer() writes no workspace, so it leaves the last pass's caches.)
+  ml::masked_nll(model.forward(g.x, ml::Pass::kInfer), g.labels, g.train,
+                 grad);
   EXPECT_THROW(model.backward(grad), std::logic_error);
 
   // So must a released workspace.
