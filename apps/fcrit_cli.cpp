@@ -754,19 +754,23 @@ int cmd_check(const std::map<std::string, std::string>& flags) {
   cfg.scratch_dir =
       (std::filesystem::temp_directory_path() / "fcrit_check").string();
 
-  // Self-test: three phases, each planting one deliberate defect that the
+  // Self-test: four phases, each planting one deliberate defect that the
   // run must CATCH — a wrong-XOR scalar reference (packed-vs-scalar
-  // oracle), a corrupted frontier-campaign verdict (campaign oracle) and a
-  // reference reader reporting an issue one line off (parse oracle).
+  // oracle), a corrupted naive-sweep verdict (fault oracle), a corrupted
+  // frontier-campaign verdict (campaign oracle) and a reference reader
+  // reporting an issue one line off (parse oracle).
   if (flags.contains("--self-test")) {
     check::CheckConfig scalar_cfg = cfg;
     scalar_cfg.scalar_bug = check::ScalarBug::kXorAsOr;
+    check::CheckConfig fault_cfg = cfg;
+    fault_cfg.fault_bug = check::FaultBug::kNaiveMismatchOffByOne;
     check::CheckConfig campaign_cfg = cfg;
     campaign_cfg.campaign_bug = check::CampaignBug::kMismatchOffByOne;
     check::CheckConfig parse_cfg = cfg;
     parse_cfg.parse_bug = check::ParseBug::kIssueLineOffByOne;
     const std::pair<const char*, const check::CheckConfig*> phases[] = {
         {"scalar", &scalar_cfg},
+        {"fault", &fault_cfg},
         {"campaign", &campaign_cfg},
         {"parse", &parse_cfg}};
     for (const auto& [name, phase_cfg] : phases) {
@@ -777,8 +781,8 @@ int cmd_check(const std::map<std::string, std::string>& flags) {
         return 1;
       }
     }
-    std::printf("check: self-test OK (planted scalar + campaign + parse "
-                "defects caught)\n");
+    std::printf("check: self-test OK (planted scalar + fault + campaign + "
+                "parse defects caught)\n");
     return 0;
   }
 

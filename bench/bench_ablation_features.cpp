@@ -15,7 +15,6 @@
 int main() {
   using namespace fcrit;
   bench::print_header("Ablation: node feature sets (GCN accuracy / AUC)");
-  bench::Recorder rec("ablation_features");
 
   core::FaultCriticalityAnalyzer analyzer([] {
     auto cfg = bench::standard_config();
@@ -29,7 +28,7 @@ int main() {
                          "testability-11 acc", "testability-11 AUC"});
 
   for (const auto& name : designs::design_names()) {
-    auto r = rec.analyze(analyzer, name);
+    auto r = analyzer.analyze_design(name);
     std::vector<std::string> row{name};
     row.push_back(util::format_double(100.0 * r.gcn_eval.val_accuracy, 2));
     row.push_back(util::format_double(r.gcn_eval.val_auc, 3));

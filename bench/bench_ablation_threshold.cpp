@@ -51,7 +51,6 @@ Eval train_on_labels(const core::PipelineResult& r,
 int main() {
   using namespace fcrit;
   bench::print_header("Ablation: Algorithm-1 threshold and verdict strictness");
-  bench::Recorder rec("ablation_threshold");
 
   auto cfg = bench::standard_config();
   cfg.train_baselines = false;
@@ -63,7 +62,7 @@ int main() {
 
   for (const auto& name : designs::design_names()) {
     core::FaultCriticalityAnalyzer analyzer(cfg);
-    auto r = rec.analyze(analyzer, name);
+    auto r = analyzer.analyze_design(name);
 
     // th sweep reuses the recorded campaign (Algorithm 1 is pure
     // aggregation over the per-workload verdicts).
@@ -83,8 +82,7 @@ int main() {
       core::PipelineConfig strict = cfg;
       strict.dangerous_cycle_fraction = frac;
       core::FaultCriticalityAnalyzer a2(strict);
-      auto r2 = rec.analyze(a2, name,
-                             name + "/frac=" + util::format_double(frac, 2));
+      auto r2 = a2.analyze_design(name);
       frac_table.add_row(
           {name, util::format_double(frac, 2),
            util::format_double(100.0 * r2.dataset.critical_fraction(), 1),

@@ -1,25 +1,14 @@
 // Shared setup for the table/figure reproduction benches: every bench runs
-// the same standard pipeline configuration so numbers agree across benches,
-// and every bench writes a machine-readable BENCH_<name>.json (per-phase
-// wall ms + git rev) next to its human-readable tables so the perf
-// trajectory can be tracked across commits.
+// the same standard pipeline configuration so numbers agree across benches.
+// The benches print human-readable tables; the committed performance
+// record is perfbench's BENCH_<workload>.json files.
 #pragma once
 
 #include <cstdio>
-#include <fstream>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "src/core/pipeline.hpp"
 #include "src/core/report.hpp"
-#include "src/obs/json.hpp"
-#include "src/util/timer.hpp"
-
-// Injected by bench/CMakeLists.txt at configure time.
-#ifndef FCRIT_GIT_REV
-#define FCRIT_GIT_REV "unknown"
-#endif
 
 namespace fcrit::bench {
 
@@ -41,62 +30,5 @@ inline void print_header(const std::string& title) {
   std::printf("%s\n", title.c_str());
   std::printf("================================================================\n");
 }
-
-/// Per-bench phase timing collector. On destruction (or an explicit
-/// write()) it emits BENCH_<name>.json into the working directory:
-///   {"bench":..., "git_rev":..., "total_ms":...,
-///    "phases":[{"name":..., "wall_ms":...}, ...]}
-/// A "phase" is whatever unit the bench iterates over — usually one design.
-class Recorder {
- public:
-  explicit Recorder(std::string name) : name_(std::move(name)) {}
-  ~Recorder() { write(); }
-
-  Recorder(const Recorder&) = delete;
-  Recorder& operator=(const Recorder&) = delete;
-
-  void phase(const std::string& label, double wall_ms) {
-    phases_.emplace_back(label, wall_ms);
-  }
-
-  /// Run + time the standard per-design pipeline as one phase. `label`
-  /// overrides the phase name when one design is analyzed several times.
-  core::PipelineResult analyze(const core::FaultCriticalityAnalyzer& analyzer,
-                               const std::string& design,
-                               const std::string& label = "") {
-    util::Timer timer;
-    auto r = analyzer.analyze_design(design);
-    phase(label.empty() ? design : label, timer.millis());
-    return r;
-  }
-
-  void write() {
-    if (written_) return;
-    written_ = true;
-    const std::string path = "BENCH_" + name_ + ".json";
-    std::ofstream os(path);
-    if (!os) {
-      std::fprintf(stderr, "bench: cannot write %s\n", path.c_str());
-      return;
-    }
-    os << "{\"bench\":" << obs::json_string(name_)
-       << ",\"git_rev\":" << obs::json_string(FCRIT_GIT_REV)
-       << ",\"total_ms\":" << obs::json_number(total_.millis())
-       << ",\"phases\":[";
-    for (std::size_t i = 0; i < phases_.size(); ++i) {
-      if (i) os << ",";
-      os << "{\"name\":" << obs::json_string(phases_[i].first)
-         << ",\"wall_ms\":" << obs::json_number(phases_[i].second) << "}";
-    }
-    os << "]}\n";
-    std::printf("wrote %s (%zu phases)\n", path.c_str(), phases_.size());
-  }
-
- private:
-  std::string name_;
-  util::Timer total_;
-  std::vector<std::pair<std::string, double>> phases_;
-  bool written_ = false;
-};
 
 }  // namespace fcrit::bench

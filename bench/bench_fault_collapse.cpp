@@ -2,13 +2,12 @@
 // dataset-equality check (collapsing must not change Algorithm-1 labels).
 #include "bench/bench_common.hpp"
 #include "src/fault/collapse.hpp"
+#include "src/obs/trace.hpp"
 #include "src/util/text.hpp"
-#include "src/util/timer.hpp"
 
 int main() {
   using namespace fcrit;
   bench::print_header("Fault collapsing: universe reduction and runtime");
-  bench::Recorder rec("fault_collapse");
 
   core::TextTable table({"Design", "Faults", "Representatives", "Ratio",
                          "Full campaign (s)", "Collapsed (s)",
@@ -28,18 +27,16 @@ int main() {
     // hide exactly the reduction being measured here.
     cfg.engine = fault::FiEngine::kLevelized;
 
-    util::Timer t_full;
+    obs::Span full_span("full_campaign");
     fault::FaultCampaign full_campaign(d.netlist, d.stimulus, cfg);
     const auto full = full_campaign.run_all();
-    const double full_s = t_full.seconds();
+    const double full_s = full_span.close();
 
-    util::Timer t_coll;
+    obs::Span coll_span("collapsed_campaign");
     fault::FaultCampaign rep_campaign(d.netlist, d.stimulus, cfg);
     const auto reps = rep_campaign.run(collapsed.representatives);
     const auto expanded = fault::expand_collapsed(reps, collapsed);
-    const double coll_s = t_coll.seconds();
-    rec.phase(name + "/full_campaign", 1000.0 * full_s);
-    rec.phase(name + "/collapsed_campaign", 1000.0 * coll_s);
+    const double coll_s = coll_span.close();
 
     const auto ds_full = fault::generate_dataset(full, 0.5);
     const auto ds_coll = fault::generate_dataset(expanded, 0.5);

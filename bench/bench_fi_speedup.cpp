@@ -1,27 +1,26 @@
 // Fault-campaign engine trajectory + Section 1 resource-savings claim.
 //
-// Primary output: BENCH_fi.json, the machine-readable speedup trajectory
-// of the campaign hot path on every built-in design —
+// Primary output: the speedup trajectory table of the campaign hot path on
+// every built-in design —
 //   naive        full levelized re-simulation, no cone restriction
 //   cone         levelized sweep restricted to the fault's static cone
 //                (the pre-frontier production method, baseline)
 //   frontier     event-driven divergence-frontier resim, one fault per pass
 //   frontier@Nt  the production default: the frontier engine with
 //                collapse-equivalence sharing, at 1/2/4 threads
-// Every leg is verified to produce bit-identical verdicts before its
-// timing is recorded (the `fcrit check` campaign oracle proves the same
+// Every leg's verdicts must equal the naive leg's bit for bit, or the
+// bench exits 1 (the `fcrit check` campaign oracle proves the same
 // equivalence on fuzzed circuits).
 //
 // Secondary output (full mode only): the paper's Section 1 pitch — run FI
 // on a subset, train the GCN, predict the rest — quantified per design.
 //
-// --quick: trajectory only, largest design only, shorter campaign; the CI
-// artifact step runs this mode.
+// --quick: trajectory only, largest design only, shorter campaign; CI runs
+// this mode and keeps the printed table.
 #include <cstring>
 
 #include "bench/bench_common.hpp"
 #include "src/util/text.hpp"
-#include "src/util/timer.hpp"
 
 namespace {
 
@@ -61,7 +60,6 @@ int main(int argc, char** argv) {
   bench::print_header(quick ? "FI campaign engine trajectory (quick)"
                             : "FI campaign engine trajectory + Section 1 "
                               "resource claim");
-  bench::Recorder rec("fi");
 
   const int cycles = quick ? 128 : 256;
 
@@ -117,11 +115,6 @@ int main(int argc, char** argv) {
                                     leg.config);
       const auto r = campaign.run_all();
       seconds.push_back(r.fault_seconds);
-      const std::string phase =
-          design.name + "/" +
-          (leg.label.find('@') == std::string::npos ? leg.label + "@1t"
-                                                    : leg.label);
-      rec.phase(phase, 1000.0 * r.fault_seconds);
       results.push_back(std::move(r));
     }
 
@@ -153,10 +146,6 @@ int main(int argc, char** argv) {
                                        total_cycles
                                  : 0.0,
                              1)});
-    // The acceptance ratio, machine-readable: cone wall / frontier@4t wall
-    // (a pure number recorded alongside the timing phases).
-    rec.phase(design.name + "/speedup_f4t_vs_cone",
-              f4_s > 0 ? cone_s / f4_s : 0.0);
   }
 
   std::printf("\ncampaign engine trajectory (fault_seconds, golden excluded)\n%s\n",
@@ -176,7 +165,7 @@ int main(int argc, char** argv) {
                         "FI for 20% val (s)", "GCN inference (s)",
                         "Speedup on val", "GCN val acc (%)"});
     for (const auto& name : designs::design_names()) {
-      auto r = rec.analyze(analyzer, name, name + "/pipeline");
+      auto r = analyzer.analyze_design(name);
       const double full_fi = r.fi_seconds;
       const double val_share =
           full_fi * static_cast<double>(r.split.val.size()) /

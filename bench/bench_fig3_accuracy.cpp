@@ -7,14 +7,13 @@
 // normalization of the adjacency.
 #include "bench/bench_common.hpp"
 #include "src/ml/trainer.hpp"
+#include "src/obs/trace.hpp"
 #include "src/util/text.hpp"
-#include "src/util/timer.hpp"
 
 int main() {
   using namespace fcrit;
   bench::print_header(
       "Figure 3: critical node classification accuracy (val split, %)");
-  bench::Recorder rec("fig3_accuracy");
 
   core::FaultCriticalityAnalyzer analyzer([] {
     auto cfg = bench::standard_config();
@@ -28,8 +27,8 @@ int main() {
                             "GCN (row norm)"});
 
   for (const auto& name : designs::design_names()) {
-    util::Timer timer;
-    auto r = rec.analyze(analyzer, name);
+    obs::Span span("analyze");
+    auto r = analyzer.analyze_design(name);
 
     // Majority-class reference on the validation split.
     int critical = 0;
@@ -41,8 +40,7 @@ int main() {
     auto row = core::accuracy_row(r);
     row.push_back(util::format_double(100.0 * majority, 2));
     table.add_row(row);
-    std::printf("%s  [%s]\n", core::summarize(r).c_str(),
-                timer.pretty().c_str());
+    std::printf("%s  [%.2f s]\n", core::summarize(r).c_str(), span.close());
 
     // Ablation: retrain the same architecture on a row-normalized graph.
     const auto row_adj = graphir::row_normalized_adjacency(r.graph);

@@ -44,7 +44,6 @@ void ascii_roc(const std::vector<fcrit::ml::RocPoint>& curve) {
 int main() {
   using namespace fcrit;
   bench::print_header("Figure 4: ROC curves / AUC per design and classifier");
-  bench::Recorder rec("fig4_roc");
 
   core::FaultCriticalityAnalyzer analyzer([] {
     auto cfg = bench::standard_config();
@@ -56,7 +55,7 @@ int main() {
       {"Design", "GCN", "MLP", "LoR", "RFC", "SVM", "EBM"});
 
   for (const auto& name : designs::design_names()) {
-    auto r = rec.analyze(analyzer, name);
+    auto r = analyzer.analyze_design(name);
     std::vector<std::string> row{name};
     row.push_back(util::format_double(r.gcn_eval.val_auc, 3));
     for (const auto& b : r.baseline_evals)

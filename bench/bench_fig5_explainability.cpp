@@ -11,13 +11,12 @@
 #include "bench/bench_common.hpp"
 #include "src/explain/aggregate.hpp"
 #include "src/explain/gnn_explainer.hpp"
+#include "src/obs/trace.hpp"
 #include "src/util/text.hpp"
-#include "src/util/timer.hpp"
 
 int main() {
   using namespace fcrit;
   bench::print_header("Figure 5: GNNExplainer feature importance");
-  bench::Recorder rec("fig5_explainability");
 
   core::FaultCriticalityAnalyzer analyzer([] {
     auto cfg = bench::standard_config();
@@ -31,7 +30,7 @@ int main() {
                           "Rank 5"});
 
   for (const auto& name : designs::design_names()) {
-    auto r = rec.analyze(analyzer, name);
+    auto r = analyzer.analyze_design(name);
     explain::ExplainerConfig ec;
     ec.epochs = 250;
     explain::GnnExplainer explainer(*r.gcn, r.graph, r.features, ec);
@@ -55,7 +54,7 @@ int main() {
                   sample.feature_mask[j]);
 
     // --- Fig. 5(b): aggregate over validation nodes -----------------------
-    util::Timer timer;
+    obs::Span span("explain_aggregate");
     std::vector<int> nodes = r.split.val;
     constexpr std::size_t kMaxExplained = 60;
     if (nodes.size() > kMaxExplained) {
@@ -72,8 +71,8 @@ int main() {
     for (const int node : nodes)
       explanations.push_back(explainer.explain(node));
     const auto gfi = explain::aggregate_explanations(explanations);
-    std::printf("\n%s — aggregated over %zu nodes in %s (Fig. 5b)\n%s",
-                name.c_str(), explanations.size(), timer.pretty().c_str(),
+    std::printf("\n%s — aggregated over %zu nodes in %.2f s (Fig. 5b)\n%s",
+                name.c_str(), explanations.size(), span.close(),
                 explain::format_global_importance(gfi, feature_names)
                     .c_str());
 

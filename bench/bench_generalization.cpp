@@ -31,7 +31,6 @@ struct DesignRun {
 int main() {
   using namespace fcrit;
   bench::print_header("Generalization: workload transfer / cross-design");
-  bench::Recorder rec("generalization");
 
   auto cfg = bench::standard_config();
   cfg.train_baselines = false;
@@ -43,7 +42,7 @@ int main() {
                             "val acc on A (%)", "val acc on B labels (%)"});
   std::vector<core::PipelineResult> runs;
   for (const auto& name : designs::design_names()) {
-    auto ra = rec.analyze(analyzer, name);
+    auto ra = analyzer.analyze_design(name);
 
     // Second workload suite: fresh campaign seed.
     core::PipelineConfig cfg_b = cfg;

@@ -7,13 +7,12 @@
 // at or near the top of the grid.
 #include "bench/bench_common.hpp"
 #include "src/ml/grid_search.hpp"
+#include "src/obs/trace.hpp"
 #include "src/util/text.hpp"
-#include "src/util/timer.hpp"
 
 int main() {
   using namespace fcrit;
   bench::print_header("Section 3.3.2: hyperparameter grid search");
-  bench::Recorder rec("grid_search");
 
   core::FaultCriticalityAnalyzer analyzer([] {
     auto cfg = bench::standard_config();
@@ -28,16 +27,16 @@ int main() {
   space.lr_options = {0.01, 0.003};
 
   for (const auto& name : designs::design_names()) {
-    auto r = rec.analyze(analyzer, name);
+    auto r = analyzer.analyze_design(name);
     ml::TrainConfig base = analyzer.config().train;
     base.epochs = 250;
 
-    util::Timer timer;
+    obs::Span span("grid_search");
     const auto result =
         ml::grid_search(r.graph.normalized_adjacency, r.features, r.labels,
                         r.split.train, r.split.val, space, base);
-    std::printf("\n%s — %zu trials in %s\n", name.c_str(),
-                result.trials.size(), timer.pretty().c_str());
+    std::printf("\n%s — %zu trials in %.2f s\n", name.c_str(),
+                result.trials.size(), span.close());
     for (const auto& trial : result.trials)
       std::printf("  %s%s\n", trial.to_string().c_str(),
                   trial.val_accuracy == result.best.val_accuracy ? "  <-- best"

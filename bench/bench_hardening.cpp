@@ -63,7 +63,6 @@ Residual residual_criticality(const designs::Design& d,
 int main() {
   using namespace fcrit;
   bench::print_header("GCN-guided TMR hardening (closing the FuSa loop)");
-  bench::Recorder rec("hardening");
 
   core::FaultCriticalityAnalyzer analyzer([] {
     auto cfg = bench::standard_config();
@@ -76,7 +75,7 @@ int main() {
                          "Voter-logic mass (GCN)"});
 
   for (const auto& name : designs::design_names()) {
-    auto r = rec.analyze(analyzer, name);
+    auto r = analyzer.analyze_design(name);
     const int cycles = analyzer.config().campaign_cycles;
     const auto k = static_cast<std::size_t>(
         std::max<std::size_t>(5, r.dataset.size() / 20));  // harden ~5%

@@ -15,7 +15,6 @@
 int main() {
   using namespace fcrit;
   bench::print_header("Ablation: GCN vs SGC vs MLP; 5-fold cross-validation");
-  bench::Recorder rec("model_family");
 
   core::FaultCriticalityAnalyzer analyzer([] {
     auto cfg = bench::standard_config();
@@ -30,7 +29,7 @@ int main() {
                             "CV stddev", "CV AUC"});
 
   for (const auto& name : designs::design_names()) {
-    auto r = rec.analyze(analyzer, name);
+    auto r = analyzer.analyze_design(name);
     std::vector<std::string> row{name};
     row.push_back(util::format_double(100.0 * r.gcn_eval.val_accuracy, 2));
 

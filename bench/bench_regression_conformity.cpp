@@ -13,7 +13,6 @@
 int main() {
   using namespace fcrit;
   bench::print_header("Section 4.2.2: criticality score regression");
-  bench::Recorder rec("regression_conformity");
 
   core::FaultCriticalityAnalyzer analyzer([] {
     auto cfg = bench::standard_config();
@@ -24,7 +23,7 @@ int main() {
   core::TextTable table({"Design", "Val MSE", "Pearson", "Spearman",
                          "Conformity (%)", "Val accuracy (%)"});
   for (const auto& name : designs::design_names()) {
-    auto r = rec.analyze(analyzer, name);
+    auto r = analyzer.analyze_design(name);
     const auto& reg = *r.regression;
     table.add_row({name, util::format_double(reg.val_mse, 4),
                    util::format_double(reg.val_pearson, 3),

@@ -10,7 +10,6 @@
 int main() {
   using namespace fcrit;
   bench::print_header("Table 1: GCN network configuration");
-  bench::Recorder rec("table1_config");
 
   const int f = graphir::kNumBaseFeatures;
   ml::GcnModel classifier(f, ml::GcnConfig::classifier());

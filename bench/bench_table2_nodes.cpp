@@ -16,7 +16,6 @@ int main() {
   using namespace fcrit;
   bench::print_header(
       "Table 2: per-node classification, feature scores, criticality score");
-  bench::Recorder rec("table2_nodes");
 
   core::FaultCriticalityAnalyzer analyzer([] {
     auto cfg = bench::standard_config();
@@ -29,7 +28,7 @@ int main() {
                          "Crit. score"});
 
   for (const auto& name : designs::design_names()) {
-    auto r = rec.analyze(analyzer, name);
+    auto r = analyzer.analyze_design(name);
     explain::ExplainerConfig ec;
     ec.epochs = 250;
     explain::GnnExplainer explainer(*r.gcn, r.graph, r.features, ec);

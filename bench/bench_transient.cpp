@@ -18,7 +18,6 @@
 int main() {
   using namespace fcrit;
   bench::print_header("Transient (SEU) vs permanent stuck-at criticality");
-  bench::Recorder rec("transient");
 
   core::TextTable table({"Design", "Pearson", "Spearman",
                          "Mean SA score", "Mean SEU score",
@@ -26,7 +25,6 @@ int main() {
                          "Comb SEU mean"});
 
   for (const auto& name : designs::design_names()) {
-    util::Timer design_timer;
     const auto d = designs::build_design(name);
     fault::CampaignConfig cfg;
     cfg.cycles = 192;
@@ -64,7 +62,6 @@ int main() {
          util::format_double(mean_seu / mean_sa, 2),
          util::format_double(ff_n ? ff_seu / ff_n : 0.0, 3),
          util::format_double(comb_n ? comb_seu / comb_n : 0.0, 3)});
-    rec.phase(name, design_timer.millis());
     std::printf("%s done (%zu nodes x %zu injection cycles)\n", name.c_str(),
                 ds.size(), inject_cycles.size());
   }

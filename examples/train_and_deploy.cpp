@@ -17,8 +17,8 @@
 #include "src/core/report.hpp"
 #include "src/ml/metrics.hpp"
 #include "src/ml/serialize.hpp"
+#include "src/obs/trace.hpp"
 #include "src/sim/probability.hpp"
-#include "src/util/timer.hpp"
 
 int main(int argc, char** argv) {
   using namespace fcrit;
@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
 
   // ---- phase 1: offline training (FI campaign happens here) ---------------
   {
-    util::Timer timer;
+    obs::Span span("offline");
     core::PipelineConfig cfg;
     cfg.train_baselines = false;
     cfg.train_regressor = false;
@@ -37,16 +37,16 @@ int main(int argc, char** argv) {
     ml::save_gcn_file(*r.gcn, model_path);
     std::ofstream std_out(std_path);
     ml::save_standardizer(r.standardizer, std_out);
-    std::printf("phase 1 (offline): FI + training took %s, val accuracy "
+    std::printf("phase 1 (offline): FI + training took %.2f s, val accuracy "
                 "%.2f%%\n",
-                timer.pretty().c_str(), 100.0 * r.gcn_eval.val_accuracy);
+                span.close(), 100.0 * r.gcn_eval.val_accuracy);
     std::printf("  artifacts: %s, %s\n", model_path.c_str(),
                 std_path.c_str());
   }
 
   // ---- phase 2: deployment (no fault injection) ------------------------------
   {
-    util::Timer timer;
+    obs::Span span("deploy");
     const auto design = designs::build_design(design_name);
     // Feature extraction needs only a golden simulation.
     const auto stats =
@@ -66,9 +66,9 @@ int main(int argc, char** argv) {
     for (const auto node : fault::fault_sites(design.netlist))
       critical += static_cast<std::size_t>(
           predicted[static_cast<std::size_t>(node)]);
-    std::printf("phase 2 (deploy): loaded model, classified %zu nodes in %s "
-                "— %zu predicted Critical\n",
-                design.netlist.num_nodes(), timer.pretty().c_str(), critical);
+    std::printf("phase 2 (deploy): loaded model, classified %zu nodes in "
+                "%.2f s — %zu predicted Critical\n",
+                design.netlist.num_nodes(), span.close(), critical);
   }
   return 0;
 }

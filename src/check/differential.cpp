@@ -159,12 +159,15 @@ std::string compare_fault_results(const netlist::Netlist& nl,
 
 std::string diff_fault_oracles(const designs::Design& design,
                                const fault::CampaignConfig& config,
-                               int max_faults) {
+                               int max_faults, FaultBug bug) {
   const netlist::Netlist& nl = design.netlist;
 
   fault::CampaignConfig cone_cfg = config;
   cone_cfg.use_cone_restriction = true;
+  // Only the levelized engine reads use_cone_restriction: the naive leg
+  // must run it, or it is the cone leg's own pass a second time.
   fault::CampaignConfig naive_cfg = config;
+  naive_cfg.engine = fault::FiEngine::kLevelized;
   naive_cfg.use_cone_restriction = false;
 
   fault::FaultCampaign cone(nl, design.stimulus, cone_cfg);
@@ -183,7 +186,9 @@ std::string diff_fault_oracles(const designs::Design& design,
   for (std::size_t i = 0; i < universe.size(); i += stride) {
     const fault::Fault& f = universe[i];
     const fault::FaultResult rc = cone.simulate_fault(f);
-    const fault::FaultResult rn = naive.simulate_fault(f);
+    fault::FaultResult rn = naive.simulate_fault(f);
+    if (bug == FaultBug::kNaiveMismatchOffByOne && i == 0)
+      rn.mismatch_cycles += 1;
     const fault::FaultResult ri =
         injected_fault_result(design, config, cone, f);
     if (auto msg = compare_fault_results(nl, f, rc, rn, "cone", "naive");

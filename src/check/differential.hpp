@@ -8,10 +8,10 @@
 //   diff_packed_vs_scalar     PackedSimulator lane L  vs  a scalar
 //                             single-pattern interpreter run per lane,
 //                             every node value, every cycle
-//   diff_fault_oracles        cone-restricted simulate_fault  vs  naive
-//                             full-netlist re-simulation
-//                             (use_cone_restriction=false)  vs  serial
-//                             fault injection through
+//   diff_fault_oracles        the configured engine's simulate_fault
+//                             vs  naive full-netlist levelized
+//                             re-simulation (use_cone_restriction=false)
+//                             vs  serial fault injection through
 //                             PackedSimulator::inject
 //   diff_campaign_equivalence frontier campaign with collapse sharing
 //                             (1/2/4 threads)  vs  unshared frontier  vs
@@ -55,14 +55,25 @@ std::string diff_packed_vs_scalar(const designs::Design& design, int cycles,
                                   std::uint64_t seed,
                                   ScalarBug bug = ScalarBug::kNone);
 
+/// Deliberate defect planted in the fault oracle's naive leg so tests (and
+/// the CLI `--self-test`) can prove that leg is able to fail. kNone for
+/// real checking.
+enum class FaultBug {
+  kNone = 0,
+  /// Bump the naive leg's mismatch_cycles by one on the first fault.
+  kNaiveMismatchOffByOne,
+};
+
 /// For up to `max_faults` faults (deterministically strided across the full
-/// stuck-at universe), compare the cone-restricted campaign verdict against
-/// the naive full re-simulation and against serial re-simulation with
-/// PackedSimulator::inject: dangerous_lanes, detected_lanes,
-/// mismatch_cycles and first_detect_cycle must all agree exactly.
+/// stuck-at universe), compare the configured engine's cone-restricted
+/// verdict ("cone") against the naive levelized sweep over the whole
+/// netlist ("naive") and against serial re-simulation with
+/// PackedSimulator::inject ("injected"): dangerous_lanes, detected_lanes,
+/// mismatch_cycles and first_detect_cycle must all agree exactly, and the
+/// cone may not exceed the naive sweep's node count.
 std::string diff_fault_oracles(const designs::Design& design,
                                const fault::CampaignConfig& config,
-                               int max_faults);
+                               int max_faults, FaultBug bug = FaultBug::kNone);
 
 /// Deliberate defects planted in one campaign leg so tests (and the CLI
 /// `--self-test`) can prove the campaign oracle is able to fail. kNone

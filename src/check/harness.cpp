@@ -33,7 +33,7 @@ std::string run_oracle(const std::string& oracle,
     return diff_packed_vs_scalar(design, cycles, seed, config.scalar_bug);
   if (oracle == "fault")
     return diff_fault_oracles(design, fault_config(cycles, seed),
-                              config.max_faults);
+                              config.max_faults, config.fault_bug);
   if (oracle == "campaign")
     return diff_campaign_equivalence(design, fault_config(cycles, seed),
                                      config.max_faults, config.campaign_bug);

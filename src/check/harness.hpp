@@ -56,6 +56,10 @@ struct CheckConfig {
   /// the harness is able to fail. kNone for real checking.
   ScalarBug scalar_bug = ScalarBug::kNone;
 
+  /// Plants a deliberate verdict corruption in the fault oracle's naive
+  /// leg (see FaultBug). kNone for real checking.
+  FaultBug fault_bug = FaultBug::kNone;
+
   /// Plants a deliberate verdict corruption in one leg of the campaign
   /// oracle (see CampaignBug). kNone for real checking.
   CampaignBug campaign_bug = CampaignBug::kNone;

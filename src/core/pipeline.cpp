@@ -8,7 +8,6 @@
 #include "src/obs/trace.hpp"
 #include "src/sim/probability.hpp"
 #include "src/util/parallel.hpp"
-#include "src/util/timer.hpp"
 
 namespace fcrit::core {
 
@@ -74,7 +73,6 @@ PipelineResult FaultCriticalityAnalyzer::analyze(
   // ---- fault-injection campaign + Algorithm 1 ------------------------------
   {
     obs::Span span("fi_campaign");
-    util::Timer timer;
     fault::CampaignConfig cc;
     cc.cycles = config_.campaign_cycles;
     cc.dangerous_cycle_fraction = config_.dangerous_cycle_fraction >= 0
@@ -91,7 +89,7 @@ PipelineResult FaultCriticalityAnalyzer::analyze(
       else
         r.extra_campaigns.push_back(campaign.run_all());
     }
-    r.fi_seconds = timer.seconds();
+    r.fi_seconds = span.close();
     obs::logf(obs::LogLevel::kDebug,
               "pipeline: FI campaign %.3fs (%d batch(es), %zu faults)",
               r.fi_seconds, batches, r.campaign.faults.size());
@@ -147,13 +145,12 @@ PipelineResult FaultCriticalityAnalyzer::analyze(
   // ---- GCN classifier ----------------------------------------------------------
   {
     obs::Span span("gcn_train");
-    util::Timer timer;
     r.gcn = std::make_unique<ml::GcnModel>(r.features.cols(),
                                            config_.classifier);
     r.gcn_history = ml::train_classifier(*r.gcn, r.graph.normalized_adjacency,
                                          r.features, r.labels, r.split.train,
                                          r.split.val, config_.train);
-    r.train_seconds = timer.seconds();
+    r.train_seconds = span.close();
     obs::logf(obs::LogLevel::kDebug,
               "pipeline: GCN training %.3fs (best epoch %d, val %.4f)",
               r.train_seconds, r.gcn_history.best_epoch,
@@ -161,9 +158,8 @@ PipelineResult FaultCriticalityAnalyzer::analyze(
   }
   {
     obs::Span span("gcn_inference");
-    util::Timer timer;
     const ml::Matrix out = r.gcn->forward(r.features, /*training=*/false);
-    r.inference_seconds = timer.seconds();
+    r.inference_seconds = span.close();
     r.gcn_eval = evaluate_model("GCN", ml::class1_probability(out),
                                 ml::predict_labels(out), r.labels,
                                 r.split.val);

@@ -120,7 +120,9 @@ Bus first_hit_encode(Builder& b, const Bus& hits, int index_bits) {
 
 /// One zone ECU. `grant` is the gateway's egress strobe for this zone.
 void build_zone(Builder& b, int z, NodeId rst, NodeId grant) {
-  const std::string zp = "z" + std::to_string(z) + "_";
+  std::string zp = "z";
+  zp += std::to_string(z);
+  zp += "_";
   const NodeId valid = b.input(zp + "valid");
   const Bus frame = b.input_bus(zp + "frame", kFrameBits);
 
@@ -278,7 +280,9 @@ Design build_ee_zonal() {
   d.stimulus.profiles["rst"] = {.p1 = 0.01, .hold_cycles = 2,
                                 .hold_value = true};
   for (int z = 0; z < kZones; ++z) {
-    const std::string zp = "z" + std::to_string(z) + "_";
+    std::string zp = "z";
+    zp += std::to_string(z);
+    zp += "_";
     // Zones see different traffic densities, like mixed CAN buses.
     d.stimulus.profiles[zp + "valid"] = {.p1 = 0.10 + 0.05 * z,
                                          .hold_cycles = 0,

@@ -13,7 +13,6 @@
 #include "src/obs/trace.hpp"
 #include "src/sim/packed_sim.hpp"
 #include "src/util/parallel.hpp"
-#include "src/util/timer.hpp"
 
 namespace fcrit::fault {
 
@@ -129,7 +128,7 @@ void FaultCampaign::build_frontier_graph() {
 }
 
 void FaultCampaign::run_golden() {
-  util::Timer timer;
+  obs::Span span("fi_golden");
   sim::PackedSimulator simulator(*nl_);
   sim::StimulusGenerator stim(*nl_, stimulus_, config_.seed);
   trace_.assign(static_cast<std::size_t>(config_.cycles) * num_nodes_, 0);
@@ -147,7 +146,7 @@ void FaultCampaign::run_golden() {
   // The fanout CSR cache must exist before worker threads race to read it.
   if (num_nodes_ > 0) nl_->fanouts(0);
   golden_ready_ = true;
-  golden_seconds_ = timer.seconds();
+  golden_seconds_ = span.close();
 }
 
 std::vector<NodeId> FaultCampaign::transitive_fanout(NodeId src) const {
@@ -498,7 +497,6 @@ CampaignResult FaultCampaign::run_frontier(const std::vector<Fault>& faults) {
   CampaignResult out;
   out.config = config_;
   out.num_nodes = num_nodes_;
-  util::Timer timer;
   const std::size_t n = faults.size();
 
   // sim_as[i]: the input index whose pass supplies fault i's verdict — the
@@ -532,13 +530,14 @@ CampaignResult FaultCampaign::run_frontier(const std::vector<Fault>& faults) {
       if (fresh) cone->second = static_cone_size(faults[i].node);
       cone_size[i] = cone->second;
     }
+    out.fault_seconds = span.close();
   }
 
-  out.faults.resize(n);
   std::atomic<std::uint64_t> evals{0};
   std::atomic<std::uint64_t> early{0};
   {
     obs::Span span("fi_sim");
+    out.faults.resize(n);
     shard(config_.num_threads, static_cast<std::int64_t>(simulated.size()),
           [&](std::int64_t j0, std::int64_t j1) {
             FrontierScratch scratch(num_nodes_, lev_.max_level);
@@ -549,11 +548,12 @@ CampaignResult FaultCampaign::run_frontier(const std::vector<Fault>& faults) {
             evals.fetch_add(scratch.evals, std::memory_order_relaxed);
             early.fetch_add(scratch.early_exits, std::memory_order_relaxed);
           });
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (sim_as[i] != i) out.faults[i] = out.faults[sim_as[i]];
-    out.faults[i].fault = faults[i];
-    out.faults[i].cone_size = cone_size[i];
+    for (std::size_t i = 0; i < n; ++i) {
+      if (sim_as[i] != i) out.faults[i] = out.faults[sim_as[i]];
+      out.faults[i].fault = faults[i];
+      out.faults[i].cone_size = cone_size[i];
+    }
+    out.fault_seconds += span.close();
   }
 
   out.simulated_faults = static_cast<std::uint32_t>(simulated.size());
@@ -563,7 +563,6 @@ CampaignResult FaultCampaign::run_frontier(const std::vector<Fault>& faults) {
   auto& reg = obs::registry();
   reg.counter("fi.frontier_nodes").add(out.frontier_evals);
   reg.counter("fi.early_exits").add(out.early_exit_cycles);
-  out.fault_seconds = timer.seconds();
   return out;
 }
 
@@ -571,7 +570,7 @@ CampaignResult FaultCampaign::run_levelized(const std::vector<Fault>& faults) {
   CampaignResult out;
   out.config = config_;
   out.num_nodes = num_nodes_;
-  util::Timer timer;
+  obs::Span span("fi_sim");
   out.faults.resize(faults.size());
   shard(config_.num_threads, static_cast<std::int64_t>(faults.size()),
         [&](std::int64_t i0, std::int64_t i1) {
@@ -582,7 +581,7 @@ CampaignResult FaultCampaign::run_levelized(const std::vector<Fault>& faults) {
             r.fault = f;
           }
         });
-  out.fault_seconds = timer.seconds();
+  out.fault_seconds = span.close();
   return out;
 }
 

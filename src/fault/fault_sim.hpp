@@ -116,8 +116,8 @@ struct FaultResult {
 struct CampaignResult {
   CampaignConfig config;
   std::vector<FaultResult> faults;
-  double golden_seconds = 0.0;
-  double fault_seconds = 0.0;
+  double golden_seconds = 0.0;  // the fi_golden span
+  double fault_seconds = 0.0;   // the fi_plan + fi_sim spans
   std::size_t num_nodes = 0;
 
   // Frontier-engine statistics (zero under kLevelized).

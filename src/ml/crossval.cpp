@@ -16,8 +16,10 @@ std::string CrossValResult::to_string() const {
                     util::format_double(100.0 * mean_accuracy, 2) + "% +/- " +
                     util::format_double(100.0 * stddev_accuracy, 2) +
                     " (auc " + util::format_double(mean_auc, 3) + "; folds:";
-  for (const double a : fold_accuracy)
-    out += " " + util::format_double(100.0 * a, 1);
+  for (const double a : fold_accuracy) {
+    out += " ";
+    out += util::format_double(100.0 * a, 1);
+  }
   out += ")";
   return out;
 }

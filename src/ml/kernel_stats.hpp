@@ -1,34 +1,14 @@
-// Internal instrumentation shared by the dense (matrix.cpp) and sparse
-// (sparse.cpp) kernels: each kernel call lands one wall-time sample in a
-// process-registry histogram (ml.kernel.<name>_ms) and, when tracing is
-// enabled, one trace span — cheap enough to stay on permanently (the
-// histogram reference is resolved once per kernel via a local static, the
-// span is a relaxed atomic load while tracing is off).
+// Parallel grain shared by the dense (matrix.cpp), sparse (sparse.cpp) and
+// layer (layers.cpp) kernels. The five matmul/spmm kernels also time every
+// call with one obs::Span into a process-registry histogram
+// (ml.kernel.<name>_ms, resolved once per kernel via a local static), which
+// is cheap enough to stay on permanently.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 
-#include "src/obs/metrics.hpp"
-#include "src/obs/trace.hpp"
-#include "src/util/timer.hpp"
-
 namespace fcrit::ml::detail {
-
-class KernelScope {
- public:
-  KernelScope(const char* span_name, obs::Histogram& hist)
-      : span_(span_name), hist_(hist) {}
-  ~KernelScope() { hist_.observe(timer_.millis()); }
-
-  KernelScope(const KernelScope&) = delete;
-  KernelScope& operator=(const KernelScope&) = delete;
-
- private:
-  obs::Span span_;
-  obs::Histogram& hist_;
-  util::Timer timer_;
-};
 
 /// Minimum per-chunk flop count before a kernel fans out: below this the
 /// dispatch overhead beats the win, so the range collapses to one inline

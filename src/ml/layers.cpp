@@ -66,7 +66,10 @@ void GcnConv::collect_params(std::vector<Param>& out) {
 
 void GcnConv::release() {
   x_ = nullptr;
-  z_ = y_ = gz_ = dw_ = Matrix();
+  z_ = Matrix();
+  y_ = Matrix();
+  gz_ = Matrix();
+  dw_ = Matrix();
 }
 
 std::string GcnConv::describe() const {
@@ -111,7 +114,9 @@ void Linear::collect_params(std::vector<Param>& out) {
 
 void Linear::release() {
   x_ = nullptr;
-  y_ = dw_ = dx_ = Matrix();
+  y_ = Matrix();
+  dw_ = Matrix();
+  dx_ = Matrix();
 }
 
 std::string Linear::describe() const {

@@ -9,6 +9,8 @@
 
 #include "src/ml/kernel_stats.hpp"
 #include "src/ml/row_kernel.hpp"
+#include "src/obs/metrics.hpp"
+#include "src/obs/trace.hpp"
 #include "src/util/parallel.hpp"
 
 namespace fcrit::ml {
@@ -63,7 +65,12 @@ double Matrix::frob2() const {
 }
 
 std::string Matrix::shape_string() const {
-  return "[" + std::to_string(rows_) + " x " + std::to_string(cols_) + "]";
+  std::string out = "[";
+  out += std::to_string(rows_);
+  out += " x ";
+  out += std::to_string(cols_);
+  out += "]";
+  return out;
 }
 
 // The three matmul variants shard the OUTPUT rows of C across the shared
@@ -184,7 +191,7 @@ void matmul(const Matrix& a, const Matrix& b, Matrix& c) {
   assert(a.cols() == b.rows() && &c != &a && &c != &b);
   static obs::Histogram& hist =
       obs::registry().histogram("ml.kernel.matmul_ms");
-  detail::KernelScope scope("matmul", hist);
+  obs::Span span("matmul", &hist);
   c.reset(a.rows(), b.cols());
   const std::int64_t per_row =
       static_cast<std::int64_t>(a.cols()) * b.cols();
@@ -211,7 +218,7 @@ void matmul_tn(const Matrix& a, const Matrix& b, Matrix& c) {
   assert(a.rows() == b.rows() && &c != &a && &c != &b);
   static obs::Histogram& hist =
       obs::registry().histogram("ml.kernel.matmul_tn_ms");
-  detail::KernelScope scope("matmul_tn", hist);
+  obs::Span span("matmul_tn", &hist);
   c.reset(a.cols(), b.cols());
   // C.row(i) sums a(k, i) * B.row(k) over k; sharding by i keeps that
   // k-order per output row. A B at least a vector wide: each chunk walks A
@@ -246,7 +253,7 @@ void matmul_nt(const Matrix& a, const Matrix& b, Matrix& c) {
   assert(a.cols() == b.cols() && &c != &a && &c != &b);
   static obs::Histogram& hist =
       obs::registry().histogram("ml.kernel.matmul_nt_ms");
-  detail::KernelScope scope("matmul_nt", hist);
+  obs::Span span("matmul_nt", &hist);
   // C = A Bᵀ through the row kernel over Bᵀ (B is a weight matrix, at most
   // 64 x 64 in the GCN, so the transpose is cheap): c(i, j) still sums
   // a(i, k) * b(j, k) from +0 in ascending k, and — like the original dot

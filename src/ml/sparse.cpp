@@ -9,6 +9,8 @@
 
 #include "src/ml/kernel_stats.hpp"
 #include "src/ml/row_kernel.hpp"
+#include "src/obs/metrics.hpp"
+#include "src/obs/trace.hpp"
 #include "src/util/parallel.hpp"
 
 namespace fcrit::ml {
@@ -138,7 +140,7 @@ void SparseMatrix::scan_values() {
 void SparseMatrix::spmm(const Matrix& x, Matrix& y) const {
   assert(x.rows() == cols_ && &y != &x);
   static obs::Histogram& hist = obs::registry().histogram("ml.kernel.spmm_ms");
-  detail::KernelScope scope("spmm", hist);
+  obs::Span span("spmm", &hist);
   gather(rows_, row_ptr_.data(), col_.data(), val_.data(), nnz(), has_zero_,
          x, y);
 }
@@ -147,7 +149,7 @@ void SparseMatrix::spmm_t(const Matrix& x, Matrix& y) const {
   assert(x.rows() == rows_ && &y != &x);
   static obs::Histogram& hist =
       obs::registry().histogram("ml.kernel.spmm_t_ms");
-  detail::KernelScope scope("spmm_t", hist);
+  obs::Span span("spmm_t", &hist);
   // Output row c of Sᵀ · X gathers column c of S in ascending source row:
   // the order a scatter over the rows of S would add the same terms in. A
   // symmetric S stores exactly that list as its row c.

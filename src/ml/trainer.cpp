@@ -6,8 +6,8 @@
 #include "src/ml/optimizer.hpp"
 #include "src/obs/log.hpp"
 #include "src/obs/metrics.hpp"
+#include "src/obs/trace.hpp"
 #include "src/util/parallel.hpp"
-#include "src/util/timer.hpp"
 
 namespace fcrit::ml {
 
@@ -64,7 +64,7 @@ TrainHistory train_classifier(GcnModel& model, const SparseMatrix& adj,
   Matrix grad;
   model.forward_prefix(x, Pass::kTrain);
   for (int epoch = 0; epoch < config.epochs; ++epoch) {
-    util::Timer epoch_timer;
+    obs::Span epoch_span("epoch", &epoch_ms);
     const double loss = masked_nll(model.forward_suffix(Pass::kTrain), labels,
                                    train_idx, grad);
     opt.zero_grad();
@@ -76,7 +76,7 @@ TrainHistory train_classifier(GcnModel& model, const SparseMatrix& adj,
     const double val_acc = accuracy(predict_labels(eval), labels, val_idx);
     history.train_loss.push_back(loss);
     history.val_metric.push_back(val_acc);
-    epoch_ms.observe(epoch_timer.millis());
+    epoch_span.close();
 
     if (val_acc > history.best_val_metric) {
       history.best_val_metric = val_acc;
@@ -118,7 +118,7 @@ TrainHistory train_regressor(GcnModel& model, const SparseMatrix& adj,
   Matrix grad, unused;
   model.forward_prefix(x, Pass::kTrain);
   for (int epoch = 0; epoch < config.epochs; ++epoch) {
-    util::Timer epoch_timer;
+    obs::Span epoch_span("epoch", &epoch_ms);
     const double loss = masked_mse(model.forward_suffix(Pass::kTrain), targets,
                                    train_idx, grad);
     opt.zero_grad();
@@ -130,7 +130,7 @@ TrainHistory train_regressor(GcnModel& model, const SparseMatrix& adj,
                                       targets, val_idx, unused);
     history.train_loss.push_back(loss);
     history.val_metric.push_back(-val_mse);
-    epoch_ms.observe(epoch_timer.millis());
+    epoch_span.close();
 
     if (-val_mse > history.best_val_metric) {
       history.best_val_metric = -val_mse;

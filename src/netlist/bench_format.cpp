@@ -263,7 +263,9 @@ namespace {
 
 std::string bench_net(const Netlist& nl, NodeId id) {
   if (nl.kind(id) == CellKind::kInput) return nl.node(id).name;
-  return "n" + std::to_string(id);
+  std::string net = "n";
+  net += std::to_string(id);
+  return net;
 }
 
 }  // namespace

@@ -54,7 +54,8 @@ std::string NetlistStats::to_string() const {
     if (count == 0) continue;
     out += " ";
     out += spec(static_cast<CellKind>(k)).name;
-    out += "=" + std::to_string(count);
+    out += "=";
+    out += std::to_string(count);
   }
   return out;
 }

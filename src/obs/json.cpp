@@ -30,7 +30,10 @@ std::string json_escape(std::string_view s) {
 }
 
 std::string json_string(std::string_view s) {
-  return "\"" + json_escape(s) + "\"";
+  std::string out = "\"";
+  out += json_escape(s);
+  out += "\"";
+  return out;
 }
 
 std::string json_number(double v) {

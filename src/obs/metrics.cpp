@@ -177,8 +177,11 @@ std::string histogram_json(const HistogramSnapshot& h) {
     const double le = i < h.bounds.size()
                           ? h.bounds[i]
                           : std::numeric_limits<double>::infinity();
-    out += "[" + (std::isfinite(le) ? json_number(le) : json_string("inf")) +
-           "," + std::to_string(h.counts[i]) + "]";
+    out += "[";
+    out += std::isfinite(le) ? json_number(le) : json_string("inf");
+    out += ",";
+    out += std::to_string(h.counts[i]);
+    out += "]";
   }
   out += "]}";
   return out;

@@ -5,6 +5,7 @@
 #include <ostream>
 
 #include "src/obs/json.hpp"
+#include "src/obs/metrics.hpp"
 
 namespace fcrit::obs {
 
@@ -65,18 +66,21 @@ bool Tracer::write_chrome_trace_file(const std::string& path) const {
   return os.good();
 }
 
-Span::Span(std::string name) : name_(std::move(name)) {
-  if (!Tracer::instance().enabled()) return;
-  active_ = true;
-  start_ = std::chrono::steady_clock::now();
-}
+Span::Span(std::string name, Histogram* hist)
+    : name_(std::move(name)),
+      hist_(hist),
+      traced_(Tracer::instance().enabled()),
+      start_(std::chrono::steady_clock::now()) {}
 
-void Span::close() {
-  if (!active_) return;
-  active_ = false;
-  Tracer& tracer = Tracer::instance();
-  if (!tracer.enabled()) return;  // stopped mid-span: drop it
+double Span::close() {
+  if (!open_) return seconds_;
+  open_ = false;
   const auto end = std::chrono::steady_clock::now();
+  seconds_ = std::chrono::duration<double>(end - start_).count();
+  if (hist_) hist_->observe(seconds_ * 1e3);
+  if (!traced_) return seconds_;
+  Tracer& tracer = Tracer::instance();
+  if (!tracer.enabled()) return seconds_;  // stopped mid-span: drop it
   using us = std::chrono::microseconds;
   TraceEvent e;
   e.name = std::move(name_);
@@ -86,6 +90,7 @@ void Span::close() {
       std::chrono::duration_cast<us>(end - start_).count());
   e.tid = current_tid();
   tracer.record(std::move(e));
+  return seconds_;
 }
 
 }  // namespace fcrit::obs

@@ -1,13 +1,22 @@
 // Phase-scoped tracing: RAII spans that nest, record wall time + thread
 // id, and export Chrome trace-event JSON (chrome://tracing, Perfetto).
 //
-// The Tracer is a process-wide singleton that is off by default: a Span
-// constructed while tracing is disabled costs one relaxed atomic load and
-// records nothing, so the pipeline stays instrumented permanently and
-// pays only when someone asks for a trace (`fcrit pipeline --trace-out`).
-// Spans emit "X" (complete) events; nesting falls out of the begin/end
-// timestamps, so no per-thread stack is kept and spans may close on a
-// different thread than they opened on.
+// obs::Span is fcrit's one stage timer. It reads the clock when it opens
+// and when it closes; close() returns the span's seconds, and the optional
+// Histogram receives its milliseconds. Every `*_seconds` result field and
+// stage histogram is read from a span (in the scoring engine, from the
+// stage boundaries its request spans share), so a trace and a result
+// cannot disagree about a stage.
+//
+// The Tracer is a process-wide singleton that is off by default. A span
+// records a trace event only when tracing was on at its construction and
+// still is at its close; with tracing off it costs two steady_clock reads
+// and one relaxed atomic load, the price of timing the stage at all. So the
+// pipeline stays instrumented permanently and pays for events only when
+// someone asks for a trace (`fcrit pipeline --trace-out`). Spans emit "X"
+// (complete) events; nesting falls out of the begin/end timestamps, so no
+// per-thread stack is kept and spans may close on a different thread than
+// they opened on.
 #pragma once
 
 #include <atomic>
@@ -20,6 +29,8 @@
 #include "src/util/thread_annotations.hpp"
 
 namespace fcrit::obs {
+
+class Histogram;
 
 struct TraceEvent {
   std::string name;
@@ -56,23 +67,28 @@ class Tracer {
   std::vector<TraceEvent> events_ GUARDED_BY(mutex_);
 };
 
-/// RAII phase span against the global Tracer. Records on destruction when
-/// tracing was enabled at construction; otherwise near-free.
+/// RAII stage span against the global Tracer: times the stage always,
+/// records a trace event when tracing is on, and lands one sample in
+/// `hist` (milliseconds) when one is given.
 class Span {
  public:
-  explicit Span(std::string name);
+  explicit Span(std::string name, Histogram* hist = nullptr);
   ~Span() { close(); }
 
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
-  /// End the span before scope exit (idempotent).
-  void close();
+  /// End the span and return its seconds. The first call ends it; later
+  /// calls (and the destructor) return the same seconds and record nothing.
+  double close();
 
  private:
   std::string name_;
-  bool active_ = false;
-  std::chrono::steady_clock::time_point start_{};
+  Histogram* hist_;
+  bool traced_;
+  bool open_ = true;
+  double seconds_ = 0.0;
+  std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace fcrit::obs

@@ -13,7 +13,6 @@
 #include "src/netlist/verilog_parser.hpp"
 #include "src/sim/probability.hpp"
 #include "src/util/text.hpp"
-#include "src/util/timer.hpp"
 
 namespace fcrit::serve {
 
@@ -133,24 +132,28 @@ ScoreResult ScoringEngine::score(const std::string& bundle_path,
                                  const designs::Design& target,
                                  ScoreOptions opts) {
   requests_->add();
-  // One pointer null-check per call when untraced (trace_id stays 0 unless
-  // a collector was enabled at begin()); span recording otherwise.
+  // One pointer null-check per stage when untraced (trace_id stays 0
+  // unless a collector was enabled at begin()); span recording otherwise.
   obs::RequestTraceCollector* tc =
       opts.trace_id != 0 ? config_.traces : nullptr;
-  util::Timer request_timer;
+  // One clock reading per stage boundary: lap() ends the current stage at
+  // the reading that starts the next one, so the stages tile the request
+  // without overlap, and the seconds it returns are the traced span's.
+  const auto t_request = obs::TraceClock::now();
+  auto mark = t_request;
+  auto lap = [&](const char* stage, const char* detail = "") {
+    const auto now = obs::TraceClock::now();
+    if (tc) tc->span(opts.trace_id, stage, mark, now, detail);
+    const double seconds = std::chrono::duration<double>(now - mark).count();
+    mark = now;
+    return seconds;
+  };
   try {
     bool cache_hit = false;
-    const auto t_load = obs::TraceClock::now();
-    util::Timer load_timer;
     const auto bundle = cache_.get(bundle_path, &cache_hit);
-    load_ms_->observe(load_timer.millis());
-    if (tc)
-      tc->span(opts.trace_id, "bundle_load", t_load, obs::TraceClock::now(),
-               cache_hit ? "cache-hit" : "parse");
+    load_ms_->observe(lap("bundle_load", cache_hit ? "cache-hit" : "parse") *
+                      1e3);
 
-    // One span per stage; each ends where the next begins, so the spans
-    // tile the request without overlap.
-    const auto t_lint = obs::TraceClock::now();
     const BundleManifest& m = bundle->manifest;
     const netlist::Netlist& nl = target.netlist;
     nl.validate();
@@ -162,26 +165,22 @@ ScoreResult ScoringEngine::score(const std::string& bundle_path,
     preflight.target_name = target.name;
     registry_.counter("lint.findings_total").add(preflight.diagnostics.size());
     registry_.counter("lint.errors_total").add(preflight.errors());
-    const auto t_hash = obs::TraceClock::now();
-    if (tc) tc->span(opts.trace_id, "lint", t_lint, t_hash);
+    lap("lint");
     if (preflight.errors() > 0) throw lint::LintError(std::move(preflight));
 
     ScoreResult r;
     r.target_name = target.name;
     r.bundle_design = m.design_name;
     r.netlist_matched = netlist_content_hash(nl) == m.netlist_hash;
-    const auto t_stats = obs::TraceClock::now();
-    if (tc) tc->span(opts.trace_id, "content_hash", t_hash, t_stats);
+    lap("content_hash");
     if (!r.netlist_matched && opts.strict_hash)
       throw BundleError(BundleErrorCode::kNetlistHashMismatch,
                         "'" + target.name + "' is not the netlist '" +
                             m.design_name + "' was trained on");
 
-    util::Timer stats_timer;
     const auto stats = sim::estimate_by_simulation(
         nl, bundle->stimulus, m.probability_seed, m.probability_cycles);
-    const auto t_features = obs::TraceClock::now();
-    if (tc) tc->span(opts.trace_id, "golden_sim", t_stats, t_features);
+    r.stats_seconds = lap("golden_sim");
     const ml::Matrix raw = graphir::extract_features(nl, stats);
     if (raw.cols() != m.feature_width)
       throw BundleError(BundleErrorCode::kFeatureWidthMismatch,
@@ -190,18 +189,14 @@ ScoreResult ScoringEngine::score(const std::string& bundle_path,
                             std::to_string(m.feature_width));
     const ml::Matrix features = bundle->standardizer.transform(raw);
     const graphir::CircuitGraph graph = graphir::build_graph(nl);
-    r.stats_seconds = stats_timer.seconds();
-    stats_ms_->observe(r.stats_seconds * 1e3);
-
     r.sites = fault::fault_sites(nl);
     r.node_names.reserve(nl.num_nodes());
     for (netlist::NodeId id = 0; id < nl.num_nodes(); ++id)
       r.node_names.push_back(nl.node(id).name);
-    const auto t_fwd = obs::TraceClock::now();
-    if (tc) tc->span(opts.trace_id, "features", t_features, t_fwd);
+    r.stats_seconds += lap("features");
+    stats_ms_->observe(r.stats_seconds * 1e3);
     r.trace_id = opts.trace_id;
 
-    util::Timer forward_timer;
     // Every worker shares the bundle's models: inference writes nothing.
     const ml::Matrix out =
         bundle->classifier->infer(graph.normalized_adjacency, features);
@@ -218,13 +213,12 @@ ScoreResult ScoringEngine::score(const std::string& bundle_path,
     } else {
       r.score = r.proba;
     }
-    r.forward_seconds = forward_timer.seconds();
+    r.forward_seconds = lap("forward");
     forward_ms_->observe(r.forward_seconds * 1e3);
-    if (tc)
-      tc->span(opts.trace_id, "forward", t_fwd, obs::TraceClock::now());
 
     completed_->add();
-    request_ms_->observe(request_timer.millis());
+    request_ms_->observe(
+        std::chrono::duration<double, std::milli>(mark - t_request).count());
     return r;
   } catch (...) {
     errors_->add();

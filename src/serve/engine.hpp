@@ -102,9 +102,13 @@ struct ScoreResult {
   std::vector<int> predicted;           // classifier class per node id
   std::vector<double> score;            // regressor (proba when absent)
 
-  double stats_seconds = 0.0;    // golden simulation + feature extraction
-  double forward_seconds = 0.0;  // classifier + regressor inference
-  std::uint64_t trace_id = 0;    // echo of ScoreOptions::trace_id
+  /// Stage times, read from the same clock readings as the request's
+  /// spans: stats_seconds is golden_sim + features (signal statistics,
+  /// features, graph, fault sites and node names), forward_seconds is
+  /// forward (classifier + regressor inference).
+  double stats_seconds = 0.0;
+  double forward_seconds = 0.0;
+  std::uint64_t trace_id = 0;  // echo of ScoreOptions::trace_id
 };
 
 /// The `sites` of a result ranked by descending score, truncated to n

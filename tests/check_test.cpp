@@ -127,6 +127,20 @@ TEST(FaultOracles, AgreeOnRegisteredDesign) {
   EXPECT_EQ(diff_fault_oracles(d, cfg, 10), "");
 }
 
+TEST(FaultOracles, PlantedNaiveDefectIsCaught) {
+  // The naive leg's verdict reaches the comparison, so a wrong naive sweep
+  // fails the oracle even though the cone and injected legs agree.
+  fault::CampaignConfig cfg;
+  cfg.cycles = 32;
+  cfg.seed = 5;
+  const auto msg = diff_fault_oracles(random_design(5), cfg, 8,
+                                      FaultBug::kNaiveMismatchOffByOne);
+  ASSERT_NE(msg, "");
+  EXPECT_NE(msg.find("fault-oracle"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("naive="), std::string::npos) << msg;
+  EXPECT_NE(msg.find("mismatch_cycles"), std::string::npos) << msg;
+}
+
 TEST(CampaignOracle, AgreesOnCounter) {
   fault::CampaignConfig cfg;
   cfg.cycles = 48;
@@ -309,6 +323,29 @@ TEST(Harness, PlantedCampaignDefectFailsAndShrinks) {
   EXPECT_NE(diff_campaign_equivalence(shrunk, fc, cfg.max_faults,
                                       CampaignBug::kMismatchOffByOne),
             "");
+}
+
+TEST(Harness, PlantedFaultDefectFailsAndShrinks) {
+  CheckConfig cfg = tranche_config();
+  cfg.fault_bug = FaultBug::kNaiveMismatchOffByOne;
+  const auto report = run_checks(cfg);
+  ASSERT_FALSE(report.ok());
+  const Divergence& d = report.divergences.front();
+  EXPECT_EQ(d.oracle, "fault");
+  EXPECT_NE(d.message.find("naive="), std::string::npos) << d.message;
+  EXPECT_LE(d.circuit.num_gates, cfg.gates);
+
+  // The shrunk recipe reproduces under the same seed, and only with the
+  // planted defect.
+  const auto shrunk = designs::build_random_circuit(d.circuit);
+  fault::CampaignConfig fc;
+  fc.cycles = d.cycles;
+  fc.seed = d.seed;
+  fc.num_threads = 1;
+  EXPECT_NE(diff_fault_oracles(shrunk, fc, cfg.max_faults,
+                               FaultBug::kNaiveMismatchOffByOne),
+            "");
+  EXPECT_EQ(diff_fault_oracles(shrunk, fc, cfg.max_faults), "");
 }
 
 TEST(Harness, CampaignOracleCanBeDisabled) {

@@ -13,6 +13,20 @@
 
 #include "src/ml/trainer.hpp"
 
+// The heap probe reads glibc's mallinfo2, which sees nothing of the
+// allocators that ASan and TSan substitute.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define FCRIT_SANITIZED_HEAP 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define FCRIT_SANITIZED_HEAP 1
+#endif
+#endif
+#if defined(__GLIBC__) && !defined(FCRIT_SANITIZED_HEAP)
+#include <malloc.h>
+#define FCRIT_HEAP_PROBE 1
+#endif
+
 namespace fcrit::ml {
 namespace {
 
@@ -279,6 +293,32 @@ TEST(GcnModel, EvalPassBackwardYieldsInputGradient) {
       EXPECT_NEAR(grad(i, j), (loss(xp) - loss(xm)) / (2.0 * eps), 1e-2)
           << i << "," << j;
     }
+}
+
+TEST(GcnModel, ReleaseWorkspaceFreesEveryBuffer) {
+#ifndef FCRIT_HEAP_PROBE
+  GTEST_SKIP() << "the heap probe needs glibc's allocator, unsanitized";
+#else
+  // Every conv's output, pre-propagation and gradient buffers go back to
+  // the allocator, not just the last one assigned.
+  const auto heap_in_use = [] {
+    const struct mallinfo2 info = mallinfo2();
+    return static_cast<double>(info.uordblks + info.hblkhd);
+  };
+  const int n = 5000;
+  const auto adj = chain_adjacency(n);
+  GcnModel model(5, GcnConfig::classifier());
+  model.set_adjacency(&adj);
+  util::Rng rng(11);
+  const Matrix x = Matrix::randn(n, 5, rng, 1.0f);
+  const double before = heap_in_use();
+  model.forward(x, Pass::kEval);
+  const double during = heap_in_use();
+  model.release_workspace();
+  const double after = heap_in_use();
+  EXPECT_GT(during - before, 4e6) << "the pass should cache its activations";
+  EXPECT_NEAR(after, before, 1e6) << "during the pass: " << during - before;
+#endif
 }
 
 TEST(GcnModel, ConcurrentInferOnOneModelIsBitwiseStable) {

@@ -1,11 +1,13 @@
 // The obs layer: histogram percentile edge cases, concurrent registry
 // updates (run under the FCRIT_SANITIZE matrix), registry JSON snapshots,
-// the strict JSON validator, and tracer spans down to a Chrome trace of a
+// the strict JSON validator, the span clock (close() seconds, histogram
+// samples, trace events), and tracer spans down to a Chrome trace of a
 // real pipeline run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -243,7 +245,9 @@ TEST(RequestTraceTest, RingEvictsOldestAndCountsDrops) {
   col.set_enabled(true);
   std::vector<std::uint64_t> ids;
   for (int i = 0; i < 6; ++i) {
-    const std::uint64_t id = col.begin("b.fcm", "t" + std::to_string(i));
+    std::string target = "t";
+    target += std::to_string(i);
+    const std::uint64_t id = col.begin("b.fcm", target);
     ids.push_back(id);
     col.finish(id, "ok");
   }
@@ -268,7 +272,9 @@ TEST(RequestTraceTest, AccessLogAppendsOneValidJsonLinePerRequest) {
   ASSERT_TRUE(col.open_access_log(path));
   col.set_slow_ms(0.0);  // every request also mirrors to the logger
   for (int i = 0; i < 3; ++i) {
-    const std::uint64_t id = col.begin("b.fcm", "t" + std::to_string(i));
+    std::string target = "t";
+    target += std::to_string(i);
+    const std::uint64_t id = col.begin("b.fcm", target);
     col.finish(id, i == 2 ? "error" : "ok", i == 2 ? "boom" : "");
   }
   std::ifstream is(path);
@@ -295,8 +301,9 @@ TEST(RequestTraceTest, ConcurrentRequestsKeepRingCoherent) {
   for (int t = 0; t < kThreads; ++t)
     writers.emplace_back([&col, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        const std::uint64_t id =
-            col.begin("b.fcm", "t" + std::to_string(t));
+        std::string target = "t";
+        target += std::to_string(t);
+        const std::uint64_t id = col.begin("b.fcm", target);
         const auto now = TraceClock::now();
         col.span(id, "forward", now, now);
         col.finish(id, "ok");
@@ -461,7 +468,11 @@ TEST(TracerTest, DisabledSpansRecordNothing) {
   Tracer& tracer = Tracer::instance();
   tracer.start();
   tracer.stop();
-  { Span s("ignored"); }
+  {
+    Span s("ignored");
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_GT(s.close(), 0.0);  // untraced, the span still times its stage
+  }
   EXPECT_TRUE(tracer.events().empty());
 }
 
@@ -491,6 +502,61 @@ TEST(TracerTest, NestedSpansProduceValidChromeTrace) {
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"outer\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
+}
+
+// ---- the span clock -------------------------------------------------------
+
+TEST(SpanTest, CloseIsNonNegativeAndMonotoneAcrossNesting) {
+  Span outer("outer");
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  Span inner("inner");
+  const double inner_s = inner.close();
+  EXPECT_GE(inner_s, 0.0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  const double outer_s = outer.close();
+  EXPECT_GE(outer_s, inner_s);
+  EXPECT_GE(outer_s, 0.004);
+}
+
+TEST(SpanTest, SecondCloseReturnsTheSameSeconds) {
+  Span span("once");
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  const double first = span.close();
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  EXPECT_EQ(span.close(), first);
+  EXPECT_EQ(span.close(), first);
+}
+
+TEST(SpanTest, HistogramGetsOneSampleOfCloseMillis) {
+  Histogram hist;
+  double seconds = 0.0;
+  {
+    Span span("stage", &hist);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    seconds = span.close();
+  }  // the destructor after close() adds no second sample
+  const HistogramSnapshot s = hist.snapshot();
+  EXPECT_EQ(s.count, 1u);
+  EXPECT_EQ(s.sum, seconds * 1e3);
+  EXPECT_EQ(s.max, seconds * 1e3);
+
+  {
+    Span span("scoped", &hist);  // closed by its destructor
+  }
+  EXPECT_EQ(hist.snapshot().count, 2u);
+}
+
+TEST(SpanTest, TracedEventDurationMatchesClose) {
+  Tracer& tracer = Tracer::instance();
+  tracer.start();
+  Span span("traced");
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  const double seconds = span.close();
+  tracer.stop();
+  const auto events = tracer.events();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].name, "traced");
+  EXPECT_NEAR(static_cast<double>(events[0].dur_us), seconds * 1e6, 1.0);
 }
 
 // ---- pipeline integration: the acceptance criterion -----------------------

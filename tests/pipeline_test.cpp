@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "src/obs/trace.hpp"
+
 namespace fcrit::core {
 namespace {
 
@@ -109,6 +114,45 @@ TEST(PipelineConfig, DangerousFractionOverride) {
   const auto rs = strict.analyze_design("or1200_icfsm");
   const auto rl = loose.analyze_design("or1200_icfsm");
   EXPECT_LT(rs.dataset.num_critical(), rl.dataset.num_critical());
+}
+
+TEST(Pipeline, SecondsFieldsAreTheirStageSpans) {
+  PipelineConfig cfg;
+  cfg.campaign_cycles = 48;
+  cfg.probability_cycles = 64;
+  cfg.train.epochs = 20;
+  cfg.train_baselines = false;
+  cfg.train_regressor = false;
+  FaultCriticalityAnalyzer analyzer(cfg);
+  obs::Tracer& tracer = obs::Tracer::instance();
+  tracer.start();
+  const PipelineResult r = analyzer.analyze_design("or1200_icfsm");
+  tracer.stop();
+  const std::vector<obs::TraceEvent> events = tracer.events();
+  auto only = [&](const std::string& name) {
+    const obs::TraceEvent* found = nullptr;
+    int count = 0;
+    for (const obs::TraceEvent& e : events)
+      if (e.name == name) {
+        found = &e;
+        ++count;
+      }
+    EXPECT_EQ(count, 1) << name;
+    return found;
+  };
+  const obs::TraceEvent* fi = only("fi_campaign");
+  const obs::TraceEvent* train = only("gcn_train");
+  const obs::TraceEvent* infer = only("gcn_inference");
+  const obs::TraceEvent* golden = only("fi_golden");
+  ASSERT_TRUE(fi && train && infer && golden);
+  // An event's dur_us truncates the span's own close() seconds.
+  EXPECT_NEAR(double(fi->dur_us), r.fi_seconds * 1e6, 1.0);
+  EXPECT_NEAR(double(train->dur_us), r.train_seconds * 1e6, 1.0);
+  EXPECT_NEAR(double(infer->dur_us), r.inference_seconds * 1e6, 1.0);
+  EXPECT_NEAR(double(golden->dur_us), r.campaign.golden_seconds * 1e6, 1.0);
+  // The golden run is part of the campaign (1 us of truncation slack).
+  EXPECT_GE(golden->ts_us, fi->ts_us);
+  EXPECT_LE(golden->ts_us + golden->dur_us, fi->ts_us + fi->dur_us + 1);
 }
 
 TEST(Pipeline, UnknownDesignThrows) {

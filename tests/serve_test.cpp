@@ -562,6 +562,41 @@ TEST(EngineSpans, StagesTileTheRequestWithoutOverlap) {
   }
 }
 
+TEST(EngineSpans, TimingFieldsAreTheirSpans) {
+  // ScoreResult's stage times come from the clock readings that bound the
+  // traced spans: forward_seconds is the forward span, stats_seconds the
+  // golden_sim and features spans together.
+  const std::string dir = ::testing::TempDir() + "fcrit_timing_spans";
+  std::filesystem::create_directories(dir);
+  const auto d = tiny_design(75);
+  save_bundle_file(synthetic_bundle(d, 7), dir + "/tiny.fcm");
+  obs::RequestTraceCollector traces(4);
+  traces.set_enabled(true);
+  EngineConfig ec;
+  ec.threads = 1;
+  ec.traces = &traces;
+  ScoringEngine engine(ec);
+  const std::uint64_t id = traces.begin(dir + "/tiny.fcm", d.name);
+  ScoreOptions opts;
+  opts.trace_id = id;
+  const ScoreResult r = engine.score(dir + "/tiny.fcm", d, opts);
+  traces.finish(id, "ok");
+
+  const auto trace = traces.find(id);
+  ASSERT_TRUE(trace.has_value());
+  auto span_ms = [&](const std::string& name) {
+    for (const obs::TraceSpan& s : trace->spans)
+      if (s.name == name) return s.dur_ms;
+    ADD_FAILURE() << "no span " << name;
+    return -1.0;
+  };
+  EXPECT_NEAR(r.forward_seconds * 1e3, span_ms("forward"), 1e-9);
+  EXPECT_NEAR(r.stats_seconds * 1e3,
+              span_ms("golden_sim") + span_ms("features"), 1e-9);
+  EXPECT_GT(r.forward_seconds, 0.0);
+  EXPECT_GT(r.stats_seconds, 0.0);
+}
+
 // ---- LRU cache ------------------------------------------------------------
 
 TEST(BundleCacheTest, LruEvictsLeastRecentlyUsed) {

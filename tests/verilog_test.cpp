@@ -330,7 +330,10 @@ std::string collect_outcome(const std::string& text) {
     for (NodeId id = 0; id < nl.num_nodes(); ++id) {
       out += std::to_string(id) + " " + std::string(spec(nl.kind(id)).name) +
              " " + nl.node(id).name;
-      for (const NodeId f : nl.fanins(id)) out += " " + std::to_string(f);
+      for (const NodeId f : nl.fanins(id)) {
+        out += " ";
+        out += std::to_string(f);
+      }
       out += "\n";
     }
     for (const OutputPort& port : nl.outputs())
