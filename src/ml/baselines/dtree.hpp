@@ -1,5 +1,14 @@
 // CART decision tree (Gini impurity) — the unit learner of the Random
 // Forest baseline, and usable standalone.
+//
+// fit() sorts each feature's sample slots once per tree (slot s is entry s
+// of train_idx, so a bootstrap bag's repeated rows are separate slots). A
+// node owns the same range of every feature's order, its split scan walks
+// that range, and the chosen split partitions every range stably, so each
+// child's ranges stay sorted. The scan tests splits only between distinct
+// values, and the label counts there do not depend on the order within a
+// run of equal values (±0 included), so the tree is the one a per-node
+// sort of (value, label) pairs would grow, for finite features.
 #pragma once
 
 #include <cstdint>
@@ -43,9 +52,10 @@ class DecisionTree final : public BaselineClassifier {
     double p1 = 0.5;        // class-1 fraction at this node
   };
 
-  int build(const Matrix& x, const std::vector<int>& labels,
-            std::vector<int>& idx, int begin, int end, int depth,
-            util::Rng& rng);
+  struct Presorted;
+
+  /// Grows the subtree over slots [begin, end) of every feature's order.
+  int build(Presorted& s, int begin, int end, int depth, util::Rng& rng);
 
   Config config_;
   std::vector<Node> nodes_;

@@ -63,34 +63,34 @@ void ExplainableBoosting::fit(const Matrix& x, const std::vector<int>& labels,
   std::vector<double> score(n, intercept_);
 
   // Cyclic per-feature boosting.
-  std::vector<double> grad_sum;
+  std::vector<double> grad_sum, delta;
   std::vector<int> grad_cnt;
   for (int round = 0; round < config_.rounds; ++round) {
     for (int j = 0; j < f; ++j) {
       auto& shape = shape_[static_cast<std::size_t>(j)];
       grad_sum.assign(shape.size(), 0.0);
       grad_cnt.assign(shape.size(), 0);
+      const std::vector<int>& bins = row_bin[static_cast<std::size_t>(j)];
       for (std::size_t i = 0; i < n; ++i) {
         const double p = sigmoid(score[i]);
         const double residual =
             static_cast<double>(
                 labels[static_cast<std::size_t>(train_idx[i])]) -
             p;
-        const int b = row_bin[static_cast<std::size_t>(j)][i];
+        const int b = bins[i];
         grad_sum[static_cast<std::size_t>(b)] += residual;
         grad_cnt[static_cast<std::size_t>(b)] += 1;
       }
+      // Each row's bin counted the row, so one pass gives every row
+      // exactly one addition: its own bin's delta.
+      delta.assign(shape.size(), 0.0);
       for (std::size_t b = 0; b < shape.size(); ++b) {
         if (grad_cnt[b] == 0) continue;
-        const double delta =
-            config_.lr * grad_sum[b] / static_cast<double>(grad_cnt[b]);
-        shape[b] += delta;
-        // Apply to running scores.
-        for (std::size_t i = 0; i < n; ++i)
-          if (row_bin[static_cast<std::size_t>(j)][i] ==
-              static_cast<int>(b))
-            score[i] += delta;
+        delta[b] = config_.lr * grad_sum[b] / static_cast<double>(grad_cnt[b]);
+        shape[b] += delta[b];
       }
+      for (std::size_t i = 0; i < n; ++i)
+        score[i] += delta[static_cast<std::size_t>(bins[i])];
     }
   }
 

@@ -2,7 +2,8 @@
 // per-feature gradient boosting with histogram (quantile-bin) shape
 // functions under logistic loss. Glass-box like the reference
 // implementation; interactions are omitted (GA2M pairs are out of scope for
-// the paper's comparison).
+// the paper's comparison). Each feature update adds its bins' deltas to the
+// running scores in one pass over the training rows.
 #pragma once
 
 #include <cstdint>

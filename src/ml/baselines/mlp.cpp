@@ -1,5 +1,6 @@
 #include "src/ml/baselines/mlp.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -37,9 +38,31 @@ void MlpClassifier::fit(const Matrix& x, const std::vector<int>& labels,
   for (const auto& layer : layers_) layer->collect_params(params);
   Adam opt(params, config_.lr, config_.weight_decay);
 
+  // The loss reads only the training rows, so training runs on them alone,
+  // gathered in ascending row order; `mask` lists each entry of train_idx
+  // by its place among them. Any other row's loss gradient is +0 and stays
+  // +0 back through every layer, so over all rows it would add only ±0
+  // terms to weight-gradient sums that start at +0, which changes none of
+  // them: every weight comes out bit for bit the same.
+  std::vector<int> rows = train_idx;
+  std::sort(rows.begin(), rows.end());
+  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+  Matrix xt(static_cast<int>(rows.size()), x.cols());
+  std::vector<int> yt(rows.size());
+  for (std::size_t t = 0; t < rows.size(); ++t) {
+    const auto src = x.row(rows[t]);
+    std::copy(src.begin(), src.end(), xt.row(static_cast<int>(t)).begin());
+    yt[t] = labels[static_cast<std::size_t>(rows[t])];
+  }
+  std::vector<int> mask(train_idx.size());
+  for (std::size_t t = 0; t < mask.size(); ++t)
+    mask[t] = static_cast<int>(
+        std::lower_bound(rows.begin(), rows.end(), train_idx[t]) -
+        rows.begin());
+
   Matrix grad;
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
-    masked_nll(forward(x, Pass::kTrain), labels, train_idx, grad);
+    masked_nll(forward(xt, Pass::kTrain), yt, mask, grad);
     opt.zero_grad();
     // Nothing reads the input gradient, so the first layer skips it.
     Matrix* g = &grad;

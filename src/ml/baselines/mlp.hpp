@@ -1,6 +1,10 @@
 // Multi-layer perceptron baseline: Linear -> ReLU -> Linear -> ReLU ->
 // Linear(2) -> LogSoftmax, trained full-batch with Adam on the training
 // rows. Reuses the layer stack of the GCN (without graph propagation).
+// fit() runs forward and backward over the training rows alone, gathered
+// in ascending row order: with finite features, the other rows would add
+// only ±0 terms to the weight gradients, so the weights are bit for bit
+// those of training over every row with the loss masked to train_idx.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,8 @@
 #include "src/ml/gcn.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -33,6 +35,7 @@ GcnModel::GcnModel(int in_features, GcnConfig config)
     if (static_cast<int>(k) == config_.dropout_after &&
         config_.dropout > 0.0) {
       prefix_end_ = layers_.size();
+      suffix_conv_ = convs_.size();
       layers_.push_back(std::make_unique<Dropout>(config_.dropout, *rng_));
     }
     width = config_.hidden[k];
@@ -41,7 +44,10 @@ GcnModel::GcnModel(int in_features, GcnConfig config)
   convs_.push_back(head.get());
   layers_.push_back(std::move(head));
   if (config_.log_softmax) layers_.push_back(std::make_unique<LogSoftmax>());
-  if (prefix_end_ == 0) prefix_end_ = layers_.size();  // no Dropout
+  if (prefix_end_ == 0) {  // no Dropout
+    prefix_end_ = layers_.size();
+    suffix_conv_ = convs_.size();
+  }
 }
 
 void GcnModel::set_adjacency(const SparseMatrix* adj) {
@@ -90,6 +96,91 @@ const Matrix& GcnModel::forward_suffix(Pass pass) {
   return run_suffix(pass);
 }
 
+SuffixCut GcnModel::cut_suffix(const SparseMatrix& adj,
+                               const std::vector<int>& rows) const {
+  if (adj.rows() != adj.cols())
+    throw std::invalid_argument("GcnModel::cut_suffix: Â is not square");
+  for (const int r : rows)
+    if (r < 0 || r >= adj.rows())
+      throw std::out_of_range("GcnModel::cut_suffix: row out of range");
+  SuffixCut cut{rows, std::vector<SparseMatrix>(convs_.size() - suffix_conv_)};
+  const std::vector<int>& ptr = adj.row_ptr();
+  const std::vector<int>& col = adj.col_index();
+  const std::vector<float>& val = adj.values();
+  // Back from the head: conv k outputs the rows `out`, so its input must
+  // hold every column they store, numbered in ascending order — the rows
+  // conv k - 1 outputs. The first conv reads the whole prefix output, so
+  // its columns keep their numbers.
+  std::vector<int> out = rows;
+  std::vector<int> number(static_cast<std::size_t>(adj.cols()));
+  for (std::size_t k = cut.adj.size(); k-- > 0;) {
+    std::vector<int> in;
+    if (k == 0) {
+      std::iota(number.begin(), number.end(), 0);
+    } else {
+      std::vector<char> needed(number.size(), 0);
+      for (const int r : out)
+        for (int e = ptr[r]; e < ptr[r + 1]; ++e) needed[col[e]] = 1;
+      for (int c = 0; c < adj.cols(); ++c) {
+        if (!needed[c]) continue;
+        number[c] = static_cast<int>(in.size());
+        in.push_back(c);
+      }
+    }
+    std::vector<int> cut_ptr(out.size() + 1, 0);
+    for (std::size_t t = 0; t < out.size(); ++t)
+      cut_ptr[t + 1] = cut_ptr[t] + ptr[out[t] + 1] - ptr[out[t]];
+    std::vector<int> cut_col(static_cast<std::size_t>(cut_ptr.back()));
+    std::vector<float> cut_val(cut_col.size());
+    for (std::size_t t = 0; t < out.size(); ++t) {
+      for (int e = ptr[out[t]], d = cut_ptr[t]; e < ptr[out[t] + 1]; ++e, ++d) {
+        cut_col[d] = number[col[e]];
+        cut_val[d] = val[e];
+      }
+    }
+    cut.adj[k] = SparseMatrix::from_csr(
+        static_cast<int>(out.size()),
+        k == 0 ? adj.cols() : static_cast<int>(in.size()), std::move(cut_ptr),
+        std::move(cut_col), std::move(cut_val));
+    out = std::move(in);
+  }
+  return cut;
+}
+
+const Matrix& GcnModel::forward_suffix(const SuffixCut& cut) {
+  UseGuard guard(*in_use_);
+  if (!prefix_out_)
+    throw std::logic_error(
+        "GcnModel::forward_suffix: no prefix output (a training suffix "
+        "consumed it)");
+  if (cut.adj.size() != convs_.size() - suffix_conv_)
+    throw std::logic_error(
+        "GcnModel::forward_suffix: the cut is for another layer stack");
+  cached_ = Pass::kInfer;
+  if (cut.adj.empty()) {
+    // The prefix output is the model's, log-softmax included.
+    picked_.reset(static_cast<int>(cut.rows.size()), prefix_out_->cols());
+    for (std::size_t t = 0; t < cut.rows.size(); ++t) {
+      const auto row = prefix_out_->row(cut.rows[t]);
+      std::copy(row.begin(), row.end(),
+                picked_.row(static_cast<int>(t)).begin());
+    }
+    return picked_;
+  }
+  // Dropout is the identity outside training; then, as in infer(), a ReLU
+  // follows each hidden conv and the head's log-softmax ends the model.
+  const Matrix* h = prefix_out_;
+  Matrix* y = nullptr;
+  for (std::size_t k = 0; k < cut.adj.size(); ++k) {
+    GcnConv* conv = convs_[suffix_conv_ + k];
+    y = &conv->forward_cut(cut.adj[k], *h);
+    if (conv != convs_.back()) relu_in_place(*y);
+    h = y;
+  }
+  if (config_.log_softmax) log_softmax_in_place(*y);
+  return *y;
+}
+
 void GcnModel::backward(Matrix& grad) {
   UseGuard guard(*in_use_);
   if (cached_ == Pass::kInfer)
@@ -104,6 +195,7 @@ void GcnModel::backward(Matrix& grad) {
 void GcnModel::release_workspace() {
   UseGuard guard(*in_use_);
   for (const auto& layer : layers_) layer->release();
+  picked_ = Matrix();
   prefix_out_ = nullptr;
   cached_ = Pass::kInfer;
 }

@@ -8,7 +8,9 @@
 // The regressor variant (§3.4) removes the LogSoftmax and sets the output
 // dimensionality to 1, yielding continuous criticality scores.
 // A trained model scores through the const infer(), which threads may share;
-// the passes that write its workspace serve one caller at a time.
+// the passes that write its workspace serve one caller at a time. A
+// training loop's per-epoch evaluation runs the layers after the first
+// Dropout only for the rows its metric reads (cut_suffix, forward_suffix).
 #pragma once
 
 #include <atomic>
@@ -36,6 +38,15 @@ struct GcnConfig {
     c.log_softmax = false;
     return c;
   }
+};
+
+/// What the layers after a GcnModel's prefix need to output only some rows:
+/// built once per training run by GcnModel::cut_suffix().
+struct SuffixCut {
+  std::vector<int> rows;  // the output rows, in the caller's order
+  /// Per conv after the prefix, in order: Â's rows that conv must output,
+  /// its columns numbered by the rows the conv's input holds.
+  std::vector<SparseMatrix> adj;
 };
 
 class GcnModel {
@@ -76,6 +87,25 @@ class GcnModel {
   /// forward_suffix() then throws std::logic_error until the next prefix.
   void forward_prefix(const Matrix& x, Pass pass);
   const Matrix& forward_suffix(Pass pass);
+
+  /// The cut that outputs just `rows` (any order, repeats allowed) of the
+  /// model's output over `adj`. The head outputs those rows; each conv
+  /// after the prefix before it outputs the Â-neighbours of the next conv's
+  /// rows, ascending; the first reads the prefix output in place. Throws
+  /// std::invalid_argument unless `adj` is square, and std::out_of_range
+  /// for a row outside it.
+  SuffixCut cut_suffix(const SparseMatrix& adj,
+                       const std::vector<int>& rows) const;
+
+  /// forward_suffix(Pass::kInfer) restricted to `cut`: row t of the result
+  /// is output row cut.rows[t], with the bits the full pass gives it.
+  /// Matmul rows are independent, a cut Â row sums the same stored entries
+  /// in the same order, and ReLU and log-softmax work row by row. Writes
+  /// into the suffix convs' own buffers and leaves the prefix output to the
+  /// next suffix. With no Dropout the prefix is the whole model, and the
+  /// rows are copied from its output. Throws std::logic_error when there is
+  /// no prefix output or `cut` has another number of convs.
+  const Matrix& forward_suffix(const SuffixCut& cut);
 
   /// Backpropagates dL/dY in `grad`, rewriting it in place. After a kEval
   /// pass `grad` ends as dL/dX (the explainer's feature-mask gradient);
@@ -126,6 +156,8 @@ class GcnModel {
   std::vector<std::unique_ptr<Layer>> layers_;
   std::vector<GcnConv*> convs_;
   std::size_t prefix_end_ = 0;      // index of the first Dropout, or size
+  std::size_t suffix_conv_ = 0;     // index in convs_ of the first after it
+  Matrix picked_;  // forward_suffix(cut)'s rows when the prefix is the model
   Matrix* prefix_out_ = nullptr;    // the prefix's output, until consumed
   Pass prefix_pass_ = Pass::kInfer;
   Pass cached_ = Pass::kInfer;      // whose caches backward() uses; kInfer: none

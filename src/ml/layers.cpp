@@ -45,6 +45,12 @@ Matrix& GcnConv::forward(const Matrix& x, Pass pass) {
   return y_;
 }
 
+Matrix& GcnConv::forward_cut(const SparseMatrix& adj, const Matrix& x) {
+  infer(adj, x, z_, y_);
+  x_ = nullptr;
+  return y_;
+}
+
 Matrix& GcnConv::backward(Matrix& grad, bool input_grad) {
   const SparseMatrix& adj = adjacency();
   if (!x_) throw std::logic_error("GcnConv::backward: no caching forward");

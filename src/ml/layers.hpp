@@ -95,6 +95,10 @@ class GcnConv final : public Layer {
   Matrix& forward(Matrix& x, Pass pass) override {
     return forward(std::as_const(x), pass);
   }
+  /// forward(x, Pass::kInfer) over `adj` in place of the layer's
+  /// adjacency, into the same buffers: with Â's rows cut to some of them,
+  /// the output holds just those rows.
+  Matrix& forward_cut(const SparseMatrix& adj, const Matrix& x);
   Matrix& backward(Matrix& grad, bool input_grad) override;
   void collect_params(std::vector<Param>& out) override;
   void release() override;

@@ -1,6 +1,7 @@
 #include "src/ml/trainer.hpp"
 
 #include <memory>
+#include <numeric>
 
 #include "src/ml/metrics.hpp"
 #include "src/ml/optimizer.hpp"
@@ -12,6 +13,24 @@
 namespace fcrit::ml {
 
 namespace {
+
+/// values[idx[t]] for every t: what the metric reads of the validation
+/// rows, in val_idx order.
+template <typename T>
+std::vector<T> gather(const std::vector<T>& values,
+                      const std::vector<int>& idx) {
+  std::vector<T> out;
+  out.reserve(idx.size());
+  for (const int i : idx) out.push_back(values[static_cast<std::size_t>(i)]);
+  return out;
+}
+
+/// 0, 1, ..., n - 1.
+std::vector<int> first_rows(std::size_t n) {
+  std::vector<int> rows(n);
+  std::iota(rows.begin(), rows.end(), 0);
+  return rows;
+}
 
 /// Snapshot/restore of model parameters for early stopping.
 class ParamSnapshot {
@@ -45,6 +64,12 @@ class ParamSnapshot {
 // for evaluation (Pass::kInfer, dropout off), then — only if training goes
 // on — for the next epoch's training (Pass::kTrain). Every layer sees
 // exactly the operands two full forwards would give it, bit for bit.
+//
+// The evaluation computes only the validation rows: GcnModel::cut_suffix
+// derives, once per run, the rows each conv after the prefix must output,
+// and forward_suffix(cut) gives each of them the full pass's bits. The
+// metric reads them in val_idx order, as it reads the full output, so the
+// history and the early stopping are unchanged.
 
 TrainHistory train_classifier(GcnModel& model, const SparseMatrix& adj,
                               const Matrix& x, const std::vector<int>& labels,
@@ -61,6 +86,9 @@ TrainHistory train_classifier(GcnModel& model, const SparseMatrix& adj,
       obs::registry().histogram("ml.classifier.epoch_ms");
   obs::registry().gauge("ml.jobs").set(util::num_threads());
 
+  const SuffixCut val_cut = model.cut_suffix(adj, val_idx);
+  const std::vector<int> val_labels = gather(labels, val_idx);
+  const std::vector<int> val_rows = first_rows(val_idx.size());
   Matrix grad;
   model.forward_prefix(x, Pass::kTrain);
   for (int epoch = 0; epoch < config.epochs; ++epoch) {
@@ -72,8 +100,9 @@ TrainHistory train_classifier(GcnModel& model, const SparseMatrix& adj,
     opt.step();
 
     model.forward_prefix(x, Pass::kTrain);
-    const Matrix& eval = model.forward_suffix(Pass::kInfer);
-    const double val_acc = accuracy(predict_labels(eval), labels, val_idx);
+    const Matrix& eval = model.forward_suffix(val_cut);
+    const double val_acc =
+        accuracy(predict_labels(eval), val_labels, val_rows);
     history.train_loss.push_back(loss);
     history.val_metric.push_back(val_acc);
     epoch_span.close();
@@ -115,6 +144,9 @@ TrainHistory train_regressor(GcnModel& model, const SparseMatrix& adj,
       obs::registry().histogram("ml.regressor.epoch_ms");
   obs::registry().gauge("ml.jobs").set(util::num_threads());
 
+  const SuffixCut val_cut = model.cut_suffix(adj, val_idx);
+  const std::vector<double> val_targets = gather(targets, val_idx);
+  const std::vector<int> val_rows = first_rows(val_idx.size());
   Matrix grad, unused;
   model.forward_prefix(x, Pass::kTrain);
   for (int epoch = 0; epoch < config.epochs; ++epoch) {
@@ -126,8 +158,8 @@ TrainHistory train_regressor(GcnModel& model, const SparseMatrix& adj,
     opt.step();
 
     model.forward_prefix(x, Pass::kTrain);
-    const double val_mse = masked_mse(model.forward_suffix(Pass::kInfer),
-                                      targets, val_idx, unused);
+    const double val_mse = masked_mse(model.forward_suffix(val_cut),
+                                      val_targets, val_rows, unused);
     history.train_loss.push_back(loss);
     history.val_metric.push_back(-val_mse);
     epoch_span.close();

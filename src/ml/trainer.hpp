@@ -1,6 +1,8 @@
 // Full-graph training loops for the GCN classifier (§3.3.3) and regressor
 // (§3.4): Adam, masked losses over the 80/20 node split, early stopping on
-// validation accuracy / MSE with best-parameter restore.
+// validation accuracy / MSE with best-parameter restore. Each epoch's
+// evaluation computes only the rows the validation metric reads, with the
+// bits a full evaluation gives them (GcnModel::cut_suffix).
 #pragma once
 
 #include <cstdint>

@@ -64,6 +64,7 @@ std::string_view to_string(BundleErrorCode code) {
       return "feature-width-mismatch";
     case BundleErrorCode::kNetlistHashMismatch:
       return "netlist-hash-mismatch";
+    case BundleErrorCode::kTooLarge: return "too-large";
   }
   return "unknown";
 }

@@ -34,6 +34,12 @@ inline constexpr int kBundleFormatVersion = 1;
 /// kMalformed, which bounds the golden simulation every score replays.
 inline constexpr int kMaxProbabilityCycles = 65536;
 
+/// Largest bundle file the score path reads, in bytes: 16 MiB, about 200x
+/// the 75 KB bundle `fcrit pack or1200_icfsm` writes. BundleCache::get
+/// refuses a larger file by its size before reading it, and stops a read
+/// that passes the limit (a file that grew, a pipe), with kTooLarge.
+inline constexpr std::uint64_t kMaxBundleBytes = std::uint64_t{16} << 20;
+
 enum class BundleErrorCode {
   kIo,                    // file unreadable / unwritable
   kBadMagic,              // not a bundle at all
@@ -43,6 +49,7 @@ enum class BundleErrorCode {
   kFeatureWidthMismatch,  // manifest vs standardizer vs model widths
   kNetlistHashMismatch,   // strict scoring of a netlist the bundle was
                           // not trained on
+  kTooLarge,              // file over kMaxBundleBytes
 };
 
 std::string_view to_string(BundleErrorCode code);

@@ -231,6 +231,125 @@ TEST(GcnModel, PrefixSuffixScheduleMatchesPlainForwardBitwise) {
   }
 }
 
+/// A symmetric normalized-style adjacency over n >= 31 nodes — self-loops,
+/// a chain and seeded chords — in which some stored entries hold +0 and
+/// some -0 (built from CSR, since from_coo would sum a lone -0 to +0).
+SparseMatrix adjacency_with_signed_zeros(int n) {
+  util::Rng rng(31);
+  const auto size = static_cast<std::size_t>(n);
+  std::vector<std::vector<float>> dense(size, std::vector<float>(size));
+  std::vector<std::vector<char>> stored(size, std::vector<char>(size));
+  const auto link = [&](int a, int b, float w) {
+    dense[a][b] = dense[b][a] = w;
+    stored[a][b] = stored[b][a] = 1;
+  };
+  for (int i = 0; i < n; ++i) link(i, i, 0.5f);
+  for (int i = 0; i + 1 < n; ++i) link(i, i + 1, 0.25f);
+  for (int k = 0; k < n / 2; ++k) {
+    const int a = static_cast<int>(rng.next_below(static_cast<unsigned>(n)));
+    const int b = static_cast<int>(rng.next_below(static_cast<unsigned>(n)));
+    link(a, b, 0.125f + 0.0625f * static_cast<float>(k % 5));
+  }
+  link(3, 9, 0.0f);
+  link(12, 30, -0.0f);
+  link(5, 6, -0.0f);
+  std::vector<int> ptr{0}, col;
+  std::vector<float> val;
+  for (int r = 0; r < n; ++r) {
+    for (int c = 0; c < n; ++c) {
+      if (!stored[r][c]) continue;
+      col.push_back(c);
+      val.push_back(dense[r][c]);
+    }
+    ptr.push_back(static_cast<int>(col.size()));
+  }
+  return SparseMatrix::from_csr(n, n, std::move(ptr), std::move(col),
+                                std::move(val));
+}
+
+TEST(GcnModel, CutSuffixGivesTheInferenceSuffixRowsBitwise) {
+  // The evaluation a training loop runs each epoch: for every layer stack
+  // the config allows, classifier and regressor, forward_suffix(cut) must
+  // give exactly the rows forward_suffix(Pass::kInfer) gives, for
+  // validation rows out of order (one repeated) over an adjacency with
+  // stored ±0 entries. A model without Dropout is all prefix: its rows
+  // come straight from the log-softmaxed output, so a second log-softmax
+  // fails here.
+  const int n = 48;
+  const SparseMatrix adj = adjacency_with_signed_zeros(n);
+  util::Rng rng(23);
+  const Matrix x = Matrix::randn(n, 5, rng, 1.0f);
+  const std::vector<int> val = {41, 3, 17, 29, 3, 8, 46, 22, 0, 35, 12};
+  struct Shape {
+    const char* name;
+    std::vector<int> hidden;
+    int dropout_after;
+    std::size_t cut_convs;
+  };
+  const Shape shapes[] = {{"table1", {16, 32, 64}, 1, 2},
+                          {"no_dropout", {16, 32, 64}, -1, 0},
+                          {"dropout_after_0", {16, 32, 64}, 0, 3},
+                          {"dropout_after_2", {16, 32, 64}, 2, 1},
+                          {"single_hidden", {8}, 1, 0},
+                          {"single_hidden_dropout", {8}, 0, 1}};
+  for (const Shape& shape : shapes) {
+    for (const bool regressor : {false, true}) {
+      GcnConfig cfg =
+          regressor ? GcnConfig::regressor() : GcnConfig::classifier();
+      cfg.hidden = shape.hidden;
+      cfg.dropout_after = shape.dropout_after;
+      GcnModel model(5, cfg);
+      model.set_adjacency(&adj);
+      const SuffixCut cut = model.cut_suffix(adj, val);
+      ASSERT_EQ(cut.adj.size(), shape.cut_convs) << shape.name;
+      if (!cut.adj.empty()) {
+        EXPECT_EQ(cut.adj.front().cols(), n) << "reads the prefix in place";
+        EXPECT_EQ(cut.adj.back().rows(), static_cast<int>(val.size()));
+      }
+
+      model.forward_prefix(x, Pass::kTrain);
+      const Matrix full = model.forward_suffix(Pass::kInfer);
+      const Matrix rows = model.forward_suffix(cut);
+      ASSERT_EQ(rows.rows(), static_cast<int>(val.size())) << shape.name;
+      ASSERT_EQ(rows.cols(), cfg.output_dim) << shape.name;
+      for (std::size_t t = 0; t < val.size(); ++t)
+        EXPECT_EQ(std::memcmp(rows.row(static_cast<int>(t)).data(),
+                              full.row(val[t]).data(),
+                              sizeof(float) * static_cast<std::size_t>(
+                                                  cfg.output_dim)),
+                  0)
+            << shape.name << (regressor ? " regressor" : " classifier")
+            << " row " << val[t];
+
+      // Like an inference suffix, the cut keeps no caches, and it leaves
+      // the prefix output to the next training suffix.
+      Matrix grad(n, cfg.output_dim);
+      EXPECT_THROW(model.backward(grad), std::logic_error) << shape.name;
+      EXPECT_NO_THROW(model.forward_suffix(Pass::kTrain)) << shape.name;
+      EXPECT_NO_THROW(model.backward(grad)) << shape.name;
+    }
+  }
+}
+
+TEST(GcnModel, CutSuffixOfNoRowsOutputsNothing) {
+  const int n = 48;
+  const SparseMatrix adj = adjacency_with_signed_zeros(n);
+  util::Rng rng(24);
+  const Matrix x = Matrix::randn(n, 5, rng, 1.0f);
+  GcnModel model(5, GcnConfig::classifier());
+  model.set_adjacency(&adj);
+  const SuffixCut cut = model.cut_suffix(adj, {});
+  model.forward_prefix(x, Pass::kTrain);
+  const Matrix& rows = model.forward_suffix(cut);
+  EXPECT_EQ(rows.rows(), 0);
+  EXPECT_EQ(rows.cols(), 2);
+  EXPECT_THROW(model.cut_suffix(adj, {n}), std::out_of_range);
+  GcnConfig other = GcnConfig::classifier();
+  other.dropout_after = 0;
+  EXPECT_THROW(model.forward_suffix(GcnModel(5, other).cut_suffix(adj, {1})),
+               std::logic_error);
+}
+
 TEST(GcnModel, InferMatchesCachingPassesBitwise) {
   // infer() is the inference math of the layer-by-layer passes: the
   // grad-capable evaluation pass and the trainer's prefix + inference

@@ -1542,5 +1542,33 @@ TEST(ServerTest, OverLimitNetlistGetsAnErrorReply) {
   std::filesystem::remove(huge);
 }
 
+TEST(ScoringEngineTest, OverLimitBundleIsRefusedByItsSize) {
+  const std::string dir = make_bundle_dir("over_limit_bundle");
+  const auto d = tiny_design(53);
+  // A sparse file one byte over the bundle limit: its size is refused
+  // before a byte of it is read.
+  const std::string huge = dir + "/huge.fcm";
+  write_file(huge, "");
+  std::filesystem::resize_file(huge, kMaxBundleBytes + 1);
+
+  ScoringEngine engine({.threads = 1});
+  try {
+    engine.score(huge, d);
+    ADD_FAILURE() << "an over-limit bundle must not load";
+  } catch (const BundleError& e) {
+    EXPECT_EQ(e.code(), BundleErrorCode::kTooLarge);
+    EXPECT_NE(std::string(e.what()).find(
+                  "16777217 bytes exceed the limit of 16777216 bytes"),
+              std::string::npos)
+        << e.what();
+  }
+  const MetricsSnapshot m = engine.metrics();
+  EXPECT_EQ(m.requests, 1u);
+  EXPECT_EQ(m.errors, 1u);
+  EXPECT_EQ(m.completed, 0u);
+  EXPECT_EQ(m.cache_misses, 0u) << "nothing was parsed";
+  std::filesystem::remove(huge);
+}
+
 }  // namespace
 }  // namespace fcrit::serve

@@ -44,6 +44,26 @@ struct Toy {
   }
 };
 
+TEST(Training, EmptyValidationSetKeepsItsBehaviour) {
+  // With no validation rows the classifier's accuracy reads 0 every epoch,
+  // so the first epoch stays the best and patience ends the run; the
+  // regressor's masked MSE refuses the empty mask.
+  Toy toy;
+  TrainConfig tc;
+  tc.epochs = 50;
+  tc.patience = 5;
+  GcnModel clf(4, GcnConfig::classifier());
+  const auto h = train_classifier(clf, toy.adj, toy.x, toy.labels, toy.train,
+                                  {}, tc);
+  EXPECT_EQ(h.train_loss.size(), 6u);
+  EXPECT_EQ(h.best_epoch, 0);
+  EXPECT_EQ(h.best_val_metric, 0.0);
+  GcnModel reg(4, GcnConfig::regressor());
+  EXPECT_THROW(train_regressor(reg, toy.adj, toy.x, toy.scores, toy.train, {},
+                               tc),
+               std::runtime_error);
+}
+
 TEST(TrainClassifier, LearnsSeparableTask) {
   Toy toy;
   GcnConfig cfg = GcnConfig::classifier();

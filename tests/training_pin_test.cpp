@@ -1,10 +1,13 @@
 // Bitwise pins for the training paths perfbench's train_ee_zonal does not
 // reach: the GCN classifier and regressor under every layer-stack shape the
 // config allows (Table 1, no dropout, dropout after the first or the last
-// hidden conv, a single hidden conv, early stopping), the MLP baseline and
-// one GNNExplainer explanation. Each pin is fnv1a64 over the serialized
-// weights plus the training history (or the returned probabilities / masks),
-// recorded on x86-64; a change that alters any bit of training fails here.
+// hidden conv, a single hidden conv, early stopping), the MLP, random
+// forest, EBM and decision-tree baselines (on the random graph and on a
+// table of tied values, ±0 among them), the five baselines of one short
+// pipeline run, and one GNNExplainer explanation. Each pin is fnv1a64 over
+// the serialized weights plus the training history (or the returned
+// probabilities / masks), recorded on x86-64; a change that alters any bit
+// of training fails here.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,8 +20,12 @@
 #include <utility>
 #include <vector>
 
+#include "src/core/pipeline.hpp"
 #include "src/explain/gnn_explainer.hpp"
+#include "src/ml/baselines/dtree.hpp"
+#include "src/ml/baselines/ebm.hpp"
 #include "src/ml/baselines/mlp.hpp"
+#include "src/ml/baselines/rforest.hpp"
 #include "src/ml/serialize.hpp"
 #include "src/ml/trainer.hpp"
 #include "tests/pin_hash.hpp"
@@ -188,6 +195,69 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.name);
     });
 
+/// Five feature columns that each hold a few repeated values, +0 and -0
+/// among them, so sorting a column leaves long runs of equal values (the
+/// zeros equal but with different bits) whose rows carry both labels. The
+/// training rows are listed out of order, and some of them twice.
+struct TiedTable {
+  Matrix x;
+  std::vector<int> labels;
+  std::vector<int> train;
+
+  TiedTable() {
+    const int n = 96;
+    const float levels[] = {-1.5f, -0.5f, -0.0f, 0.0f, 0.75f, 2.0f};
+    util::Rng rng(7411);
+    x = Matrix(n, 5);
+    labels.resize(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) {
+      for (int j = 0; j < 5; ++j)
+        x(i, j) = levels[j == 4 ? 2 + rng.next_below(3) : rng.next_below(6)];
+      const bool leaning = x(i, 0) + x(i, 1) > 0.0f;
+      labels[static_cast<std::size_t>(i)] =
+          rng.next_below(4) == 0 ? !leaning : leaning;
+    }
+    for (int i = n - 1; i >= 0; --i)
+      if (i % 6 != 0) train.push_back(i);
+    for (int i = 1; i < n; i += 9) train.push_back(i);
+  }
+};
+
+std::uint64_t proba_pin(const std::vector<double>& p) {
+  return pins::hash_bytes(std::span<const double>(p));
+}
+
+/// Fits `model` to the rows and returns the pin of its probabilities over
+/// every row.
+template <typename Model>
+std::uint64_t fitted_pin(Model model, const Matrix& x,
+                         const std::vector<int>& labels,
+                         const std::vector<int>& train) {
+  model.fit(x, labels, train);
+  return proba_pin(model.predict_proba(x));
+}
+
+TEST(TrainingPin, UnsortedValidationRowsMatchPin) {
+  // The per-epoch evaluation reads the validation rows in the caller's
+  // order, repeats included: the history (the regressor's MSE sums in that
+  // order) and the early-stopping choice are pinned with them.
+  const RandomGraph g;
+  std::vector<int> val(g.val.rbegin(), g.val.rend());
+  val.push_back(g.val[2]);
+  TrainConfig tc;
+  tc.epochs = 40;
+  GcnModel clf(g.x.cols(), GcnConfig::classifier());
+  const TrainHistory ch = ml::train_classifier(
+      clf, g.graph.normalized_adjacency, g.x, g.labels, g.train, val, tc);
+  GcnModel reg(g.x.cols(), GcnConfig::regressor());
+  const TrainHistory rh = ml::train_regressor(
+      reg, g.graph.normalized_adjacency, g.x, g.scores, g.train, val, tc);
+  EXPECT_EQ(model_pin(clf, ch), 0x7b0f668988dda34bu)
+      << "classifier: 0x" << std::hex << model_pin(clf, ch);
+  EXPECT_EQ(model_pin(reg, rh), 0xadd6430f2e28069du)
+      << "regressor: 0x" << std::hex << model_pin(reg, rh);
+}
+
 TEST(TrainingPin, MlpPredictProbaMatchesPin) {
   const RandomGraph g;
   ml::MlpClassifier mlp;
@@ -195,6 +265,65 @@ TEST(TrainingPin, MlpPredictProbaMatchesPin) {
   const std::vector<double> p = mlp.predict_proba(g.x);
   EXPECT_EQ(pins::hash_bytes(std::span<const double>(p)), 0x60f2f943e71cee1du)
       << "0x" << std::hex << pins::hash_bytes(std::span<const double>(p));
+}
+
+TEST(TrainingPin, BaselinesOnRandomGraphMatchPins) {
+  const RandomGraph g;
+  const std::uint64_t forest =
+      fitted_pin(ml::RandomForest(), g.x, g.labels, g.train);
+  const std::uint64_t ebm =
+      fitted_pin(ml::ExplainableBoosting(), g.x, g.labels, g.train);
+  const std::uint64_t tree =
+      fitted_pin(ml::DecisionTree(), g.x, g.labels, g.train);
+  EXPECT_EQ(forest, 0xc22c6043b8fa4a1fu) << "forest 0x" << std::hex << forest;
+  EXPECT_EQ(ebm, 0x473d0d90a39ba517u) << "ebm 0x" << std::hex << ebm;
+  EXPECT_EQ(tree, 0x834aa8e7cf2017bau) << "tree 0x" << std::hex << tree;
+}
+
+TEST(TrainingPin, BaselinesOnTiedTableMatchPins) {
+  const TiedTable t;
+  ml::DecisionTree::Config sampled;
+  sampled.max_features = 2;
+  ml::DecisionTree grown;
+  grown.fit(t.x, t.labels, t.train);
+  ASSERT_GT(grown.node_count(), 9u) << "the tied table must split";
+  const std::uint64_t forest =
+      fitted_pin(ml::RandomForest(), t.x, t.labels, t.train);
+  const std::uint64_t ebm =
+      fitted_pin(ml::ExplainableBoosting(), t.x, t.labels, t.train);
+  const std::uint64_t tree =
+      fitted_pin(ml::DecisionTree(), t.x, t.labels, t.train);
+  const std::uint64_t sampled_tree =
+      fitted_pin(ml::DecisionTree(sampled), t.x, t.labels, t.train);
+  const std::uint64_t mlp =
+      fitted_pin(ml::MlpClassifier(), t.x, t.labels, t.train);
+  EXPECT_EQ(forest, 0x0a7b1a70854a9a7eu) << "forest 0x" << std::hex << forest;
+  EXPECT_EQ(ebm, 0xa2986b43c46a9cc3u) << "ebm 0x" << std::hex << ebm;
+  EXPECT_EQ(tree, 0x3dceb796e61a3adau) << "tree 0x" << std::hex << tree;
+  EXPECT_EQ(sampled_tree, 0xe24d630e1dcb0164u) << "sampled tree 0x" << std::hex
+                                << sampled_tree;
+  EXPECT_EQ(mlp, 0x6e7d12163894e597u) << "mlp 0x" << std::hex << mlp;
+}
+
+TEST(TrainingPin, PipelineBaselinesMatchPins) {
+  core::PipelineConfig cfg;
+  cfg.probability_cycles = 64;
+  cfg.campaign_cycles = 64;
+  cfg.train.epochs = 2;
+  cfg.regressor_train.epochs = 2;
+  core::FaultCriticalityAnalyzer analyzer(cfg);
+  const core::PipelineResult r = analyzer.analyze_design("or1200_icfsm");
+  const std::pair<const char*, std::uint64_t> expected[] = {
+      {"MLP", 0xfd6fa02e97a5468eu}, {"LoR", 0x0984e1e10faf0af9u},
+      {"RFC", 0x2f80800704e16d5eu}, {"SVM", 0x68a32004bc0e383du},
+      {"EBM", 0xb431d13e4f0cf24fu}};
+  ASSERT_EQ(r.baseline_evals.size(), std::size(expected));
+  for (std::size_t m = 0; m < std::size(expected); ++m) {
+    const core::ModelEval& eval = r.baseline_evals[m];
+    EXPECT_EQ(eval.name, expected[m].first);
+    EXPECT_EQ(proba_pin(eval.proba), expected[m].second)
+        << eval.name << " 0x" << std::hex << proba_pin(eval.proba);
+  }
 }
 
 TEST(TrainingPin, ExplanationMatchesPin) {
