@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <bit>
-#include <istream>
 #include <map>
-#include <ostream>
 #include <stdexcept>
-#include <string_view>
 
 #include "src/sim/packed_sim.hpp"
 #include "src/util/text.hpp"
@@ -79,71 +76,6 @@ CriticalityDataset generate_dataset(const CampaignResult& campaign,
                                     double threshold) {
   return generate_dataset(std::vector<const CampaignResult*>{&campaign},
                           threshold);
-}
-
-void save_dataset_csv(const CriticalityDataset& ds,
-                      const netlist::Netlist& nl, std::ostream& os) {
-  os << "# fcrit criticality dataset, th=" << ds.threshold
-     << ", workloads=" << ds.num_workloads << "\n";
-  os << "node,name,score,label\n";
-  os.precision(17);
-  for (std::size_t i = 0; i < ds.size(); ++i) {
-    os << ds.nodes[i] << "," << nl.node(ds.nodes[i]).name << ","
-       << ds.score[i] << "," << ds.label[i] << "\n";
-  }
-}
-
-CriticalityDataset load_dataset_csv(const netlist::Netlist& nl,
-                                    std::istream& is) {
-  CriticalityDataset ds;
-  std::string line;
-  bool header_seen = false;
-  while (std::getline(is, line)) {
-    const auto trimmed = util::trim(line);
-    if (trimmed.empty()) continue;
-    if (trimmed[0] == '#') {
-      // Recover metadata from the comment header when present.
-      const auto th_pos = trimmed.find("th=");
-      if (th_pos != std::string_view::npos)
-        ds.threshold = std::stod(std::string(trimmed.substr(th_pos + 3)));
-      const auto wl_pos = trimmed.find("workloads=");
-      if (wl_pos != std::string_view::npos)
-        ds.num_workloads =
-            std::stoi(std::string(trimmed.substr(wl_pos + 10)));
-      continue;
-    }
-    if (!header_seen) {
-      header_seen = true;
-      // Only a line that actually is the column header gets skipped;
-      // header-less CSVs keep their first data row.
-      if (trimmed == "node,name,score,label") continue;
-    }
-    const auto fields = util::split(trimmed, ',');
-    if (fields.size() != 4)
-      throw std::runtime_error("load_dataset_csv: malformed row '" +
-                               std::string(trimmed) + "'");
-    NodeId node = 0;
-    double score = 0.0;
-    int label = 0;
-    try {
-      node = static_cast<NodeId>(std::stoul(fields[0]));
-      score = std::stod(fields[2]);
-      label = std::stoi(fields[3]);
-    } catch (const std::exception&) {
-      throw std::runtime_error("load_dataset_csv: non-numeric field in row '" +
-                               std::string(trimmed) + "'");
-    }
-    if (node >= nl.num_nodes() || nl.node(node).name != fields[1])
-      throw std::runtime_error(
-          "load_dataset_csv: dataset does not match this netlist (node " +
-          fields[0] + " / " + fields[1] + ")");
-    ds.nodes.push_back(node);
-    ds.score.push_back(score);
-    ds.label.push_back(label);
-  }
-  if (ds.nodes.empty())
-    throw std::runtime_error("load_dataset_csv: no rows");
-  return ds;
 }
 
 }  // namespace fcrit::fault

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -44,13 +43,5 @@ CriticalityDataset generate_dataset(
 
 CriticalityDataset generate_dataset(const CampaignResult& campaign,
                                     double threshold);
-
-/// CSV persistence (header: node,name,score,label). Node names are taken
-/// from / matched against `nl`, so a dataset saved for one netlist refuses
-/// to load against a structurally different one.
-void save_dataset_csv(const CriticalityDataset& ds,
-                      const netlist::Netlist& nl, std::ostream& os);
-CriticalityDataset load_dataset_csv(const netlist::Netlist& nl,
-                                    std::istream& is);
 
 }  // namespace fcrit::fault

@@ -159,21 +159,6 @@ GcnModel load_gcn_file(const std::string& path) {
   return load_gcn(is);
 }
 
-void save_standardizer_file(const graphir::Standardizer& s,
-                            const std::string& path) {
-  std::ofstream os(path);
-  if (!os)
-    throw std::runtime_error("save_standardizer_file: cannot open " + path);
-  save_standardizer(s, os);
-}
-
-graphir::Standardizer load_standardizer_file(const std::string& path) {
-  std::ifstream is(path);
-  if (!is)
-    throw std::runtime_error("load_standardizer_file: cannot open " + path);
-  return load_standardizer(is);
-}
-
 GcnModel clone_gcn(const GcnModel& model) {
   GcnModel copy(model.in_features(), model.config());
   copy.copy_params_from(model);

@@ -46,9 +46,6 @@ graphir::Standardizer load_standardizer(std::istream& is);
 /// Convenience file wrappers; throw std::runtime_error on I/O failure.
 void save_gcn_file(const GcnModel& model, const std::string& path);
 GcnModel load_gcn_file(const std::string& path);
-void save_standardizer_file(const graphir::Standardizer& s,
-                            const std::string& path);
-graphir::Standardizer load_standardizer_file(const std::string& path);
 
 /// Deep copy via a fresh model of the same architecture: a bundle's copy of
 /// a pipeline's models. Scoring needs none; workers share one model through

@@ -44,16 +44,17 @@ bool parse_call(std::string_view text, std::string& name,
 
 }  // namespace
 
-Netlist parse_bench(std::istream& is, std::string module_name) {
+Netlist parse_bench(std::string_view text, std::string module_name) {
   std::vector<std::string> input_ports;
   std::vector<std::pair<std::string, int>> output_ports;  // name, line
   std::vector<BenchLine> gates;
 
-  std::string raw;
   int line_number = 0;
-  while (std::getline(is, raw)) {
+  while (!text.empty()) {
     ++line_number;
-    std::string_view line = raw;
+    const auto end = text.find('\n');
+    std::string_view line = text.substr(0, end);
+    text.remove_prefix(end == std::string_view::npos ? text.size() : end + 1);
     const auto hash = line.find('#');
     if (hash != std::string_view::npos) line = line.substr(0, hash);
     line = util::trim(line);
@@ -252,11 +253,6 @@ Netlist parse_bench(std::istream& is, std::string module_name) {
   }
   nl.validate();
   return nl;
-}
-
-Netlist parse_bench(std::string_view text, std::string module_name) {
-  std::istringstream is{std::string(text)};
-  return parse_bench(is, std::move(module_name));
 }
 
 namespace {

@@ -15,7 +15,6 @@
 // equivalent rather than node-identical (verified by simulation in tests).
 #pragma once
 
-#include <istream>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -24,7 +23,9 @@
 
 namespace fcrit::netlist {
 
-Netlist parse_bench(std::istream& is, std::string module_name = "bench_top");
+/// Parses the lines of `text`, and nothing past its end; throws
+/// std::runtime_error naming the offending line. Files arrive through
+/// read_netlist_file, which bounds them.
 Netlist parse_bench(std::string_view text,
                     std::string module_name = "bench_top");
 

@@ -21,15 +21,10 @@ TelemetryExporter::TelemetryExporter() : file_(nullptr, &std::fclose) {}
 
 TelemetryExporter::~TelemetryExporter() { stop(); }
 
-void TelemetryExporter::add_source(std::string name,
-                                   std::function<std::string()> fn) {
-  util::MutexLock lock(mutex_);
-  sources_.emplace_back(std::move(name), std::move(fn));
-}
-
 void TelemetryExporter::add_registry(std::string name,
                                      const Registry& registry) {
-  add_source(std::move(name), [&registry] { return registry.to_json(); });
+  util::MutexLock lock(mutex_);
+  registries_.emplace_back(std::move(name), &registry);
 }
 
 bool TelemetryExporter::start(const std::string& path,
@@ -90,14 +85,14 @@ void TelemetryExporter::run(double interval_seconds) {
 void TelemetryExporter::snapshot_now() {
   const auto tick_start = std::chrono::steady_clock::now();
 
-  // Copy the source list so producers run outside the exporter mutex;
-  // each producer only touches its own registry's name-map mutex.
-  std::vector<Source> sources;
+  // Copy the registry list so snapshots run outside the exporter mutex;
+  // each only takes its own registry's name-map mutex.
+  std::vector<std::pair<std::string, const Registry*>> registries;
   double interval_seconds = 0.0;
   {
     util::MutexLock lock(mutex_);
     if (!file_) return;
-    sources = sources_;
+    registries = registries_;
     interval_seconds = interval_seconds_;
   }
 
@@ -110,9 +105,10 @@ void TelemetryExporter::snapshot_now() {
   line += ",\"wall_unix_ms\":" + std::to_string(wall_unix_ms());
   line += ",\"interval_seconds\":" + json_number(interval_seconds);
   line += ",\"registries\":{";
-  for (std::size_t i = 0; i < sources.size(); ++i) {
+  for (std::size_t i = 0; i < registries.size(); ++i) {
     if (i != 0) line += ",";
-    line += json_string(sources[i].first) + ":" + sources[i].second();
+    line += json_string(registries[i].first) + ":" +
+            registries[i].second->to_json();
   }
   line += "}}\n";
 

@@ -20,7 +20,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -35,11 +34,6 @@ class Registry;
 
 class TelemetryExporter {
  public:
-  /// A telemetry source: name under "registries" -> producer of one JSON
-  /// object. std::function (not Registry*) so a source that is not a
-  /// single registry can plug in too.
-  using Source = std::pair<std::string, std::function<std::string()>>;
-
   struct Status {
     bool running = false;
     double interval_seconds = 0.0;
@@ -54,8 +48,8 @@ class TelemetryExporter {
   TelemetryExporter(const TelemetryExporter&) = delete;
   TelemetryExporter& operator=(const TelemetryExporter&) = delete;
 
-  void add_source(std::string name, std::function<std::string()> fn);
-  /// Convenience: snapshot `registry` via Registry::to_json.
+  /// Snapshot `registry` via Registry::to_json under "registries"/`name`
+  /// on every line; it must outlive the exporter.
   void add_registry(std::string name, const Registry& registry);
 
   /// Open `path` for append and start ticking every `interval_seconds`.
@@ -81,7 +75,8 @@ class TelemetryExporter {
   bool stop_requested_ GUARDED_BY(mutex_) = false;
   bool running_ GUARDED_BY(mutex_) = false;
   std::thread thread_;  // started/joined from one controller thread
-  std::vector<Source> sources_ GUARDED_BY(mutex_);
+  std::vector<std::pair<std::string, const Registry*>> registries_
+      GUARDED_BY(mutex_);
   std::unique_ptr<std::FILE, int (*)(std::FILE*)> file_ GUARDED_BY(mutex_);
 
   std::chrono::steady_clock::time_point t0_;  // written once, before ticks

@@ -1,6 +1,7 @@
 #include "src/serve/bundle.hpp"
 
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <istream>
 #include <limits>
@@ -23,6 +24,13 @@ std::string magic_line() {
 
 [[noreturn]] void fail(BundleErrorCode code, const std::string& detail) {
   throw BundleError(code, detail);
+}
+
+[[noreturn]] void fail_too_large(const std::string& path,
+                                 std::uintmax_t bytes) {
+  fail(BundleErrorCode::kTooLarge,
+       path + ": " + std::to_string(bytes) + " bytes exceed the limit of " +
+           std::to_string(kMaxBundleBytes) + " bytes");
 }
 
 void check_probability_cycles(int cycles) {
@@ -275,9 +283,31 @@ ModelBundle load_bundle(std::istream& is) {
 }
 
 ModelBundle load_bundle_file(const std::string& path) {
-  std::ifstream is(path);
-  if (!is) fail(BundleErrorCode::kIo, "cannot open " + path);
+  std::istringstream is(read_bundle_file(path));
   return load_bundle(is);
+}
+
+// A sized file is read in one call, with room for a byte more in case it
+// grew; a pipe, which has no size, in 64 KiB chunks. No read goes more
+// than one byte past the limit.
+std::string read_bundle_file(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  if (!is) fail(BundleErrorCode::kIo, "cannot open " + path);
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  if (!ec && size > kMaxBundleBytes) fail_too_large(path, size);
+  std::string bytes;
+  std::size_t chunk = ec ? std::size_t{1} << 16 : size + 1;
+  while (true) {
+    const std::size_t have = bytes.size();
+    const std::size_t want = std::min(chunk, kMaxBundleBytes + 1 - have);
+    bytes.resize(have + want);
+    is.read(bytes.data() + have, static_cast<std::streamsize>(want));
+    bytes.resize(have + static_cast<std::size_t>(is.gcount()));
+    if (bytes.size() > kMaxBundleBytes) fail_too_large(path, bytes.size());
+    if (bytes.size() < have + want) return bytes;
+    chunk = std::size_t{1} << 16;
+  }
 }
 
 }  // namespace fcrit::serve

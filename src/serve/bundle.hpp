@@ -34,10 +34,9 @@ inline constexpr int kBundleFormatVersion = 1;
 /// kMalformed, which bounds the golden simulation every score replays.
 inline constexpr int kMaxProbabilityCycles = 65536;
 
-/// Largest bundle file the score path reads, in bytes: 16 MiB, about 200x
-/// the 75 KB bundle `fcrit pack or1200_icfsm` writes. BundleCache::get
-/// refuses a larger file by its size before reading it, and stops a read
-/// that passes the limit (a file that grew, a pipe), with kTooLarge.
+/// Largest bundle file fcrit reads, in bytes: 16 MiB, about 200x the 75 KB
+/// bundle `fcrit pack or1200_icfsm` writes. read_bundle_file, the one
+/// reader of bundle files, enforces it.
 inline constexpr std::uint64_t kMaxBundleBytes = std::uint64_t{16} << 20;
 
 enum class BundleErrorCode {
@@ -111,6 +110,13 @@ void save_bundle_file(const ModelBundle& bundle, const std::string& path);
 
 /// Strict-validation load; throws BundleError on any inconsistency.
 ModelBundle load_bundle(std::istream& is);
+/// load_bundle over the bytes read_bundle_file(path) returns.
 ModelBundle load_bundle_file(const std::string& path);
+
+/// The bytes of a bundle file, at most kMaxBundleBytes of them. Throws
+/// BundleError kIo when the file cannot be opened, and kTooLarge for a
+/// regular file over the limit (refused by its size before it is read) or
+/// a read that passes it (a file that grew, a pipe, a device).
+std::string read_bundle_file(const std::string& path);
 
 }  // namespace fcrit::serve

@@ -1,8 +1,6 @@
 #include "src/serve/engine.hpp"
 
 #include <algorithm>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
@@ -16,42 +14,6 @@
 #include "src/util/text.hpp"
 
 namespace fcrit::serve {
-
-namespace {
-
-[[noreturn]] void fail_too_large(const std::string& path,
-                                 std::uintmax_t bytes) {
-  throw BundleError(BundleErrorCode::kTooLarge,
-                    path + ": " + std::to_string(bytes) +
-                        " bytes exceed the limit of " +
-                        std::to_string(kMaxBundleBytes) + " bytes");
-}
-
-/// The file's bytes, at most kMaxBundleBytes of them: a regular file over
-/// the limit is refused by its size, and no read goes more than one byte
-/// past the limit. A sized file is read in one call, with room for a byte
-/// more in case it grew; a pipe, which has no size, in 64 KiB chunks.
-std::string read_bundle_bytes(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw BundleError(BundleErrorCode::kIo, "cannot open " + path);
-  std::error_code ec;
-  const std::uintmax_t size = std::filesystem::file_size(path, ec);
-  if (!ec && size > kMaxBundleBytes) fail_too_large(path, size);
-  std::string bytes;
-  std::size_t chunk = ec ? std::size_t{1} << 16 : size + 1;
-  while (true) {
-    const std::size_t have = bytes.size();
-    const std::size_t want = std::min(chunk, kMaxBundleBytes + 1 - have);
-    bytes.resize(have + want);
-    is.read(bytes.data() + have, static_cast<std::streamsize>(want));
-    bytes.resize(have + static_cast<std::size_t>(is.gcount()));
-    if (bytes.size() > kMaxBundleBytes) fail_too_large(path, bytes.size());
-    if (bytes.size() < have + want) return bytes;
-    chunk = std::size_t{1} << 16;
-  }
-}
-
-}  // namespace
 
 std::string_view to_string(EngineErrorCode code) {
   switch (code) {
@@ -67,7 +29,7 @@ EngineError::EngineError(EngineErrorCode code, const std::string& message)
 std::shared_ptr<const ModelBundle> BundleCache::get(const std::string& path,
                                                     bool* cache_hit) {
   if (cache_hit) *cache_hit = false;
-  const std::string bytes = read_bundle_bytes(path);
+  const std::string bytes = read_bundle_file(path);
   const std::uint64_t key = fnv1a64(bytes);
   {
     util::MutexLock lock(mutex_);

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 namespace fcrit::fault {
 namespace {
 
@@ -85,94 +83,6 @@ TEST(Dataset, CountsAndSummary) {
 TEST(Dataset, EmptyCampaignListThrows) {
   EXPECT_THROW(generate_dataset(std::vector<const CampaignResult*>{}, 0.5),
                std::runtime_error);
-}
-
-TEST(Dataset, CsvRoundTrips) {
-  netlist::Netlist nl;
-  const NodeId a = nl.add_input("a");
-  const NodeId g1 = nl.add_gate(netlist::CellKind::kInv, {a});
-  const NodeId g2 = nl.add_gate(netlist::CellKind::kBuf, {g1});
-  const auto r = make_result({{g1, false, ~0ULL},
-                              {g1, true, 0},
-                              {g2, false, 0xFFULL},
-                              {g2, true, 0}});
-  const auto ds = generate_dataset(r, 0.5);
-
-  std::stringstream buffer;
-  save_dataset_csv(ds, nl, buffer);
-  const auto loaded = load_dataset_csv(nl, buffer);
-  ASSERT_EQ(loaded.size(), ds.size());
-  EXPECT_EQ(loaded.nodes, ds.nodes);
-  EXPECT_EQ(loaded.label, ds.label);
-  for (std::size_t i = 0; i < ds.size(); ++i)
-    EXPECT_DOUBLE_EQ(loaded.score[i], ds.score[i]);
-  EXPECT_DOUBLE_EQ(loaded.threshold, ds.threshold);
-  EXPECT_EQ(loaded.num_workloads, ds.num_workloads);
-}
-
-TEST(Dataset, CsvRejectsForeignNetlist) {
-  netlist::Netlist nl;
-  const NodeId a = nl.add_input("a");
-  const NodeId g1 = nl.add_gate(netlist::CellKind::kInv, {a});
-  const auto r = make_result({{g1, false, ~0ULL}, {g1, true, 0}});
-  const auto ds = generate_dataset(r, 0.5);
-  std::stringstream buffer;
-  save_dataset_csv(ds, nl, buffer);
-
-  netlist::Netlist other;
-  const NodeId b = other.add_input("b");
-  other.add_gate(netlist::CellKind::kBuf, {b});
-  EXPECT_THROW(load_dataset_csv(other, buffer), std::runtime_error);
-}
-
-TEST(Dataset, CsvRejectsGarbage) {
-  netlist::Netlist nl;
-  nl.add_input("a");
-  std::stringstream empty("");
-  EXPECT_THROW(load_dataset_csv(nl, empty), std::runtime_error);
-  std::stringstream malformed("node,name,score,label\n1,2\n");
-  EXPECT_THROW(load_dataset_csv(nl, malformed), std::runtime_error);
-}
-
-TEST(Dataset, HeaderlessCsvKeepsFirstRow) {
-  // Regression: the loader used to skip the first non-comment line
-  // unconditionally, silently dropping row 0 of header-less CSVs.
-  netlist::Netlist nl;
-  const NodeId a = nl.add_input("a");
-  const NodeId g1 = nl.add_gate(netlist::CellKind::kInv, {a}, "g1");
-  const NodeId g2 = nl.add_gate(netlist::CellKind::kBuf, {g1}, "g2");
-
-  std::stringstream csv;
-  csv << g1 << ",g1,0.75,1\n" << g2 << ",g2,0.25,0\n";
-  const auto ds = load_dataset_csv(nl, csv);
-  ASSERT_EQ(ds.size(), 2u);
-  EXPECT_EQ(ds.nodes[0], g1);
-  EXPECT_DOUBLE_EQ(ds.score[0], 0.75);
-  EXPECT_EQ(ds.label[0], 1);
-}
-
-TEST(Dataset, CsvWithHeaderStillSkipsIt) {
-  netlist::Netlist nl;
-  const NodeId a = nl.add_input("a");
-  const NodeId g1 = nl.add_gate(netlist::CellKind::kInv, {a}, "g1");
-  std::stringstream csv;
-  csv << "node,name,score,label\n" << g1 << ",g1,0.5,1\n";
-  const auto ds = load_dataset_csv(nl, csv);
-  ASSERT_EQ(ds.size(), 1u);
-  EXPECT_EQ(ds.nodes[0], g1);
-}
-
-TEST(Dataset, MalformedNumericFieldReportsRow) {
-  netlist::Netlist nl;
-  nl.add_input("a");
-  std::stringstream csv("oops,a,0.5,1\n");
-  try {
-    load_dataset_csv(nl, csv);
-    FAIL() << "expected a runtime_error";
-  } catch (const std::runtime_error& e) {
-    // The error must carry the offending row, not a bare stoul message.
-    EXPECT_NE(std::string(e.what()).find("oops,a,0.5,1"), std::string::npos);
-  }
 }
 
 }  // namespace

@@ -334,7 +334,6 @@ TEST(TelemetryExporterTest, ManualModeWritesValidSnapshotLines) {
   reg.histogram("lat_ms").observe(1.0);
   TelemetryExporter exporter;
   exporter.add_registry("engine", reg);
-  exporter.add_source("custom", [] { return std::string("{\"x\":1}"); });
   // interval <= 0: open the file but spawn no thread — ticks are driven
   // explicitly, which keeps this test deterministic.
   ASSERT_TRUE(exporter.start(path, 0.0));
@@ -354,7 +353,7 @@ TEST(TelemetryExporterTest, ManualModeWritesValidSnapshotLines) {
     EXPECT_TRUE(json_valid(lines[i])) << lines[i];
     for (const char* key : {"\"seq\"", "\"mono_ms\"", "\"wall_unix_ms\"",
                             "\"interval_seconds\"", "\"registries\"",
-                            "\"engine\"", "\"custom\"", "\"ticks\""})
+                            "\"engine\"", "\"ticks\""})
       EXPECT_NE(lines[i].find(key), std::string::npos) << key;
     const std::size_t at = lines[i].find("\"seq\":") + 6;
     const std::uint64_t seq = std::stoull(lines[i].substr(at));

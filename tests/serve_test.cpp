@@ -1546,28 +1546,54 @@ TEST(ScoringEngineTest, OverLimitBundleIsRefusedByItsSize) {
   const std::string dir = make_bundle_dir("over_limit_bundle");
   const auto d = tiny_design(53);
   // A sparse file one byte over the bundle limit: its size is refused
-  // before a byte of it is read.
+  // before a byte of it is read, by the engine and by load_bundle_file.
   const std::string huge = dir + "/huge.fcm";
   write_file(huge, "");
   std::filesystem::resize_file(huge, kMaxBundleBytes + 1);
+  auto expect_too_large = [](const BundleError& e) {
+    EXPECT_EQ(e.code(), BundleErrorCode::kTooLarge);
+    EXPECT_NE(std::string(e.what()).find(
+                  "16777217 bytes exceed the limit of 16777216 bytes"),
+              std::string::npos)
+        << e.what();
+  };
 
   ScoringEngine engine({.threads = 1});
   try {
     engine.score(huge, d);
     ADD_FAILURE() << "an over-limit bundle must not load";
   } catch (const BundleError& e) {
-    EXPECT_EQ(e.code(), BundleErrorCode::kTooLarge);
-    EXPECT_NE(std::string(e.what()).find(
-                  "16777217 bytes exceed the limit of 16777216 bytes"),
-              std::string::npos)
-        << e.what();
+    expect_too_large(e);
   }
   const MetricsSnapshot m = engine.metrics();
   EXPECT_EQ(m.requests, 1u);
   EXPECT_EQ(m.errors, 1u);
   EXPECT_EQ(m.completed, 0u);
   EXPECT_EQ(m.cache_misses, 0u) << "nothing was parsed";
+
+  try {
+    load_bundle_file(huge);
+    ADD_FAILURE() << "an over-limit bundle must not load";
+  } catch (const BundleError& e) {
+    expect_too_large(e);
+  }
   std::filesystem::remove(huge);
+}
+
+TEST(BundleValidation, EndlessFileStopsOneBytePastTheLimit) {
+  // /dev/zero has no size to refuse, so the read itself must stop: the
+  // count in the message is every byte read.
+  try {
+    load_bundle_file("/dev/zero");
+    ADD_FAILURE() << "an endless file must not load";
+  } catch (const BundleError& e) {
+    EXPECT_EQ(e.code(), BundleErrorCode::kTooLarge);
+    EXPECT_NE(std::string(e.what()).find(
+                  "/dev/zero: 16777217 bytes exceed the limit of 16777216 "
+                  "bytes"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace
