@@ -56,9 +56,7 @@
 #include "src/netlist/dot_export.hpp"
 #include "src/netlist/harden.hpp"
 #include "src/ml/serialize.hpp"
-#include "src/obs/exporter.hpp"
 #include "src/obs/log.hpp"
-#include "src/obs/metrics.hpp"
 #include "src/obs/request_trace.hpp"
 #include "src/obs/trace.hpp"
 #include "src/netlist/verilog_parser.hpp"
@@ -102,8 +100,7 @@ constexpr const char* kUsageText =
     "  score <bundle.fcm> <design|file|@list> [--top N] [--strict]\n"
     "           [--threads T]            inference only, no FI campaign\n"
     "  serve <bundle-dir> [--port P] [--threads T] [--cache N]\n"
-    "        [--access-log F] [--slow-ms MS] [--telemetry-interval S]\n"
-    "        [--telemetry-out F] [--trace-ring N] [--no-trace]\n"
+    "        [--access-log F] [--slow-ms MS] [--trace-ring N] [--no-trace]\n"
     "                                    scoring daemon on 127.0.0.1;\n"
     "                                    replace bundles by rename\n"
     "  check [--trials N] [--seed S] [--cycles N] [--gates N] [--flops N]\n"
@@ -226,10 +223,6 @@ int cmd_lint(const std::string& target,
       report.add(std::move(d));
     }
   }
-
-  obs::registry().counter("lint.findings_total")
-      .add(report.diagnostics.size());
-  obs::registry().counter("lint.errors_total").add(report.errors());
 
   if (flags.contains("--json"))
     std::printf("%s\n", report.to_json().c_str());
@@ -679,32 +672,21 @@ int cmd_serve(const std::string& bundle_dir,
   sc.bundle_dir = bundle_dir;
   if (flags.contains("--port"))
     sc.port = static_cast<std::uint16_t>(std::stoi(flags.at("--port")));
-  // Declared before the server, which reads it while serving METRICS.
-  obs::TelemetryExporter exporter;
-  exporter.add_registry("engine", engine.metrics_registry());
   serve::Server server(engine, sc);
   // Opt-in observability (docs/OBSERVABILITY.md): the JSONL wide-event
-  // access log, slow-request mirroring and the telemetry exporter.
+  // access log and slow-request mirroring.
   if (flags.contains("--access-log") &&
       !traces.open_access_log(flags.at("--access-log")))
     throw std::runtime_error("cannot open access log " +
                              flags.at("--access-log"));
   if (flags.contains("--slow-ms"))
     traces.set_slow_ms(std::stod(flags.at("--slow-ms")));
-  if (flags.contains("--telemetry-interval")) {
-    const std::string out = flags.contains("--telemetry-out")
-                                ? flags.at("--telemetry-out")
-                                : std::string("telemetry.jsonl");
-    if (!exporter.start(out, std::stod(flags.at("--telemetry-interval"))))
-      throw std::runtime_error("cannot open telemetry output " + out);
-    server.set_exporter(&exporter);
-  }
   server.start();
   std::printf("fcrit serve: 127.0.0.1:%d, %d worker threads, bundles from "
               "%s\n",
               server.port(), ec.threads, bundle_dir.c_str());
   std::printf("protocol: SCORE [<bundle>] <netlist> [<top>] [id=<n>] | "
-              "STATS | METRICS [PROM] | TRACE <id>|LAST <n> | QUIT; "
+              "STATS | METRICS | TRACE <id>|LAST <n> | QUIT; "
               "Ctrl-C drains and exits\n");
 
   if (pipe(g_signal_pipe) != 0)

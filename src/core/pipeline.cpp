@@ -4,7 +4,6 @@
 
 #include "src/lint/lint.hpp"
 #include "src/obs/log.hpp"
-#include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
 #include "src/sim/probability.hpp"
 #include "src/util/parallel.hpp"
@@ -38,7 +37,6 @@ ModelEval evaluate_model(std::string name, std::vector<double> proba,
 
 PipelineResult FaultCriticalityAnalyzer::analyze(
     designs::Design design) const {
-  obs::registry().counter("pipeline.runs").add();
   if (config_.jobs >= 0) util::set_num_threads(config_.jobs);
   PipelineResult r;
   r.config = config_;
@@ -55,9 +53,6 @@ PipelineResult FaultCriticalityAnalyzer::analyze(
     obs::Span span("lint");
     lint::LintReport preflight = lint::preflight(nl);
     preflight.target_name = r.design.name;
-    obs::registry().counter("lint.findings_total")
-        .add(preflight.diagnostics.size());
-    obs::registry().counter("lint.errors_total").add(preflight.errors());
     if (preflight.errors() > 0) throw lint::LintError(std::move(preflight));
     obs::logf(obs::LogLevel::kDebug, "pipeline: lint preflight clean");
   }
@@ -133,9 +128,6 @@ PipelineResult FaultCriticalityAnalyzer::analyze(
                         .labels = &r.labels,
                         .split = &r.split},
                        gate);
-    obs::registry().counter("lint.findings_total")
-        .add(gate.diagnostics.size());
-    obs::registry().counter("lint.errors_total").add(gate.errors());
     if (gate.errors() > 0) throw lint::LintError(std::move(gate));
   }
 

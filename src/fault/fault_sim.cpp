@@ -9,7 +9,6 @@
 #include <unordered_map>
 
 #include "src/fault/collapse.hpp"
-#include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
 #include "src/sim/packed_sim.hpp"
 #include "src/util/parallel.hpp"
@@ -308,8 +307,8 @@ struct FaultCampaign::FrontierScratch {
   std::vector<DivFlop> div_ffs, next_div_ffs;
   std::vector<std::uint64_t> sched;  // bit t: forced word != golden on t
   std::uint64_t epoch = 0;
-  std::uint64_t evals = 0;        // nodes re-evaluated (fi.frontier_nodes)
-  std::uint64_t early_exits = 0;  // quiesced fault-cycles (fi.early_exits)
+  std::uint64_t evals = 0;        // nodes re-evaluated (frontier_evals)
+  std::uint64_t early_exits = 0;  // quiesced fault-cycles (early_exit_cycles)
 };
 
 FaultResult FaultCampaign::frontier_pass(const Injection& inj,
@@ -560,9 +559,6 @@ CampaignResult FaultCampaign::run_frontier(const std::vector<Fault>& faults) {
   out.num_batches = out.simulated_faults;
   out.frontier_evals = evals.load();
   out.early_exit_cycles = early.load();
-  auto& reg = obs::registry();
-  reg.counter("fi.frontier_nodes").add(out.frontier_evals);
-  reg.counter("fi.early_exits").add(out.early_exit_cycles);
   return out;
 }
 

@@ -136,11 +136,20 @@ void save_standardizer(const graphir::Standardizer& s, std::ostream& os) {
 
 graphir::Standardizer load_standardizer(std::istream& is) {
   expect_token(is, kStdMagic);
-  std::size_t n = 0;
+  // The width sizes both vectors, so it is checked before either is: a
+  // standardizer feeds a GCN's input, which has at most kMaxGcnInFeatures.
+  long long n = 0;
   is >> n;
+  if (!is)
+    throw std::runtime_error(
+        "load_standardizer: field 'width' does not parse as a number");
+  if (n < 0 || n > kMaxGcnInFeatures)
+    throw std::runtime_error(
+        "load_standardizer: field 'width' = " + std::to_string(n) +
+        " is outside [0, " + std::to_string(kMaxGcnInFeatures) + "]");
   graphir::Standardizer s;
-  s.mean.resize(n);
-  s.stddev.resize(n);
+  s.mean.resize(static_cast<std::size_t>(n));
+  s.stddev.resize(static_cast<std::size_t>(n));
   for (double& m : s.mean) is >> m;
   for (double& d : s.stddev) is >> d;
   if (!is) throw std::runtime_error("load_standardizer: malformed input");
@@ -151,12 +160,6 @@ void save_gcn_file(const GcnModel& model, const std::string& path) {
   std::ofstream os(path);
   if (!os) throw std::runtime_error("save_gcn_file: cannot open " + path);
   save_gcn(model, os);
-}
-
-GcnModel load_gcn_file(const std::string& path) {
-  std::ifstream is(path);
-  if (!is) throw std::runtime_error("load_gcn_file: cannot open " + path);
-  return load_gcn(is);
 }
 
 GcnModel clone_gcn(const GcnModel& model) {

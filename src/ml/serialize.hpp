@@ -41,11 +41,15 @@ void save_gcn(const GcnModel& model, std::ostream& os);
 GcnModel load_gcn(std::istream& is);
 
 void save_standardizer(const graphir::Standardizer& s, std::ostream& os);
+/// Throws std::runtime_error naming the field 'width' when the stored
+/// width lies outside [0, kMaxGcnInFeatures], before anything is sized
+/// from it, and for any other malformed input.
 graphir::Standardizer load_standardizer(std::istream& is);
 
-/// Convenience file wrappers; throw std::runtime_error on I/O failure.
+/// `fcrit analyze --save-model`'s writer; throws std::runtime_error on
+/// I/O failure. Nothing reads a loose `.gcn` file back: a deployed model
+/// travels inside a bundle, read through serve::read_bundle_file's limit.
 void save_gcn_file(const GcnModel& model, const std::string& path);
-GcnModel load_gcn_file(const std::string& path);
 
 /// Deep copy via a fresh model of the same architecture: a bundle's copy of
 /// a pipeline's models. Scoring needs none; workers share one model through

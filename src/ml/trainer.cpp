@@ -8,7 +8,6 @@
 #include "src/obs/log.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
-#include "src/util/parallel.hpp"
 
 namespace fcrit::ml {
 
@@ -84,7 +83,6 @@ TrainHistory train_classifier(GcnModel& model, const SparseMatrix& adj,
   int since_best = 0;
   obs::Histogram& epoch_ms =
       obs::registry().histogram("ml.classifier.epoch_ms");
-  obs::registry().gauge("ml.jobs").set(util::num_threads());
 
   const SuffixCut val_cut = model.cut_suffix(adj, val_idx);
   const std::vector<int> val_labels = gather(labels, val_idx);
@@ -142,7 +140,6 @@ TrainHistory train_regressor(GcnModel& model, const SparseMatrix& adj,
   int since_best = 0;
   obs::Histogram& epoch_ms =
       obs::registry().histogram("ml.regressor.epoch_ms");
-  obs::registry().gauge("ml.jobs").set(util::num_threads());
 
   const SuffixCut val_cut = model.cut_suffix(adj, val_idx);
   const std::vector<double> val_targets = gather(targets, val_idx);

@@ -155,9 +155,8 @@ std::string histogram_json(const HistogramSnapshot& h) {
   out += ",\"p99\":" + json_number(h.percentile(99));
   // The full ladder, empty buckets included: "bounds" are the bucket upper
   // bounds and "counts" has one extra trailing entry for the overflow
-  // bucket. Consumers that need cumulative buckets (Prometheus) or exact
-  // shapes re-derive them from these; "buckets" below stays the compact
-  // non-empty view the older CI checks read.
+  // bucket, so a consumer can re-derive cumulative buckets or exact
+  // shapes; "buckets" below is the compact non-empty view.
   out += ",\"bounds\":[";
   for (std::size_t i = 0; i < h.bounds.size(); ++i) {
     if (i != 0) out += ",";
@@ -184,54 +183,6 @@ std::string histogram_json(const HistogramSnapshot& h) {
     out += "]";
   }
   out += "]}";
-  return out;
-}
-
-RegistrySnapshot Registry::snapshot() const {
-  // Snapshot the instrument pointers under the lock, read values outside:
-  // instruments are never deleted, and recording never takes this mutex.
-  std::map<std::string, const Counter*> counters;
-  std::map<std::string, const Gauge*> gauges;
-  std::map<std::string, const Histogram*> histograms;
-  {
-    util::MutexLock lock(mutex_);
-    for (const auto& [name, c] : counters_) counters[name] = c.get();
-    for (const auto& [name, g] : gauges_) gauges[name] = g.get();
-    for (const auto& [name, h] : histograms_) histograms[name] = h.get();
-  }
-  RegistrySnapshot s;
-  for (const auto& [name, c] : counters) s.counters[name] = c->value();
-  for (const auto& [name, g] : gauges)
-    s.gauges[name] = GaugeSnapshot{g->value(), g->high_water()};
-  for (const auto& [name, h] : histograms) s.histograms[name] = h->snapshot();
-  return s;
-}
-
-std::string Registry::to_json() const {
-  const RegistrySnapshot snap = snapshot();
-  std::string out = "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, v] : snap.counters) {
-    if (!first) out += ",";
-    first = false;
-    out += json_string(name) + ":" + std::to_string(v);
-  }
-  out += "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, g] : snap.gauges) {
-    if (!first) out += ",";
-    first = false;
-    out += json_string(name) + ":{\"value\":" + std::to_string(g.value) +
-           ",\"high_water\":" + std::to_string(g.high_water) + "}";
-  }
-  out += "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, h] : snap.histograms) {
-    if (!first) out += ",";
-    first = false;
-    out += json_string(name) + ":" + histogram_json(h);
-  }
-  out += "}}";
   return out;
 }
 

@@ -4,11 +4,11 @@
 // Instruments are owned by a Registry and live for its lifetime, so a hot
 // loop resolves the name once (mutex-guarded map lookup) and then records
 // through a stable reference with nothing but relaxed atomic updates. The
-// process-wide registry() holds the pipeline/simulator/trainer
-// instruments; the serve ScoringEngine owns a private Registry per
+// process-wide registry() holds the GCN kernel and epoch histograms that
+// perfbench reads; the serve ScoringEngine owns a private Registry per
 // instance so concurrent engines (tests spin up several) never mix
-// counts. Registry::to_json() is the snapshot format behind the daemon's
-// METRICS command and the CI smoke checks.
+// counts, and reports every one of its instruments in the daemon's
+// METRICS reply (ScoringEngine::metrics_json, histogram_json).
 //
 // Histogram percentile semantics: observations land in fixed buckets
 // (default: a 1-2-5 latency ladder in milliseconds, 1 µs .. 10 s, plus an
@@ -98,22 +98,6 @@ class Histogram {
   std::atomic<double> max_;
 };
 
-/// A point-in-time copy of every instrument in a Registry. This is the
-/// substrate behind both JSON rendering (Registry::to_json) and the
-/// Prometheus text exposition (obs::to_prometheus): taking it never blocks
-/// recording threads — only the name-map mutex is held, and only while
-/// collecting instrument pointers.
-struct GaugeSnapshot {
-  std::int64_t value = 0;
-  std::int64_t high_water = 0;
-};
-
-struct RegistrySnapshot {
-  std::map<std::string, std::uint64_t> counters;
-  std::map<std::string, GaugeSnapshot> gauges;
-  std::map<std::string, HistogramSnapshot> histograms;
-};
-
 /// Named instruments with stable addresses: the first lookup of a name
 /// creates the instrument, every later lookup (any thread) returns the
 /// same reference. Lookups take a mutex; recording does not.
@@ -124,14 +108,6 @@ class Registry {
   Histogram& histogram(const std::string& name);
   Histogram& histogram(const std::string& name, std::vector<double> bounds);
 
-  RegistrySnapshot snapshot() const;
-
-  /// One JSON object: {"counters":{...},"gauges":{...},"histograms":{...}}.
-  /// Histograms carry count/sum/min/max/mean/p50/p90/p99, the full bucket
-  /// ladder ("bounds" upper bounds and per-bucket "counts", overflow last)
-  /// plus the non-empty buckets as [upper_bound, count] pairs.
-  std::string to_json() const;
-
  private:
   mutable util::Mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>> counters_ GUARDED_BY(mutex_);
@@ -140,11 +116,14 @@ class Registry {
       GUARDED_BY(mutex_);
 };
 
-/// Histogram summary as a JSON object (shared by Registry::to_json and the
-/// serve engine's METRICS snapshot).
+/// Histogram summary as a JSON object, the serve engine's METRICS
+/// rendering: count/sum/min/max/mean/p50/p90/p99, the full bucket ladder
+/// ("bounds" upper bounds and per-bucket "counts", overflow last) plus the
+/// non-empty buckets as [upper_bound, count] pairs.
 std::string histogram_json(const HistogramSnapshot& h);
 
-/// The process-wide registry (pipeline, simulator, trainer instruments).
+/// The process-wide registry: the ml.kernel.*_ms and
+/// ml.{classifier,regressor}.epoch_ms histograms.
 Registry& registry();
 
 }  // namespace fcrit::obs

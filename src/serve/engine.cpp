@@ -150,8 +150,6 @@ ScoreResult ScoringEngine::score(const std::string& bundle_path,
     // with the full report instead of being scored garbage-in/garbage-out.
     lint::LintReport preflight = lint::preflight(nl);
     preflight.target_name = target.name;
-    registry_.counter("lint.findings_total").add(preflight.diagnostics.size());
-    registry_.counter("lint.errors_total").add(preflight.errors());
     lap("lint");
     if (preflight.errors() > 0) throw lint::LintError(std::move(preflight));
 

@@ -226,9 +226,6 @@ class ScoringEngine {
   /// METRICS command and the SIGINT drain log.
   std::string metrics_json() const;
 
-  /// The engine's private instrument registry (read-only callers).
-  const obs::Registry& metrics_registry() const { return registry_; }
-
   /// The request-trace sink wired in via EngineConfig (null when none).
   obs::RequestTraceCollector* trace_collector() const {
     return config_.traces;

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "src/netlist/levelize.hpp"
-#include "src/obs/metrics.hpp"
 
 namespace fcrit::sim {
 
@@ -71,16 +70,6 @@ void PackedSimulator::eval_comb(std::span<const std::uint64_t> pi_words) {
   const auto& inputs = nl_->inputs();
   if (pi_words.size() != inputs.size())
     throw std::runtime_error("PackedSimulator::step: input word count");
-
-  // Per-pattern-block throughput: one eval settles all 64 lanes of one
-  // cycle. Instrument references resolve once per process; the per-call
-  // cost is two relaxed adds, noise next to evaluating the netlist.
-  static obs::Counter& pattern_blocks =
-      obs::registry().counter("sim.packed.pattern_blocks");
-  static obs::Counter& lane_cycles =
-      obs::registry().counter("sim.packed.lane_cycles");
-  pattern_blocks.add(1);
-  lane_cycles.add(kLanes);
 
   for (std::size_t i = 0; i < inputs.size(); ++i)
     value_[inputs[i]] = pi_words[i];

@@ -7,8 +7,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "src/obs/metrics.hpp"
-
 namespace fcrit::util {
 
 namespace {
@@ -22,21 +20,6 @@ struct RegionGuard {
   }
   ~RegionGuard() { t_in_parallel_region = previous; }
 };
-
-obs::Counter& regions_counter() {
-  static obs::Counter& c = obs::registry().counter("parallel.regions");
-  return c;
-}
-
-obs::Counter& inline_regions_counter() {
-  static obs::Counter& c = obs::registry().counter("parallel.inline_regions");
-  return c;
-}
-
-obs::Counter& tasks_counter() {
-  static obs::Counter& c = obs::registry().counter("parallel.tasks");
-  return c;
-}
 
 }  // namespace
 
@@ -115,13 +98,10 @@ void ThreadPool::parallel_for(std::int64_t begin, std::int64_t end,
   const int chunks = static_cast<int>(
       std::min<std::int64_t>(lanes_, (n + min_chunk - 1) / min_chunk));
   if (chunks <= 1 || t_in_parallel_region) {
-    inline_regions_counter().add();
     RegionGuard guard;
     body(begin, end);
     return;
   }
-  regions_counter().add();
-  tasks_counter().add(static_cast<std::uint64_t>(chunks));
 
   Region region;
   region.body = &body;

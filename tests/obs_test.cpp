@@ -1,5 +1,5 @@
 // The obs layer: histogram percentile edge cases, concurrent registry
-// updates (run under the FCRIT_SANITIZE matrix), registry JSON snapshots,
+// updates (run under the FCRIT_SANITIZE matrix), the histogram JSON layout,
 // the strict JSON validator, the span clock (close() seconds, histogram
 // samples, trace events), and tracer spans down to a Chrome trace of a
 // real pipeline run.
@@ -17,11 +17,9 @@
 #include <vector>
 
 #include "src/core/pipeline.hpp"
-#include "src/obs/exporter.hpp"
 #include "src/obs/json.hpp"
 #include "src/obs/log.hpp"
 #include "src/obs/metrics.hpp"
-#include "src/obs/prom.hpp"
 #include "src/obs/request_trace.hpp"
 #include "src/obs/trace.hpp"
 
@@ -146,7 +144,7 @@ TEST(GaugeTest, TracksLevelAndHighWater) {
   EXPECT_EQ(g.high_water(), 7);
 }
 
-// ---- registry JSON --------------------------------------------------------
+// ---- registry -------------------------------------------------------------
 
 TEST(RegistryTest, InstrumentsHaveStableAddresses) {
   Registry reg;
@@ -155,29 +153,16 @@ TEST(RegistryTest, InstrumentsHaveStableAddresses) {
   EXPECT_EQ(&reg.histogram("c"), &reg.histogram("c"));
 }
 
-TEST(RegistryTest, ToJsonIsValidAndComplete) {
-  Registry reg;
-  reg.counter("runs").add(3);
-  reg.gauge("depth").set(5);
-  reg.histogram("lat_ms").observe(1.25);
-  const std::string json = reg.to_json();
-  EXPECT_TRUE(json_valid(json)) << json;
-  for (const char* key :
-       {"\"counters\"", "\"gauges\"", "\"histograms\"", "\"runs\"",
-        "\"depth\"", "\"lat_ms\"", "\"p50\"", "\"p90\"", "\"p99\""})
-    EXPECT_NE(json.find(key), std::string::npos) << key;
-}
-
 TEST(RegistryTest, HistogramJsonCarriesFullBucketLayout) {
   Registry reg;
   Histogram& h = reg.histogram("lat_ms", std::vector<double>{1.0, 2.0, 4.0});
   h.observe(0.5);
   h.observe(1.5);
   h.observe(50.0);  // overflow bucket
-  const std::string json = reg.to_json();
+  const std::string json = histogram_json(h.snapshot());
   ASSERT_TRUE(json_valid(json)) << json;
-  // The dense layout the Prometheus renderer and telemetry consumers need:
-  // every bound, and one count per bucket (zeros included, overflow last).
+  // The dense layout: every bound, and one count per bucket (zeros
+  // included, overflow last).
   EXPECT_NE(json.find("\"bounds\":[1,2,4]"), std::string::npos) << json;
   EXPECT_NE(json.find("\"counts\":[1,1,0,1]"), std::string::npos) << json;
 }
@@ -322,112 +307,6 @@ TEST(RequestTraceTest, ConcurrentRequestsKeepRingCoherent) {
   EXPECT_EQ(col.active_size(), 0u);
   EXPECT_EQ(col.ring_size() + col.dropped(),
             static_cast<std::uint64_t>(kThreads) * kPerThread);
-}
-
-// ---- telemetry exporter ---------------------------------------------------
-
-TEST(TelemetryExporterTest, ManualModeWritesValidSnapshotLines) {
-  const std::string path = ::testing::TempDir() + "fcrit_telemetry.jsonl";
-  std::remove(path.c_str());
-  Registry reg;
-  reg.counter("ticks").add(1);
-  reg.histogram("lat_ms").observe(1.0);
-  TelemetryExporter exporter;
-  exporter.add_registry("engine", reg);
-  // interval <= 0: open the file but spawn no thread — ticks are driven
-  // explicitly, which keeps this test deterministic.
-  ASSERT_TRUE(exporter.start(path, 0.0));
-  EXPECT_FALSE(exporter.running());
-  exporter.snapshot_now();
-  reg.counter("ticks").add(41);
-  exporter.snapshot_now();
-  exporter.stop();
-
-  std::ifstream is(path);
-  std::string line;
-  std::vector<std::string> lines;
-  while (std::getline(is, line)) lines.push_back(line);
-  ASSERT_EQ(lines.size(), 2u);
-  std::uint64_t prev_seq = 0;
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    EXPECT_TRUE(json_valid(lines[i])) << lines[i];
-    for (const char* key : {"\"seq\"", "\"mono_ms\"", "\"wall_unix_ms\"",
-                            "\"interval_seconds\"", "\"registries\"",
-                            "\"engine\"", "\"ticks\""})
-      EXPECT_NE(lines[i].find(key), std::string::npos) << key;
-    const std::size_t at = lines[i].find("\"seq\":") + 6;
-    const std::uint64_t seq = std::stoull(lines[i].substr(at));
-    if (i > 0) {
-      EXPECT_GT(seq, prev_seq);
-    }
-    prev_seq = seq;
-  }
-  EXPECT_NE(lines[1].find("\"ticks\":42"), std::string::npos) << lines[1];
-
-  const TelemetryExporter::Status st = exporter.status();
-  EXPECT_FALSE(st.running);
-  EXPECT_EQ(st.snapshots, 2u);
-  std::remove(path.c_str());
-}
-
-TEST(TelemetryExporterTest, BackgroundThreadTicksAndStopsCleanly) {
-  const std::string path = ::testing::TempDir() + "fcrit_telemetry_bg.jsonl";
-  std::remove(path.c_str());
-  Registry reg;
-  reg.counter("n").add(1);
-  TelemetryExporter exporter;
-  exporter.add_registry("engine", reg);
-  ASSERT_TRUE(exporter.start(path, 0.005));
-  EXPECT_TRUE(exporter.running());
-  EXPECT_FALSE(exporter.start(path, 1.0)) << "double start must refuse";
-  while (exporter.status().snapshots < 2) std::this_thread::yield();
-  exporter.stop();
-  EXPECT_FALSE(exporter.running());
-  const std::uint64_t after_stop = exporter.status().snapshots;
-
-  std::ifstream is(path);
-  std::string line;
-  std::uint64_t lines = 0;
-  while (std::getline(is, line)) {
-    EXPECT_TRUE(json_valid(line)) << line;
-    ++lines;
-  }
-  EXPECT_EQ(lines, after_stop) << "file must end on a complete line";
-  EXPECT_FALSE(exporter.running());
-  std::remove(path.c_str());
-}
-
-// ---- Prometheus exposition ------------------------------------------------
-
-TEST(PromTest, RendersCountersGaugesAndCumulativeHistograms) {
-  Registry reg;
-  reg.counter("requests").add(3);
-  reg.gauge("queue.depth").set(2);
-  Histogram& h =
-      reg.histogram("request_ms", std::vector<double>{1.0, 2.0});
-  h.observe(0.5);
-  h.observe(1.5);
-  h.observe(9.0);
-  const std::string text = to_prometheus(reg);
-
-  EXPECT_NE(text.find("# TYPE fcrit_requests_total counter\n"),
-            std::string::npos)
-      << text;
-  EXPECT_NE(text.find("fcrit_requests_total 3\n"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE fcrit_queue_depth gauge\n"), std::string::npos)
-      << "name sanitization ('.' -> '_')";
-  EXPECT_NE(text.find("fcrit_queue_depth 2\n"), std::string::npos);
-  EXPECT_NE(text.find("fcrit_queue_depth_high_water 2\n"), std::string::npos);
-  // Histogram buckets are CUMULATIVE and end with +Inf == _count.
-  EXPECT_NE(text.find("fcrit_request_ms_bucket{le=\"1\"} 1\n"),
-            std::string::npos)
-      << text;
-  EXPECT_NE(text.find("fcrit_request_ms_bucket{le=\"2\"} 2\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("fcrit_request_ms_bucket{le=\"+Inf\"} 3\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("fcrit_request_ms_count 3\n"), std::string::npos);
-  EXPECT_NE(text.find("fcrit_request_ms_sum 11\n"), std::string::npos);
 }
 
 // ---- JSON helpers ---------------------------------------------------------

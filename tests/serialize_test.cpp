@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 #include <string>
 
@@ -151,13 +152,15 @@ TEST(Serialize, StandardizerRoundTrips) {
   EXPECT_EQ(loaded.stddev, s.stddev);
 }
 
-TEST(Serialize, FileWrappersWork) {
+TEST(Serialize, SavedFileLoadsThroughStream) {
   GcnModel model(3, GcnConfig::classifier());
   const std::string path = "/tmp/fcrit_serialize_test.gcn";
   save_gcn_file(model, path);
-  const GcnModel loaded = load_gcn_file(path);
+  std::ifstream is(path);
+  const GcnModel loaded = load_gcn(is);
   EXPECT_EQ(loaded.in_features(), 3);
-  EXPECT_THROW(load_gcn_file("/nonexistent/dir/x.gcn"), std::runtime_error);
+  EXPECT_THROW(save_gcn_file(model, "/nonexistent/dir/x.gcn"),
+               std::runtime_error);
 }
 
 }  // namespace

@@ -34,7 +34,6 @@
 #include "src/ml/serialize.hpp"
 #include "src/netlist/verilog_parser.hpp"
 #include "src/netlist/verilog_writer.hpp"
-#include "src/obs/exporter.hpp"
 #include "src/obs/json.hpp"
 #include "src/obs/request_trace.hpp"
 #include "src/serve/bundle.hpp"
@@ -310,6 +309,31 @@ TEST(BundleValidation, BoundsGcnInFeatures) {
       "in_features",
       "in_features " + std::to_string(ml::kMaxGcnInFeatures + 1),
       "in_features");
+}
+
+TEST(BundleValidation, BoundsStandardizerWidth) {
+  // The width sizes the standardizer's two vectors, so it is checked
+  // before either is: neither value below allocates them.
+  for (const long long width :
+       {static_cast<long long>(ml::kMaxGcnInFeatures) + 1, 10000000LL}) {
+    std::ostringstream os;
+    save_bundle(synthetic_bundle(tiny_design(17), 17), os);
+    std::string text = os.str();
+    const std::string magic = "fcrit-standardizer-v1\n";
+    const std::size_t at = text.find(magic);
+    ASSERT_NE(at, std::string::npos);
+    const std::size_t line = at + magic.size();
+    text.replace(line, text.find('\n', line) - line, std::to_string(width));
+    std::istringstream is(text);
+    try {
+      load_bundle(is);
+      ADD_FAILURE() << width << ": loaded";
+    } catch (const BundleError& e) {
+      EXPECT_EQ(e.code(), BundleErrorCode::kMalformed) << width;
+      EXPECT_NE(std::string(e.what()).find("'width'"), std::string::npos)
+          << width << ": " << e.what();
+    }
+  }
 }
 
 TEST(BundleValidation, BoundsGcnHiddenCount) {
@@ -865,7 +889,7 @@ TEST(ServerTest, ProtocolSessionWithCacheHitsAndGracefulStop) {
   write_file(netlist_path, netlist::to_verilog(d.netlist));
 
   ScoringEngine engine({.threads = 2});
-  Server server(engine, {.bundle_dir = dir, .port = 0, .default_top = 5});
+  Server server(engine, {.bundle_dir = dir, .port = 0});
   server.start();
   ASSERT_GT(server.port(), 0);
 
@@ -995,8 +1019,8 @@ TEST(ServerTest, TraceVerbReturnsSpansForScoredRequests) {
       << "id=0 is reserved for untraced requests";
 }
 
-TEST(ServerTest, MetricsCarriesSharedServerObjectAndPromExposition) {
-  const std::string dir = ::testing::TempDir() + "fcrit_srv_prom";
+TEST(ServerTest, MetricsCarriesServerObjectAndTakesNoArgument) {
+  const std::string dir = ::testing::TempDir() + "fcrit_srv_server_obj";
   std::filesystem::create_directories(dir);
   const auto d = tiny_design(63);
   save_bundle_file(synthetic_bundle(d, 13), dir + "/tiny.fcm");
@@ -1015,42 +1039,22 @@ TEST(ServerTest, MetricsCarriesSharedServerObjectAndPromExposition) {
   const std::string metrics = server.handle_line("METRICS");
   const std::string body = metrics.substr(0, metrics.size() - 3);
   ASSERT_TRUE(obs::json_valid(body)) << body;
-  // The shared "server" object both daemons splice in front of their
-  // registry payload (satellite 2: no more divergent METRICS shapes).
+  // The "server" object spliced in front of the engine's metrics holds
+  // uptime_seconds and trace_ring, nothing else: it closes right after
+  // the ring's last field, where the engine's own fields begin.
   EXPECT_EQ(body.find("{\"server\":{\"uptime_seconds\":"), 0u) << body;
   EXPECT_NE(body.find("\"trace_ring\":{\"enabled\":true"), std::string::npos)
       << body;
   EXPECT_NE(body.find("\"occupancy\":1"), std::string::npos) << body;
   EXPECT_NE(body.find("\"capacity\":16"), std::string::npos);
-  // No exporter attached: the field says so instead of vanishing.
-  EXPECT_NE(body.find("\"exporter\":null"), std::string::npos) << body;
+  EXPECT_NE(body.find("\"dropped\":0}},\"uptime_seconds\":"),
+            std::string::npos)
+      << body;
+  EXPECT_EQ(body.find("\"exporter\""), std::string::npos) << body;
 
-  obs::TelemetryExporter exporter;
-  exporter.add_registry("engine", engine.metrics_registry());
-  const std::string tpath = ::testing::TempDir() + "fcrit_srv_prom_tel.jsonl";
-  ASSERT_TRUE(exporter.start(tpath, 0.0));
-  exporter.snapshot_now();
-  server.set_exporter(&exporter);
-  const std::string with_exp = server.handle_line("METRICS");
-  EXPECT_NE(with_exp.find("\"exporter\":{\"running\":false,"
-                          "\"interval_seconds\":0,\"snapshots\":1"),
-            std::string::npos)
-      << with_exp;
-  exporter.stop();
-  std::remove(tpath.c_str());
-
-  const std::string prom = server.handle_line("METRICS PROM");
-  ASSERT_EQ(prom.substr(prom.size() - 3), "\n.\n");
-  EXPECT_EQ(prom.find("# TYPE "), 0u) << prom;
-  EXPECT_NE(prom.find("# TYPE fcrit_serve_requests_total counter\n"),
-            std::string::npos)
-      << prom;
-  EXPECT_NE(prom.find("fcrit_serve_requests_total 1\n"), std::string::npos);
-  EXPECT_NE(prom.find("fcrit_serve_request_ms_bucket{le=\"+Inf\"} 1\n"),
-            std::string::npos)
-      << prom;
-  EXPECT_NE(prom.find("# TYPE fcrit_serve_queue_depth gauge\n"),
-            std::string::npos);
+  // METRICS is the one metrics payload: any argument is an error.
+  for (const char* line : {"METRICS PROM", "METRICS X"})
+    EXPECT_EQ(server.handle_line(line).substr(0, 4), "ERR ") << line;
 }
 
 TEST(ServerTest, UntracedEngineStillServesAndTraceVerbExplains) {
@@ -1103,14 +1107,13 @@ TEST(ServerTest, HandleLineReportsUsageErrors) {
   for (const char* bad :
        {"id=-1", "id=+5", "id=0", "id=", "id=0x10", "id=7x",
         "id=99999999999999999999", "id=18446744073709551616"}) {
-    EXPECT_THROW(parse_score_request({"x.v", bad}, 10), std::runtime_error)
+    EXPECT_THROW(parse_score_request({"x.v", bad}), std::runtime_error)
         << bad;
     const std::string reply = server.handle_line(std::string("SCORE x.v ") +
                                                  bad);
     EXPECT_EQ(reply.rfind("ERR bad trace id", 0), 0u) << bad << ": " << reply;
   }
-  EXPECT_EQ(parse_score_request({"x.v", "id=18446744073709551615"}, 10)
-                .trace_id,
+  EXPECT_EQ(parse_score_request({"x.v", "id=18446744073709551615"}).trace_id,
             std::numeric_limits<std::uint64_t>::max());
   for (const char* bad :
        {"-1", "+1", "0", "1e3", "99999999999999999999"}) {
