@@ -1,21 +1,9 @@
 // fcrit — command-line front end of the fault-criticality framework.
 //
-//   fcrit list
-//   fcrit lint    <design|netlist.v|netlist.bench> [--json] [--fail-on S]
-//   fcrit stats   <design|netlist.v|netlist.bench>
-//   fcrit export  <design> --format verilog|bench|dot [-o FILE]
-//   fcrit sweep   <netlist.v> [-o FILE]
-//   fcrit campaign <design|file> [--cycles N] [--seed S] [--fraction F]
-//   fcrit analyze <design|file> [--top N] [--no-baselines] [--explain K]
-//   fcrit pipeline <design|file> [...]            alias of analyze
-//   fcrit scoap   <design|file> [--top N]
-//   fcrit wave    <design|file> [--cycles N] [--lane L] [-o FILE]
-//   fcrit autopsy <design|file> --node NAME [--sa 0|1] [--cycles N]
-//   fcrit harden  <design|file> [--top K] [-o FILE]
-//   fcrit pack    <design|file> -o bundle.fcm
-//   fcrit score   <bundle.fcm> <design|file|@list> [--top N] [--strict]
-//   fcrit serve   <bundle-dir> [--port P] [--threads T] [--cache N]
-//   fcrit check   [--trials N] [--seed S] [--self-test] [...]
+// Every command is one row of kVerbs: its names, its positionals, the
+// flags it reads, a one-line help and its handler. main() dispatches
+// through the table, `fcrit help` prints it, and a flag that neither the
+// command's row nor kGlobal declares is refused before any work starts.
 //
 // A "design" argument is a registered name (sdram_ctrl, or1200_if,
 // or1200_icfsm); anything ending in .v or .bench is parsed from disk. The
@@ -25,15 +13,18 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <future>
 #include <iostream>
+#include <limits>
 #include <map>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -72,55 +63,126 @@ using namespace fcrit;
 
 constexpr const char* kVersion = "0.2.0";
 
-constexpr const char* kUsageText =
-    "usage: fcrit <command> [args]\n"
-    "  list                              registered designs\n"
-    "  lint <design|file> [--json] [--fail-on error|warn|note]\n"
-    "                                    structural static analysis; exit 1\n"
-    "                                    when findings reach the threshold\n"
-    "  stats <design|file>               netlist statistics\n"
-    "  export <design> --format F [-o FILE]   F: verilog|bench|dot\n"
-    "  sweep <file> [-o FILE]            remove dead logic\n"
-    "  campaign <design|file> [--cycles N] [--seed S]\n"
-    "           [--fraction F] [--threads T] [--report FILE]\n"
-    "  analyze <design|file> [--top N] [--no-baselines]\n"
-    "           [--explain K] [--save-model FILE] [--csv FILE]\n"
-    "           [--cycles N] [--epochs N] [--trace-out FILE]\n"
-    "  pipeline <design|file> [...]      alias of analyze; --trace-out FILE\n"
-    "                                    writes a Chrome trace of the phases\n"
-    "  scoap <design|file> [--top N]     testability report\n"
-    "  wave <design|file> [--cycles N] [--lane L] [-o FILE]\n"
-    "                                    dump a VCD waveform\n"
-    "  autopsy <design|file> --node NAME [--sa 0|1] [--cycles N]\n"
-    "                                    debug one fault\n"
-    "  harden <design|file> [--top K] [-o FILE]\n"
-    "                                    TMR the predicted top-K\n"
-    "  pack <design|file> [-o FILE.fcm] [--cycles N] [--prob-cycles N]\n"
-    "           [--epochs N]             train + package a model bundle\n"
-    "  score <bundle.fcm> <design|file|@list> [--top N] [--strict]\n"
-    "           [--threads T]            inference only, no FI campaign\n"
-    "  serve <bundle-dir> [--port P] [--threads T] [--cache N]\n"
-    "        [--access-log F] [--slow-ms MS] [--trace-ring N] [--no-trace]\n"
-    "                                    scoring daemon on 127.0.0.1;\n"
-    "                                    replace bundles by rename\n"
-    "  check [--trials N] [--seed S] [--cycles N] [--gates N] [--flops N]\n"
-    "        [--inputs N] [--outputs N] [--faults N] [--serve-every K]\n"
-    "        [--campaign-every K]\n"
-    "        [--no-shrink] [--no-dump] [--self-test]\n"
-    "                                    differential-oracle fuzzing harness\n"
-    "  help | --help                     this text\n"
-    "  version                           print the fcrit version\n"
-    "global flags: --verbose | --quiet   log level (also FCRIT_LOG=\n"
-    "                                    error|warn|info|debug|trace)\n"
-    "              --jobs N              ML kernel worker threads (also\n"
-    "                                    FCRIT_THREADS; 0 = all cores,\n"
-    "                                    1 = serial; results are bitwise-\n"
-    "                                    identical for any value)\n";
+/// A flag and its value placeholder; a switch has none. A placeholder of
+/// `a|b|c` lists the only values the flag takes (Args::choice).
+struct Flag {
+  std::string_view name, value;
+};
 
-int usage() {
-  std::fputs(kUsageText, stderr);
-  return 2;
+struct Args;
+
+/// One command: its `|`-separated names, one `<...>` per positional, the
+/// flags it reads, a one-line help and its handler.
+struct Verb {
+  std::string_view names, positionals;
+  std::vector<Flag> flags;
+  std::string_view help;
+  int (*run)(const Args&);
+};
+
+/// A command-line mistake: exit 2 with the command's synopsis.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// The flags every command accepts.
+const Verb kGlobal{
+    "", "", {{"--verbose", ""}, {"--quiet", ""}, {"--jobs", "N"}},
+    "log level (or FCRIT_LOG); ML threads, 0 = all cores (or FCRIT_THREADS)",
+    nullptr};
+
+const Flag* find_flag(const Verb& verb, std::string_view name) {
+  for (const Verb* row : {&verb, &kGlobal})
+    for (const Flag& flag : row->flags)
+      if (flag.name == name) return &flag;
+  return nullptr;
 }
+
+/// The index of `word` among the `|`-separated `options`, or -1.
+int option_index(std::string_view options, std::string_view word) {
+  for (int index = 0;; ++index) {
+    const std::size_t bar = options.find('|');
+    if (options.substr(0, bar) == word) return index;
+    if (bar == std::string_view::npos) return -1;
+    options.remove_prefix(bar + 1);
+  }
+}
+
+UsageError bad_value(std::string_view flag, const std::string& token,
+                     const std::string& expected) {
+  return UsageError("bad value '" + token + "' for " + std::string(flag) +
+                    ": expected " + expected);
+}
+
+/// A command's positionals and the flags it was given, checked against its
+/// row and kGlobal before any work starts.
+struct Args {
+  Args(const Verb& row, int argc, char** argv) : verb(&row) {
+    const auto wanted = static_cast<std::size_t>(
+        std::count(row.positionals.begin(), row.positionals.end(), '<'));
+    for (int i = 2; i < argc; ++i) {
+      const std::string token = argv[i];
+      const Flag* flag = find_flag(row, token);
+      if (token.size() < 2 || token[0] != '-') {
+        if (pos.size() == wanted)
+          throw UsageError("unexpected argument '" + token + "'");
+        pos.push_back(token);
+      } else if (flag == nullptr) {
+        throw UsageError("unknown flag '" + token + "'");
+      } else if (!flag->value.empty() && i + 1 == argc) {
+        throw UsageError("flag '" + token + "' needs a value");
+      } else {
+        given[token] = flag->value.empty() ? "" : argv[++i];
+      }
+    }
+    if (pos.size() < wanted)
+      throw UsageError("missing " + std::string(row.positionals));
+  }
+
+  /// The flag's value ("" for a switch), or nullptr when it was not given.
+  const std::string* get(std::string_view flag) const {
+    if (find_flag(*verb, flag) == nullptr)
+      throw std::logic_error("flag " + std::string(flag) + " is undeclared");
+    const auto it = given.find(flag);
+    return it == given.end() ? nullptr : &it->second;
+  }
+
+  bool has(std::string_view flag) const { return get(flag) != nullptr; }
+
+  /// The whole token as a T (std::from_chars) inside [lo, hi], which
+  /// defaults to T's range: a cast of the result never wraps.
+  template <typename T>
+  T number(std::string_view flag, T fallback,
+           T lo = std::numeric_limits<T>::lowest(),
+           T hi = std::numeric_limits<T>::max()) const {
+    const std::string* token = get(flag);
+    if (token == nullptr) return fallback;
+    T value{};
+    const char* end = token->data() + token->size();
+    const auto [stop, ec] = std::from_chars(token->data(), end, value);
+    if (ec == std::errc() && stop == end && value >= lo && value <= hi)
+      return value;
+    throw bad_value(flag, *token,
+                    std::numeric_limits<T>::is_integer
+                        ? "an integer in [" + std::to_string(lo) + ", " +
+                              std::to_string(hi) + "]"
+                        : "a finite number");
+  }
+
+  /// The index of the flag's value among the `a|b|c` of its placeholder.
+  int choice(std::string_view flag, int fallback) const {
+    const std::string* token = get(flag);
+    if (token == nullptr) return fallback;
+    const std::string_view options = find_flag(*verb, flag)->value;
+    const int index = option_index(options, *token);
+    if (index < 0) throw bad_value(flag, *token, std::string(options));
+    return index;
+  }
+
+  const Verb* verb;
+  std::vector<std::string> pos;
+  std::map<std::string, std::string, std::less<>> given;
+};
 
 bool is_file_arg(const std::string& arg) {
   return util::ends_with(arg, ".v") || util::ends_with(arg, ".bench");
@@ -139,21 +201,9 @@ designs::Design load_target(const std::string& arg) {
   return d;
 }
 
-std::map<std::string, std::string> parse_flags(int argc, char** argv,
-                                               int start) {
-  std::map<std::string, std::string> flags;
-  for (int i = start; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (!util::starts_with(arg, "--") && arg[0] != '-') continue;
-    std::string key = arg;
-    std::string value = "1";
-    if (i + 1 < argc && argv[i + 1][0] != '-') value = argv[++i];
-    flags[key] = value;
-  }
-  return flags;
-}
+int print_usage(std::FILE* out, int code);
 
-int cmd_list() {
+int cmd_list(const Args&) {
   for (const auto& name : designs::design_names()) {
     const auto d = designs::build_design(name);
     std::printf("%-14s %s\n", name.c_str(),
@@ -162,18 +212,21 @@ int cmd_list() {
   return 0;
 }
 
-int cmd_lint(const std::string& target,
-             const std::map<std::string, std::string>& flags) {
+int cmd_lint(const Args& args) {
+  const lint::Severity thresholds[] = {
+      lint::Severity::kError, lint::Severity::kWarning, lint::Severity::kNote};
+  const lint::Severity threshold = thresholds[args.choice("--fail-on", 0)];
+  const std::string& target = args.pos[0];
   lint::LintReport report;
   report.target_name = target;
   netlist::Netlist nl;
   bool have_netlist = false;
 
-  auto parse_error = [&](const char* message) {
+  auto add_error = [&](std::string rule, std::string message) {
     lint::Diagnostic d;
-    d.rule_id = "parse-error";
+    d.rule_id = std::move(rule);
     d.severity = lint::Severity::kError;
-    d.message = message;
+    d.message = std::move(message);
     report.add(std::move(d));
   };
 
@@ -186,15 +239,8 @@ int cmd_lint(const std::string& target,
     // emits a report; a file that cannot be opened is fatal. A .v parses
     // leniently: semantic problems become typed findings (with their
     // source lines) and the repaired netlist is still linted structurally.
-    std::string text;
-    bool have_text = false;
     try {
-      text = netlist::read_netlist_file(target);
-      have_text = true;
-    } catch (const netlist::VerilogLimitError& e) {
-      parse_error(e.what());
-    }
-    if (have_text) {
+      const std::string text = netlist::read_netlist_file(target);
       try {
         if (util::ends_with(target, ".v")) {
           auto parsed = netlist::parse_verilog_collect(text);
@@ -205,8 +251,10 @@ int cmd_lint(const std::string& target,
         }
         have_netlist = true;
       } catch (const std::exception& e) {
-        parse_error(e.what());
+        add_error("parse-error", e.what());
       }
+    } catch (const netlist::VerilogLimitError& e) {
+      add_error("parse-error", e.what());
     }
   }
 
@@ -216,38 +264,20 @@ int cmd_lint(const std::string& target,
       const auto graph = graphir::build_graph(nl);
       lint::lint_graphir(nl, {.graph = &graph}, report);
     } catch (const std::exception& e) {
-      lint::Diagnostic d;
-      d.rule_id = "graphir-consistency";
-      d.severity = lint::Severity::kError;
-      d.message = std::string("graph construction failed: ") + e.what();
-      report.add(std::move(d));
+      add_error("graphir-consistency",
+                std::string("graph construction failed: ") + e.what());
     }
   }
 
-  if (flags.contains("--json"))
+  if (args.has("--json"))
     std::printf("%s\n", report.to_json().c_str());
   else
     std::printf("%s", report.to_string().c_str());
-
-  lint::Severity threshold = lint::Severity::kError;
-  if (flags.contains("--fail-on")) {
-    const std::string& t = flags.at("--fail-on");
-    if (t == "error")
-      threshold = lint::Severity::kError;
-    else if (t == "warn" || t == "warning")
-      threshold = lint::Severity::kWarning;
-    else if (t == "note")
-      threshold = lint::Severity::kNote;
-    else {
-      std::fprintf(stderr, "lint: --fail-on must be error|warn|note\n");
-      return 2;
-    }
-  }
   return report.count_at_least(threshold) > 0 ? 1 : 0;
 }
 
-int cmd_stats(const std::string& target) {
-  const auto d = load_target(target);
+int cmd_stats(const Args& args) {
+  const auto d = load_target(args.pos[0]);
   std::printf("%s\n", netlist::compute_stats(d.netlist).to_string().c_str());
   const auto collapsed = fault::collapse_faults(d.netlist);
   std::printf("fault universe: %zu stuck-at faults, %zu after collapsing "
@@ -257,60 +287,49 @@ int cmd_stats(const std::string& target) {
   return 0;
 }
 
-int cmd_export(const std::string& target,
-               const std::map<std::string, std::string>& flags) {
-  const auto d = load_target(target);
-  const auto format_it = flags.find("--format");
-  const std::string format =
-      format_it == flags.end() ? "verilog" : format_it->second;
-  std::string text;
-  if (format == "verilog")
-    text = netlist::to_verilog(d.netlist);
-  else if (format == "bench")
-    text = netlist::to_bench(d.netlist);
-  else if (format == "dot")
-    text = netlist::to_dot(d.netlist);
-  else {
-    std::fprintf(stderr, "unknown format '%s'\n", format.c_str());
-    return 2;
-  }
-  const auto out_it = flags.find("-o");
-  if (out_it == flags.end()) {
-    std::fputs(text.c_str(), stdout);
-  } else {
-    std::ofstream out(out_it->second);
-    out << text;
-    std::printf("wrote %s\n", out_it->second.c_str());
-  }
+/// Writes `text` to the -o file and says so; false when -o was not given.
+bool write_output(const Args& args, const std::string& text) {
+  const std::string* out = args.get("-o");
+  if (out == nullptr) return false;
+  std::ofstream(*out) << text;
+  std::printf("wrote %s\n", out->c_str());
+  return true;
+}
+
+int cmd_export(const Args& args) {
+  const int format = args.choice("--format", 0);
+  const auto d = load_target(args.pos[0]);
+  const std::string text = format == 0   ? netlist::to_verilog(d.netlist)
+                           : format == 1 ? netlist::to_bench(d.netlist)
+                                         : netlist::to_dot(d.netlist);
+  if (!write_output(args, text)) std::fputs(text.c_str(), stdout);
   return 0;
 }
 
-int cmd_sweep(const std::string& target,
-              const std::map<std::string, std::string>& flags) {
-  const auto d = load_target(target);
+int cmd_sweep(const Args& args) {
+  const auto d = load_target(args.pos[0]);
   const auto result = netlist::sweep(d.netlist);
   std::printf("removed %zu dead nodes (%zu -> %zu)\n", result.dropped(),
               d.netlist.num_nodes(), result.netlist.num_nodes());
-  const auto out_it = flags.find("-o");
-  if (out_it != flags.end()) {
-    std::ofstream out(out_it->second);
-    netlist::write_verilog(result.netlist, out);
-    std::printf("wrote %s\n", out_it->second.c_str());
-  }
+  if (args.has("-o")) write_output(args, netlist::to_verilog(result.netlist));
   return 0;
 }
 
-int cmd_campaign(const std::string& target,
-                 const std::map<std::string, std::string>& flags) {
-  const auto d = load_target(target);
+/// --threads, read by campaign, score and serve: each lane is a thread the
+/// command starts, so, like --jobs, it takes at most util::kMaxThreads.
+int thread_flag(const Args& args, int fallback) {
+  return args.number("--threads", fallback, std::numeric_limits<int>::min(),
+                     util::kMaxThreads);
+}
+
+int cmd_campaign(const Args& args) {
   fault::CampaignConfig cfg;
-  cfg.dangerous_cycle_fraction = d.dangerous_cycle_fraction;
-  if (flags.contains("--cycles")) cfg.cycles = std::stoi(flags.at("--cycles"));
-  if (flags.contains("--seed")) cfg.seed = std::stoull(flags.at("--seed"));
-  if (flags.contains("--fraction"))
-    cfg.dangerous_cycle_fraction = std::stod(flags.at("--fraction"));
-  if (flags.contains("--threads"))
-    cfg.num_threads = std::stoi(flags.at("--threads"));
+  cfg.cycles = args.number("--cycles", cfg.cycles);
+  cfg.seed = args.number("--seed", cfg.seed);
+  cfg.num_threads = thread_flag(args, cfg.num_threads);
+  const auto d = load_target(args.pos[0]);
+  cfg.dangerous_cycle_fraction =
+      args.number("--fraction", d.dangerous_cycle_fraction);
 
   fault::FaultCampaign campaign(d.netlist, d.stimulus, cfg);
   const auto result = campaign.run_all();
@@ -324,12 +343,11 @@ int cmd_campaign(const std::string& target,
                 result.simulated_faults,
                 static_cast<unsigned long long>(result.frontier_evals),
                 static_cast<unsigned long long>(result.early_exit_cycles));
-  std::printf("%s\n",
-              fault::summarize_coverage(result).to_string().c_str());
-  if (flags.contains("--report")) {
-    std::ofstream out(flags.at("--report"));
+  std::printf("%s\n", fault::summarize_coverage(result).to_string().c_str());
+  if (const std::string* path = args.get("--report")) {
+    std::ofstream out(*path);
     fault::write_fault_report(d.netlist, result, out);
-    std::printf("wrote %s\n", flags.at("--report").c_str());
+    std::printf("wrote %s\n", path->c_str());
   }
   // Score histogram.
   int buckets[10] = {0};
@@ -341,164 +359,139 @@ int cmd_campaign(const std::string& target,
   return 0;
 }
 
-int cmd_analyze(const std::string& target,
-                const std::map<std::string, std::string>& flags) {
+/// --cycles and --epochs, read by analyze and pack.
+core::PipelineConfig pipeline_config(const Args& args) {
   core::PipelineConfig cfg;
-  if (flags.contains("--no-baselines")) cfg.train_baselines = false;
-  if (flags.contains("--cycles"))
-    cfg.campaign_cycles = std::stoi(flags.at("--cycles"));
-  if (flags.contains("--epochs")) {
-    cfg.train.epochs = std::stoi(flags.at("--epochs"));
-    cfg.regressor_train.epochs = cfg.train.epochs;
-  }
-  if (flags.contains("--jobs"))
-    cfg.jobs = util::parse_thread_count(flags.at("--jobs"));
-  const bool tracing = flags.contains("--trace-out");
-  if (tracing) obs::Tracer::instance().start();
+  cfg.campaign_cycles = args.number("--cycles", cfg.campaign_cycles);
+  cfg.train.epochs = args.number("--epochs", cfg.train.epochs);
+  cfg.regressor_train.epochs =
+      args.number("--epochs", cfg.regressor_train.epochs);
+  return cfg;
+}
+
+int cmd_analyze(const Args& args) {
+  core::PipelineConfig cfg = pipeline_config(args);
+  cfg.train_baselines = !args.has("--no-baselines");
+  const int top_n = args.number("--top", 10);
+  const int explain_k = args.number("--explain", 0);
+  const std::string* trace_path = args.get("--trace-out");
+  if (trace_path != nullptr) obs::Tracer::instance().start();
   core::FaultCriticalityAnalyzer analyzer(cfg);
-  auto r = analyzer.analyze(load_target(target));
+  auto r = analyzer.analyze(load_target(args.pos[0]));
   std::printf("%s\n", core::summarize(r).c_str());
 
-  const int top_n =
-      flags.contains("--top") ? std::stoi(flags.at("--top")) : 10;
-  struct Entry {
-    netlist::NodeId node;
-    double score;
-  };
-  std::vector<Entry> ranking;
+  // The regressor's score ranks when it was trained, else P(Critical).
+  const std::vector<double>& predicted =
+      r.regression ? r.regression->predicted_score : r.gcn_eval.proba;
+  std::vector<std::pair<netlist::NodeId, double>> ranking;  // node, score
   for (const auto node : r.dataset.nodes)
-    ranking.push_back({node, r.regression
-                                 ? r.regression->predicted_score[node]
-                                 : r.gcn_eval.proba[node]});
+    ranking.emplace_back(node, predicted[node]);
   std::sort(ranking.begin(), ranking.end(),
-            [](const Entry& a, const Entry& b) { return a.score > b.score; });
+            [](const auto& a, const auto& b) { return a.second > b.second; });
   core::TextTable table({"Rank", "Node", "Predicted score", "FI truth",
                          "Verdict"});
   for (int i = 0; i < top_n && i < static_cast<int>(ranking.size()); ++i) {
-    const auto& e = ranking[static_cast<std::size_t>(i)];
-    table.add_row({std::to_string(i + 1), r.design.netlist.node(e.node).name,
-                   util::format_double(e.score, 3),
-                   util::format_double(r.scores[e.node], 3),
-                   r.labels[e.node] ? "Critical" : "Non-critical"});
+    const auto [node, score] = ranking[static_cast<std::size_t>(i)];
+    table.add_row({std::to_string(i + 1), r.design.netlist.node(node).name,
+                   util::format_double(score, 3),
+                   util::format_double(r.scores[node], 3),
+                   r.labels[node] ? "Critical" : "Non-critical"});
   }
   std::printf("top %d nodes by predicted criticality\n%s", top_n,
               table.to_string().c_str());
 
-  if (flags.contains("--save-model")) {
-    ml::save_gcn_file(*r.gcn, flags.at("--save-model"));
-    std::printf("saved GCN to %s\n", flags.at("--save-model").c_str());
+  if (const std::string* path = args.get("--save-model")) {
+    ml::save_gcn_file(*r.gcn, *path);
+    std::printf("saved GCN to %s\n", path->c_str());
   }
 
-  if (flags.contains("--csv")) {
-    std::ofstream csv(flags.at("--csv"));
+  if (const std::string* path = args.get("--csv")) {
+    std::ofstream csv(*path);
     csv << "node,cell,predicted_class,predicted_score,fi_score,fi_label\n";
     for (const auto node : r.dataset.nodes) {
       csv << r.design.netlist.node(node).name << ","
           << netlist::spec(r.design.netlist.kind(node)).name << ","
-          << r.gcn_eval.predicted[node] << ","
-          << (r.regression ? r.regression->predicted_score[node]
-                           : r.gcn_eval.proba[node])
-          << "," << r.scores[node] << "," << r.labels[node] << "\n";
+          << r.gcn_eval.predicted[node] << "," << predicted[node] << ","
+          << r.scores[node] << "," << r.labels[node] << "\n";
     }
-    std::printf("wrote %s (%zu rows)\n", flags.at("--csv").c_str(),
-                r.dataset.size());
+    std::printf("wrote %s (%zu rows)\n", path->c_str(), r.dataset.size());
   }
 
-  if (flags.contains("--explain")) {
-    const int k = std::stoi(flags.at("--explain"));
+  if (args.has("--explain")) {
     explain::GnnExplainer explainer(*r.gcn, r.graph, r.features);
     std::vector<explain::Explanation> explanations;
-    for (int i = 0; i < k && i < static_cast<int>(ranking.size()); ++i)
+    for (int i = 0; i < explain_k && i < static_cast<int>(ranking.size()); ++i)
       explanations.push_back(explainer.explain(
-          static_cast<int>(ranking[static_cast<std::size_t>(i)].node)));
+          static_cast<int>(ranking[static_cast<std::size_t>(i)].first)));
     const auto global = explain::aggregate_explanations(explanations);
     std::printf("\n%s", explain::format_global_importance(
                             global, graphir::base_feature_names())
                             .c_str());
   }
 
-  if (tracing) {
-    const std::string& path = flags.at("--trace-out");
+  if (trace_path != nullptr) {
     obs::Tracer::instance().stop();
-    if (!obs::Tracer::instance().write_chrome_trace_file(path))
-      throw std::runtime_error("cannot write trace to " + path);
+    if (!obs::Tracer::instance().write_chrome_trace_file(*trace_path))
+      throw std::runtime_error("cannot write trace to " + *trace_path);
     std::printf("wrote trace %s (%zu spans; load with chrome://tracing)\n",
-                path.c_str(), obs::Tracer::instance().events().size());
+                trace_path->c_str(), obs::Tracer::instance().events().size());
   }
   return 0;
 }
 
-int cmd_scoap(const std::string& target,
-              const std::map<std::string, std::string>& flags) {
-  const auto d = load_target(target);
+int cmd_scoap(const Args& args) {
+  const int top_n = args.number("--top", 10);
+  const auto d = load_target(args.pos[0]);
   const auto r = sim::compute_scoap(d.netlist);
-  const int top_n =
-      flags.contains("--top") ? std::stoi(flags.at("--top")) : 10;
 
   // Rank by detection difficulty: min over polarity of (CC of the opposite
   // value + CO) — the classical testability measure.
-  struct Entry {
-    netlist::NodeId node;
-    double difficulty;
-  };
-  std::vector<Entry> ranking;
+  std::vector<std::pair<netlist::NodeId, double>> ranking;  // node, cost
   for (const auto node : fault::fault_sites(d.netlist)) {
     const double sa0 = r.cc1[node] + r.co[node];  // detect SA0: drive 1
     const double sa1 = r.cc0[node] + r.co[node];
-    ranking.push_back({node, std::max(sa0, sa1)});
+    ranking.emplace_back(node, std::max(sa0, sa1));
   }
-  std::sort(ranking.begin(), ranking.end(), [](const Entry& a, const Entry& b) {
-    return a.difficulty > b.difficulty;
-  });
+  std::sort(ranking.begin(), ranking.end(),
+            [](const auto& a, const auto& b) { return a.second > b.second; });
   core::TextTable table({"Node", "CC0", "CC1", "CO", "Hardest fault cost"});
   for (int i = 0; i < top_n && i < static_cast<int>(ranking.size()); ++i) {
-    const auto node = ranking[static_cast<std::size_t>(i)].node;
+    const auto [node, cost] = ranking[static_cast<std::size_t>(i)];
     table.add_row({d.netlist.node(node).name,
                    util::format_double(r.cc0[node], 1),
                    util::format_double(r.cc1[node], 1),
                    util::format_double(r.co[node], 1),
-                   util::format_double(
-                       ranking[static_cast<std::size_t>(i)].difficulty, 1)});
+                   util::format_double(cost, 1)});
   }
   std::printf("hardest-to-test nodes (SCOAP)\n%s", table.to_string().c_str());
   return 0;
 }
 
-int cmd_wave(const std::string& target,
-             const std::map<std::string, std::string>& flags) {
-  const auto d = load_target(target);
-  const int cycles =
-      flags.contains("--cycles") ? std::stoi(flags.at("--cycles")) : 128;
-  const int lane = flags.contains("--lane") ? std::stoi(flags.at("--lane")) : 0;
-  const auto out_it = flags.find("-o");
-  if (out_it == flags.end()) {
-    sim::dump_vcd(d.netlist, d.stimulus, 1, cycles, lane, std::cout);
-  } else {
-    std::ofstream out(out_it->second);
-    sim::dump_vcd(d.netlist, d.stimulus, 1, cycles, lane, out);
-    std::printf("wrote %s (%d cycles, lane %d)\n", out_it->second.c_str(),
-                cycles, lane);
-  }
+int cmd_wave(const Args& args) {
+  const int cycles = args.number("--cycles", 128);
+  const int lane = args.number("--lane", 0);
+  const auto d = load_target(args.pos[0]);
+  const std::string* path = args.get("-o");
+  std::ofstream file;
+  if (path != nullptr) file.open(*path);
+  sim::dump_vcd(d.netlist, d.stimulus, 1, cycles, lane,
+                path != nullptr ? file : std::cout);
+  if (path != nullptr)
+    std::printf("wrote %s (%d cycles, lane %d)\n", path->c_str(), cycles,
+                lane);
   return 0;
 }
 
-int cmd_autopsy(const std::string& target,
-                const std::map<std::string, std::string>& flags) {
-  const auto d = load_target(target);
-  if (!flags.contains("--node")) {
-    std::fprintf(stderr, "autopsy: --node NAME is required\n");
-    return 2;
-  }
-  const auto node = d.netlist.find(flags.at("--node"));
-  if (!node) {
-    std::fprintf(stderr, "autopsy: no node named '%s'\n",
-                 flags.at("--node").c_str());
-    return 2;
-  }
+int cmd_autopsy(const Args& args) {
+  const std::string* name = args.get("--node");
+  if (name == nullptr) throw UsageError("--node NAME is required");
+  const bool sa1 = args.choice("--sa", 0) == 1;
   fault::CampaignConfig cfg;
+  cfg.cycles = args.number("--cycles", cfg.cycles);
+  const auto d = load_target(args.pos[0]);
+  const auto node = d.netlist.find(*name);
+  if (!node) throw bad_value("--node", *name, "a node of " + d.name);
   cfg.dangerous_cycle_fraction = d.dangerous_cycle_fraction;
-  if (flags.contains("--cycles")) cfg.cycles = std::stoi(flags.at("--cycles"));
-  const bool sa1 = flags.contains("--sa") && flags.at("--sa") == "1";
 
   fault::FaultCampaign campaign(d.netlist, d.stimulus, cfg);
   campaign.run_golden();
@@ -507,22 +500,18 @@ int cmd_autopsy(const std::string& target,
   return 0;
 }
 
-int cmd_harden(const std::string& target,
-               const std::map<std::string, std::string>& flags) {
+int cmd_harden(const Args& args) {
+  const auto k = static_cast<std::size_t>(args.number("--top", 10, 0));
   core::PipelineConfig cfg;
   cfg.train_baselines = false;
   core::FaultCriticalityAnalyzer analyzer(cfg);
-  auto r = analyzer.analyze(load_target(target));
+  auto r = analyzer.analyze(load_target(args.pos[0]));
   std::printf("%s", core::summarize(r).c_str());
 
-  const auto k = static_cast<std::size_t>(
-      flags.contains("--top") ? std::stoi(flags.at("--top")) : 10);
   std::vector<netlist::NodeId> ranked(r.dataset.nodes);
+  const auto& score = r.regression->predicted_score;
   std::sort(ranked.begin(), ranked.end(),
-            [&](netlist::NodeId a, netlist::NodeId b) {
-              return r.regression->predicted_score[a] >
-                     r.regression->predicted_score[b];
-            });
+            [&](auto a, auto b) { return score[a] > score[b]; });
   if (ranked.size() > k) ranked.resize(k);
 
   const auto h = netlist::triplicate_nodes(r.design.netlist, ranked);
@@ -532,37 +521,22 @@ int cmd_harden(const std::string& target,
   for (const auto node : ranked)
     std::printf("  %s (predicted %.2f)\n",
                 r.design.netlist.node(node).name.c_str(),
-                r.regression->predicted_score[node]);
-  const auto out_it = flags.find("-o");
-  if (out_it != flags.end()) {
-    std::ofstream out(out_it->second);
-    netlist::write_verilog(h.netlist, out);
-    std::printf("wrote %s\n", out_it->second.c_str());
-  }
+                score[node]);
+  if (args.has("-o")) write_output(args, netlist::to_verilog(h.netlist));
   return 0;
 }
 
-int cmd_pack(const std::string& target,
-             const std::map<std::string, std::string>& flags) {
-  core::PipelineConfig cfg;
+int cmd_pack(const Args& args) {
+  core::PipelineConfig cfg = pipeline_config(args);
   cfg.train_baselines = false;  // the bundle ships only the GCNs
-  if (flags.contains("--cycles"))
-    cfg.campaign_cycles = std::stoi(flags.at("--cycles"));
-  if (flags.contains("--prob-cycles"))
-    cfg.probability_cycles = std::stoi(flags.at("--prob-cycles"));
-  if (flags.contains("--epochs")) {
-    cfg.train.epochs = std::stoi(flags.at("--epochs"));
-    cfg.regressor_train.epochs = cfg.train.epochs;
-  }
-  if (flags.contains("--jobs"))
-    cfg.jobs = util::parse_thread_count(flags.at("--jobs"));
+  cfg.probability_cycles =
+      args.number("--prob-cycles", cfg.probability_cycles);
   core::FaultCriticalityAnalyzer analyzer(cfg);
-  const auto r = analyzer.analyze(load_target(target));
+  const auto r = analyzer.analyze(load_target(args.pos[0]));
 
   const auto bundle = serve::pack_bundle(r);
-  const auto out_it = flags.find("-o");
-  const std::string path =
-      out_it != flags.end() ? out_it->second : r.design.name + ".fcm";
+  const std::string* out = args.get("-o");
+  const std::string path = out != nullptr ? *out : r.design.name + ".fcm";
   serve::save_bundle_file(bundle, path);
   std::printf("packed %s -> %s\n", r.design.name.c_str(), path.c_str());
   std::printf("  netlist hash %016llx, %d features, regressor %s\n",
@@ -592,16 +566,15 @@ void print_score(const serve::ScoreResult& r, int top_n) {
               r.forward_seconds);
 }
 
-int cmd_score(const std::string& bundle_path, const std::string& target,
-              const std::map<std::string, std::string>& flags) {
+int cmd_score(const Args& args) {
+  const std::string& bundle_path = args.pos[0];
+  const std::string& target = args.pos[1];
   serve::EngineConfig ec;
-  ec.threads =
-      flags.contains("--threads") ? std::stoi(flags.at("--threads")) : 2;
-  serve::ScoringEngine engine(ec);
+  ec.threads = thread_flag(args, 2);
   serve::ScoreOptions opts;
-  opts.strict_hash = flags.contains("--strict");
-  const int top_n =
-      flags.contains("--top") ? std::stoi(flags.at("--top")) : 10;
+  opts.strict_hash = args.has("--strict");
+  const int top_n = args.number("--top", 10);
+  serve::ScoringEngine engine(ec);
 
   // @list: one netlist per line, scored concurrently through the pool.
   if (util::starts_with(target, "@")) {
@@ -650,41 +623,31 @@ extern "C" void serve_signal_handler(int) {
   [[maybe_unused]] const auto n = write(g_signal_pipe[1], &byte, 1);
 }
 
-int cmd_serve(const std::string& bundle_dir,
-              const std::map<std::string, std::string>& flags) {
+int cmd_serve(const Args& args) {
   serve::EngineConfig ec;
-  if (flags.contains("--threads"))
-    ec.threads = std::stoi(flags.at("--threads"));
-  if (flags.contains("--cache"))
-    ec.cache_capacity =
-        static_cast<std::size_t>(std::stoi(flags.at("--cache")));
+  ec.threads = thread_flag(args, ec.threads);
+  ec.cache_capacity = args.number("--cache", ec.cache_capacity);
+  serve::ServerConfig sc;
+  sc.bundle_dir = args.pos[0];
+  sc.port = args.number("--port", sc.port);
   // Declared before the engine: EngineConfig holds a pointer into it, so
   // it must outlive the workers that record spans.
   obs::RequestTraceCollector traces(
-      flags.contains("--trace-ring")
-          ? static_cast<std::size_t>(std::stoi(flags.at("--trace-ring")))
-          : 256);
-  traces.set_enabled(!flags.contains("--no-trace"));
-  ec.traces = &traces;
-  serve::ScoringEngine engine(ec);
-
-  serve::ServerConfig sc;
-  sc.bundle_dir = bundle_dir;
-  if (flags.contains("--port"))
-    sc.port = static_cast<std::uint16_t>(std::stoi(flags.at("--port")));
-  serve::Server server(engine, sc);
+      args.number<std::size_t>("--trace-ring", 256));
+  traces.set_enabled(!args.has("--no-trace"));
+  traces.set_slow_ms(args.number("--slow-ms", traces.slow_ms()));
   // Opt-in observability (docs/OBSERVABILITY.md): the JSONL wide-event
   // access log and slow-request mirroring.
-  if (flags.contains("--access-log") &&
-      !traces.open_access_log(flags.at("--access-log")))
-    throw std::runtime_error("cannot open access log " +
-                             flags.at("--access-log"));
-  if (flags.contains("--slow-ms"))
-    traces.set_slow_ms(std::stod(flags.at("--slow-ms")));
+  if (const std::string* log = args.get("--access-log");
+      log != nullptr && !traces.open_access_log(*log))
+    throw std::runtime_error("cannot open access log " + *log);
+  ec.traces = &traces;
+  serve::ScoringEngine engine(ec);
+  serve::Server server(engine, sc);
   server.start();
   std::printf("fcrit serve: 127.0.0.1:%d, %d worker threads, bundles from "
               "%s\n",
-              server.port(), ec.threads, bundle_dir.c_str());
+              server.port(), ec.threads, sc.bundle_dir.c_str());
   std::printf("protocol: SCORE [<bundle>] <netlist> [<top>] [id=<n>] | "
               "STATS | METRICS | TRACE <id>|LAST <n> | QUIT; "
               "Ctrl-C drains and exits\n");
@@ -715,24 +678,20 @@ int cmd_serve(const std::string& bundle_dir,
   return 0;
 }
 
-int cmd_check(const std::map<std::string, std::string>& flags) {
+int cmd_check(const Args& args) {
   check::CheckConfig cfg;
-  if (flags.contains("--trials")) cfg.trials = std::stoi(flags.at("--trials"));
-  if (flags.contains("--seed")) cfg.seed = std::stoull(flags.at("--seed"));
-  if (flags.contains("--cycles")) cfg.cycles = std::stoi(flags.at("--cycles"));
-  if (flags.contains("--gates")) cfg.gates = std::stoi(flags.at("--gates"));
-  if (flags.contains("--flops")) cfg.flops = std::stoi(flags.at("--flops"));
-  if (flags.contains("--inputs")) cfg.inputs = std::stoi(flags.at("--inputs"));
-  if (flags.contains("--outputs"))
-    cfg.outputs = std::stoi(flags.at("--outputs"));
-  if (flags.contains("--faults"))
-    cfg.max_faults = std::stoi(flags.at("--faults"));
-  if (flags.contains("--serve-every"))
-    cfg.serve_every = std::stoi(flags.at("--serve-every"));
-  if (flags.contains("--campaign-every"))
-    cfg.campaign_every = std::stoi(flags.at("--campaign-every"));
-  if (flags.contains("--no-shrink")) cfg.shrink = false;
-  if (flags.contains("--no-dump")) cfg.dump_netlist = false;
+  cfg.trials = args.number("--trials", cfg.trials);
+  cfg.seed = args.number("--seed", cfg.seed);
+  cfg.cycles = args.number("--cycles", cfg.cycles);
+  cfg.gates = args.number("--gates", cfg.gates);
+  cfg.flops = args.number("--flops", cfg.flops);
+  cfg.inputs = args.number("--inputs", cfg.inputs);
+  cfg.outputs = args.number("--outputs", cfg.outputs);
+  cfg.max_faults = args.number("--faults", cfg.max_faults);
+  cfg.serve_every = args.number("--serve-every", cfg.serve_every);
+  cfg.campaign_every = args.number("--campaign-every", cfg.campaign_every);
+  cfg.shrink = !args.has("--no-shrink");
+  cfg.dump_netlist = !args.has("--no-dump");
   cfg.scratch_dir =
       (std::filesystem::temp_directory_path() / "fcrit_check").string();
 
@@ -741,22 +700,15 @@ int cmd_check(const std::map<std::string, std::string>& flags) {
   // oracle), a corrupted naive-sweep verdict (fault oracle), a corrupted
   // frontier-campaign verdict (campaign oracle) and a reference reader
   // reporting an issue one line off (parse oracle).
-  if (flags.contains("--self-test")) {
-    check::CheckConfig scalar_cfg = cfg;
-    scalar_cfg.scalar_bug = check::ScalarBug::kXorAsOr;
-    check::CheckConfig fault_cfg = cfg;
-    fault_cfg.fault_bug = check::FaultBug::kNaiveMismatchOffByOne;
-    check::CheckConfig campaign_cfg = cfg;
-    campaign_cfg.campaign_bug = check::CampaignBug::kMismatchOffByOne;
-    check::CheckConfig parse_cfg = cfg;
-    parse_cfg.parse_bug = check::ParseBug::kIssueLineOffByOne;
-    const std::pair<const char*, const check::CheckConfig*> phases[] = {
-        {"scalar", &scalar_cfg},
-        {"fault", &fault_cfg},
-        {"campaign", &campaign_cfg},
-        {"parse", &parse_cfg}};
+  if (args.has("--self-test")) {
+    std::pair<const char*, check::CheckConfig> phases[] = {
+        {"scalar", cfg}, {"fault", cfg}, {"campaign", cfg}, {"parse", cfg}};
+    phases[0].second.scalar_bug = check::ScalarBug::kXorAsOr;
+    phases[1].second.fault_bug = check::FaultBug::kNaiveMismatchOffByOne;
+    phases[2].second.campaign_bug = check::CampaignBug::kMismatchOffByOne;
+    phases[3].second.parse_bug = check::ParseBug::kIssueLineOffByOne;
     for (const auto& [name, phase_cfg] : phases) {
-      if (check::run_checks(*phase_cfg, &std::cerr).ok()) {
+      if (check::run_checks(phase_cfg, &std::cerr).ok()) {
         std::fprintf(stderr,
                      "check: SELF-TEST FAILED: planted %s defect not caught\n",
                      name);
@@ -786,62 +738,109 @@ int cmd_check(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
+const std::vector<Verb> kVerbs = {
+    {"list", "", {}, "registered designs", cmd_list},
+    {"lint", "<design|file>",
+     {{"--json", ""}, {"--fail-on", "error|warn|note"}},
+     "structural static analysis; exit 1 at the threshold (default error)",
+     cmd_lint},
+    {"stats", "<design|file>", {}, "netlist statistics", cmd_stats},
+    {"export", "<design|file>",
+     {{"--format", "verilog|bench|dot"}, {"-o", "FILE"}},
+     "write the netlist (default verilog, to stdout)", cmd_export},
+    {"sweep", "<design|file>", {{"-o", "FILE"}}, "remove dead logic",
+     cmd_sweep},
+    {"campaign", "<design|file>",
+     {{"--cycles", "N"}, {"--seed", "S"}, {"--fraction", "F"},
+      {"--threads", "T"}, {"--report", "FILE"}},
+     "fault-injection campaign and its Algorithm 1 dataset", cmd_campaign},
+    {"analyze|pipeline", "<design|file>",
+     {{"--cycles", "N"}, {"--epochs", "N"}, {"--no-baselines", ""},
+      {"--top", "N"}, {"--explain", "K"}, {"--save-model", "FILE"},
+      {"--csv", "FILE"}, {"--trace-out", "FILE"}},
+     "FI campaign, GCN training, predicted ranking; a Chrome trace of it",
+     cmd_analyze},
+    {"scoap", "<design|file>", {{"--top", "N"}}, "testability report",
+     cmd_scoap},
+    {"wave", "<design|file>",
+     {{"--cycles", "N"}, {"--lane", "L"}, {"-o", "FILE"}},
+     "dump a VCD waveform", cmd_wave},
+    {"autopsy", "<design|file>",
+     {{"--node", "NAME"}, {"--sa", "0|1"}, {"--cycles", "N"}},
+     "debug one fault (--node is required)", cmd_autopsy},
+    {"harden", "<design|file>", {{"--top", "K"}, {"-o", "FILE"}},
+     "TMR the predicted top-K", cmd_harden},
+    {"pack", "<design|file>",
+     {{"--cycles", "N"}, {"--prob-cycles", "N"}, {"--epochs", "N"},
+      {"-o", "FILE"}},
+     "train and package a model bundle (default <design>.fcm)", cmd_pack},
+    {"score", "<bundle.fcm> <design|file|@list>",
+     {{"--top", "N"}, {"--strict", ""}, {"--threads", "T"}},
+     "inference only, no FI campaign", cmd_score},
+    {"serve", "<bundle-dir>",
+     {{"--port", "P"}, {"--threads", "T"}, {"--cache", "N"},
+      {"--access-log", "FILE"}, {"--slow-ms", "MS"}, {"--trace-ring", "N"},
+      {"--no-trace", ""}},
+     "scoring daemon on 127.0.0.1; replace bundles by rename", cmd_serve},
+    {"check", "",
+     {{"--trials", "N"}, {"--seed", "S"}, {"--cycles", "N"}, {"--gates", "N"},
+      {"--flops", "N"}, {"--inputs", "N"}, {"--outputs", "N"},
+      {"--faults", "N"}, {"--serve-every", "K"}, {"--campaign-every", "K"},
+      {"--no-shrink", ""}, {"--no-dump", ""}, {"--self-test", ""}},
+     "differential-oracle fuzzing harness", cmd_check},
+    {"help|--help|-h", "", {}, "this text",
+     [](const Args&) { return print_usage(stdout, 0); }},
+    {"version|--version", "", {}, "print the fcrit version",
+     [](const Args&) { std::printf("fcrit %s\n", kVersion); return 0; }},
+};
+
+/// `line`, the row's synopsis wrapped at 78 columns, then its help.
+void print_row(std::FILE* out, std::string line, const Verb& verb) {
+  line += std::string(verb.names);
+  if (!verb.positionals.empty()) line += " " + std::string(verb.positionals);
+  for (const Flag& flag : verb.flags) {
+    std::string item = " [" + std::string(flag.name);
+    if (!flag.value.empty()) item += " " + std::string(flag.value);
+    if (line.size() + item.size() + 1 > 78) {
+      std::fprintf(out, "%s\n", line.c_str());
+      line = "     ";
+    }
+    line += item + "]";
+  }
+  std::fprintf(out, "%s\n      %.*s\n", line.c_str(),
+               static_cast<int>(verb.help.size()), verb.help.data());
+}
+
+int print_usage(std::FILE* out, int code) {
+  std::fputs("usage: fcrit <command> [args]\n", out);
+  for (const Verb& verb : kVerbs) print_row(out, "  ", verb);
+  std::fputs("global flags, after any command:\n", out);
+  print_row(out, " ", kGlobal);  // its first item brings a space
+  return code;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return usage();
-  // Global flags apply to every command; FCRIT_LOG / FCRIT_THREADS are the
-  // environment-side knobs (see src/obs/log.hpp, src/util/parallel.hpp).
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--verbose") obs::set_log_level(obs::LogLevel::kDebug);
-    if (arg == "--quiet") obs::set_log_level(obs::LogLevel::kWarn);
-    if (arg == "--jobs") {
-      const int n =
-          i + 1 < argc ? util::parse_thread_count(argv[i + 1]) : -1;
-      if (n < 0) {
-        std::fprintf(stderr, "fcrit: --jobs needs a thread count "
-                             "(0 = all cores, 1 = serial)\n");
-        return 2;
-      }
-      util::set_num_threads(n);
-    }
-  }
-  const std::string command = argv[1];
-  if (command == "help" || command == "--help" || command == "-h") {
-    std::fputs(kUsageText, stdout);
-    return 0;
-  }
-  if (command == "version" || command == "--version") {
-    std::printf("fcrit %s\n", kVersion);
-    return 0;
+  const Verb* verb = nullptr;
+  for (const Verb& row : kVerbs)
+    if (argc >= 2 && option_index(row.names, argv[1]) >= 0) verb = &row;
+  if (verb == nullptr) {
+    if (argc >= 2)
+      std::fprintf(stderr, "fcrit: unknown command '%s'\n", argv[1]);
+    return print_usage(stderr, 2);
   }
   try {
-    if (command == "list") return cmd_list();
-    // check has no positional target, only flags.
-    if (command == "check") return cmd_check(parse_flags(argc, argv, 2));
-    if (argc < 3) return usage();
-    const std::string target = argv[2];
-    if (command == "score") {
-      // score takes two positionals: <bundle> <target>, then flags.
-      if (argc < 4 || argv[3][0] == '-') return usage();
-      return cmd_score(target, argv[3], parse_flags(argc, argv, 4));
-    }
-    const auto flags = parse_flags(argc, argv, 3);
-    if (command == "lint") return cmd_lint(target, flags);
-    if (command == "stats") return cmd_stats(target);
-    if (command == "export") return cmd_export(target, flags);
-    if (command == "sweep") return cmd_sweep(target, flags);
-    if (command == "campaign") return cmd_campaign(target, flags);
-    if (command == "analyze" || command == "pipeline")
-      return cmd_analyze(target, flags);
-    if (command == "scoap") return cmd_scoap(target, flags);
-    if (command == "wave") return cmd_wave(target, flags);
-    if (command == "autopsy") return cmd_autopsy(target, flags);
-    if (command == "harden") return cmd_harden(target, flags);
-    if (command == "pack") return cmd_pack(target, flags);
-    if (command == "serve") return cmd_serve(target, flags);
-    return usage();
+    const Args args(*verb, argc, argv);
+    if (args.has("--verbose")) obs::set_log_level(obs::LogLevel::kDebug);
+    if (args.has("--quiet")) obs::set_log_level(obs::LogLevel::kWarn);
+    if (args.has("--jobs"))
+      util::set_num_threads(args.number("--jobs", 0, 0, util::kMaxThreads));
+    return verb->run(args);
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "fcrit %s: %s\n", argv[1], e.what());
+    print_row(stderr, "usage: fcrit ", *verb);
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "fcrit: %s\n", e.what());
     return 1;

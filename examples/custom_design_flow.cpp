@@ -97,10 +97,9 @@ int main(int argc, char** argv) {
   std::printf("wrote %s\n", path.c_str());
 
   // 2. Re-import (the flow an external netlist would enter through).
-  std::ifstream in(path);
   designs::Design imported;
   imported.name = "uart_tx";
-  imported.netlist = netlist::parse_verilog(in);
+  imported.netlist = netlist::parse_verilog(netlist::read_netlist_file(path));
   imported.stimulus = original.stimulus;
   std::printf("parsed back: %s\n",
               netlist::compute_stats(imported.netlist).to_string().c_str());

@@ -705,10 +705,8 @@ std::string diff_serve_vs_pipeline(const designs::Design& design,
 
   // The streamed content hash against the export -> parse -> export
   // reference, on the design and on its .v re-parse.
-  const netlist::Netlist reparsed = [&] {
-    std::ifstream is(netlist_path);
-    return netlist::parse_verilog(is);
-  }();
+  const netlist::Netlist reparsed =
+      netlist::parse_verilog(netlist::read_netlist_file(netlist_path));
   for (const netlist::Netlist* nl : {&design.netlist, &reparsed}) {
     const std::uint64_t got = serve::netlist_content_hash(*nl);
     const std::uint64_t want = reference_content_hash(*nl);

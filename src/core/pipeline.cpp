@@ -75,26 +75,16 @@ PipelineResult FaultCriticalityAnalyzer::analyze(
                                       : r.design.dangerous_cycle_fraction;
     cc.collapse_equivalent = config_.campaign_collapse_equivalent;
     cc.num_threads = config_.campaign_threads;
-    const int batches = std::max(1, config_.workload_batches);
-    for (int b = 0; b < batches; ++b) {
-      cc.seed = config_.campaign_seed + 7919ULL * static_cast<std::uint64_t>(b);
-      fault::FaultCampaign campaign(nl, r.design.stimulus, cc);
-      if (b == 0)
-        r.campaign = campaign.run_all();
-      else
-        r.extra_campaigns.push_back(campaign.run_all());
-    }
+    cc.seed = config_.campaign_seed;
+    fault::FaultCampaign campaign(nl, r.design.stimulus, cc);
+    r.campaign = campaign.run_all();
     r.fi_seconds = span.close();
     obs::logf(obs::LogLevel::kDebug,
-              "pipeline: FI campaign %.3fs (%d batch(es), %zu faults)",
-              r.fi_seconds, batches, r.campaign.faults.size());
+              "pipeline: FI campaign %.3fs (%zu faults)", r.fi_seconds,
+              r.campaign.faults.size());
   }
-  {
-    std::vector<const fault::CampaignResult*> batches{&r.campaign};
-    for (const auto& extra : r.extra_campaigns) batches.push_back(&extra);
-    r.dataset =
-        fault::generate_dataset(batches, config_.criticality_threshold);
-  }
+  r.dataset =
+      fault::generate_dataset(r.campaign, config_.criticality_threshold);
 
   // ---- graph + features ------------------------------------------------------
   {

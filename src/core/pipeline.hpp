@@ -36,9 +36,6 @@ struct PipelineConfig {
   // Fault-injection campaign (§3.2).
   int campaign_cycles = 256;
   std::uint64_t campaign_seed = 7;
-  /// Number of 64-workload campaign batches (each with a derived seed):
-  /// Algorithm 1 aggregates over N = 64 * batches workloads.
-  int workload_batches = 1;
   /// Overrides the design's dangerous_cycle_fraction when >= 0.
   double dangerous_cycle_fraction = -1.0;
   /// The campaign always runs the event-driven frontier engine;
@@ -65,13 +62,12 @@ struct PipelineConfig {
   // GCN (Table 1) and training.
   ml::GcnConfig classifier = ml::GcnConfig::classifier();
   ml::TrainConfig train{.epochs = 400, .lr = 0.01, .weight_decay = 5e-4,
-                        .patience = 80, .verbose = false, .log_every = 25};
+                        .patience = 80};
 
   // Regressor (§3.4).
   bool train_regressor = true;
   ml::TrainConfig regressor_train{.epochs = 400, .lr = 0.01,
-                                  .weight_decay = 1e-4, .patience = 80,
-                                  .verbose = false, .log_every = 25};
+                                  .weight_decay = 1e-4, .patience = 80};
 
   // Baselines (Fig. 3 comparison).
   bool train_baselines = true;
@@ -112,9 +108,8 @@ struct PipelineResult {
 
   designs::Design design;
   sim::SignalStats stats;
-  /// First campaign batch (additional batches in extra_campaigns).
+  /// The FI campaign: 64 workloads, one per simulator lane.
   fault::CampaignResult campaign;
-  std::vector<fault::CampaignResult> extra_campaigns;
   fault::CriticalityDataset dataset;
   graphir::CircuitGraph graph;
   ml::Matrix features_raw;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <map>
-#include <stdexcept>
 
 #include "src/sim/packed_sim.hpp"
 #include "src/util/text.hpp"
@@ -37,45 +35,33 @@ std::string CriticalityDataset::summary() const {
   return out;
 }
 
-CriticalityDataset generate_dataset(
-    const std::vector<const CampaignResult*>& campaigns, double threshold) {
-  if (campaigns.empty())
-    throw std::runtime_error("generate_dataset: no campaigns");
-
-  // Dangerous-workload count per node. A node's SA0/SA1 verdicts within one
-  // campaign merge by lane-union (lines 5-9 of Algorithm 1, with the two
-  // polarities of a node treated as the node's fault manifestations).
-  std::map<NodeId, int> dangerous_count;
-  std::map<NodeId, std::uint64_t> batch_union;
-  int total_workloads = 0;
-
-  for (const CampaignResult* campaign : campaigns) {
-    batch_union.clear();
-    for (const FaultResult& fr : campaign->faults)
-      batch_union[fr.fault.node] |= fr.dangerous_lanes;
-    for (const auto& [node, lanes] : batch_union)
-      dangerous_count[node] += std::popcount(lanes);
-    total_workloads += sim::kLanes;
+CriticalityDataset generate_dataset(const CampaignResult& campaign,
+                                    double threshold) {
+  // Dangerous lanes per node. A node's SA0/SA1 verdicts merge by lane-union
+  // (lines 5-9 of Algorithm 1, with the two polarities of a node treated as
+  // the node's fault manifestations); nodes come out in ascending id.
+  std::size_t span = 0;
+  for (const FaultResult& fr : campaign.faults)
+    span = std::max<std::size_t>(span, std::size_t{fr.fault.node} + 1);
+  std::vector<std::uint64_t> lanes(span, 0);
+  std::vector<char> is_site(span, 0);
+  for (const FaultResult& fr : campaign.faults) {
+    lanes[fr.fault.node] |= fr.dangerous_lanes;
+    is_site[fr.fault.node] = 1;
   }
 
   CriticalityDataset ds;
   ds.threshold = threshold;
-  ds.num_workloads = total_workloads;
-  ds.nodes.reserve(dangerous_count.size());
-  for (const auto& [node, count] : dangerous_count) {
+  ds.num_workloads = sim::kLanes;
+  for (NodeId node = 0; node < span; ++node) {
+    if (!is_site[node]) continue;
     ds.nodes.push_back(node);
-    const double score =
-        static_cast<double>(count) / static_cast<double>(total_workloads);
+    const double score = static_cast<double>(std::popcount(lanes[node])) /
+                         static_cast<double>(sim::kLanes);
     ds.score.push_back(score);
     ds.label.push_back(score >= threshold ? 1 : 0);
   }
   return ds;
-}
-
-CriticalityDataset generate_dataset(const CampaignResult& campaign,
-                                    double threshold) {
-  return generate_dataset(std::vector<const CampaignResult*>{&campaign},
-                          threshold);
 }
 
 }  // namespace fcrit::fault

@@ -35,12 +35,8 @@ struct CriticalityDataset {
   std::string summary() const;
 };
 
-/// Aggregate one or more campaign results (e.g. several 64-lane batches
-/// with different seeds) into scores and labels. All results must stem from
-/// the same netlist/fault universe.
-CriticalityDataset generate_dataset(
-    const std::vector<const CampaignResult*>& campaigns, double threshold);
-
+/// Aggregate one campaign's verdicts over its N = 64 workloads (the
+/// simulator's lanes) into scores and labels.
 CriticalityDataset generate_dataset(const CampaignResult& campaign,
                                     double threshold);
 

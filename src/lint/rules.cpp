@@ -2,10 +2,8 @@
 //
 // Every rule is linear (or near-linear) in nodes + edges; the error rules
 // alone form the preflight every serve request and pipeline run passes
-// through, the full pass is `fcrit lint`. The pass never trusts
-// Netlist::fanouts() — unresolved kNoNode fanins (themselves findings)
-// would corrupt its CSR build — and instead derives its own adjacency,
-// skipping invalid edges.
+// through, the full pass is `fcrit lint`. Rules walk consumers through
+// Netlist::fanouts(), whose CSR leaves unresolved fanins out.
 #include <algorithm>
 #include <array>
 #include <deque>
@@ -48,21 +46,10 @@ Diagnostic at_node(const Netlist& nl, NodeId id, std::string rule,
   return d;
 }
 
-/// Fanout adjacency built only from in-range fanins, so the pass survives
-/// netlists that validate() would reject.
-std::vector<std::vector<NodeId>> safe_fanouts(const Netlist& nl) {
-  const std::size_t n = nl.num_nodes();
-  std::vector<std::vector<NodeId>> fanout(n);
-  for (NodeId id = 0; id < n; ++id)
-    for (const NodeId f : nl.fanins(id))
-      if (f < n) fanout[f].push_back(id);
-  return fanout;
-}
-
 /// Forward closure from `seeds` over the fanout adjacency.
-std::vector<char> reach_forward(const std::vector<std::vector<NodeId>>& fanout,
+std::vector<char> reach_forward(const Netlist& nl,
                                 const std::vector<NodeId>& seeds) {
-  std::vector<char> reached(fanout.size(), 0);
+  std::vector<char> reached(nl.num_nodes(), 0);
   std::deque<NodeId> queue;
   for (const NodeId s : seeds) {
     if (s < reached.size() && !reached[s]) {
@@ -73,7 +60,7 @@ std::vector<char> reach_forward(const std::vector<std::vector<NodeId>>& fanout,
   while (!queue.empty()) {
     const NodeId u = queue.front();
     queue.pop_front();
-    for (const NodeId v : fanout[u]) {
+    for (const NodeId v : nl.fanouts(u)) {
       if (!reached[v]) {
         reached[v] = 1;
         queue.push_back(v);
@@ -160,9 +147,7 @@ void rule_duplicate_name(const Netlist& nl, LintReport& report) {
 /// DFS over edges u -> v restricted to non-DFF consumers v: every cycle in
 /// that subgraph is a combinational loop (a DFF on the path would have to
 /// be entered through its D pin, and those edges are excluded).
-void rule_comb_loop(const Netlist& nl,
-                    const std::vector<std::vector<NodeId>>& fanout,
-                    LintReport& report) {
+void rule_comb_loop(const Netlist& nl, LintReport& report) {
   constexpr int kMaxReported = 4;
   const std::size_t n = nl.num_nodes();
   // 0 = unvisited, 1 = on the current DFS path, 2 = finished.
@@ -182,7 +167,7 @@ void rule_comb_loop(const Netlist& nl,
     path.push_back(root);
     while (!stack.empty() && reported < kMaxReported) {
       const NodeId u = stack.back().node;
-      const auto& children = fanout[u];
+      const auto children = nl.fanouts(u);
       bool descended = false;
       while (stack.back().next_child < children.size()) {
         const NodeId v = children[stack.back().next_child++];
@@ -241,9 +226,8 @@ std::optional<sla::DataflowAnalysis> try_analyze(const Netlist& nl) {
   }
 }
 
-void rule_dead_logic(const Netlist& nl,
-                     const std::vector<std::vector<NodeId>>& fanout,
-                     const sla::DataflowAnalysis* df, LintReport& report) {
+void rule_dead_logic(const Netlist& nl, const sla::DataflowAnalysis* df,
+                     LintReport& report) {
   const std::size_t n = nl.num_nodes();
   std::vector<char> drives_output(n, 0);
   for (const auto& port : nl.outputs())
@@ -252,7 +236,7 @@ void rule_dead_logic(const Netlist& nl,
 
   for (NodeId id = 0; id < n; ++id) {
     if (is_source(nl.kind(id)) || drives_output[id]) continue;
-    if (fanout[id].empty()) {
+    if (nl.fanouts(id).empty()) {
       report.add(at_node(nl, id, "dead-gate", Severity::kWarning,
                          "'" + nl.node(id).name +
                              "' has no fanout and drives no primary output",
@@ -276,9 +260,10 @@ void rule_dead_logic(const Netlist& nl,
   std::array<std::uint64_t, netlist::kMaxFanins> lits{};
   for (NodeId id = 0; id < n; ++id) {
     if (is_source(nl.kind(id)) || drives_output[id]) continue;
-    if (fanout[id].empty() || !reaches_output[id]) continue;  // reported above
+    // Reported above.
+    if (nl.fanouts(id).empty() || !reaches_output[id]) continue;
     bool all_blocked = true;
-    for (const NodeId c : fanout[id]) {
+    for (const NodeId c : nl.fanouts(id)) {
       const netlist::Node& node = nl.node(c);
       if (node.kind == CellKind::kDff || drives_output[c]) {
         all_blocked = false;
@@ -313,10 +298,8 @@ void rule_dead_logic(const Netlist& nl,
   }
 }
 
-void rule_input_unreachable(const Netlist& nl,
-                            const std::vector<std::vector<NodeId>>& fanout,
-                            LintReport& report) {
-  const std::vector<char> reached = reach_forward(fanout, nl.inputs());
+void rule_input_unreachable(const Netlist& nl, LintReport& report) {
+  const std::vector<char> reached = reach_forward(nl, nl.inputs());
   for (NodeId id = 0; id < nl.num_nodes(); ++id) {
     if (is_source(nl.kind(id)) || reached[id]) continue;
     report.add(at_node(nl, id, "input-unreachable", Severity::kWarning,
@@ -387,9 +370,8 @@ void rule_dff_self_loop(const Netlist& nl, LintReport& report) {
   }
 }
 
-void rule_reset_cone(const Netlist& nl,
-                     const std::vector<std::vector<NodeId>>& fanout,
-                     const sla::DataflowAnalysis* df, LintReport& report) {
+void rule_reset_cone(const Netlist& nl, const sla::DataflowAnalysis* df,
+                     LintReport& report) {
   std::vector<NodeId> resets;
   for (const NodeId in : nl.inputs()) {
     const std::string lower = util::to_lower(nl.node(in).name);
@@ -416,7 +398,7 @@ void rule_reset_cone(const Netlist& nl,
     }
     return;
   }
-  const std::vector<char> influenced = reach_forward(fanout, resets);
+  const std::vector<char> influenced = reach_forward(nl, resets);
   for (const NodeId flop : nl.flops()) {
     if (influenced[flop]) continue;
     report.add(at_node(nl, flop, "reset-cone", Severity::kNote,
@@ -427,12 +409,10 @@ void rule_reset_cone(const Netlist& nl,
 }
 
 /// The rules whose catalog severity is error.
-void error_rules(const Netlist& nl,
-                 const std::vector<std::vector<NodeId>>& fanout,
-                 LintReport& report) {
+void error_rules(const Netlist& nl, LintReport& report) {
   rule_undriven_fanin(nl, report);
   rule_duplicate_name(nl, report);
-  rule_comb_loop(nl, fanout, report);
+  rule_comb_loop(nl, report);
 }
 
 }  // namespace
@@ -440,24 +420,23 @@ void error_rules(const Netlist& nl,
 LintReport preflight(const Netlist& nl) {
   LintReport report;
   report.target_name = nl.name();
-  error_rules(nl, safe_fanouts(nl), report);
+  error_rules(nl, report);
   return report;
 }
 
 void lint_netlist(const Netlist& nl, LintReport& report) {
   if (report.target_name.empty()) report.target_name = nl.name();
-  const auto fanout = safe_fanouts(nl);
-  error_rules(nl, fanout, report);
+  error_rules(nl, report);
   // Static dataflow analysis (src/sla) backs the const-fold, dead-cone
   // and reset-cone rules when the netlist is sound enough to analyze;
   // each falls back to its one-level structural check otherwise.
   const std::optional<sla::DataflowAnalysis> df = try_analyze(nl);
   const sla::DataflowAnalysis* dfp = df.has_value() ? &*df : nullptr;
-  rule_dead_logic(nl, fanout, dfp, report);
-  rule_input_unreachable(nl, fanout, report);
+  rule_dead_logic(nl, dfp, report);
+  rule_input_unreachable(nl, report);
   rule_const_fold(nl, dfp, report);
   rule_dff_self_loop(nl, report);
-  rule_reset_cone(nl, fanout, dfp, report);
+  rule_reset_cone(nl, dfp, report);
 }
 
 LintReport lint_netlist(const Netlist& nl) {

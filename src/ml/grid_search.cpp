@@ -44,7 +44,6 @@ GridSearchResult grid_search(const SparseMatrix& adj, const Matrix& x,
         mc.dropout_after = hidden.size() >= 2 ? 1 : 0;
         TrainConfig tc = base_config;
         tc.lr = lr;
-        tc.verbose = false;
         specs.push_back({std::move(mc), std::move(tc)});
       }
     }

@@ -11,14 +11,8 @@ namespace fcrit::ml {
 class Adam {
  public:
   explicit Adam(std::vector<Param> params, double lr = 1e-2,
-                double weight_decay = 0.0, double beta1 = 0.9,
-                double beta2 = 0.999, double eps = 1e-8)
-      : params_(std::move(params)),
-        lr_(lr),
-        weight_decay_(weight_decay),
-        beta1_(beta1),
-        beta2_(beta2),
-        eps_(eps) {
+                double weight_decay = 0.0)
+      : params_(std::move(params)), lr_(lr), weight_decay_(weight_decay) {
     for (const Param& p : params_) {
       m_.emplace_back(p.value->rows(), p.value->cols());
       v_.emplace_back(p.value->rows(), p.value->cols());
@@ -31,8 +25,8 @@ class Adam {
 
   void step() {
     ++t_;
-    const double bc1 = 1.0 - std::pow(beta1_, t_);
-    const double bc2 = 1.0 - std::pow(beta2_, t_);
+    const double bc1 = 1.0 - std::pow(kBeta1, t_);
+    const double bc2 = 1.0 - std::pow(kBeta2, t_);
     for (std::size_t k = 0; k < params_.size(); ++k) {
       Matrix& w = *params_[k].value;
       Matrix& g = *params_[k].grad;
@@ -45,23 +39,25 @@ class Adam {
       const std::size_t n = w.size();
       for (std::size_t i = 0; i < n; ++i) {
         double grad = gd[i] + weight_decay_ * wd[i];
-        md[i] = static_cast<float>(beta1_ * md[i] + (1.0 - beta1_) * grad);
-        vd[i] = static_cast<float>(beta2_ * vd[i] +
-                                   (1.0 - beta2_) * grad * grad);
+        md[i] = static_cast<float>(kBeta1 * md[i] + (1.0 - kBeta1) * grad);
+        vd[i] = static_cast<float>(kBeta2 * vd[i] +
+                                   (1.0 - kBeta2) * grad * grad);
         const double mhat = md[i] / bc1;
         const double vhat = vd[i] / bc2;
-        wd[i] -= static_cast<float>(lr_ * mhat / (std::sqrt(vhat) + eps_));
+        wd[i] -= static_cast<float>(lr_ * mhat / (std::sqrt(vhat) + kEps));
       }
     }
   }
 
-  double learning_rate() const { return lr_; }
-  void set_learning_rate(double lr) { lr_ = lr; }
-
  private:
+  // Kingma & Ba's defaults.
+  static constexpr double kBeta1 = 0.9;
+  static constexpr double kBeta2 = 0.999;
+  static constexpr double kEps = 1e-8;
+
   std::vector<Param> params_;
   std::vector<Matrix> m_, v_;
-  double lr_, weight_decay_, beta1_, beta2_, eps_;
+  double lr_, weight_decay_;
   int t_ = 0;
 };
 

@@ -1,7 +1,7 @@
 #include "src/ml/trainer.hpp"
 
-#include <memory>
 #include <numeric>
+#include <string>
 
 #include "src/ml/metrics.hpp"
 #include "src/ml/optimizer.hpp"
@@ -53,15 +53,16 @@ class ParamSnapshot {
   std::vector<Matrix> values_;
 };
 
-}  // namespace
+/// Epochs between two progress lines (logged at debug).
+constexpr int kLogEvery = 25;
 
-// Both loops run one explicit schedule. The layers before the first Dropout
-// (GcnModel::forward_prefix) draw nothing from the RNG, and an epoch's
-// evaluation forward and the next epoch's training forward run them on the
-// same weights and the same input. So after each optimizer step the prefix
-// runs once, then the rest of the model runs twice over its output: first
-// for evaluation (Pass::kInfer, dropout off), then — only if training goes
-// on — for the next epoch's training (Pass::kTrain). Every layer sees
+// Both heads run this one explicit schedule. The layers before the first
+// Dropout (GcnModel::forward_prefix) draw nothing from the RNG, and an
+// epoch's evaluation forward and the next epoch's training forward run them
+// on the same weights and the same input. So after each optimizer step the
+// prefix runs once, then the rest of the model runs twice over its output:
+// first for evaluation (Pass::kInfer, dropout off), then — only if training
+// goes on — for the next epoch's training (Pass::kTrain). Every layer sees
 // exactly the operands two full forwards would give it, bit for bit.
 //
 // The evaluation computes only the validation rows: GcnModel::cut_suffix
@@ -69,61 +70,81 @@ class ParamSnapshot {
 // and forward_suffix(cut) gives each of them the full pass's bits. The
 // metric reads them in val_idx order, as it reads the full output, so the
 // history and the early stopping are unchanged.
-
-TrainHistory train_classifier(GcnModel& model, const SparseMatrix& adj,
-                              const Matrix& x, const std::vector<int>& labels,
-                              const std::vector<int>& train_idx,
-                              const std::vector<int>& val_idx,
-                              const TrainConfig& config) {
+//
+// `train_loss(out, grad)` is the head's masked loss over the training rows
+// of a Pass::kTrain output, filling `grad`; `val_metric(eval)` scores the
+// validation rows of the cut output, higher is better, and `worst` is the
+// best value before the first epoch. `head` names the epoch histogram and
+// the log lines.
+template <typename TrainLoss, typename ValMetric>
+TrainHistory train_head(GcnModel& model, const SparseMatrix& adj,
+                        const Matrix& x, const std::vector<int>& val_idx,
+                        const TrainConfig& config, const char* head,
+                        const char* metric, double worst,
+                        TrainLoss train_loss, ValMetric val_metric) {
   model.set_adjacency(&adj);
   Adam opt(model.params(), config.lr, config.weight_decay);
   ParamSnapshot best(model);
   TrainHistory history;
-  history.best_val_metric = -1.0;
+  history.best_val_metric = worst;
   int since_best = 0;
   obs::Histogram& epoch_ms =
-      obs::registry().histogram("ml.classifier.epoch_ms");
+      obs::registry().histogram(std::string("ml.") + head + ".epoch_ms");
 
   const SuffixCut val_cut = model.cut_suffix(adj, val_idx);
-  const std::vector<int> val_labels = gather(labels, val_idx);
-  const std::vector<int> val_rows = first_rows(val_idx.size());
   Matrix grad;
   model.forward_prefix(x, Pass::kTrain);
   for (int epoch = 0; epoch < config.epochs; ++epoch) {
     obs::Span epoch_span("epoch", &epoch_ms);
-    const double loss = masked_nll(model.forward_suffix(Pass::kTrain), labels,
-                                   train_idx, grad);
+    const double loss = train_loss(model.forward_suffix(Pass::kTrain), grad);
     opt.zero_grad();
     model.backward(grad);
     opt.step();
 
     model.forward_prefix(x, Pass::kTrain);
-    const Matrix& eval = model.forward_suffix(val_cut);
-    const double val_acc =
-        accuracy(predict_labels(eval), val_labels, val_rows);
+    const double val = val_metric(model.forward_suffix(val_cut));
     history.train_loss.push_back(loss);
-    history.val_metric.push_back(val_acc);
+    history.val_metric.push_back(val);
     epoch_span.close();
 
-    if (val_acc > history.best_val_metric) {
-      history.best_val_metric = val_acc;
+    if (val > history.best_val_metric) {
+      history.best_val_metric = val;
       history.best_epoch = epoch;
       best.capture();
       since_best = 0;
     } else if (++since_best >= config.patience && config.patience > 0) {
       break;
     }
-    if (config.verbose && epoch % config.log_every == 0)
-      obs::logf(obs::LogLevel::kInfo, "epoch %4d  loss %.4f  val_acc %.4f",
-                epoch, loss, val_acc);
+    if (epoch % kLogEvery == 0)
+      obs::logf(obs::LogLevel::kDebug, "%s epoch %4d  loss %.5f  %s %.5f",
+                head, epoch, loss, metric, val);
   }
   model.release_workspace();
   best.restore();
   obs::logf(obs::LogLevel::kDebug,
-            "train_classifier: %zu epochs, best val_acc %.4f at epoch %d",
-            history.train_loss.size(), history.best_val_metric,
+            "train_%s: %zu epochs, best %s %.5f at epoch %d", head,
+            history.train_loss.size(), metric, history.best_val_metric,
             history.best_epoch);
   return history;
+}
+
+}  // namespace
+
+TrainHistory train_classifier(GcnModel& model, const SparseMatrix& adj,
+                              const Matrix& x, const std::vector<int>& labels,
+                              const std::vector<int>& train_idx,
+                              const std::vector<int>& val_idx,
+                              const TrainConfig& config) {
+  const std::vector<int> val_labels = gather(labels, val_idx);
+  const std::vector<int> val_rows = first_rows(val_idx.size());
+  return train_head(
+      model, adj, x, val_idx, config, "classifier", "val_acc", -1.0,
+      [&](const Matrix& out, Matrix& grad) {
+        return masked_nll(out, labels, train_idx, grad);
+      },
+      [&](const Matrix& eval) {
+        return accuracy(predict_labels(eval), val_labels, val_rows);
+      });
 }
 
 TrainHistory train_regressor(GcnModel& model, const SparseMatrix& adj,
@@ -132,54 +153,17 @@ TrainHistory train_regressor(GcnModel& model, const SparseMatrix& adj,
                              const std::vector<int>& train_idx,
                              const std::vector<int>& val_idx,
                              const TrainConfig& config) {
-  model.set_adjacency(&adj);
-  Adam opt(model.params(), config.lr, config.weight_decay);
-  ParamSnapshot best(model);
-  TrainHistory history;
-  history.best_val_metric = -1e30;
-  int since_best = 0;
-  obs::Histogram& epoch_ms =
-      obs::registry().histogram("ml.regressor.epoch_ms");
-
-  const SuffixCut val_cut = model.cut_suffix(adj, val_idx);
   const std::vector<double> val_targets = gather(targets, val_idx);
   const std::vector<int> val_rows = first_rows(val_idx.size());
-  Matrix grad, unused;
-  model.forward_prefix(x, Pass::kTrain);
-  for (int epoch = 0; epoch < config.epochs; ++epoch) {
-    obs::Span epoch_span("epoch", &epoch_ms);
-    const double loss = masked_mse(model.forward_suffix(Pass::kTrain), targets,
-                                   train_idx, grad);
-    opt.zero_grad();
-    model.backward(grad);
-    opt.step();
-
-    model.forward_prefix(x, Pass::kTrain);
-    const double val_mse = masked_mse(model.forward_suffix(val_cut),
-                                      val_targets, val_rows, unused);
-    history.train_loss.push_back(loss);
-    history.val_metric.push_back(-val_mse);
-    epoch_span.close();
-
-    if (-val_mse > history.best_val_metric) {
-      history.best_val_metric = -val_mse;
-      history.best_epoch = epoch;
-      best.capture();
-      since_best = 0;
-    } else if (++since_best >= config.patience && config.patience > 0) {
-      break;
-    }
-    if (config.verbose && epoch % config.log_every == 0)
-      obs::logf(obs::LogLevel::kInfo, "epoch %4d  loss %.5f  val_mse %.5f",
-                epoch, loss, val_mse);
-  }
-  model.release_workspace();
-  best.restore();
-  obs::logf(obs::LogLevel::kDebug,
-            "train_regressor: %zu epochs, best -val_mse %.5f at epoch %d",
-            history.train_loss.size(), history.best_val_metric,
-            history.best_epoch);
-  return history;
+  Matrix unused;
+  return train_head(
+      model, adj, x, val_idx, config, "regressor", "-val_mse", -1e30,
+      [&](const Matrix& out, Matrix& grad) {
+        return masked_mse(out, targets, train_idx, grad);
+      },
+      [&](const Matrix& eval) {
+        return -masked_mse(eval, val_targets, val_rows, unused);
+      });
 }
 
 }  // namespace fcrit::ml

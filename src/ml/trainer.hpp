@@ -2,7 +2,8 @@
 // (§3.4): Adam, masked losses over the 80/20 node split, early stopping on
 // validation accuracy / MSE with best-parameter restore. Each epoch's
 // evaluation computes only the rows the validation metric reads, with the
-// bits a full evaluation gives them (GcnModel::cut_suffix).
+// bits a full evaluation gives them (GcnModel::cut_suffix). Both heads run
+// one schedule; every 25th epoch logs its progress at debug level.
 #pragma once
 
 #include <cstdint>
@@ -18,8 +19,6 @@ struct TrainConfig {
   double lr = 0.01;
   double weight_decay = 5e-4;
   int patience = 60;   // early-stopping patience in epochs (<=0: off)
-  bool verbose = false;
-  int log_every = 25;
 };
 
 struct TrainHistory {

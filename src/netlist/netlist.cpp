@@ -148,19 +148,24 @@ void Netlist::invalidate_caches() {
   names_valid_ = false;
 }
 
+// Only fanins inside [0, num_nodes) are edges: a kNoNode placeholder that
+// add_gate accepted, or any other unresolved fanin, is left out (lint
+// reports it; validate() rejects it).
 void Netlist::ensure_fanouts() const {
   if (fanouts_valid_) return;
-  fanout_offsets_.assign(nodes_.size() + 1, 0);
-  for (const Node& n : nodes_)
-    for (const NodeId f : n.fanins()) ++fanout_offsets_[f + 1];
+  const std::size_t n = nodes_.size();
+  fanout_offsets_.assign(n + 1, 0);
+  for (const Node& node : nodes_)
+    for (const NodeId f : node.fanins())
+      if (f < n) ++fanout_offsets_[f + 1];
   for (std::size_t i = 1; i < fanout_offsets_.size(); ++i)
     fanout_offsets_[i] += fanout_offsets_[i - 1];
-  fanout_targets_.resize(num_edges());
+  fanout_targets_.resize(fanout_offsets_.back());
   std::vector<std::uint32_t> cursor(fanout_offsets_.begin(),
                                     fanout_offsets_.end() - 1);
-  for (NodeId id = 0; id < nodes_.size(); ++id)
+  for (NodeId id = 0; id < n; ++id)
     for (const NodeId f : nodes_[id].fanins())
-      fanout_targets_[cursor[f]++] = id;
+      if (f < n) fanout_targets_[cursor[f]++] = id;
   fanouts_valid_ = true;
 }
 

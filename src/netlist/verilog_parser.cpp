@@ -466,10 +466,6 @@ VerilogParse parse_verilog_collect(std::string_view text) {
   return build_netlist(parse_structure(lex));
 }
 
-VerilogParse parse_verilog_collect(std::istream& is) {
-  return parse_verilog_collect(read_bounded(is));
-}
-
 Netlist parse_verilog(std::string_view text) {
   VerilogParse parse = parse_verilog_collect(text);
   if (!parse.ok()) {
@@ -480,10 +476,6 @@ Netlist parse_verilog(std::string_view text) {
     throw std::runtime_error(msg);
   }
   return std::move(parse.netlist);
-}
-
-Netlist parse_verilog(std::istream& is) {
-  return parse_verilog(read_bounded(is));
 }
 
 std::string read_netlist_file(const std::string& path) {

@@ -25,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <istream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -40,8 +39,8 @@ namespace fcrit::netlist {
 inline constexpr std::uint64_t kMaxVerilogBytes = std::uint64_t{64} << 20;
 
 /// Verilog text longer than kMaxVerilogBytes. The message names the limit
-/// and the offending length (for a stream, the bytes read when the limit
-/// was passed).
+/// and the offending length (for a file that is not a regular one, the
+/// bytes read when the limit was passed).
 class VerilogLimitError : public std::runtime_error {
  public:
   explicit VerilogLimitError(std::uint64_t bytes);
@@ -66,13 +65,10 @@ struct VerilogParse {
 /// Lenient parse: syntax errors throw std::runtime_error (with a line
 /// number); semantic defects are collected into `issues` and repaired so
 /// the returned netlist always passes Netlist::validate().
-VerilogParse parse_verilog_collect(std::istream& is);
 VerilogParse parse_verilog_collect(std::string_view text);
 
 /// Strict parse; throws std::runtime_error aggregating every semantic
 /// error (each carrying "line N") instead of stopping at the first.
-Netlist parse_verilog(std::istream& is);
-
 Netlist parse_verilog(std::string_view text);
 
 /// A .v or .bench file's bytes, read once. A regular file's size is

@@ -38,18 +38,20 @@ inline std::uint64_t byte_sum(std::uint64_t x) {
 /// Cycles a byte-sliced partial count may absorb: 31 * 8 <= 255.
 constexpr int kFoldCycles = 31;
 
+/// The analytic estimators' sequential fixpoint: at most this many sweeps,
+/// stopping once the largest change drops below kFixpointTolerance.
+constexpr int kFixpointIterations = 50;
+constexpr double kFixpointTolerance = 1e-6;
+
 }  // namespace
 
 SignalStats estimate_by_simulation(const netlist::Netlist& nl,
                                    const StimulusSpec& spec,
-                                   std::uint64_t seed, int cycles,
-                                   int skip_cycles) {
+                                   std::uint64_t seed, int cycles) {
   if (cycles <= 0) throw std::runtime_error("estimate_by_simulation: cycles");
-  if (skip_cycles < 0)
-    throw std::runtime_error("estimate_by_simulation: skip_cycles < 0");
-  if (cycles > std::numeric_limits<int>::max() - skip_cycles)
+  if (cycles > std::numeric_limits<int>::max() - kStatsSkipCycles)
     throw std::runtime_error(
-        "estimate_by_simulation: cycles + skip_cycles overflows int");
+        "estimate_by_simulation: cycles + kStatsSkipCycles overflows int");
   PackedSimulator simulator(nl);
   StimulusGenerator stim(nl, spec, seed);
 
@@ -71,20 +73,20 @@ SignalStats estimate_by_simulation(const netlist::Netlist& nl,
 
   std::vector<std::uint64_t> words;
   std::uint64_t counted_cycles = 0;
-  for (int t = 0; t < cycles + skip_cycles; ++t) {
+  for (int t = 0; t < cycles + kStatsSkipCycles; ++t) {
     stim.next_cycle(words);
     simulator.eval_comb(words);
     const std::uint64_t* v = simulator.values().data();
-    if (t == skip_cycles) {
+    if (t == kStatsSkipCycles) {
       for (std::size_t id = 0; id < n; ++id)
         ones_part[id] += byte_counts(v[id]);
-    } else if (t > skip_cycles) {
+    } else if (t > kStatsSkipCycles) {
       for (std::size_t id = 0; id < n; ++id) {
         ones_part[id] += byte_counts(v[id]);
         transitions_part[id] += byte_counts(v[id] ^ prev[id]);
       }
     }
-    if (t >= skip_cycles) {
+    if (t >= kStatsSkipCycles) {
       std::copy(v, v + n, prev.begin());
       if (++counted_cycles % kFoldCycles == 0) fold();
     }
@@ -109,8 +111,7 @@ SignalStats estimate_by_simulation(const netlist::Netlist& nl,
 }
 
 std::vector<double> estimate_p1_analytic(const netlist::Netlist& nl,
-                                         const std::vector<double>& pi_p1,
-                                         int max_iterations, double tol) {
+                                         const std::vector<double>& pi_p1) {
   if (pi_p1.size() != nl.inputs().size())
     throw std::runtime_error("estimate_p1_analytic: pi_p1 size");
 
@@ -133,7 +134,7 @@ std::vector<double> estimate_p1_analytic(const netlist::Netlist& nl,
 
   const auto lev = netlist::levelize(nl);
   std::vector<double> fanin_p;
-  for (int iter = 0; iter < max_iterations; ++iter) {
+  for (int iter = 0; iter < kFixpointIterations; ++iter) {
     double max_delta = 0.0;
     // Forward pass over combinational logic.
     for (const NodeId id : lev.order) {
@@ -150,14 +151,14 @@ std::vector<double> estimate_p1_analytic(const netlist::Netlist& nl,
       max_delta = std::max(max_delta, std::abs(next - p[ff]));
       p[ff] = next;
     }
-    if (max_delta < tol) break;
+    if (max_delta < kFixpointTolerance) break;
   }
   return p;
 }
 
 AnalyticActivity estimate_activity_analytic(
     const netlist::Netlist& nl, const std::vector<double>& pi_p1,
-    const std::vector<double>& pi_toggle, int max_iterations, double tol) {
+    const std::vector<double>& pi_toggle) {
   if (pi_p1.size() != nl.inputs().size() ||
       pi_toggle.size() != nl.inputs().size())
     throw std::runtime_error("estimate_activity_analytic: input sizes");
@@ -192,7 +193,7 @@ AnalyticActivity estimate_activity_analytic(
   };
 
   const auto lev = netlist::levelize(nl);
-  for (int iter = 0; iter < max_iterations; ++iter) {
+  for (int iter = 0; iter < kFixpointIterations; ++iter) {
     double max_delta = 0.0;
     for (const NodeId id : lev.order) {
       const netlist::Node& node = nl.node(id);
@@ -235,7 +236,7 @@ AnalyticActivity estimate_activity_analytic(
       a.p1[ff] = a.p1[d];
       a.p_transition[ff] = a.p_transition[d];
     }
-    if (max_delta < tol) break;
+    if (max_delta < kFixpointTolerance) break;
   }
   return a;
 }

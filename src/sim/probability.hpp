@@ -23,20 +23,21 @@ struct SignalStats {
   std::vector<double> p_transition;  // per NodeId
 };
 
-/// Monte-Carlo estimate across `cycles` clock cycles and all 64 lanes.
-/// Counting starts after `skip_cycles` so reset transients are excluded.
+/// Cycles simulated before estimate_by_simulation starts counting, so
+/// reset transients are excluded.
+inline constexpr int kStatsSkipCycles = 4;
+
+/// Monte-Carlo estimate across `cycles` clock cycles (after the
+/// kStatsSkipCycles skipped ones) and all 64 lanes.
 SignalStats estimate_by_simulation(const netlist::Netlist& nl,
                                    const StimulusSpec& spec,
-                                   std::uint64_t seed, int cycles,
-                                   int skip_cycles = 4);
+                                   std::uint64_t seed, int cycles);
 
 /// Analytic signal-probability propagation (independence assumption).
-/// `pi_p1[i]` is P(1) for netlist input i; DFF probabilities iterate
-/// `max_iterations` times or until the largest change drops below `tol`.
+/// `pi_p1[i]` is P(1) for netlist input i; DFF probabilities iterate up to
+/// 50 times, until the largest change drops below 1e-6.
 std::vector<double> estimate_p1_analytic(const netlist::Netlist& nl,
-                                         const std::vector<double>& pi_p1,
-                                         int max_iterations = 50,
-                                         double tol = 1e-6);
+                                         const std::vector<double>& pi_p1);
 
 /// Analytic switching-activity propagation: per-node transition
 /// probability under spatial independence and lag-1 temporal independence
@@ -50,7 +51,6 @@ struct AnalyticActivity {
 };
 AnalyticActivity estimate_activity_analytic(
     const netlist::Netlist& nl, const std::vector<double>& pi_p1,
-    const std::vector<double>& pi_toggle, int max_iterations = 50,
-    double tol = 1e-6);
+    const std::vector<double>& pi_toggle);
 
 }  // namespace fcrit::sim

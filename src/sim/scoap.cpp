@@ -12,6 +12,10 @@ using netlist::NodeId;
 
 namespace {
 
+constexpr int kMaxIterations = 64;  // sequential fixpoint iterations
+constexpr double kTolerance = 1e-6;
+constexpr double kSequentialCost = 1.0;  // added per DFF crossing
+
 /// Cost of driving input `j` of the row assignment: CC0 or CC1.
 inline double input_cost(const ScoapResult& r, NodeId fanin, bool value) {
   return value ? r.cc1[fanin] : r.cc0[fanin];
@@ -19,12 +23,12 @@ inline double input_cost(const ScoapResult& r, NodeId fanin, bool value) {
 
 }  // namespace
 
-ScoapResult compute_scoap(const netlist::Netlist& nl, ScoapConfig config) {
+ScoapResult compute_scoap(const netlist::Netlist& nl) {
   const std::size_t n = nl.num_nodes();
   ScoapResult r;
-  r.cc0.assign(n, config.cap);
-  r.cc1.assign(n, config.cap);
-  r.co.assign(n, config.cap);
+  r.cc0.assign(n, kScoapCap);
+  r.cc1.assign(n, kScoapCap);
+  r.co.assign(n, kScoapCap);
 
   // Base controllabilities.
   for (NodeId id = 0; id < n; ++id) {
@@ -47,11 +51,11 @@ ScoapResult compute_scoap(const netlist::Netlist& nl, ScoapConfig config) {
   const auto lev = netlist::levelize(nl);
 
   // ---- controllability fixpoint ---------------------------------------------
-  for (int iter = 0; iter < config.max_iterations; ++iter) {
+  for (int iter = 0; iter < kMaxIterations; ++iter) {
     double max_delta = 0.0;
     auto update = [&](NodeId id, double c0, double c1) {
-      c0 = std::min(c0, config.cap);
-      c1 = std::min(c1, config.cap);
+      c0 = std::min(c0, kScoapCap);
+      c1 = std::min(c1, kScoapCap);
       max_delta = std::max({max_delta, std::abs(c0 - r.cc0[id]),
                             std::abs(c1 - r.cc1[id])});
       r.cc0[id] = c0;
@@ -65,7 +69,7 @@ ScoapResult compute_scoap(const netlist::Netlist& nl, ScoapConfig config) {
       // Minimize over *cubes* (inputs in {0, 1, X}): a don't-care input
       // costs nothing. This reproduces the classical SCOAP formulas, e.g.
       // CC0(AND) = min(CC0(inputs)) + 1 while CC1(AND) sums all inputs.
-      double best0 = config.cap, best1 = config.cap;
+      double best0 = kScoapCap, best1 = kScoapCap;
       int pow3 = 1;
       for (int j = 0; j < arity; ++j) pow3 *= 3;
       for (int cube = 0; cube < pow3; ++cube) {
@@ -103,16 +107,15 @@ ScoapResult compute_scoap(const netlist::Netlist& nl, ScoapConfig config) {
     }
     for (const NodeId ff : nl.flops()) {
       const NodeId d = nl.node(ff).fanin[0];
-      update(ff, r.cc0[d] + config.sequential_cost,
-             r.cc1[d] + config.sequential_cost);
+      update(ff, r.cc0[d] + kSequentialCost, r.cc1[d] + kSequentialCost);
     }
-    if (max_delta < config.tol) break;
+    if (max_delta < kTolerance) break;
   }
 
   // ---- observability fixpoint --------------------------------------------------
   for (const auto& port : nl.outputs()) r.co[port.driver] = 0.0;
 
-  for (int iter = 0; iter < config.max_iterations; ++iter) {
+  for (int iter = 0; iter < kMaxIterations; ++iter) {
     double max_delta = 0.0;
     // Reverse topological order: consumers before producers.
     for (auto it = lev.order.rbegin(); it != lev.order.rend(); ++it) {
@@ -123,7 +126,7 @@ ScoapResult compute_scoap(const netlist::Netlist& nl, ScoapConfig config) {
       for (int pin = 0; pin < arity; ++pin) {
         const NodeId fanin = node.fanin[static_cast<std::size_t>(pin)];
         // Minimum-cost sensitizing assignment of the other pins.
-        double best = config.cap;
+        double best = kScoapCap;
         for (int row = 0; row < (1 << arity); ++row) {
           if ((row >> pin) & 1) continue;  // consider pin=0 base rows
           const int row1 = row | (1 << pin);
@@ -138,7 +141,7 @@ ScoapResult compute_scoap(const netlist::Netlist& nl, ScoapConfig config) {
           }
           best = std::min(best, cost);
         }
-        best = std::min(best, config.cap);
+        best = std::min(best, kScoapCap);
         if (best < r.co[fanin]) {
           max_delta = std::max(max_delta, r.co[fanin] - best);
           r.co[fanin] = best;
@@ -148,8 +151,7 @@ ScoapResult compute_scoap(const netlist::Netlist& nl, ScoapConfig config) {
     // DFFs: observing D requires observing Q one cycle later.
     for (const NodeId ff : nl.flops()) {
       const NodeId d = nl.node(ff).fanin[0];
-      const double via_ff =
-          std::min(r.co[ff] + config.sequential_cost, config.cap);
+      const double via_ff = std::min(r.co[ff] + kSequentialCost, kScoapCap);
       if (via_ff < r.co[d]) {
         max_delta = std::max(max_delta, r.co[d] - via_ff);
         r.co[d] = via_ff;
@@ -157,7 +159,7 @@ ScoapResult compute_scoap(const netlist::Netlist& nl, ScoapConfig config) {
     }
     // Primary outputs stay 0 even if they also fan out elsewhere.
     for (const auto& port : nl.outputs()) r.co[port.driver] = 0.0;
-    if (max_delta < config.tol) break;
+    if (max_delta < kTolerance) break;
   }
 
   return r;

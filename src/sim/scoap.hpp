@@ -25,15 +25,10 @@ struct ScoapResult {
   std::vector<double> co;   // observability, >= 0 (0 at primary outputs)
 };
 
-struct ScoapConfig {
-  int max_iterations = 64;   // sequential fixpoint iterations
-  double tol = 1e-6;
-  double sequential_cost = 1.0;  // added per DFF crossing
-  /// Values saturate here (unreachable/unobservable logic would otherwise
-  /// diverge through sequential loops).
-  double cap = 1e6;
-};
+/// Values saturate here (unreachable/unobservable logic would otherwise
+/// diverge through sequential loops).
+inline constexpr double kScoapCap = 1e6;
 
-ScoapResult compute_scoap(const netlist::Netlist& nl, ScoapConfig config = {});
+ScoapResult compute_scoap(const netlist::Netlist& nl);
 
 }  // namespace fcrit::sim

@@ -34,7 +34,7 @@ int parse_thread_count(const std::string& text) {
     if (c < '0' || c > '9') return -1;
   try {
     const unsigned long v = std::stoul(text);
-    if (v > 1024) return -1;  // a typo, not a machine
+    if (v > static_cast<unsigned long>(kMaxThreads)) return -1;
     return static_cast<int>(v);
   } catch (const std::exception&) {
     return -1;

@@ -99,8 +99,12 @@ class ThreadPool {
 /// Hardware concurrency, clamped to >= 1.
 int hardware_threads();
 
-/// Parse a FCRIT_THREADS / --jobs value: "0" = hardware concurrency,
-/// "N" >= 1 = exactly N lanes. Returns -1 for anything unparseable
+/// The largest thread count FCRIT_THREADS or `fcrit --jobs` accepts: a
+/// larger one is a typo, not a machine.
+inline constexpr int kMaxThreads = 1024;
+
+/// Parse a FCRIT_THREADS value: "0" = hardware concurrency, "N" in
+/// [1, kMaxThreads] = exactly N lanes. Returns -1 for anything else
 /// (callers fall back to the default rather than aborting a run over a
 /// malformed environment variable).
 int parse_thread_count(const std::string& text);

@@ -46,11 +46,10 @@ TEST_F(IntegrationTest, UnobservableNodesAreNeverCritical) {
   // independent code paths; a structurally unobservable node must have
   // criticality score 0.
   const auto& r = *result_;
-  sim::ScoapConfig sc;
-  const auto scoap = sim::compute_scoap(r.design.netlist, sc);
+  const auto scoap = sim::compute_scoap(r.design.netlist);
   for (std::size_t i = 0; i < r.dataset.size(); ++i) {
     const auto node = r.dataset.nodes[i];
-    if (scoap.co[node] >= sc.cap) {
+    if (scoap.co[node] >= sim::kScoapCap) {
       EXPECT_DOUBLE_EQ(r.dataset.score[i], 0.0)
           << r.design.netlist.node(node).name;
     }
@@ -141,30 +140,6 @@ TEST_F(IntegrationTest, RegressorScoresTrackDatasetScores) {
     pred.push_back(r.regression->predicted_score[node]);
   }
   EXPECT_GT(ml::pearson(truth, pred), 0.7);
-}
-
-TEST(IntegrationMultiBatch, MoreWorkloadsRefineScores) {
-  // Two 64-lane batches: N = 128 workloads; scores take values k/128 and
-  // the dataset reports the workload count.
-  core::PipelineConfig cfg;
-  cfg.campaign_cycles = 96;
-  cfg.workload_batches = 2;
-  cfg.train.epochs = 60;
-  cfg.train_baselines = false;
-  cfg.train_regressor = false;
-  core::FaultCriticalityAnalyzer analyzer(cfg);
-  const auto r = analyzer.analyze_design("or1200_icfsm");
-  EXPECT_EQ(r.dataset.num_workloads, 128);
-  EXPECT_EQ(r.extra_campaigns.size(), 1u);
-  // Some score must use the finer resolution (odd multiple of 1/128).
-  bool fine = false;
-  for (const double s : r.dataset.score) {
-    const double scaled = s * 128.0;
-    if (std::abs(scaled - std::round(scaled)) < 1e-9 &&
-        static_cast<long>(std::llround(scaled)) % 2 == 1)
-      fine = true;
-  }
-  EXPECT_TRUE(fine);
 }
 
 }  // namespace

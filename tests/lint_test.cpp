@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -214,8 +213,7 @@ TEST(LintParser, MultiDrivenNetCarriesRuleAndLine) {
       "  IV u1 (.Y(n), .A(a));\n"
       "  IV u2 (.Y(n), .A(a));\n"
       "  assign y = n;\nendmodule\n";
-  std::istringstream is(text);
-  const auto parsed = netlist::parse_verilog_collect(is);
+  const auto parsed = netlist::parse_verilog_collect(text);
   ASSERT_FALSE(parsed.ok());
 
   LintReport r;
@@ -235,8 +233,7 @@ TEST(LintParser, UnknownCellAndBadPinCollected) {
       "  BOGUS u1 (.Y(n), .A(a));\n"
       "  IV u2 (.Y(n), .Z(a));\n"
       "  assign y = n;\nendmodule\n";
-  std::istringstream is(text);
-  const auto parsed = netlist::parse_verilog_collect(is);
+  const auto parsed = netlist::parse_verilog_collect(text);
 
   LintReport r;
   add_parse_issues(parsed.issues, r);

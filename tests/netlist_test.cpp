@@ -133,6 +133,23 @@ TEST(Netlist, SetFaninPatchesPlaceholder) {
   EXPECT_EQ(nl.fanins(ff)[0], a);
 }
 
+TEST(Netlist, FanoutsSkipUnresolvedFanins) {
+  // add_gate accepts kNoNode placeholders; the fanout CSR must count only
+  // the fanins that name a node, and list consumers in ascending id.
+  Netlist nl;
+  const NodeId a = nl.add_input("a");
+  const NodeId g1 = nl.add_gate(CellKind::kAnd2, {a, kNoNode});
+  const NodeId g2 = nl.add_gate(CellKind::kOr2, {kNoNode, a});
+  ASSERT_EQ(nl.fanouts(a).size(), 2u);
+  EXPECT_EQ(nl.fanouts(a)[0], g1);
+  EXPECT_EQ(nl.fanouts(a)[1], g2);
+  EXPECT_TRUE(nl.fanouts(g1).empty());
+  EXPECT_EQ(nl.num_connections(g2), 2u);  // 2 fanin slots + 0 fanouts
+  nl.set_fanin(g2, 0, g1);
+  ASSERT_EQ(nl.fanouts(g1).size(), 1u);
+  EXPECT_EQ(nl.fanouts(g1)[0], g2);
+}
+
 TEST(Netlist, SetFaninRangeChecks) {
   Netlist nl;
   const NodeId a = nl.add_input("a");

@@ -54,13 +54,5 @@ TEST(Adam, FirstStepSizeIsLearningRate) {
   EXPECT_NEAR(w(0, 0), -0.05f, 1e-4f);
 }
 
-TEST(Adam, LearningRateAccessors) {
-  Matrix w(1, 1), g(1, 1);
-  Adam opt({{&w, &g}}, 0.01);
-  EXPECT_DOUBLE_EQ(opt.learning_rate(), 0.01);
-  opt.set_learning_rate(0.2);
-  EXPECT_DOUBLE_EQ(opt.learning_rate(), 0.2);
-}
-
 }  // namespace
 }  // namespace fcrit::ml

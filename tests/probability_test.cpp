@@ -123,14 +123,13 @@ TEST(SimulationProbability, InvalidCyclesThrow) {
   StimulusSpec spec;
   EXPECT_THROW(estimate_by_simulation(nl, spec, 1, 0), std::runtime_error);
   EXPECT_THROW(estimate_by_simulation(nl, spec, 1, -5), std::runtime_error);
-  EXPECT_THROW(estimate_by_simulation(nl, spec, 1, 8, -1),
-               std::runtime_error);
-  // cycles + skip_cycles must fit in an int.
+  // cycles + kStatsSkipCycles must fit in an int.
   const int max = std::numeric_limits<int>::max();
   EXPECT_THROW(estimate_by_simulation(nl, spec, 1, max), std::runtime_error);
-  EXPECT_THROW(estimate_by_simulation(nl, spec, 1, max - 3, 4),
-               std::runtime_error);
-  EXPECT_NO_THROW(estimate_by_simulation(nl, spec, 1, 8, 0));
+  EXPECT_THROW(
+      estimate_by_simulation(nl, spec, 1, max - kStatsSkipCycles + 1),
+      std::runtime_error);
+  EXPECT_NO_THROW(estimate_by_simulation(nl, spec, 1, 8));
 }
 
 TEST(AnalyticActivity, ToggleOfIidInputs) {

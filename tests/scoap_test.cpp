@@ -87,10 +87,9 @@ TEST(Scoap, UnobservableLogicSaturates) {
   const NodeId orphan = nl.add_gate(CellKind::kInv, {a});
   const NodeId seen = nl.add_gate(CellKind::kBuf, {a});
   nl.add_output("y", seen);
-  ScoapConfig cfg;
-  const auto r = compute_scoap(nl, cfg);
-  EXPECT_DOUBLE_EQ(r.co[orphan], cfg.cap);
-  EXPECT_LT(r.co[seen], cfg.cap);
+  const auto r = compute_scoap(nl);
+  EXPECT_DOUBLE_EQ(r.co[orphan], kScoapCap);
+  EXPECT_LT(r.co[seen], kScoapCap);
 }
 
 TEST(Scoap, ConstantsAreUncontrollableToOpposite) {
@@ -99,12 +98,11 @@ TEST(Scoap, ConstantsAreUncontrollableToOpposite) {
   const NodeId c0 = nl.add_const(false);
   const NodeId c1 = nl.add_const(true);
   nl.add_output("y", nl.add_gate(CellKind::kAnd2, {c0, c1}));
-  ScoapConfig cfg;
-  const auto r = compute_scoap(nl, cfg);
+  const auto r = compute_scoap(nl);
   EXPECT_DOUBLE_EQ(r.cc0[c0], 1.0);
-  EXPECT_DOUBLE_EQ(r.cc1[c0], cfg.cap);
+  EXPECT_DOUBLE_EQ(r.cc1[c0], kScoapCap);
   EXPECT_DOUBLE_EQ(r.cc1[c1], 1.0);
-  EXPECT_DOUBLE_EQ(r.cc0[c1], cfg.cap);
+  EXPECT_DOUBLE_EQ(r.cc0[c1], kScoapCap);
 }
 
 TEST(Scoap, SequentialDepthAddsCost) {
@@ -138,14 +136,13 @@ class ScoapDesignTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(ScoapDesignTest, ValuesAreSaneOnRealDesigns) {
   const auto d = designs::build_design(GetParam());
-  ScoapConfig cfg;
-  const auto r = compute_scoap(d.netlist, cfg);
+  const auto r = compute_scoap(d.netlist);
   std::size_t observable = 0;
   for (NodeId id = 0; id < d.netlist.num_nodes(); ++id) {
     EXPECT_GE(r.cc0[id], 1.0);
     EXPECT_GE(r.cc1[id], 1.0);
     EXPECT_GE(r.co[id], 0.0);
-    if (r.co[id] < cfg.cap) ++observable;
+    if (r.co[id] < kScoapCap) ++observable;
   }
   // The vast majority of a working design must be observable (a few
   // percent of dead builder intermediates is normal; sweep() removes it).
