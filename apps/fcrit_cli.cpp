@@ -468,7 +468,7 @@ int cmd_scoap(const Args& args) {
 }
 
 int cmd_wave(const Args& args) {
-  const int cycles = args.number("--cycles", 128);
+  const int cycles = args.number("--cycles", 128, 1);
   const int lane = args.number("--lane", 0);
   const auto d = load_target(args.pos[0]);
   const std::string* path = args.get("-o");

@@ -1,12 +1,10 @@
 #include "src/fault/autopsy.hpp"
 
-#include <array>
 #include <bit>
-#include <map>
 #include <queue>
 #include <stdexcept>
 
-#include "src/netlist/levelize.hpp"
+#include "src/sim/packed_sim.hpp"
 #include "src/util/text.hpp"
 
 namespace fcrit::fault {
@@ -48,41 +46,22 @@ Autopsy run_autopsy(const FaultCampaign& campaign,
   Autopsy a;
   a.fault = fault;
 
-  // ---- detailed re-simulation (full netlist; diagnostics need not be
-  // cone-restricted) -----------------------------------------------------------
-  const auto lev = netlist::levelize(nl);
-  const auto& cfg = campaign.config();
-  const std::uint64_t fault_word = fault.stuck_value ? ~0ULL : 0;
-  const CellKind fault_kind = nl.kind(fault.node);
-  const bool fault_on_source = fault_kind == CellKind::kDff;
-
-  const std::size_t n = nl.num_nodes();
-  std::vector<std::uint64_t> val(n, 0);
-  std::array<std::uint64_t, netlist::kMaxFanins> ins{};
-  std::vector<std::uint64_t> ff_next(nl.flops().size(), 0);
+  // ---- re-simulation: the packed simulator with the fault injected, fed
+  // the campaign's recorded stimulus ---------------------------------------
+  sim::PackedSimulator simulator(nl);
+  simulator.inject(fault.node, fault.stuck_value);
+  std::vector<std::uint64_t> words(nl.inputs().size());
   std::vector<int> po_corruption(nl.outputs().size(), 0);
 
-  for (int t = 0; t < cfg.cycles; ++t) {
-    if (fault_on_source) val[fault.node] = fault_word;
-    for (NodeId id = 0; id < n; ++id) {
-      const CellKind k = nl.kind(id);
-      if (k == CellKind::kInput || k == CellKind::kConst0 ||
-          k == CellKind::kConst1)
-        val[id] = campaign.golden_value(t, id);
-    }
-    for (const NodeId id : lev.order) {
-      const netlist::Node& node = nl.node(id);
-      for (std::size_t i = 0; i < node.fanin_count; ++i)
-        ins[i] = val[node.fanin[i]];
-      std::uint64_t v = netlist::eval_packed(
-          node.kind, std::span(ins.data(), node.fanin_count));
-      if (id == fault.node) v = fault_word;
-      val[id] = v;
-    }
+  for (int t = 0; t < campaign.config().cycles; ++t) {
+    for (std::size_t i = 0; i < words.size(); ++i)
+      words[i] = campaign.golden_value(t, nl.inputs()[i]);
+    simulator.eval_comb(words);
 
     for (std::size_t o = 0; o < nl.outputs().size(); ++o) {
       const NodeId driver = nl.outputs()[o].driver;
-      const std::uint64_t x = val[driver] ^ campaign.golden_value(t, driver);
+      const std::uint64_t x =
+          simulator.value(driver) ^ campaign.golden_value(t, driver);
       if (!x) continue;
       ++po_corruption[o];
       if (a.first_cycle < 0 || t == a.first_cycle) {
@@ -93,14 +72,7 @@ Autopsy run_autopsy(const FaultCampaign& campaign,
         a.corrupted_outputs.push_back(nl.outputs()[o].name);
       }
     }
-
-    for (std::size_t i = 0; i < nl.flops().size(); ++i)
-      ff_next[i] = val[nl.node(nl.flops()[i]).fanin[0]];
-    for (std::size_t i = 0; i < nl.flops().size(); ++i) {
-      std::uint64_t v = ff_next[i];
-      if (nl.flops()[i] == fault.node) v = fault_word;
-      val[nl.flops()[i]] = v;
-    }
+    simulator.clock();
   }
   a.detected = a.first_cycle >= 0;
   for (std::size_t o = 0; o < nl.outputs().size(); ++o)
@@ -118,6 +90,7 @@ Autopsy run_autopsy(const FaultCampaign& campaign,
     }
   }
   if (target != netlist::kNoNode) {
+    const std::size_t n = nl.num_nodes();
     std::vector<NodeId> parent(n, netlist::kNoNode);
     std::vector<char> seen(n, 0);
     std::queue<NodeId> queue;

@@ -1,7 +1,9 @@
 // Fault autopsy: the debugging story behind one fault's verdict.
 //
-// Re-simulates a single fault against the golden trace and reconstructs
-// what an engineer needs to understand the failure: the first corrupted
+// Re-simulates a single fault on the packed simulator (its stuck-at
+// injection, PackedSimulator::inject), driven by the campaign's recorded
+// stimulus and compared with its golden trace, and reconstructs what an
+// engineer needs to understand the failure: the first corrupted
 // cycle and workload, which primary outputs were corrupted there, a
 // shortest structural propagation path from the fault site to one
 // corrupted output (crossing flip-flops — each crossing is a cycle of

@@ -148,21 +148,6 @@ void FaultCampaign::run_golden() {
   golden_seconds_ = span.close();
 }
 
-std::vector<NodeId> FaultCampaign::transitive_fanout(NodeId src) const {
-  std::vector<std::uint8_t> seen(num_nodes_, 0);
-  std::vector<NodeId> queue{src};
-  seen[src] = 1;
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    for (const NodeId consumer : nl_->fanouts(queue[head])) {
-      if (!seen[consumer]) {
-        seen[consumer] = 1;
-        queue.push_back(consumer);  // crosses DFFs: sequential propagation
-      }
-    }
-  }
-  return queue;
-}
-
 FaultCampaign::Injection FaultCampaign::stuck_at(const Fault& fault) const {
   return {fault.node, 0, config_.cycles - 1, 0,
           fault.stuck_value ? ~0ULL : 0};
@@ -174,7 +159,8 @@ FaultResult FaultCampaign::levelized_sweep(const Injection& inj) const {
   // Cone membership.
   std::vector<std::uint8_t> in_cone(num_nodes_, 0);
   if (config_.use_cone_restriction) {
-    for (const NodeId id : transitive_fanout(inj.site)) in_cone[id] = 1;
+    for (const NodeId id : netlist::fanout_cone(*nl_, {&inj.site, 1}))
+      in_cone[id] = 1;
   } else {
     std::fill(in_cone.begin(), in_cone.end(), 1);
   }
@@ -590,7 +576,7 @@ std::uint32_t FaultCampaign::static_cone_size(NodeId site) const {
     return count;
   }
   std::uint32_t count = 0;
-  for (const NodeId id : transitive_fanout(site))
+  for (const NodeId id : netlist::fanout_cone(*nl_, {&site, 1}))
     if (!is_source_kind(nl_->kind(id))) ++count;
   return count;
 }

@@ -212,8 +212,8 @@ class FaultCampaign {
     std::vector<std::uint32_t> flop_edge;   // DFF consumers
   };
 
-  std::vector<netlist::NodeId> transitive_fanout(netlist::NodeId src) const;
-  /// The cone_size the configured engine reports for a fault at `site`.
+  /// The cone_size the configured engine reports for a fault at `site`:
+  /// the non-source nodes of netlist::fanout_cone from the site.
   std::uint32_t static_cone_size(netlist::NodeId site) const;
   void build_frontier_graph();
   Injection stuck_at(const Fault& fault) const;

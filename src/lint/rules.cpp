@@ -3,10 +3,9 @@
 // Every rule is linear (or near-linear) in nodes + edges; the error rules
 // alone form the preflight every serve request and pipeline run passes
 // through, the full pass is `fcrit lint`. Rules walk consumers through
-// Netlist::fanouts(), whose CSR leaves unresolved fanins out.
+// Netlist::fanouts() and cones through netlist::fanout_cone/fanin_cone,
+// all of which leave unresolved fanins out.
 #include <algorithm>
-#include <array>
-#include <deque>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -46,52 +45,11 @@ Diagnostic at_node(const Netlist& nl, NodeId id, std::string rule,
   return d;
 }
 
-/// Forward closure from `seeds` over the fanout adjacency.
-std::vector<char> reach_forward(const Netlist& nl,
-                                const std::vector<NodeId>& seeds) {
-  std::vector<char> reached(nl.num_nodes(), 0);
-  std::deque<NodeId> queue;
-  for (const NodeId s : seeds) {
-    if (s < reached.size() && !reached[s]) {
-      reached[s] = 1;
-      queue.push_back(s);
-    }
-  }
-  while (!queue.empty()) {
-    const NodeId u = queue.front();
-    queue.pop_front();
-    for (const NodeId v : nl.fanouts(u)) {
-      if (!reached[v]) {
-        reached[v] = 1;
-        queue.push_back(v);
-      }
-    }
-  }
-  return reached;
-}
-
-/// Backward closure from the output drivers over the fanin edges.
-std::vector<char> reach_backward_from_outputs(const Netlist& nl) {
-  const std::size_t n = nl.num_nodes();
-  std::vector<char> reached(n, 0);
-  std::deque<NodeId> queue;
-  for (const auto& port : nl.outputs()) {
-    if (port.driver < n && !reached[port.driver]) {
-      reached[port.driver] = 1;
-      queue.push_back(port.driver);
-    }
-  }
-  while (!queue.empty()) {
-    const NodeId u = queue.front();
-    queue.pop_front();
-    for (const NodeId f : nl.fanins(u)) {
-      if (f < n && !reached[f]) {
-        reached[f] = 1;
-        queue.push_back(f);
-      }
-    }
-  }
-  return reached;
+/// Membership marks of a cone walk (netlist::fanout_cone/fanin_cone).
+std::vector<char> marks(const Netlist& nl, const std::vector<NodeId>& cone) {
+  std::vector<char> marked(nl.num_nodes(), 0);
+  for (const NodeId id : cone) marked[id] = 1;
+  return marked;
 }
 
 void rule_undriven_fanin(const Netlist& nl, LintReport& report) {
@@ -230,9 +188,13 @@ void rule_dead_logic(const Netlist& nl, const sla::DataflowAnalysis* df,
                      LintReport& report) {
   const std::size_t n = nl.num_nodes();
   std::vector<char> drives_output(n, 0);
-  for (const auto& port : nl.outputs())
+  std::vector<NodeId> drivers;
+  for (const auto& port : nl.outputs()) {
     if (port.driver < n) drives_output[port.driver] = 1;
-  const std::vector<char> reaches_output = reach_backward_from_outputs(nl);
+    drivers.push_back(port.driver);
+  }
+  const std::vector<char> reaches_output =
+      marks(nl, netlist::fanin_cone(nl, drivers));
 
   for (NodeId id = 0; id < n; ++id) {
     if (is_source(nl.kind(id)) || drives_output[id]) continue;
@@ -255,38 +217,17 @@ void rule_dead_logic(const Netlist& nl, const sla::DataflowAnalysis* df,
   // structurally, but whose every consumer is pinned by a controlling
   // constant on its other fanins, is just as dead — its value can never
   // move a single level. Same node-local blocking test as the divergence
-  // closure (src/sla/dataflow).
-  std::array<sla::Ternary, netlist::kMaxFanins> ins{};
-  std::array<std::uint64_t, netlist::kMaxFanins> lits{};
+  // closure (sla::output_stays_definite).
   for (NodeId id = 0; id < n; ++id) {
     if (is_source(nl.kind(id)) || drives_output[id]) continue;
-    // Reported above.
-    if (nl.fanouts(id).empty() || !reaches_output[id]) continue;
-    bool all_blocked = true;
-    for (const NodeId c : nl.fanouts(id)) {
-      const netlist::Node& node = nl.node(c);
-      if (node.kind == CellKind::kDff || drives_output[c]) {
-        all_blocked = false;
-        break;
-      }
-      for (std::size_t i = 0; i < node.fanin_count; ++i) {
-        const NodeId f = node.fanin[i];
-        if (f == id) {
-          ins[i] = sla::Ternary::kX;
-          lits[i] = static_cast<std::uint64_t>(n + f) * 2;
-        } else {
-          ins[i] = df->value(f);
-          lits[i] = df->literal(f);
-        }
-      }
-      const sla::Ternary v = sla::eval_ternary_related(
-          node.kind, std::span<const sla::Ternary>(ins.data(), node.fanin_count),
-          std::span<const std::uint64_t>(lits.data(), node.fanin_count));
-      if (!sla::is_definite(v)) {
-        all_blocked = false;
-        break;
-      }
-    }
+    const auto fanouts = nl.fanouts(id);
+    if (fanouts.empty() || !reaches_output[id]) continue;  // reported above
+    const bool all_blocked =
+        std::all_of(fanouts.begin(), fanouts.end(), [&](NodeId c) {
+          return nl.kind(c) != CellKind::kDff && !drives_output[c] &&
+                 sla::output_stays_definite(
+                     nl, *df, c, [id](NodeId f) { return f == id; });
+        });
     if (all_blocked) {
       report.add(at_node(
           nl, id, "dead-cone", Severity::kNote,
@@ -299,7 +240,8 @@ void rule_dead_logic(const Netlist& nl, const sla::DataflowAnalysis* df,
 }
 
 void rule_input_unreachable(const Netlist& nl, LintReport& report) {
-  const std::vector<char> reached = reach_forward(nl, nl.inputs());
+  const std::vector<char> reached =
+      marks(nl, netlist::fanout_cone(nl, nl.inputs()));
   for (NodeId id = 0; id < nl.num_nodes(); ++id) {
     if (is_source(nl.kind(id)) || reached[id]) continue;
     report.add(at_node(nl, id, "input-unreachable", Severity::kWarning,
@@ -398,7 +340,8 @@ void rule_reset_cone(const Netlist& nl, const sla::DataflowAnalysis* df,
     }
     return;
   }
-  const std::vector<char> influenced = reach_forward(nl, resets);
+  const std::vector<char> influenced =
+      marks(nl, netlist::fanout_cone(nl, resets));
   for (const NodeId flop : nl.flops()) {
     if (influenced[flop]) continue;
     report.add(at_node(nl, flop, "reset-cone", Severity::kNote,

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "src/netlist/levelize.hpp"
+#include "src/netlist/transform.hpp"
 
 namespace fcrit::netlist {
 
@@ -37,36 +38,12 @@ HardenResult triplicate_nodes(const Netlist& nl,
           "triplicate_nodes: only gates and flip-flops can be hardened");
   }
 
+  TransformResult copy =
+      rebuild(nl, std::vector<bool>(nl.num_nodes(), true));
+  copy.netlist.set_name(nl.name() + "_tmr");
   HardenResult out;
-  out.netlist.set_name(nl.name() + "_tmr");
-  out.node_map.assign(nl.num_nodes(), kNoNode);
-
-  // Copy every node (placeholder fanins, patched below).
-  for (NodeId id = 0; id < nl.num_nodes(); ++id) {
-    const Node& node = nl.node(id);
-    switch (node.kind) {
-      case CellKind::kInput:
-        out.node_map[id] = out.netlist.add_input(node.name);
-        break;
-      case CellKind::kConst0:
-        out.node_map[id] = out.netlist.add_const(false);
-        break;
-      case CellKind::kConst1:
-        out.node_map[id] = out.netlist.add_const(true);
-        break;
-      default: {
-        std::vector<NodeId> fanins(node.fanin_count, kNoNode);
-        out.node_map[id] = out.netlist.add_gate(node.kind, fanins, node.name);
-        break;
-      }
-    }
-  }
-  for (NodeId id = 0; id < nl.num_nodes(); ++id) {
-    const Node& node = nl.node(id);
-    for (std::size_t slot = 0; slot < node.fanin_count; ++slot)
-      out.netlist.set_fanin(out.node_map[id], slot,
-                            out.node_map[node.fanin[slot]]);
-  }
+  out.netlist = std::move(copy.netlist);
+  out.node_map = std::move(copy.node_map);
 
   const std::size_t gates_before = out.netlist.num_gates();
 

@@ -169,4 +169,38 @@ void Netlist::ensure_fanouts() const {
   fanouts_valid_ = true;
 }
 
+namespace {
+
+/// Breadth-first walk from `seeds` along `next(id)`, skipping ids outside
+/// the netlist.
+template <typename Next>
+std::vector<NodeId> cone(const Netlist& nl, std::span<const NodeId> seeds,
+                         Next next) {
+  const std::size_t n = nl.num_nodes();
+  std::vector<std::uint8_t> seen(n, 0);
+  std::vector<NodeId> order;
+  auto visit = [&](NodeId id) {
+    if (id < n && !seen[id]) {
+      seen[id] = 1;
+      order.push_back(id);
+    }
+  };
+  for (const NodeId s : seeds) visit(s);
+  for (std::size_t head = 0; head < order.size(); ++head)
+    for (const NodeId v : next(order[head])) visit(v);
+  return order;
+}
+
+}  // namespace
+
+std::vector<NodeId> fanout_cone(const Netlist& nl,
+                                std::span<const NodeId> seeds) {
+  return cone(nl, seeds, [&](NodeId id) { return nl.fanouts(id); });
+}
+
+std::vector<NodeId> fanin_cone(const Netlist& nl,
+                               std::span<const NodeId> seeds) {
+  return cone(nl, seeds, [&](NodeId id) { return nl.fanins(id); });
+}
+
 }  // namespace fcrit::netlist

@@ -139,4 +139,14 @@ class Netlist {
   mutable std::unordered_map<std::string, NodeId> name_to_id_;
 };
 
+/// The nodes reachable from `seeds` through fanouts (fanout_cone) or
+/// through fanins (fanin_cone), crossing flip-flops: breadth-first order,
+/// seeds first, each node once. Seeds and fanins outside [0, num_nodes())
+/// are skipped, so both walk lenient netlists that still hold unresolved
+/// fanins. The one cone walk behind lint, sweep and the FI campaign.
+std::vector<NodeId> fanout_cone(const Netlist& nl,
+                                std::span<const NodeId> seeds);
+std::vector<NodeId> fanin_cone(const Netlist& nl,
+                               std::span<const NodeId> seeds);
+
 }  // namespace fcrit::netlist

@@ -4,11 +4,6 @@
 
 namespace fcrit::netlist {
 
-namespace {
-
-/// Copy `keep`-marked nodes of `src` into a fresh netlist in id order
-/// (which preserves topological validity: fanins have smaller or equal
-/// construction order except DFF back-edges, patched afterwards).
 TransformResult rebuild(const Netlist& src, const std::vector<bool>& keep) {
   TransformResult out;
   out.netlist.set_name(src.name());
@@ -45,7 +40,7 @@ TransformResult rebuild(const Netlist& src, const std::vector<bool>& keep) {
       continue;
     for (std::size_t slot = 0; slot < node.fanin_count; ++slot) {
       const NodeId f = node.fanin[slot];
-      if (f == kNoNode || out.node_map[f] == kNoNode)
+      if (f >= src.num_nodes() || out.node_map[f] == kNoNode)
         throw std::runtime_error(
             "transform: kept node references dropped fanin");
       out.netlist.set_fanin(out.node_map[id], slot, out.node_map[f]);
@@ -54,55 +49,18 @@ TransformResult rebuild(const Netlist& src, const std::vector<bool>& keep) {
   return out;
 }
 
-/// Mark the transitive fanin of `seeds` (crossing DFFs).
-std::vector<bool> mark_fanin_closure(const Netlist& nl,
-                                     const std::vector<NodeId>& seeds) {
-  std::vector<bool> mark(nl.num_nodes(), false);
-  std::vector<NodeId> queue;
-  for (const NodeId s : seeds) {
-    if (s >= nl.num_nodes())
-      throw std::runtime_error("transform: seed node out of range");
-    if (!mark[s]) {
-      mark[s] = true;
-      queue.push_back(s);
-    }
-  }
-  while (!queue.empty()) {
-    const NodeId id = queue.back();
-    queue.pop_back();
-    for (const NodeId f : nl.fanins(id)) {
-      if (!mark[f]) {
-        mark[f] = true;
-        queue.push_back(f);
-      }
-    }
-  }
-  return mark;
-}
-
-}  // namespace
-
 TransformResult sweep(const Netlist& nl) {
-  std::vector<NodeId> seeds;
-  for (const auto& port : nl.outputs()) seeds.push_back(port.driver);
-  auto keep = mark_fanin_closure(nl, seeds);
+  nl.validate();
+  std::vector<NodeId> drivers;
+  for (const auto& port : nl.outputs()) drivers.push_back(port.driver);
+  std::vector<bool> keep(nl.num_nodes(), false);
+  for (const NodeId id : fanin_cone(nl, drivers)) keep[id] = true;
   // The interface keeps all primary inputs even when unused.
   for (const NodeId in : nl.inputs()) keep[in] = true;
 
   TransformResult out = rebuild(nl, keep);
   for (const auto& port : nl.outputs())
     out.netlist.add_output(port.name, out.node_map[port.driver]);
-  out.netlist.validate();
-  return out;
-}
-
-TransformResult extract_fanin_cone(const Netlist& nl,
-                                   const std::vector<NodeId>& roots) {
-  const auto keep = mark_fanin_closure(nl, roots);
-  TransformResult out = rebuild(nl, keep);
-  for (const NodeId root : roots)
-    out.netlist.add_output(nl.node(root).name + "_cone",
-                           out.node_map[root]);
   out.netlist.validate();
   return out;
 }

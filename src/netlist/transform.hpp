@@ -1,4 +1,5 @@
-// Netlist transformations: sweep (dead-logic removal) and cone extraction.
+// Netlist transformations: sweep (dead-logic removal) and the node copy
+// it shares with TMR hardening (src/netlist/harden).
 //
 // Both produce a *new* netlist plus an old-to-new node-id mapping (kNoNode
 // for dropped nodes), since NodeIds are dense indices. Used by tooling
@@ -24,16 +25,18 @@ struct TransformResult {
   }
 };
 
-/// Remove every node with no structural path to a primary output
-/// (crossing flip-flops). Inputs are always kept (the port list is part of
-/// the module's interface); constants are kept only if used.
-TransformResult sweep(const Netlist& nl);
+/// Copy the `keep`-marked nodes of `src` into a fresh netlist of the same
+/// name, in id order; fanins are patched once every kept node exists, so
+/// flip-flop back edges resolve. Adds no output port. Throws
+/// std::runtime_error when a kept node reads a dropped fanin.
+TransformResult rebuild(const Netlist& src, const std::vector<bool>& keep);
 
-/// Extract the transitive fanin cone of `roots` (crossing flip-flops) as a
-/// standalone netlist: reached primary inputs stay inputs, each root
-/// becomes a primary output named after its node. Useful for isolating the
-/// logic a criticality verdict depends on.
-TransformResult extract_fanin_cone(const Netlist& nl,
-                                   const std::vector<NodeId>& roots);
+/// Remove every node with no structural path to a primary output
+/// (crossing flip-flops): the nodes outside netlist::fanin_cone of the
+/// output drivers, which are exactly lint's dead-gate and dead-cone
+/// warnings. Inputs are always kept (the port list is part of the
+/// module's interface); constants are kept only if used. Throws
+/// std::runtime_error on a netlist that fails validate().
+TransformResult sweep(const Netlist& nl);
 
 }  // namespace fcrit::netlist

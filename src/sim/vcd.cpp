@@ -63,6 +63,8 @@ void VcdWriter::sample(std::uint64_t time) {
 
 void dump_vcd(const netlist::Netlist& nl, const StimulusSpec& stimulus,
               std::uint64_t seed, int cycles, int lane, std::ostream& os) {
+  if (cycles < 1)
+    throw std::runtime_error("dump_vcd: cycles must be positive");
   PackedSimulator simulator(nl);
   StimulusGenerator stim(nl, stimulus, seed);
 

@@ -38,7 +38,8 @@ class VcdWriter {
 };
 
 /// Convenience: simulate `cycles` cycles with `stimulus` and dump every
-/// primary input/output of lane `lane` to `os`.
+/// primary input/output of lane `lane` to `os`. Throws std::runtime_error
+/// when `cycles` is below 1, before anything is written.
 void dump_vcd(const netlist::Netlist& nl, const StimulusSpec& stimulus,
               std::uint64_t seed, int cycles, int lane, std::ostream& os);
 

@@ -15,8 +15,10 @@ DataflowAnalysis DataflowAnalysis::run(const Netlist& nl) {
   DataflowAnalysis a;
   const std::size_t n = nl.num_nodes();
   a.values_.assign(n, Ternary::kX);
-  a.link_to_.assign(n, netlist::kNoNode);
-  a.link_opposite_.assign(n, 0);
+  // Direct equivalence links of the current pass (node -> one of its
+  // fanins); only the fact export below reads them.
+  std::vector<NodeId> link_to(n, netlist::kNoNode);
+  std::vector<std::uint8_t> link_opposite(n, 0);
 
   const netlist::Levelization lev = netlist::levelize(nl);
 
@@ -27,8 +29,9 @@ DataflowAnalysis DataflowAnalysis::run(const Netlist& nl) {
 
   // Per-node resolved literal for the current pass (rebuilt every pass:
   // an equivalence learned under a narrow flop state can dissolve when
-  // the state widens).
-  std::vector<std::uint64_t> lit(n);
+  // the state widens). The last pass's literals are the analysis'.
+  std::vector<std::uint64_t>& lit = a.literals_;
+  lit.resize(n);
 
   std::array<Ternary, netlist::kMaxFanins> ins{};
   std::array<std::uint64_t, netlist::kMaxFanins> in_lits{};
@@ -60,15 +63,15 @@ DataflowAnalysis DataflowAnalysis::run(const Netlist& nl) {
                                                     node.fanin_count);
       const Ternary v = eval_ternary_related(node.kind, in_span, lit_span);
       a.values_[id] = v;
-      a.link_to_[id] = netlist::kNoNode;
-      a.link_opposite_[id] = 0;
+      link_to[id] = netlist::kNoNode;
+      link_opposite[id] = 0;
       if (!is_definite(v)) {
         const int learned = learn_equivalence(node.kind, in_span, lit_span);
         if (learned >= 0) {
           const auto slot = static_cast<std::size_t>(learned / 2);
           const bool opposite = (learned & 1) != 0;
-          a.link_to_[id] = node.fanin[slot];
-          a.link_opposite_[id] = opposite ? 1 : 0;
+          link_to[id] = node.fanin[slot];
+          link_opposite[id] = opposite ? 1 : 0;
           lit[id] = lit[node.fanin[slot]] ^ (opposite ? 1u : 0u);
         }
       }
@@ -98,27 +101,17 @@ DataflowAnalysis DataflowAnalysis::run(const Netlist& nl) {
       f.value = a.values_[id];
       a.facts_.push_back(f);
       ++a.num_constants_;
-    } else if (a.link_to_[id] != netlist::kNoNode) {
+    } else if (link_to[id] != netlist::kNoNode) {
       Fact f;
       f.kind = Fact::Kind::kEquiv;
       f.node = id;
-      f.other = a.link_to_[id];
-      f.opposite = a.link_opposite_[id] != 0;
+      f.other = link_to[id];
+      f.opposite = link_opposite[id] != 0;
       a.facts_.push_back(f);
       ++a.num_equivalences_;
     }
   }
   return a;
-}
-
-std::uint64_t DataflowAnalysis::literal(NodeId id) const {
-  std::uint64_t phase = 0;
-  NodeId cur = id;
-  while (link_to_[cur] != netlist::kNoNode) {
-    phase ^= link_opposite_[cur];
-    cur = link_to_[cur];
-  }
-  return static_cast<std::uint64_t>(cur) * 2 + phase;
 }
 
 namespace {
@@ -305,34 +298,15 @@ std::vector<NodeId> divergence_closure(const Netlist& nl,
   for (const NodeId s : seeds)
     if (!divergent[s]) mark(s);
 
-  std::array<Ternary, netlist::kMaxFanins> ins{};
-  std::array<std::uint64_t, netlist::kMaxFanins> in_lits{};
+  auto is_divergent = [&](NodeId f) { return divergent[f] != 0; };
   for (std::size_t head = 0; head < queue.size(); ++head) {
     for (const NodeId c : nl.fanouts(queue[head])) {
       if (divergent[c]) continue;
-      const netlist::Node& node = nl.node(c);
       // State loads the (divergent) D on the next edge; registers are
       // never transparent to blocking.
-      if (node.kind != CellKind::kDff) {
-        for (std::size_t i = 0; i < node.fanin_count; ++i) {
-          const NodeId f = node.fanin[i];
-          if (divergent[f]) {
-            // The corrupted net carries an unknown value; the synthetic
-            // literal is keyed by the net, past every real literal.
-            ins[i] = Ternary::kX;
-            in_lits[i] = static_cast<std::uint64_t>(nl.num_nodes() + f) * 2;
-          } else {
-            ins[i] = analysis.value(f);
-            in_lits[i] = analysis.literal(f);
-          }
-        }
-        if (is_definite(eval_ternary_related(
-                node.kind,
-                std::span<const Ternary>(ins.data(), node.fanin_count),
-                std::span<const std::uint64_t>(in_lits.data(),
-                                               node.fanin_count))))
-          continue;
-      }
+      if (nl.kind(c) != CellKind::kDff &&
+          output_stays_definite(nl, analysis, c, is_divergent))
+        continue;
       mark(c);
     }
   }

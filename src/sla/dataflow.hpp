@@ -28,6 +28,7 @@
 // code that produced it. docs/STATIC_ANALYSIS.md spells out the argument.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -71,7 +72,8 @@ class DataflowAnalysis {
   /// Literal of the node's equivalence-class representative:
   /// representative id * 2 + phase. Two nodes are proved equal iff their
   /// literals are identical, antivalent iff they differ only in bit 0.
-  std::uint64_t literal(netlist::NodeId id) const;
+  /// A lookup: the fixpoint's last pass resolves every node's literal.
+  std::uint64_t literal(netlist::NodeId id) const { return literals_[id]; }
 
   const std::vector<Fact>& facts() const { return facts_; }
   int iterations() const { return iterations_; }
@@ -80,10 +82,7 @@ class DataflowAnalysis {
 
  private:
   std::vector<Ternary> values_;
-  // Direct equivalence links (node -> one of its fanins), the union-find
-  // they generate, and the exported facts.
-  std::vector<netlist::NodeId> link_to_;
-  std::vector<std::uint8_t> link_opposite_;
+  std::vector<std::uint64_t> literals_;
   std::vector<Fact> facts_;
   int iterations_ = 0;
   std::size_t num_constants_ = 0;
@@ -97,6 +96,37 @@ class DataflowAnalysis {
 /// `fcrit check` dataflow oracle runs it on every fuzzed circuit.
 bool verify_facts(const netlist::Netlist& nl, const DataflowAnalysis& analysis,
                   std::string* why);
+
+/// The node-local blocking test behind divergence_closure and lint's
+/// dead-cone note: true when `gate`'s output stays definite while the
+/// fanins `unknown(f)` picks turn X. A picked fanin f carries the
+/// synthetic literal (num_nodes + f) * 2, keyed by the net and past every
+/// real literal, so two pins fed by one picked net stay equal (XOR(g, g)
+/// blocks); the other fanins read their lattice values and literals.
+/// Combinational gates only: a flip-flop is never transparent to
+/// blocking, so callers leave it out (lint's note also leaves out output
+/// drivers).
+template <typename Unknown>
+bool output_stays_definite(const netlist::Netlist& nl,
+                           const DataflowAnalysis& analysis,
+                           netlist::NodeId gate, Unknown unknown) {
+  const netlist::Node& node = nl.node(gate);
+  std::array<Ternary, netlist::kMaxFanins> ins{};
+  std::array<std::uint64_t, netlist::kMaxFanins> lits{};
+  for (std::size_t i = 0; i < node.fanin_count; ++i) {
+    const netlist::NodeId f = node.fanin[i];
+    if (unknown(f)) {
+      ins[i] = Ternary::kX;
+      lits[i] = static_cast<std::uint64_t>(nl.num_nodes() + f) * 2;
+    } else {
+      ins[i] = analysis.value(f);
+      lits[i] = analysis.literal(f);
+    }
+  }
+  return is_definite(eval_ternary_related(
+      node.kind, std::span<const Ternary>(ins.data(), node.fanin_count),
+      std::span<const std::uint64_t>(lits.data(), node.fanin_count)));
+}
 
 /// Constant-transparency influence closure: the set of nodes a change on
 /// any seed could influence, propagating through a gate only when the

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <span>
+#include <string>
+
 #include "src/designs/designs.hpp"
 #include "src/rtl/builder.hpp"
+#include "tests/pin_hash.hpp"
 
 namespace fcrit::fault {
 namespace {
@@ -112,6 +117,34 @@ TEST(Autopsy, TextReportIsComplete) {
   EXPECT_NE(text.find("propagation path"), std::string::npos);
   EXPECT_NE(text.find("->"), std::string::npos);
   EXPECT_NE(text.find("y:"), std::string::npos);
+}
+
+// fnv1a64 of every 5th fault's report at 64 cycles on the five built-ins.
+// AgreesWithCampaignVerdict checks only detection and the first cycle;
+// these pins also hold the lane, the corrupted outputs, the path and the
+// per-output counts, byte for byte.
+TEST(Autopsy, ReportsMatchPinnedHash) {
+  const std::pair<const char*, std::uint64_t> pins[] = {
+      {"sdram_ctrl", 0xc4cf89b746c9c486ULL},
+      {"or1200_if", 0x6bea6afdea9d0d99ULL},
+      {"or1200_icfsm", 0x19a489a34aeff8c6ULL},
+      {"or1200_genpc", 0xaed24f079c1a19c2ULL},
+      {"ee_zonal", 0x5b7dd574d5cd81daULL},
+  };
+  for (const auto& [name, pinned] : pins) {
+    const designs::Design d = designs::build_design(name);
+    CampaignConfig cfg;
+    cfg.cycles = 64;
+    FaultCampaign campaign(d.netlist, d.stimulus, cfg);
+    campaign.run_golden();
+    const auto faults = full_fault_list(d.netlist);
+    std::string reports;
+    for (std::size_t i = 0; i < faults.size(); i += 5)
+      reports += run_autopsy(campaign, d.netlist, faults[i]).to_string();
+    const std::uint64_t got =
+        pins::hash_bytes(std::span<const char>(reports));
+    EXPECT_EQ(got, pinned) << name << ": got 0x" << std::hex << got;
+  }
 }
 
 }  // namespace

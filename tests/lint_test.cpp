@@ -1,15 +1,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "src/designs/designs.hpp"
+#include "src/designs/random_circuit.hpp"
 #include "src/graphir/graph.hpp"
 #include "src/lint/lint.hpp"
+#include "src/netlist/bench_format.hpp"
 #include "src/netlist/netlist.hpp"
 #include "src/netlist/verilog_parser.hpp"
 #include "src/obs/json.hpp"
+#include "tests/pin_hash.hpp"
 
 namespace fcrit::lint {
 namespace {
@@ -392,6 +397,108 @@ TEST(LintDesigns, BuiltInDesignsHaveNoErrors) {
     const LintReport r = lint_netlist(design.netlist);
     EXPECT_EQ(r.errors(), 0u) << name << ":\n" << r.to_string();
   }
+}
+
+/// Dead-cone notes and literal ties: AND(x, 0), XOR(a, a), and a BUF/INV
+/// chain off `b` whose taps feed side fanins, so consumers of `u_g` and
+/// `u_h` are pinned by a constant or by a net meeting its own complement.
+Netlist ties_circuit() {
+  Netlist nl("ties");
+  const NodeId a = nl.add_input("a");
+  const NodeId b = nl.add_input("b");
+  const NodeId x = nl.add_input("x");
+  const NodeId rst = nl.add_input("rst");
+  const NodeId c0 = nl.add_const(false);
+  const NodeId k = nl.add_gate(CellKind::kAnd2, {x, c0}, "u_and0");
+  const NodeId z = nl.add_gate(CellKind::kXor2, {a, a}, "u_xor_aa");
+  const NodeId b1 = nl.add_gate(CellKind::kBuf, {b}, "u_b1");
+  const NodeId i1 = nl.add_gate(CellKind::kInv, {b1}, "u_i1");
+  const NodeId b2 = nl.add_gate(CellKind::kBuf, {i1}, "u_b2");
+  const NodeId i2 = nl.add_gate(CellKind::kInv, {b2}, "u_i2");
+  const NodeId g = nl.add_gate(CellKind::kOr2, {a, x}, "u_g");
+  const NodeId c1 = nl.add_gate(CellKind::kAnd3, {g, b1, i1}, "u_c1");
+  const NodeId c2 = nl.add_gate(CellKind::kOr3, {g, i2, b2}, "u_c2");
+  const NodeId h = nl.add_gate(CellKind::kBuf, {a}, "u_h");
+  const NodeId k2 = nl.add_gate(CellKind::kAnd2, {h, c0}, "u_k2");
+  const NodeId m = nl.add_gate(CellKind::kMux2, {i2, b1, a}, "u_mux");
+  const NodeId f = nl.add_gate(CellKind::kDff, {m}, "r_f");
+  const NodeId r = nl.add_gate(CellKind::kAnd2, {rst, k}, "u_rst_k");
+  const NodeId fr = nl.add_gate(CellKind::kDff, {r}, "r_rst");
+  const NodeId d1 = nl.add_gate(CellKind::kBuf, {a}, "u_dead1");
+  nl.add_gate(CellKind::kInv, {d1}, "u_dead2");
+  nl.add_gate(CellKind::kInv, {x}, "u_dangling");
+  nl.add_output("y0", nl.add_gate(CellKind::kOr2, {c1, c2}, "u_y0"));
+  nl.add_output("y1", nl.add_gate(CellKind::kXor2, {z, k2}, "u_y1"));
+  nl.add_output("y2", nl.add_gate(CellKind::kAnd2, {f, fr}, "u_y2"));
+  return nl;
+}
+
+/// fnv1a64 of each report's to_json(). The rule tests above check one
+/// finding each; these pins hold every finding, severity and message byte
+/// for byte, through the structural rules, the dataflow-backed ones and
+/// (on the .bench re-parses) inputs whose node order differs.
+TEST(LintNetlist, ReportsMatchPinnedHash) {
+  auto hash_json = [](const std::string& json) {
+    return pins::hash_bytes(std::span<const char>(json));
+  };
+  auto hash = [&](const Netlist& nl) {
+    return hash_json(lint_netlist(nl).to_json());
+  };
+  const std::pair<const char*, std::uint64_t> designs_pins[] = {
+      {"sdram_ctrl", 0xb65c26087a55d930ULL},
+      {"or1200_if", 0xf619ea1c56ba611bULL},
+      {"or1200_icfsm", 0xb98229efa8aabe34ULL},
+      {"or1200_genpc", 0x19461946793c9ed6ULL},
+      {"ee_zonal", 0x2789fbf2057a4783ULL},
+  };
+  const std::pair<const char*, std::uint64_t> bench_pins[] = {
+      {"sdram_ctrl", 0xb030db93096d772fULL},
+      {"or1200_if", 0x9e80674f675f26b1ULL},
+      {"or1200_icfsm", 0xd30f3ef8679c3524ULL},
+      {"or1200_genpc", 0x0ae7f94af8ff6505ULL},
+      {"ee_zonal", 0xd63b42ab5f0446b7ULL},
+  };
+  for (const auto& [name, pinned] : designs_pins) {
+    const std::uint64_t got = hash(designs::build_design(name).netlist);
+    EXPECT_EQ(got, pinned) << name << ": got 0x" << std::hex << got;
+  }
+  for (const auto& [name, pinned] : bench_pins) {
+    const designs::Design d = designs::build_design(name);
+    const std::uint64_t got =
+        hash(netlist::parse_bench(netlist::to_bench(d.netlist), name));
+    EXPECT_EQ(got, pinned) << name << ".bench: got 0x" << std::hex << got;
+  }
+
+  // 24 random circuits, deep and shallow, with and without state.
+  std::string reports;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    const designs::Design d = designs::build_random_circuit(
+        {.num_inputs = 4 + static_cast<int>(seed % 5),
+         .num_gates = 40 + 15 * static_cast<int>(seed),
+         .num_flops = static_cast<int>(seed % 4) * 6,
+         .num_outputs = 2 + static_cast<int>(seed % 6),
+         .reuse_bias = seed % 2 == 0 ? 0.8 : 0.3,
+         .seed = seed});
+    reports += lint_netlist(d.netlist).to_json();
+  }
+  const std::uint64_t random_got = hash_json(reports);
+  EXPECT_EQ(random_got, 0xc21eb7ccd75cde12ULL) << "random: got 0x" << std::hex << random_got;
+
+  // Inputs renamed rst*/reset*, so reset-cone runs its dataflow closure.
+  designs::Design rsty = designs::build_random_circuit(
+      {.num_inputs = 8, .num_gates = 300, .num_flops = 24,
+       .num_outputs = 6, .seed = 25});
+  rsty.netlist.rename(rsty.netlist.inputs()[0], "rst");
+  rsty.netlist.rename(rsty.netlist.inputs()[3], "reset_n");
+  const std::uint64_t rst_got = hash(rsty.netlist);
+  EXPECT_EQ(rst_got, 0x100d3759ab9e196bULL) << "rst: got 0x" << std::hex << rst_got;
+
+  const Netlist ties = ties_circuit();
+  const LintReport ties_report = lint_netlist(ties);
+  EXPECT_TRUE(has_rule(ties_report, "dead-cone")) << ties_report.to_string();
+  const std::uint64_t ties_got = hash_json(ties_report.to_json());
+  EXPECT_EQ(ties_got, 0x83e477ec73db5491ULL) << "ties: got 0x" << std::hex << ties_got
+                              << "\n" << ties_report.to_string();
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 namespace fcrit::netlist {
 namespace {
@@ -183,6 +184,31 @@ TEST(Netlist, ValidateAggregatesAllViolations) {
     EXPECT_NE(msg.find("u_open1"), std::string::npos) << msg;
     EXPECT_NE(msg.find("u_open2"), std::string::npos) << msg;
   }
+}
+
+TEST(Netlist, ConesCrossFlipFlopsAndSkipUnresolvedFanins) {
+  // a -> g = AND(a, ff) -> ff -> h, ff feeding g back; u's second fanin
+  // is an unresolved placeholder.
+  Netlist nl;
+  const NodeId a = nl.add_input("a");
+  const NodeId b = nl.add_input("b");
+  const NodeId ff = nl.add_gate(CellKind::kDff, {kNoNode});
+  const NodeId g = nl.add_gate(CellKind::kAnd2, {a, ff});
+  nl.set_fanin(ff, 0, g);
+  const NodeId h = nl.add_gate(CellKind::kInv, {ff});
+  const NodeId u = nl.add_gate(CellKind::kOr2, {b, kNoNode});
+  using Ids = std::vector<NodeId>;
+
+  // Breadth-first, seeds first, each node once, through ff both ways.
+  EXPECT_EQ(fanout_cone(nl, Ids{a}), (Ids{a, g, ff, h}));
+  EXPECT_EQ(fanin_cone(nl, Ids{h}), (Ids{h, ff, g, a}));
+  // A repeated seed appears once; out-of-range seeds are skipped.
+  EXPECT_EQ(fanout_cone(nl, Ids{g, a, g, 99, kNoNode}), (Ids{g, a, ff, h}));
+  EXPECT_EQ(fanin_cone(nl, Ids{kNoNode, h, h}), (Ids{h, ff, g, a}));
+  // The kNoNode fanin of u is no edge in either direction.
+  EXPECT_EQ(fanin_cone(nl, Ids{u}), (Ids{u, b}));
+  EXPECT_EQ(fanout_cone(nl, Ids{b}), (Ids{b, u}));
+  EXPECT_TRUE(fanout_cone(nl, Ids{}).empty());
 }
 
 TEST(Netlist, NumEdgesCountsFanins) {

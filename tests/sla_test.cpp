@@ -17,6 +17,7 @@
 #include "src/designs/random_circuit.hpp"
 #include "src/netlist/cell_library.hpp"
 #include "src/netlist/netlist.hpp"
+#include "src/obs/trace.hpp"
 #include "src/sla/dataflow.hpp"
 #include "src/sla/ternary.hpp"
 
@@ -325,6 +326,35 @@ TEST(DivergenceClosure, RelatedLiteralsBlockXorOfOneNet) {
   const auto df = DataflowAnalysis::run(nl);
   const NodeId seeds[] = {g};
   EXPECT_EQ(divergence_closure(nl, df, seeds), std::vector<NodeId>{g});
+}
+
+TEST(DataflowAnalysis, LiteralIsALookup) {
+  // A 120k-node BUF/INV chain: every node is equivalent to the input up
+  // to the parity of the inverters before it. A literal() that walked the
+  // equivalence chain would take ~n^2/2 steps over the loop below (about
+  // 7 * 10^9, seconds); a lookup of the analysis' last pass takes well
+  // under a millisecond.
+  constexpr int kChain = 120000;
+  Netlist nl("chain");
+  const NodeId a = nl.add_input("a");
+  std::vector<std::uint64_t> expected(1, static_cast<std::uint64_t>(a) * 2);
+  NodeId prev = a;
+  for (int i = 0; i < kChain; ++i) {
+    const bool inv = i % 3 == 1;
+    prev = nl.add_gate(inv ? CellKind::kInv : CellKind::kBuf, {prev});
+    expected.push_back(expected.back() ^ (inv ? 1u : 0u));
+  }
+  nl.add_output("y", prev);
+  nl.validate();
+
+  const auto df = DataflowAnalysis::run(nl);
+  std::vector<std::uint64_t> got(nl.num_nodes());
+  obs::Span span("literal_lookup");
+  for (NodeId id = 0; id < nl.num_nodes(); ++id) got[id] = df.literal(id);
+  const double seconds = span.close();
+  EXPECT_EQ(got, expected);
+  EXPECT_LT(seconds, 0.05) << "literal() over " << nl.num_nodes()
+                           << " nodes took " << seconds << " s";
 }
 
 }  // namespace

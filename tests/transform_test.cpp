@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "src/designs/designs.hpp"
+#include "src/designs/random_circuit.hpp"
+#include "src/lint/lint.hpp"
 #include "src/sim/packed_sim.hpp"
 #include "src/sim/stimulus.hpp"
 
@@ -76,40 +81,44 @@ TEST(Sweep, IsBehaviourPreservingOnRealDesign) {
   }
 }
 
-TEST(FaninCone, ExtractsOnlyTheCone) {
-  Netlist nl;
-  const NodeId a = nl.add_input("a");
-  const NodeId b = nl.add_input("b");
-  const NodeId g1 = nl.add_gate(CellKind::kInv, {a});
-  const NodeId g2 = nl.add_gate(CellKind::kInv, {b});
-  const NodeId g3 = nl.add_gate(CellKind::kAnd2, {g1, g1});
-  nl.add_output("y1", g3);
-  nl.add_output("y2", g2);
-
-  const auto cone = extract_fanin_cone(nl, {g3});
-  // b and g2 are outside g3's fanin cone.
-  EXPECT_EQ(cone.node_map[b], kNoNode);
-  EXPECT_EQ(cone.node_map[g2], kNoNode);
-  EXPECT_NE(cone.node_map[g1], kNoNode);
-  ASSERT_EQ(cone.netlist.outputs().size(), 1u);
-  EXPECT_NE(cone.netlist.outputs()[0].name.find("_cone"), std::string::npos);
-}
-
-TEST(FaninCone, CrossesFlipFlopsBackwards) {
-  Netlist nl;
-  const NodeId a = nl.add_input("a");
-  const NodeId ff = nl.add_gate(CellKind::kDff, {a});
-  const NodeId g = nl.add_gate(CellKind::kInv, {ff});
-  nl.add_output("y", g);
-  const auto cone = extract_fanin_cone(nl, {g});
-  EXPECT_NE(cone.node_map[a], kNoNode);
-  EXPECT_NE(cone.node_map[ff], kNoNode);
-}
-
-TEST(FaninCone, OutOfRangeSeedThrows) {
-  Netlist nl;
-  nl.add_input("a");
-  EXPECT_THROW(extract_fanin_cone(nl, {99}), std::runtime_error);
+// sweep and lint answer one question, "does this node reach an output?":
+// sweep drops exactly the nodes lint warns about as dead-gate or
+// dead-cone, plus the constants that feed nothing else it keeps.
+TEST(Sweep, DropsExactlyWhatLintCallsDead) {
+  std::vector<designs::Design> cases;
+  for (const auto& name : designs::all_design_names())
+    cases.push_back(designs::build_design(name));
+  for (std::uint64_t seed = 1; seed <= 12; ++seed)
+    cases.push_back(designs::build_random_circuit(
+        {.num_inputs = 6, .num_gates = 60 + 25 * static_cast<int>(seed),
+         .num_flops = static_cast<int>(seed % 3) * 8, .num_outputs = 3,
+         .reuse_bias = seed % 2 == 0 ? 0.8 : 0.3, .seed = seed}));
+  std::size_t total_dropped = 0;
+  for (const designs::Design& d : cases) {
+    const Netlist& nl = d.netlist;
+    std::set<NodeId> dead;
+    for (const lint::Diagnostic& diag : lint::lint_netlist(nl).diagnostics)
+      if ((diag.rule_id == "dead-gate" || diag.rule_id == "dead-cone") &&
+          diag.severity == lint::Severity::kWarning)
+        dead.insert(diag.node);
+    std::set<NodeId> expected = dead;
+    std::set<NodeId> drivers;
+    for (const auto& port : nl.outputs()) drivers.insert(port.driver);
+    for (NodeId id = 0; id < nl.num_nodes(); ++id) {
+      if (nl.kind(id) != CellKind::kConst0 && nl.kind(id) != CellKind::kConst1)
+        continue;
+      bool used = drivers.contains(id);
+      for (const NodeId c : nl.fanouts(id)) used |= !dead.contains(c);
+      if (!used) expected.insert(id);
+    }
+    const auto result = sweep(nl);
+    std::set<NodeId> dropped;
+    for (NodeId id = 0; id < nl.num_nodes(); ++id)
+      if (result.node_map[id] == kNoNode) dropped.insert(id);
+    EXPECT_EQ(dropped, expected) << d.name;
+    total_dropped += dropped.size();
+  }
+  EXPECT_GT(total_dropped, 0u);
 }
 
 }  // namespace

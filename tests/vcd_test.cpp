@@ -73,6 +73,17 @@ TEST(Vcd, RejectsBadArguments) {
   EXPECT_THROW(VcdWriter(os, sim, {999}, 0), std::runtime_error);
 }
 
+TEST(Vcd, DumpVcdRefusesFewerThanOneCycle) {
+  const auto d = designs::build_or1200_icfsm();
+  for (const int cycles : {0, -1}) {
+    std::ostringstream os;
+    EXPECT_THROW(dump_vcd(d.netlist, d.stimulus, 1, cycles, 0, os),
+                 std::runtime_error)
+        << cycles;
+    EXPECT_TRUE(os.str().empty()) << cycles;
+  }
+}
+
 TEST(Vcd, IdCodesStayUniqueBeyond94Signals) {
   // 100 signals exercise the multi-character identifier path.
   Netlist nl("wide");
